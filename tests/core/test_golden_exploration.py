@@ -1,12 +1,13 @@
 """Byte-identical exploration outputs against a committed golden fixture.
 
-``golden/exploration_outputs.json`` pins, for every Table-I app, what one
-FragDroid run on a fresh device produces: the canonical report JSON, the
-run trace and every generated test case's Robotium source (hashed
-together), plus the device step count, the test-case count and the trace
-length.  Runtime optimizations may only change how fast these arrive,
-never what they are.  Regenerate the fixture only for *intentional*
-model changes::
+``golden/exploration_outputs.json`` pins, for every Table-I app and for
+the 200-activity ``com.scale.a200f150`` the pipeline ledger's large-app
+workload explores, what one FragDroid run on a fresh device produces:
+the canonical report JSON, the run trace and every generated test
+case's Robotium source (hashed together), plus the device step count,
+the test-case count and the trace length.  Runtime optimizations may
+only change how fast these arrive, never what they are.  Regenerate the
+fixture only for *intentional* model changes::
 
     PYTHONPATH=src python tests/core/test_golden_exploration.py
 """
@@ -21,16 +22,25 @@ from repro.android import Device
 from repro.apk.builder import build_apk
 from repro.core.explorer import FragDroid
 from repro.core.report import result_to_json
-from repro.corpus.table1_apps import build_table1_app, table1_packages
+from repro.corpus import TABLE1_PLANS
+from repro.corpus.synth import AppPlan, build_app
 
 GOLDEN_PATH = (pathlib.Path(__file__).parent / "golden"
                / "exploration_outputs.json")
+
+#: Table I, plus one app far beyond its working set, where the emulator
+#: rebuilds the same screens thousands of times per exploration.
+PLANS = {plan.package: plan for plan in (
+    *TABLE1_PLANS,
+    AppPlan("com.scale.a200f150", visited_activities=200,
+            visited_fragments=150),
+)}
 
 
 def golden_entry(package: str) -> dict:
     """The pinned quantities of one exploration of ``package``."""
     device = Device()
-    result = FragDroid(device).explore(build_apk(build_table1_app(package)))
+    result = FragDroid(device).explore(build_apk(build_app(PLANS[package])))
     digest = hashlib.sha256()
     digest.update(result_to_json(result).encode("utf-8"))
     digest.update(result.trace_text().encode("utf-8"))
@@ -46,10 +56,10 @@ def _load() -> dict:
 
 
 def test_fixture_covers_every_table1_app():
-    assert sorted(_load()) == sorted(table1_packages())
+    assert sorted(_load()) == sorted(PLANS)
 
 
-@pytest.mark.parametrize("package", sorted(table1_packages()))
+@pytest.mark.parametrize("package", sorted(PLANS))
 def test_exploration_outputs_byte_identical(package):
     assert golden_entry(package) == _load()[package]
 
@@ -58,7 +68,7 @@ if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(
         json.dumps({package: golden_entry(package)
-                    for package in sorted(table1_packages())},
+                    for package in sorted(PLANS)},
                    indent=1, sort_keys=True) + "\n",
         encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")
