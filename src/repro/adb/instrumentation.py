@@ -26,13 +26,12 @@ def instrument_manifest(apk: ApkPackage) -> ApkPackage:
         decl.exported = True
         if not any(ACTION_MAIN in f.actions for f in decl.intent_filters):
             decl.intent_filters.append(IntentFilter(actions=[ACTION_MAIN]))
-    return ApkPackage(
-        package=apk.package,
+    # ``replace`` carries the behavioural spec over for the emulator
+    # without this tool ever reading it.
+    return replace(
+        apk,
         manifest_xml=manifest.to_xml(),
         smali_files=dict(apk.smali_files),
         layout_files=dict(apk.layout_files),
-        public_xml=apk.public_xml,
-        packed=apk.packed,
         version_name=apk.version_name + "-instrumented",
-        _spec=apk.runtime_spec(),
     )

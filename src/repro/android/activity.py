@@ -14,11 +14,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.apk.appspec import ActivitySpec, WidgetSpec
+from repro.apk.resources import ResourceTable
 from repro.android.fragment import FragmentInstance
 from repro.android.fragment_manager import FragmentManager
 from repro.android.intent import Intent
 from repro.android.views import (
+    Blueprint,
     RuntimeWidget,
+    WidgetRow,
     dialog_bounds,
     layout_content,
     layout_dialog,
@@ -42,15 +45,42 @@ class Overlay:
     window: Rect = field(default_factory=lambda: dialog_bounds(1))
 
 
+def activity_blueprint(spec: ActivitySpec, class_name: str,
+                       resources: ResourceTable) -> Blueprint:
+    """The Activity's content and drawer widgets, resolved against the
+    install's resource table."""
+    drawer = spec.drawer
+    drawer_item_ids = {w.id for w in drawer.items} if drawer else set()
+    rows: List[WidgetRow] = []
+    for widget_spec in spec.all_widgets():
+        is_drawer_item = widget_spec.id in drawer_item_ids
+        layer = "drawer" if is_drawer_item else "content"
+        if is_drawer_item and drawer.navigation_view:
+            # NavigationView renders menu rows internally: they carry
+            # runtime IDs, not the layout resource IDs, and no handler.
+            rows.append((synthetic_id(class_name, widget_spec.id),
+                         widget_spec.kind, widget_spec.text, None, False,
+                         layer, None))
+            continue
+        rid = resources.get("id", widget_spec.id)
+        rows.append((widget_spec.id, widget_spec.kind, widget_spec.text,
+                     rid.value if rid else None,
+                     widget_spec.on_click is not None
+                     or widget_spec.kind.clickable,
+                     layer, widget_spec))
+    return Blueprint(spec, class_name, tuple(rows))
+
+
 class ActivityInstance:
     """One live Activity on the stack."""
 
-    def __init__(self, spec: ActivitySpec, app: "AppProcess",
+    def __init__(self, blueprint: Blueprint, app: "AppProcess",
                  intent: Intent) -> None:
-        self.spec = spec
+        self.blueprint = blueprint
+        self.spec: ActivitySpec = blueprint.spec
         self.app = app
         self.intent = intent
-        self.class_name = app.spec.qualify(spec.name)
+        self.class_name = blueprint.class_name
         self.fragment_manager = FragmentManager(self)
         self.direct_fragments: List[FragmentInstance] = []
         self.overlays: List[Overlay] = []
@@ -96,36 +126,11 @@ class ActivityInstance:
         return True
 
     def _build_content_widgets(self) -> None:
-        resources = self.app.resources
-        drawer = self.spec.drawer
-        drawer_item_ids = {w.id for w in drawer.items} if drawer else set()
-        for widget_spec in self.spec.all_widgets():
-            rid = resources.get("id", widget_spec.id)
-            is_drawer_item = widget_spec.id in drawer_item_ids
-            nav_view_row = (is_drawer_item and drawer is not None
-                            and drawer.navigation_view)
-            widget = RuntimeWidget(
-                # NavigationView renders menu rows internally: they carry
-                # runtime IDs, not the layout resource IDs.
-                widget_id=synthetic_id(self.class_name, widget_spec.id)
-                if nav_view_row else widget_spec.id,
-                kind=widget_spec.kind,
-                text=widget_spec.text,
-                owner_class=self.class_name,
-                owner_is_fragment=False,
-                resource_value=None if nav_view_row
-                else (rid.value if rid else None),
-                clickable=not nav_view_row
-                and (widget_spec.on_click is not None
-                     or widget_spec.kind.clickable),
-            )
-            if is_drawer_item:
-                widget.layer = "drawer"
+        for widget in self.app.inflate(self):
+            if widget.layer == "drawer":
                 self.drawer_widgets.append(widget)
             else:
                 self.content_widgets.append(widget)
-            if not nav_view_row:
-                self.app.register_handler(widget, widget_spec, owner=self)
 
     # -- fragments ------------------------------------------------------------
 

@@ -30,13 +30,13 @@ from repro.apk.appspec import (
     ToggleWidget,
     WidgetSpec,
 )
-from repro.android.activity import ActivityInstance
-from repro.android.fragment import FragmentInstance
+from repro.android.activity import ActivityInstance, activity_blueprint
+from repro.android.fragment import FragmentInstance, fragment_blueprint
 from repro.android.intent import Intent
-from repro.android.views import RuntimeWidget
+from repro.android.views import Blueprint, RuntimeWidget
 from repro.apk.package import ApkPackage
 from repro.apk.resources import ResourceTable
-from repro.errors import AppCrashError
+from repro.errors import ApkError, AppCrashError
 from repro.types import ComponentName, InvocationSource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,20 +45,64 @@ if TYPE_CHECKING:  # pragma: no cover
 Owner = Union[ActivityInstance, FragmentInstance]
 
 
+class AppBlueprints:
+    """One install's component blueprints, built once at install.
+
+    FragDroid restarts the app before every UI-queue item, so the same
+    screens are built thousands of times per exploration.  Everything
+    about them that cannot change between starts (spec lookup by name,
+    qualified class names, widget ids, resource values, handler specs)
+    is resolved here, once; a start only creates the widgets.  Every
+    process of the install shares this object and only reads it.
+    """
+
+    def __init__(self, spec: AppSpec, resources: ResourceTable) -> None:
+        self.spec = spec
+        self.resources = resources
+        self._activities: Dict[str, Blueprint] = {
+            activity.name: activity_blueprint(
+                activity, spec.qualify(activity.name), resources)
+            for activity in spec.activities
+        }
+        self._fragments: Dict[str, Blueprint] = {
+            fragment.name: fragment_blueprint(
+                fragment, spec.qualify(fragment.name), resources)
+            for fragment in spec.fragments
+        }
+
+    def activity(self, name: str) -> Blueprint:
+        """The blueprint of an Activity, by simple or qualified name."""
+        try:
+            return self._activities[name.rsplit(".", 1)[-1]]
+        except KeyError:
+            raise ApkError(f"{self.spec.package}: no activity named "
+                           f"{name!r}") from None
+
+    def fragment(self, name: str) -> Blueprint:
+        """The blueprint of a Fragment, by simple or qualified name."""
+        try:
+            return self._fragments[name.rsplit(".", 1)[-1]]
+        except KeyError:
+            raise ApkError(f"{self.spec.package}: no fragment named "
+                           f"{name!r}") from None
+
+
 class AppProcess:
     """One running application.
 
-    ``resources`` is the install's parsed resource table, shared by every
-    process of that install; the runtime only reads it.
+    ``blueprints`` (and through it ``resources``, the parsed resource
+    table) belong to the install and are shared by every process of it;
+    the runtime only reads them.
     """
 
     def __init__(self, apk: ApkPackage, device: "Device",
-                 resources: ResourceTable) -> None:
+                 blueprints: AppBlueprints) -> None:
         self.apk = apk
-        self.spec: AppSpec = apk.runtime_spec()
+        self.blueprints = blueprints
+        self.spec: AppSpec = blueprints.spec
+        self.resources = blueprints.resources
         self.package = apk.package
         self.device = device
-        self.resources = resources
         self.stack: List[ActivityInstance] = []
         # Click handlers: widget identity -> (spec, owning component).
         self._handlers: Dict[int, Tuple[WidgetSpec, Owner]] = {}
@@ -72,12 +116,12 @@ class AppProcess:
     def start_activity(self, activity_name: str, intent: Intent) -> bool:
         """Instantiate and push an Activity; returns True when it stays
         resident (didn't immediately finish or crash)."""
-        spec = self.spec.activity(activity_name)
-        if spec.crashes_on_launch:
+        blueprint = self.blueprints.activity(activity_name)
+        if blueprint.spec.crashes_on_launch:
             self.crash(f"{activity_name} crashed in onCreate",
                        self.spec.qualify(activity_name))
             return False
-        instance = ActivityInstance(spec, self, intent)
+        instance = ActivityInstance(blueprint, self, intent)
         if not instance.on_create():
             return False
         self.stack.append(instance)
@@ -103,6 +147,22 @@ class AppProcess:
     def register_handler(self, widget: RuntimeWidget, spec: WidgetSpec,
                          owner: Owner) -> None:
         self._handlers[id(widget)] = (spec, owner)
+
+    def inflate(self, owner: Owner) -> List[RuntimeWidget]:
+        """Fresh widgets for ``owner``'s blueprint rows, in screen order,
+        with their click handlers registered."""
+        owner_class = owner.class_name
+        owner_is_fragment = isinstance(owner, FragmentInstance)
+        widgets = []
+        for (widget_id, kind, text, resource_value, clickable, layer,
+             handler) in owner.blueprint.rows:
+            widget = RuntimeWidget(widget_id, kind, text, owner_class,
+                                   owner_is_fragment, resource_value,
+                                   clickable=clickable, layer=layer)
+            widgets.append(widget)
+            if handler is not None:
+                self.register_handler(widget, handler, owner)
+        return widgets
 
     def handler_for(self, widget: RuntimeWidget
                     ) -> Optional[Tuple[WidgetSpec, Owner]]:
@@ -211,9 +271,9 @@ class AppProcess:
                         container_id: str, mode: str, via: str,
                         add_to_back_stack: bool = False
                         ) -> FragmentInstance:
-        spec = self.spec.fragment(fragment_name)
-        instance = FragmentInstance(spec, host, container_id, via=via)
-        if spec.managed:
+        blueprint = self.blueprints.fragment(fragment_name)
+        instance = FragmentInstance(blueprint, host, container_id, via=via)
+        if blueprint.spec.managed:
             transaction = host.fragment_manager.begin_transaction()
             if mode == "replace":
                 transaction.replace(container_id, instance)

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.android.activity import ActivityInstance
 from repro.android.api_monitor import ApiMonitor
-from repro.android.app_runtime import AppProcess
+from repro.android.app_runtime import AppBlueprints, AppProcess
 from repro.android.events import EventLog, InputEvent
 from repro.android.intent import Intent
 from repro.android.logcat import Logcat
@@ -41,14 +42,16 @@ from repro.types import ComponentName
 
 
 class _InstalledApp:
-    """An installed package.  Its manifest and resource table are parsed
-    once, here, and shared read-only by every process of the install."""
+    """An installed package.  Its manifest and resource table are parsed,
+    and its component blueprints built, once, here; every process of the
+    install shares them read-only."""
 
     def __init__(self, apk: ApkPackage) -> None:
         self.apk = apk
         self.manifest = Manifest.from_xml(apk.manifest_xml)
         self.resources = ResourceTable.from_public_xml(apk.package,
                                                        apk.public_xml)
+        self.blueprints = AppBlueprints(apk.runtime_spec(), self.resources)
 
 
 class Device:
@@ -108,7 +111,7 @@ class Device:
         if package not in self._processes:
             app = self._app(package)
             self._processes[package] = AppProcess(app.apk, self,
-                                                  app.resources)
+                                                  app.blueprints)
         return self._processes[package]
 
     # -- activity management ------------------------------------------------------
@@ -242,7 +245,12 @@ class Device:
         activity = self.foreground.top_activity
         if activity is None:
             return
-        widgets = activity.visible_widgets()
+        self._tap_on(activity, activity.visible_widgets(), x, y)
+
+    def _tap_on(self, activity: ActivityInstance,
+                widgets: List[RuntimeWidget], x: int, y: int) -> None:
+        """Deliver a tap at (x, y) to ``activity``'s screen, already laid
+        out as ``widgets``."""
         target = widget_at(widgets, x, y)
         if target is None:
             overlay = activity.top_overlay
@@ -259,11 +267,16 @@ class Device:
             self._handle_crash(self.foreground.package)
 
     def click_widget(self, widget_id: str) -> None:
-        """Tap the center of a widget found by its ID."""
-        for widget in self.ui_dump():
+        """Tap the center of a widget found by its ID.  The screen found
+        by the search is the one tapped: nothing changes in between, so
+        it is laid out once."""
+        widgets = self.ui_dump()
+        for widget in widgets:
             if widget.widget_id == widget_id:
                 x, y = widget.bounds.center
-                self.tap(x, y)
+                self.steps += 1
+                self._record_event("tap", x=x, y=y)
+                self._tap_on(self.foreground.top_activity, widgets, x, y)
                 return
         raise WidgetNotFoundError(widget_id)
 

@@ -11,23 +11,53 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.apk.appspec import FragmentSpec
-from repro.android.views import RuntimeWidget, synthetic_id
-from repro.types import ComponentName, InvocationSource, WidgetKind
+from repro.android.views import (
+    Blueprint,
+    RuntimeWidget,
+    WidgetRow,
+    synthetic_id,
+)
+from repro.apk.resources import ResourceTable
+from repro.types import ComponentName, InvocationSource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.android.activity import ActivityInstance
 
 
+def fragment_blueprint(spec: FragmentSpec, class_name: str,
+                       resources: ResourceTable) -> Blueprint:
+    """The Fragment's widgets, resolved against the install's resource
+    table."""
+    rows: List[WidgetRow] = []
+    for widget_spec in spec.widgets:
+        if spec.managed:
+            rid = resources.get("id", widget_spec.id)
+            widget_id = widget_spec.id
+            resource_value = rid.value if rid else None
+        else:
+            # Programmatic views: IDs generated at runtime, invisible
+            # to the resource dependency (the dubsmash failure mode).
+            widget_id = synthetic_id(class_name, widget_spec.id)
+            resource_value = None
+        rows.append((widget_id, widget_spec.kind, widget_spec.text,
+                     resource_value,
+                     widget_spec.on_click is not None
+                     or widget_spec.kind.clickable,
+                     "content", widget_spec))
+    return Blueprint(spec, class_name, tuple(rows))
+
+
 class FragmentInstance:
     """One attached Fragment."""
 
-    def __init__(self, spec: FragmentSpec, host: "ActivityInstance",
+    def __init__(self, blueprint: Blueprint, host: "ActivityInstance",
                  container_id: str, via: str) -> None:
-        self.spec = spec
+        self.blueprint = blueprint
+        self.spec: FragmentSpec = blueprint.spec
         self.host = host
         self.container_id = container_id
         self.via = via  # "transaction" | "direct" | "reflection"
-        self.class_name = host.app.spec.qualify(spec.name)
+        self.class_name = blueprint.class_name
         self.widgets: List[RuntimeWidget] = []
         self._created = False
 
@@ -49,31 +79,7 @@ class FragmentInstance:
             device.api_monitor.record(
                 api, self.component, InvocationSource.FRAGMENT, device.steps
             )
-        resources = self.host.app.resources
-        for widget_spec in self.spec.widgets:
-            if self.managed:
-                rid = resources.get("id", widget_spec.id)
-                widget_id = widget_spec.id
-                resource_value = rid.value if rid else None
-            else:
-                # Programmatic views: IDs generated at runtime, invisible
-                # to the resource dependency (the dubsmash failure mode).
-                widget_id = synthetic_id(self.class_name, widget_spec.id)
-                resource_value = None
-            self.widgets.append(
-                RuntimeWidget(
-                    widget_id=widget_id,
-                    kind=widget_spec.kind,
-                    text=widget_spec.text,
-                    owner_class=self.class_name,
-                    owner_is_fragment=True,
-                    resource_value=resource_value,
-                    clickable=widget_spec.on_click is not None
-                    or widget_spec.kind.clickable,
-                )
-            )
-            self.host.app.register_handler(self.widgets[-1], widget_spec,
-                                           owner=self)
+        self.widgets = self.host.app.inflate(self)
 
     def __repr__(self) -> str:
         return f"<Fragment {self.spec.name} in {self.host.spec.name}>"

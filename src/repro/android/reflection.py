@@ -41,7 +41,7 @@ def reflective_fragment_switch(
     activity = app.top_activity
     simple = fragment_class.rsplit(".", 1)[-1]
     try:
-        spec = app.spec.fragment(simple)
+        spec = app.blueprints.fragment(simple).spec
     except Exception as exc:
         raise ReflectionError(f"class not found: {fragment_class}") from exc
     if not spec.managed:

@@ -9,11 +9,14 @@ to right") depends on those coordinates being real and ordered.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple, Union
 
 from repro.types import WidgetKind
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.apk.appspec import ActivitySpec, FragmentSpec, WidgetSpec
 
 SCREEN_WIDTH = 1080
 SCREEN_HEIGHT = 1920
@@ -50,6 +53,11 @@ class Rect:
         return ((self.left + self.right) // 2, (self.top + self.bottom) // 2)
 
 
+#: The bounds of a widget not laid out yet.  Rects are frozen, so every
+#: widget can share this one until a layout pass assigns its row.
+NO_BOUNDS = Rect(0, 0, 0, 0)
+
+
 @dataclass
 class RuntimeWidget:
     """A widget as it exists on screen.
@@ -66,7 +74,7 @@ class RuntimeWidget:
     owner_class: str
     owner_is_fragment: bool
     resource_value: Optional[int] = None
-    bounds: Rect = field(default_factory=lambda: Rect(0, 0, 0, 0))
+    bounds: Rect = NO_BOUNDS
     clickable: bool = True
     layer: str = "content"  # content | drawer | dialog | popup
     checked: bool = False
@@ -80,13 +88,44 @@ class RuntimeWidget:
         return f"{self.kind.value}[{self.widget_id}]"
 
 
+#: What a widget is on every build of its screen, resolved once per
+#: install: (widget id, kind, text, resource value, clickable, layer,
+#: click-handler spec).  The handler is None for a widget the app
+#: registers no handler on.  Bounds, ``checked`` and ``entered_text``
+#: belong to each RuntimeWidget instead.
+WidgetRow = Tuple[str, WidgetKind, str, Optional[int], bool, str,
+                  Optional["WidgetSpec"]]
+
+
+class Blueprint(NamedTuple):
+    """One component's screen as its install built it: the spec, the
+    fully-qualified class name and the widget rows in screen order.
+    Every start of the component creates fresh RuntimeWidgets from the
+    rows; nothing writes to a blueprint."""
+
+    spec: Union["ActivitySpec", "FragmentSpec"]
+    class_name: str
+    rows: Tuple[WidgetRow, ...]
+
+
+@lru_cache(maxsize=1024)
+def _column_rows(left: int, width: int, top: int,
+                 count: int) -> Tuple[Rect, ...]:
+    """The first ``count`` row rectangles of one column.  A screen is
+    laid out before every observation and tap, so the rows are built
+    once per column shape and shared: they are frozen."""
+    return tuple(
+        Rect(left, y, left + width, y + ROW_HEIGHT - 8)
+        for y in range(top, top + count * ROW_HEIGHT, ROW_HEIGHT)
+    )
+
+
 def layout_column(widgets: List[RuntimeWidget], left: int, width: int,
                   top: int = TOP_MARGIN) -> None:
     """Assign vertical-stack bounds to a list of widgets, in order."""
-    y = top
-    for widget in widgets:
-        widget.bounds = Rect(left, y, left + width, y + ROW_HEIGHT - 8)
-        y += ROW_HEIGHT
+    for widget, rect in zip(widgets,
+                            _column_rows(left, width, top, len(widgets))):
+        widget.bounds = rect
 
 
 def layout_content(widgets: List[RuntimeWidget]) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.apk.layout import Layout
 from repro.apk.manifest import Manifest
@@ -106,8 +106,8 @@ class _ReferenceIndex:
         self.owners_by_target = owners_by_target
         self.instantiated_by_id = instantiated_by_id
         # Per-referrer union of the class itself plus its inner classes,
-        # filled lazily by DecodedApk.instantiates.
-        self.unit_instantiations: Dict[str, set] = {}
+        # filled lazily by DecodedApk.instantiated_by.
+        self.unit_instantiations: Dict[str, FrozenSet[str]] = {}
 
 
 @dataclass
@@ -156,9 +156,9 @@ class DecodedApk:
         statement of ``target`` — first-seen order, self excluded."""
         return list(self._ref_index().owners_by_target.get(target, ()))
 
-    def instantiates(self, referrer: str, target: str) -> bool:
-        """True when ``referrer`` (or one of its inner classes) creates
-        ``target``: ``new T()``, ``T.newInstance()`` or ``instanceof``."""
+    def instantiated_by(self, referrer: str) -> FrozenSet[str]:
+        """The classes ``referrer`` (or one of its inner classes) creates
+        or type-tests: ``new T()``, ``T.newInstance()`` or ``instanceof``."""
         index = self._ref_index()
         unit = index.unit_instantiations.get(referrer)
         if unit is None:
@@ -167,12 +167,18 @@ class DecodedApk:
                 else []
             )
             members.extend(self.inner_classes_of(referrer))
-            unit = set()
+            created: set = set()
             for cls in members:
                 known = index.instantiated_by_id.get(id(cls))
-                unit |= known if known is not None else _instantiated_in(cls)
-            index.unit_instantiations[referrer] = unit
-        return target in unit
+                created |= known if known is not None \
+                    else _instantiated_in(cls)
+            unit = index.unit_instantiations[referrer] = frozenset(created)
+        return unit
+
+    def instantiates(self, referrer: str, target: str) -> bool:
+        """True when ``referrer`` (or one of its inner classes) creates
+        ``target``."""
+        return target in self.instantiated_by(referrer)
 
 
 class Apktool:

@@ -36,7 +36,11 @@ _RE_SET_CLASS = re.compile(
 _RE_INTENT_ACTION = re.compile(r'new\s+(?:[\w.]+\.)?Intent\(\s*"([^"]+)"\s*\)')
 _RE_SET_ACTION = re.compile(r'\.setAction\(\s*"([^"]+)"\s*\)')
 _RE_NEW_FRAGMENT = re.compile(r"new\s+([\w.$]+)\(\s*\)")
-_RE_NEW_INSTANCE = re.compile(r"([\w.$]+)\.newInstance\(")
+# The lookbehind starts a match only at the first character of a name,
+# so a qualified name is not retried from each of its characters.  Any
+# match extends left to the name's first character anyway, so finditer
+# returns the same matches as without it.
+_RE_NEW_INSTANCE = re.compile(r"(?<![\w.$])([\w.$]+)\.newInstance\(")
 _RE_INSTANCEOF = re.compile(r"instanceof\s+([\w.$]+)")
 
 

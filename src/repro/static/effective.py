@@ -60,18 +60,6 @@ def fragment_subclasses(decoded: DecodedApk) -> List[str]:
     return sorted(fragments)
 
 
-def referencing_classes(decoded: DecodedApk,
-                        target: str) -> List[str]:
-    """Outer classes (including via their inner classes) that contain a
-    statement of ``target``.
-
-    Served from the decoded APK's reverse-reference index: one pass over
-    the class list answers every target, instead of rescanning all
-    classes per query inside the effective-fragment fixed point.
-    """
-    return decoded.referencing_owners(target)
-
-
 def effective_fragments(decoded: DecodedApk,
                         activities: List[str]) -> List[str]:
     """Filter fragment subclasses down to the effective set.
@@ -91,7 +79,7 @@ def effective_fragments(decoded: DecodedApk,
         for fragment in candidates:
             if fragment in effective:
                 continue
-            for referrer in referencing_classes(decoded, fragment):
+            for referrer in decoded.referencing_owners(fragment):
                 is_instantiation = decoded.instantiates(referrer, fragment)
                 if not is_instantiation:
                     continue
@@ -102,24 +90,18 @@ def effective_fragments(decoded: DecodedApk,
     return sorted(effective)
 
 
-def _has_instantiation(decoded: DecodedApk, referrer: str,
-                       fragment: str) -> bool:
-    """True when ``referrer`` (or an inner class of it) actually creates
-    the fragment — ``new F()``, ``F.newInstance()`` or ``instanceof`` —
-    rather than merely extending it.  Answered from the decoded APK's
-    per-unit instantiation index."""
-    return decoded.instantiates(referrer, fragment)
-
-
 def fragment_hosts(decoded: DecodedApk, activities: List[str],
                    fragments: List[str]) -> Dict[str, List[str]]:
     """For each effective fragment, the Activities that instantiate it
     (directly or through their inner classes or hosted fragments)."""
     hosts: Dict[str, List[str]] = {fragment: [] for fragment in fragments}
-    for fragment in fragments:
-        for activity in activities:
-            if _has_instantiation(decoded, activity, fragment):
-                hosts[fragment].append(activity)
+    # One pass over each activity's instantiations; every fragment's
+    # hosts come out in activity order.
+    for activity in activities:
+        for created in decoded.instantiated_by(activity):
+            bucket = hosts.get(created)
+            if bucket is not None:
+                bucket.append(activity)
     # Fragments instantiated only from other fragments inherit those
     # fragments' hosts (the transaction still targets the host activity).
     changed = True
@@ -131,7 +113,7 @@ def fragment_hosts(decoded: DecodedApk, activities: List[str],
             for other in fragments:
                 if other == fragment or not hosts[other]:
                     continue
-                if _has_instantiation(decoded, other, fragment):
+                if decoded.instantiates(other, fragment):
                     hosts[fragment] = list(hosts[other])
                     changed = True
                     break

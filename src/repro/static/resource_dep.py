@@ -109,47 +109,42 @@ def extract_resource_dependency(
     fragment_layouts = {f: _layouts_referenced_by(decoded, f) for f in fragments}
     activity_ids = {a: _ids_referenced_by(decoded, a) for a in activities}
     fragment_ids = {f: _ids_referenced_by(decoded, f) for f in fragments}
+    # Layout -> the components inflating it, each list in the order of
+    # ``activities``/``fragments``: scanning these finds the same first
+    # match as scanning every component per widget.
+    inflaters: Dict[str, Tuple[List[str], List[str]]] = {}
+    for activity in activities:
+        for layout_name in activity_layouts[activity]:
+            inflaters.setdefault(layout_name, ([], []))[0].append(activity)
+    for fragment in fragments:
+        for layout_name in fragment_layouts[fragment]:
+            inflaters.setdefault(layout_name, ([], []))[1].append(fragment)
 
     for layout_name, layout in sorted(decoded.layouts.items()):
+        layout_activities, layout_fragments = inflaters.get(layout_name,
+                                                            ([], []))
         for widget_id in layout.widget_ids():
             rid = decoded.resources.get("id", widget_id)
             if rid is None:
                 continue
-            is_find = False
-            for activity in activities:
-                if (rid.value in activity_ids[activity]
-                        and layout_name in activity_layouts[activity]):
-                    model.add(ResourceBinding(widget_id, rid.value,
-                                              activity, None))
-                    is_find = True
-                    break
-            if is_find:
-                continue
-            for fragment in fragments:
-                if (rid.value in fragment_ids[fragment]
-                        and layout_name in fragment_layouts[fragment]):
-                    model.add(ResourceBinding(widget_id, rid.value,
-                                              None, fragment))
-                    is_find = True
-                    break
-            if is_find:
-                continue
-            # Layout-membership fallback: a widget that no code declares
-            # still belongs to the component that inflates its layout —
-            # the "repeatedly appears in both layout and resource files"
-            # reading of Section V-B.  Without this, fragments composed
-            # purely of passive widgets would be unidentifiable.
-            for activity in activities:
-                if layout_name in activity_layouts[activity]:
-                    model.add(ResourceBinding(widget_id, rid.value,
-                                              activity, None))
-                    is_find = True
-                    break
-            if is_find:
-                continue
-            for fragment in fragments:
-                if layout_name in fragment_layouts[fragment]:
-                    model.add(ResourceBinding(widget_id, rid.value,
-                                              None, fragment))
-                    break
+            activity = next((a for a in layout_activities
+                             if rid.value in activity_ids[a]), None)
+            fragment = None
+            if activity is None:
+                fragment = next((f for f in layout_fragments
+                                 if rid.value in fragment_ids[f]), None)
+            if activity is None and fragment is None:
+                # Layout-membership fallback: a widget that no code
+                # declares still belongs to the component that inflates
+                # its layout — the "repeatedly appears in both layout and
+                # resource files" reading of Section V-B.  Without this,
+                # fragments composed purely of passive widgets would be
+                # unidentifiable.
+                if layout_activities:
+                    activity = layout_activities[0]
+                elif layout_fragments:
+                    fragment = layout_fragments[0]
+            if activity is not None or fragment is not None:
+                model.add(ResourceBinding(widget_id, rid.value,
+                                          activity, fragment))
     return model
