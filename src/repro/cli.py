@@ -1027,9 +1027,7 @@ def cmd_jobs(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from repro.obs.events import JOB_STATE
     from repro.serve import DEFAULT_URL, ServeClient, ServeClientError
-    from repro.serve.jobs import TERMINAL_STATES
 
     url = args.url or os.environ.get("FRAGDROID_SERVE_URL") or DEFAULT_URL
     client = ServeClient(url)
@@ -1095,25 +1093,11 @@ def cmd_jobs(args: argparse.Namespace) -> int:
 
             if args.follow:
                 # Live SSE tail: backlog first, then pushed events,
-                # until the job finishes (or Ctrl-C).  The service drops
-                # a subscriber that falls behind its buffer, so a stream
-                # that ends before the terminal state is finished from
-                # the job's log once the job is confirmed terminal.
-                last_seq = 0
-                terminal = False
+                # until the job finishes (or Ctrl-C).  A stream the
+                # service drops for lagging resumes where it left off.
                 try:
                     for event in client.stream_events(args.refs[0]):
                         show_event(event)
-                        last_seq = event["seq"]
-                        terminal = (event["kind"] == JOB_STATE and
-                                    event.get("attributes", {}).get("state")
-                                    in TERMINAL_STATES)
-                    if not terminal:
-                        client.wait(args.refs[0],
-                                    timeout_s=args.wait_timeout)
-                        for event in client.logs(args.refs[0]):
-                            if event["seq"] > last_seq:
-                                show_event(event)
                 except KeyboardInterrupt:
                     return 130
                 return 0
@@ -1430,7 +1414,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sse-buffer", type=int, default=256,
                        help="per-subscriber event buffer for "
                             "/jobs/<id>/events; a client further "
-                            "behind is disconnected (default 256)")
+                            "behind is disconnected and resumes from "
+                            "its last event (default 256)")
     serve.add_argument("--sse-heartbeat", type=float, default=15.0,
                        help="seconds between SSE heartbeat comments "
                             "on a quiet stream (default 15)")
@@ -1464,7 +1449,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="submit: poll until the job is terminal; "
                            "exit 1 unless it is done")
     jobs.add_argument("--wait-timeout", type=float, default=600.0,
-                      help="submit --wait, logs --follow: give up "
+                      help="submit --wait: give up "
                            "waiting for the job after this many seconds "
                            "(default 600)")
     jobs.add_argument("--json", action="store_true",

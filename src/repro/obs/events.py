@@ -43,9 +43,9 @@ QUARANTINE = "quarantine"            # widget circuit breaker tripped
 CRASH_RECOVERY = "crash.recovery"    # requeue / replay / abandon after a crash
 API_OBSERVED = "api.observed"        # a sensitive API fired (api, component)
 
-# Service-mode job lifecycle (repro.serve): every event carries a
-# ``job`` attribute, so /jobs/<id>/logs slices one job's stream out of
-# the shared fleet log.
+# Service-mode job lifecycle (repro.serve).  The scheduler records each
+# job through a view bound with ``job=<id>`` (``EventLog.bind``), so these
+# and every exploration or attribution event the job causes carry its id.
 JOB_STATE = "job.state"              # lifecycle transition (job, state)
 JOB_APP_DONE = "job.app.done"        # one app's outcome journaled (job, ok)
 JOB_WORKER_DIED = "job.worker.died"  # a sweep worker died (job, strikes)
@@ -142,19 +142,8 @@ class EventLog:
 
     def emit(self, kind: str, step: int = 0, app: str = "",
              **attributes: object) -> Event:
-        event = Event(
-            seq=next(self._seq),
-            kind=kind,
-            step=step,
-            app=app,
-            wall=perf_counter() - self._epoch,
-            attributes=attributes,
-        )
-        with self._lock:
-            self._events.append(event)
-        for sink in self.sinks:
-            sink.emit(event)
-        return event
+        return self._record(kind, step, app, perf_counter() - self._epoch,
+                            attributes)
 
     def absorb(self, events: Iterable[Event]) -> List[Event]:
         """Fold events recorded by another log into this one.
@@ -166,22 +155,30 @@ class EventLog:
         gap-free); kind, step, app, wall offset and attributes are
         preserved.  Returns the re-sequenced events, in order.
         """
-        absorbed: List[Event] = []
-        for event in events:
-            replayed = Event(
-                seq=next(self._seq),
-                kind=event.kind,
-                step=event.step,
-                app=event.app,
-                wall=event.wall,
-                attributes=event.attributes,
-            )
-            with self._lock:
-                self._events.append(replayed)
+        return [self._record(event.kind, event.step, event.app, event.wall,
+                             event.attributes)
+                for event in events]
+
+    def _record(self, kind: str, step: int, app: str, wall: float,
+                attributes: Dict[str, object]) -> Event:
+        # Sequencing, storage and sink fan-out happen under one lock, so
+        # every sink sees the log's events in seq order.
+        with self._lock:
+            event = Event(seq=next(self._seq), kind=kind, step=step,
+                          app=app, wall=wall, attributes=attributes)
+            self._events.append(event)
             for sink in self.sinks:
-                sink.emit(replayed)
-            absorbed.append(replayed)
-        return absorbed
+                sink.emit(event)
+        return event
+
+    def bind(self, **stamp: object) -> "BoundEventLog":
+        """A view that stamps ``stamp`` onto every event it records.
+
+        The view records into this log (same sequence, storage and
+        sinks) and remembers only its own events, so ``events()`` on it
+        costs what the view recorded, not what the whole log holds.
+        """
+        return BoundEventLog(self, stamp)
 
     # -- reading -----------------------------------------------------------
 
@@ -215,6 +212,27 @@ class EventLog:
                 close()
 
 
+class BoundEventLog(EventLog):
+    """One scope's view of a parent :class:`EventLog` (see
+    :meth:`EventLog.bind`).  ``repro serve`` binds one per job with
+    ``job=<id>``, so a job's events carry its id wherever they land."""
+
+    def __init__(self, parent: EventLog, stamp: Dict[str, object]) -> None:
+        super().__init__()
+        self.parent = parent
+        self.stamp = dict(stamp)
+        self.sinks = parent.sinks
+        self._epoch = parent._epoch
+
+    def _record(self, kind: str, step: int, app: str, wall: float,
+                attributes: Dict[str, object]) -> Event:
+        event = self.parent._record(kind, step, app, wall,
+                                    {**attributes, **self.stamp})
+        with self._lock:
+            self._events.append(event)
+        return event
+
+
 class NullEventLog(EventLog):
     """The default: ``emit`` discards everything at constant cost."""
 
@@ -230,6 +248,9 @@ class NullEventLog(EventLog):
 
     def absorb(self, events: Iterable[Event]) -> List[Event]:
         return list(events)
+
+    def bind(self, **stamp: object) -> "NullEventLog":
+        return self
 
 
 NULL_EVENT_LOG = NullEventLog()

@@ -20,9 +20,11 @@ Endpoints::
     GET  /jobs/<id>         one job's full state
     GET  /jobs/<id>/logs    the job's event stream (progress)
     GET  /jobs/<id>/events  the same stream *live*, as Server-Sent
-                            Events: backlog replay, then push until the
-                            job reaches a terminal state (heartbeat
-                            comments keep idle connections alive)
+                            Events: backlog replay (after the
+                            ``Last-Event-ID`` seq, when the client sends
+                            one), then push until the job reaches a
+                            terminal state (heartbeat comments keep
+                            idle connections alive)
     POST /jobs/<id>/cancel  cancel (immediate when queued,
                             cooperative when running)
     POST /shutdown          drain and stop the service
@@ -71,7 +73,7 @@ from repro.serve.jobs import (
 )
 from repro.serve.journal import JobJournal
 from repro.serve.scheduler import Scheduler, default_resolver
-from repro.serve.stream import DEFAULT_BUFFER, EventBroker, event_matches
+from repro.serve.stream import DEFAULT_BUFFER, EventBroker
 
 _JOB_PATH = re.compile(r"^/jobs/([0-9a-f]+)$")
 _JOB_LOGS_PATH = re.compile(r"^/jobs/([0-9a-f]+)/logs$")
@@ -242,10 +244,9 @@ class ReproServer:
         return job
 
     def job_logs(self, job_id: str) -> list:
+        """The job's events: exactly those stamped with its id."""
         job = self.queue.get(job_id)  # 404 on unknown ids
-        apps = set(job.apps)
-        return [event.to_dict() for event in self.event_log.events()
-                if event_matches(event, job.job_id, apps)]
+        return [event.to_dict() for event in self.broker.history(job.job_id)]
 
     def job_explanation(self, job_id: str) -> Dict:
         """The job's coverage explanation (miss causes per unreached
@@ -411,44 +412,47 @@ class _Handler(BaseHTTPRequestHandler):
     def _stream_events(self, job_id: str) -> None:
         """Serve one job's event stream as Server-Sent Events.
 
-        Subscribe *before* reading the backlog (no gap), replay the
-        backlog, then push live events until the job's terminal
-        ``job.state`` event — then an explicit ``end`` event and close.
-        Heartbeat comment lines flow while the stream is quiet, so both
-        sides notice a dead peer; a disconnected or too-slow client is
-        unsubscribed, its buffer released with it.
+        Subscribe and take the backlog in one step (no gap, no
+        repeat), replay the backlog — only the events after the
+        client's ``Last-Event-ID`` seq when it resumes — then push live
+        events until the job's terminal ``job.state`` event, then an
+        explicit ``end`` event and close.  Heartbeat comment lines flow
+        while the stream is quiet, so both sides notice a dead peer.  A
+        disconnected or too-slow client is unsubscribed, its buffer
+        released with it; a slow one closes without ``end`` and may
+        resume from the last seq it got.
         """
         repro = self.server.repro
         job = repro.queue.get(job_id)  # 404 on unknown ids
-        subscription = repro.broker.subscribe(job.job_id, job.apps)
+        try:
+            after = int(self.headers.get("Last-Event-ID") or 0)
+        except ValueError:
+            after = 0
+        subscription, backlog = repro.broker.subscribe(job.job_id, after)
         try:
             self.send_response(200)
             self.send_header("Content-Type", "text/event-stream")
             self.send_header("Cache-Control", "no-cache")
             self.send_header("Connection", "close")
             self.end_headers()
-            last_seq = 0
             terminal = False
-            for data in repro.job_logs(job_id):
+            for event in backlog:
+                data = event.to_dict()
                 self._sse_send(data)
-                last_seq = int(data.get("seq", 0))
                 terminal = terminal or self._is_terminal(data)
             while not terminal and not repro.stopping:
                 event = subscription.get(timeout=repro.heartbeat_s)
-                if subscription.overflowed:
-                    self.wfile.write(b": overflowed, closing\n\n")
-                    self.wfile.flush()
-                    break
                 if event is None:
                     self.wfile.write(b": heartbeat\n\n")
                     self.wfile.flush()
                     continue
                 data = event.to_dict()
-                if int(data.get("seq", 0)) <= last_seq:
-                    continue  # already replayed from the backlog
                 self._sse_send(data)
-                last_seq = int(data.get("seq", 0))
                 terminal = self._is_terminal(data)
+                if subscription.overflowed and not terminal:
+                    self.wfile.write(b": overflowed, closing\n\n")
+                    self.wfile.flush()
+                    break
             if terminal:
                 self.wfile.write(b"event: end\ndata: {}\n\n")
                 self.wfile.flush()

@@ -57,15 +57,7 @@ class ServeClient:
                                         timeout=self.timeout_s) as response:
                 return json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
-            try:
-                body = json.loads(exc.read().decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                body = {}
-            raise ServeClientError(
-                str(body.get("message", f"HTTP {exc.code}")),
-                status=exc.code,
-                kind=str(body.get("error", "")),
-            ) from None
+            raise _typed_error(exc) from None
         except urllib.error.URLError as exc:
             raise ServeClientError(
                 f"cannot reach the service at {self.url}: {exc.reason} "
@@ -126,58 +118,53 @@ class ServeClient:
         """Follow one job's event stream live (SSE).
 
         Yields each event's dict as the service pushes it — the backlog
-        first, then live — and returns when the service closes the
-        stream (the job reached a terminal state, or shutdown).
-        Heartbeat comments are consumed silently.  ``timeout_s`` is the
-        socket read timeout between events; it must exceed the server's
-        heartbeat interval (the default rides the client timeout).
+        first, then live — and returns when the service ends the stream
+        (the job reached a terminal state) or goes away.  The service
+        closes a stream that falls behind its buffer without ``end``;
+        the client then reconnects with ``Last-Event-ID`` set to the
+        last seq it yielded, so every event of the job is yielded
+        exactly once, in seq order.  Heartbeat comments are consumed
+        silently.  ``timeout_s`` is the socket read timeout between
+        events; it must exceed the server's heartbeat interval (the
+        default rides the client timeout).
         """
-        request = urllib.request.Request(
-            self.url + f"/jobs/{job_id}/events",
-            headers={"Accept": "text/event-stream"})
         timeout = timeout_s if timeout_s is not None else self.timeout_s
-        try:
-            response = urllib.request.urlopen(request, timeout=timeout)
-        except urllib.error.HTTPError as exc:
+        last_seq = 0
+        response = self._open_stream(job_id, last_seq, timeout)
+        while True:
+            progressed = False
             try:
-                body = json.loads(exc.read().decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                body = {}
-            raise ServeClientError(
-                str(body.get("message", f"HTTP {exc.code}")),
-                status=exc.code,
-                kind=str(body.get("error", "")),
-            ) from None
+                for data in _sse_frames(response):
+                    if data is None:  # event: end
+                        return
+                    yield data
+                    last_seq = int(data.get("seq", last_seq))
+                    progressed = True
+            except OSError:
+                return  # the service went away mid-stream
+            finally:
+                response.close()
+            if not progressed:
+                return  # closed with nothing new: shutdown, not a lag
+            try:
+                response = self._open_stream(job_id, last_seq, timeout)
+            except ServeClientError:
+                return  # the service went away between streams
+
+    def _open_stream(self, job_id: str, last_seq: int, timeout: float):
+        headers = {"Accept": "text/event-stream"}
+        if last_seq:
+            headers["Last-Event-ID"] = str(last_seq)
+        request = urllib.request.Request(
+            self.url + f"/jobs/{job_id}/events", headers=headers)
+        try:
+            return urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:
+            raise _typed_error(exc) from None
         except (urllib.error.URLError, OSError) as exc:
             raise ServeClientError(
                 f"cannot reach the service at {self.url}: {exc} "
                 f"(is `repro serve` running?)") from None
-        try:
-            data_lines: List[str] = []
-            event_name = ""
-            for raw in response:
-                line = raw.decode("utf-8").rstrip("\r\n")
-                if not line:  # blank line = dispatch the pending event
-                    if event_name == "end":
-                        return
-                    if data_lines:
-                        try:
-                            yield json.loads("\n".join(data_lines))
-                        except ValueError:
-                            pass  # a malformed frame never kills the tail
-                    data_lines = []
-                    event_name = ""
-                    continue
-                if line.startswith(":"):
-                    continue  # heartbeat comment
-                if line.startswith("event:"):
-                    event_name = line[len("event:"):].strip()
-                elif line.startswith("data:"):
-                    data_lines.append(line[len("data:"):].strip())
-        except OSError:
-            return  # the service went away mid-stream; yield what we got
-        finally:
-            response.close()
 
     def shutdown(self) -> Dict:
         return self._request("POST", "/shutdown")
@@ -195,3 +182,42 @@ class ServeClient:
                     f"job {job_id} still {job['state']!r} after "
                     f"{timeout_s:g}s")
             time.sleep(poll_s)
+
+
+def _typed_error(exc: urllib.error.HTTPError) -> ServeClientError:
+    """The service's typed error body as a :class:`ServeClientError`."""
+    try:
+        body = json.loads(exc.read().decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        body = {}
+    return ServeClientError(
+        str(body.get("message", f"HTTP {exc.code}")),
+        status=exc.code,
+        kind=str(body.get("error", "")),
+    )
+
+
+def _sse_frames(response) -> Iterator[Optional[Dict]]:
+    """Each SSE data frame's JSON payload; None for ``event: end``."""
+    data_lines: List[str] = []
+    event_name = ""
+    for raw in response:
+        line = raw.decode("utf-8").rstrip("\r\n")
+        if not line:  # blank line = dispatch the pending event
+            if event_name == "end":
+                yield None
+                return
+            if data_lines:
+                try:
+                    yield json.loads("\n".join(data_lines))
+                except ValueError:
+                    pass  # a malformed frame never kills the tail
+            data_lines = []
+            event_name = ""
+            continue
+        if line.startswith(":"):
+            continue  # heartbeat comment
+        if line.startswith("event:"):
+            event_name = line[len("event:"):].strip()
+        elif line.startswith("data:"):
+            data_lines.append(line[len("data:"):].strip())

@@ -156,6 +156,10 @@ class Scheduler:
         # are dropped.  Journal-resumed rows have no outcome — their
         # apps are simply absent from the job's explanation.
         self._live_outcomes: Dict[str, Dict[str, SweepOutcome]] = {}
+        # Each running job's view of the event log, bound with its id:
+        # everything the job causes is stamped, and the explorer's
+        # ``result.events`` reads only the job's own events.
+        self._job_logs: Dict[str, EventLog] = {}
 
     # -- the service loop ----------------------------------------------------
 
@@ -198,9 +202,17 @@ class Scheduler:
                                 job=job.job_id)
         self.tracer.observe("serve.queue.wait_s", wait_s)
         self.tracer.observe("serve.queue.depth", float(self.queue.depth()))
-        with self.tracer.trace_span("job.run", trace, job=job.job_id,
-                                    apps=len(job.apps)):
-            return self._run_admitted(job)
+        self._job_logs[job.job_id] = self.event_log.bind(job=job.job_id)
+        try:
+            with self.tracer.trace_span("job.run", trace, job=job.job_id,
+                                        apps=len(job.apps)):
+                return self._run_admitted(job)
+        finally:
+            self._job_logs.pop(job.job_id, None)
+
+    def _events(self, job: Job) -> EventLog:
+        """The running job's view of the event log."""
+        return self._job_logs[job.job_id]
 
     def _run_admitted(self, job: Job) -> Job:
         job.state = RUNNING
@@ -260,10 +272,10 @@ class Scheduler:
                         continue
                 self._complete_app(job, outcome)
             self.journal.write(job)
-            self.event_log.emit(JOB_ROUND, job=job.job_id,
-                                round=round_index, apps=len(plans),
-                                requeued=len(requeue),
-                                **({"failure": failure} if failure else {}))
+            self._events(job).emit(
+                JOB_ROUND, round=round_index, apps=len(plans),
+                requeued=len(requeue),
+                **({"failure": failure} if failure else {}))
             if failure:
                 unfinished = [plan for plan in plans
                               if plan.package not in job.completed]
@@ -326,7 +338,7 @@ class Scheduler:
         )
         if observed:
             config.tracer = self.tracer
-            config.event_log = self.event_log
+            config.event_log = self._events(job)
             # Worker spans — thread or process backend — land on the
             # job's trace (observer-only: not part of the fingerprint).
             config.trace_id = job.trace_id or None
@@ -339,13 +351,12 @@ class Scheduler:
         package = plan.package
         quarantine.record(package, "worker-died")
         self.tracer.inc("serve.worker.deaths")
-        self.event_log.emit(JOB_WORKER_DIED, app=package, job=job.job_id,
-                            strikes=quarantine.strikes(package))
+        self._events(job).emit(JOB_WORKER_DIED, app=package,
+                               strikes=quarantine.strikes(package))
         if not quarantine.blocked(package):
             job.attempts[package] = job.attempts.get(package, 0) + 1
             self.tracer.inc("serve.readmitted")
-            self.event_log.emit(JOB_READMITTED, app=package,
-                                job=job.job_id)
+            self._events(job).emit(JOB_READMITTED, app=package)
             return True
         if package not in job.quarantined:
             job.quarantined.append(package)
@@ -358,8 +369,8 @@ class Scheduler:
         job.completed[outcome.package] = row
         self._live_outcomes.setdefault(job.job_id, {})[
             outcome.package] = outcome
-        self.event_log.emit(JOB_APP_DONE, app=outcome.package,
-                            job=job.job_id, ok=outcome.ok)
+        self._events(job).emit(JOB_APP_DONE, app=outcome.package,
+                               ok=outcome.ok)
 
     def _record_unfinished(self, job: Job, plans: List[AppPlan],
                            kind: str) -> None:
@@ -380,21 +391,24 @@ class Scheduler:
     # -- terminal transition -------------------------------------------------
 
     def _finish(self, job: Job, state: str, error: str) -> Job:
-        job.state = state
-        job.error = error
-        job.finished = round(time.time(), 3)
+        finished = round(time.time(), 3)
         if job.started:
             self.tracer.observe("serve.job.run_s",
-                                max(0.0, job.finished - job.started))
+                                max(0.0, finished - job.started))
         if state in (DONE, FAILED) and self.registry is not None:
-            job.run_id = self._record_run(job)
+            # The run record and explanation exist before any reader
+            # can see the terminal state, so run_id lands first.
+            job.run_id = self._record_run(job, state)
+        job.error = error
+        job.finished = finished
+        job.state = state
         self._live_outcomes.pop(job.job_id, None)
         self.journal.write(job)
         self._emit_state(job)
         self.tracer.inc(f"serve.jobs.{state}")
         return job
 
-    def _record_run(self, job: Job) -> str:
+    def _record_run(self, job: Job, state: str) -> str:
         rows = [job.completed[package] for package in sorted(job.completed)]
         census: Dict[str, int] = {}
         for row in rows:
@@ -413,7 +427,7 @@ class Scheduler:
                 "job_id": job.job_id,
                 "backend": job.backend,
                 "workers": job.workers,
-                "state": job.state,
+                "state": state,
                 "degradation": job.degradation(),
             },
         )
@@ -434,11 +448,10 @@ class Scheduler:
         try:
             explanation = explain_outcomes(
                 outcomes, label="serve-job", source_run_id=run_id,
-                meta={"job_id": job.job_id}, event_log=self.event_log)
+                meta={"job_id": job.job_id}, event_log=self._events(job))
             ExplanationStore(self.registry.directory).save(explanation)
         except Exception:  # noqa: BLE001 - post-hoc analysis only
             self.tracer.inc("serve.explanation.failed")
 
     def _emit_state(self, job: Job) -> None:
-        self.event_log.emit(JOB_STATE, job=job.job_id, state=job.state,
-                            error=job.error)
+        self._events(job).emit(JOB_STATE, state=job.state, error=job.error)

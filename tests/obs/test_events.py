@@ -7,6 +7,7 @@ from repro.obs import (
     NULL_EVENT_LOG,
     Event,
     EventLog,
+    InMemorySink,
     JsonlSink,
     event_census,
     read_events,
@@ -48,6 +49,28 @@ def test_census_counts_by_kind():
     log.emit(WIDGET_CLICKED, widget="w")
     assert log.census() == {STATE_DISCOVERED: 2, WIDGET_CLICKED: 1}
     assert event_census(log.events()) == log.census()
+
+
+def test_bound_view_stamps_and_keeps_only_its_own_events():
+    sink = InMemorySink()
+    log = EventLog(sinks=[sink])
+    view = log.bind(job="j1")
+    log.emit(STATE_DISCOVERED, app="com.a", name="before")
+    mine = view.emit(STATE_DISCOVERED, app="com.a", name="A")
+    other = log.bind(job="j2").emit(WIDGET_CLICKED, app="com.a", widget="w")
+    absorbed = view.absorb([Event(seq=99, kind=WIDGET_CLICKED, app="com.a",
+                                  wall=1.5, attributes={"widget": "v"})])
+    # One sequence, one storage, one set of sinks for the log and views.
+    assert [e.seq for e in log.events()] == [1, 2, 3, 4]
+    assert [e.seq for e in sink.spans] == [1, 2, 3, 4]
+    assert mine.attributes == {"name": "A", "job": "j1"}
+    assert other.attributes == {"widget": "w", "job": "j2"}
+    assert absorbed[0].seq == 4 and absorbed[0].wall == 1.5
+    assert absorbed[0].attributes == {"widget": "v", "job": "j1"}
+    # The view reads back only what it recorded.
+    assert [e.seq for e in view.events()] == [2, 4]
+    assert [e.seq for e in view.events(app="com.a")] == [2, 4]
+    assert NULL_EVENT_LOG.bind(job="j1") is NULL_EVENT_LOG
 
 
 def test_null_event_log_is_disabled_and_records_nothing():

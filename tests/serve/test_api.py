@@ -235,6 +235,47 @@ def test_sse_stream_replays_the_backlog_of_a_finished_job(server, client):
     assert wait_until(lambda: server.broker.subscriber_count() == 0)
 
 
+def test_sse_stream_resumes_after_the_service_drops_a_slow_reader(
+        tmp_path, monkeypatch):
+    """The service closes a stream that overflows its buffer; the
+    client resumes from its last seq, so a slow reader still gets the
+    job's whole history exactly once, in order."""
+    import time
+
+    from repro.serve.stream import Subscription
+
+    server = ReproServer(journal_dir=tmp_path / "journal",
+                         registry_dir=tmp_path / "runs", port=0,
+                         sse_buffer=1)
+    sweep = server.scheduler.sweep_fn
+
+    def sweep_once_followed(plans, **kwargs):
+        # Explore only once the reader subscribed, so the job's events
+        # reach it live instead of as a finished backlog.
+        wait_until(lambda: server.broker.subscriber_count() == 1,
+                   timeout_s=30.0)
+        return sweep(plans, **kwargs)
+
+    get = Subscription.get
+
+    def slow_get(self, timeout):
+        time.sleep(0.02)
+        return get(self, timeout)
+
+    server.scheduler.sweep_fn = sweep_once_followed
+    monkeypatch.setattr(Subscription, "get", slow_get)
+    server.start()
+    try:
+        client = ServeClient(server.url, timeout_s=30.0)
+        job_id = client.submit([ALPHA], max_events=200)["job_id"]
+        seqs = [event["seq"] for event in client.stream_events(job_id)]
+        assert server.tracer.metrics.counter("serve.sse.dropped") >= 1
+        assert seqs == [event["seq"] for event in client.logs(job_id)]
+        assert client.job(job_id)["state"] == "done"
+    finally:
+        server.stop(timeout=2.0)
+
+
 def test_sse_stream_of_unknown_job_is_a_404(client):
     with pytest.raises(ServeClientError) as excinfo:
         next(client.stream_events("feedfacecafe"))
@@ -299,6 +340,29 @@ def test_job_explanation_is_served_once_terminal(server, client):
     with pytest.raises(ServeClientError) as excinfo:
         client.explanation("0" * 12)
     assert excinfo.value.status == 404
+
+
+def test_terminal_state_is_published_after_its_run_record(server,
+                                                          client):
+    """A poller that sees a terminal state finds its run id set and
+    the explanation served, however slow the registry write is."""
+    import time
+
+    record = server.registry.record
+
+    def slow_record(run):
+        time.sleep(0.2)
+        return record(run)
+
+    server.registry.record = slow_record
+    for _ in range(3):
+        job_id = client.submit([ALPHA], max_events=200)["job_id"]
+        job = client.job(job_id)
+        while job["state"] not in ("done", "failed", "cancelled"):
+            job = client.job(job_id)
+        assert job["state"] == "done"
+        assert job["run_id"]
+        assert client.explanation(job_id)["source_run_id"] == job["run_id"]
 
 
 def test_job_explanation_before_any_run_is_a_409(tmp_path):

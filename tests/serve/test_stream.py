@@ -1,4 +1,4 @@
-"""The SSE fan-out broker: matching, bounded buffers, cleanup."""
+"""The SSE broker: per-job history, matching, bounded buffers, cleanup."""
 
 from repro.obs.events import Event, EventLog
 from repro.obs.metrics import Metrics
@@ -11,32 +11,44 @@ def _event(seq, kind="job.state", app="", **attributes):
 
 
 def test_event_matches_prefers_the_job_stamp():
-    apps = {"com.a"}
-    assert event_matches(_event(1, job="j1"), "j1", apps)
-    assert not event_matches(_event(1, job="j2"), "j1", apps)
-    # No stamp: fall back to app membership (absorbed worker events).
-    assert event_matches(_event(2, app="com.a"), "j1", apps)
-    assert not event_matches(_event(2, app="com.b"), "j1", apps)
+    assert event_matches(_event(1, app="com.a", job="j1"), "j1")
+    assert not event_matches(_event(1, app="com.a", job="j2"), "j1")
+    # No stamp: not the job's, even for an app the job explores (an
+    # unstamped event for the app belongs to some other run).
+    assert not event_matches(_event(2, app="com.a"), "j1")
 
 
 def test_broker_fans_out_only_to_matching_subscriptions():
     broker = EventBroker()
-    mine = broker.subscribe("j1", ["com.a"])
-    other = broker.subscribe("j2", ["com.b"])
-    broker.emit(_event(1, job="j1"))
-    broker.emit(_event(2, app="com.a"))
+    mine, _ = broker.subscribe("j1")
+    other, _ = broker.subscribe("j2")
+    broker.emit(_event(1, app="com.a", job="j1"))
+    broker.emit(_event(2, app="com.a"))  # unstamped: nobody's
     broker.emit(_event(3, job="j2"))
-    assert mine.pending() == 2
+    assert mine.pending() == 1
     assert other.pending() == 1
     assert mine.get(timeout=0.1).seq == 1
-    assert mine.get(timeout=0.1).seq == 2
     assert mine.get(timeout=0.01) is None  # quiet stream -> heartbeat
+    assert [e.seq for e in broker.history("j1")] == [1]
+    assert broker.history("unknown") == []
+
+
+def test_subscribe_snapshots_the_backlog_after_a_seq():
+    broker = EventBroker()
+    for seq in range(1, 5):
+        broker.emit(_event(seq, job="j1"))
+    subscription, backlog = broker.subscribe("j1", after=2)
+    assert [e.seq for e in backlog] == [3, 4]
+    assert subscription.pending() == 0  # the backlog is not re-queued
+    broker.emit(_event(5, job="j1"))
+    assert subscription.get(timeout=0.1).seq == 5
+    assert [e.seq for e in broker.history("j1")] == [1, 2, 3, 4, 5]
 
 
 def test_broker_attaches_to_an_event_log_as_a_sink():
     broker = EventBroker()
     log = EventLog(sinks=[broker])
-    subscription = broker.subscribe("j1", set())
+    subscription, _ = broker.subscribe("j1")
     log.emit("job.state", job="j1", state="running")
     got = subscription.get(timeout=0.1)
     assert got is not None and got.attributes["state"] == "running"
@@ -45,7 +57,7 @@ def test_broker_attaches_to_an_event_log_as_a_sink():
 def test_slow_client_overflows_and_stops_receiving():
     metrics = Metrics()
     broker = EventBroker(metrics=metrics, buffer=2)
-    slow = broker.subscribe("j1", set())
+    slow, _ = broker.subscribe("j1")
     for seq in range(1, 6):
         broker.emit(_event(seq, job="j1"))
     assert slow.overflowed is True
@@ -59,7 +71,7 @@ def test_slow_client_overflows_and_stops_receiving():
 def test_unsubscribe_is_idempotent_and_leaves_no_buffer_behind():
     metrics = Metrics()
     broker = EventBroker(metrics=metrics)
-    subscription = broker.subscribe("j1", set())
+    subscription, _ = broker.subscribe("j1")
     assert broker.subscriber_count() == 1
     broker.unsubscribe(subscription)
     broker.unsubscribe(subscription)  # second detach is a no-op
@@ -80,7 +92,7 @@ def test_emit_with_no_subscribers_is_a_no_op():
 
 
 def test_subscription_buffer_floor_is_one():
-    subscription = Subscription("j1", set(), buffer=0)
+    subscription = Subscription("j1", buffer=0)
     assert subscription.offer(_event(1, job="j1")) is True
     assert subscription.offer(_event(2, job="j1")) is False
     assert subscription.overflowed is True
