@@ -178,3 +178,12 @@ class UnknownJobError(ServeError):
 class JobStateError(ServeError):
     """An operation is invalid for the job's current state (e.g.
     cancelling a job that already finished)."""
+
+
+# --------------------------------------------------------------------------
+# Persistence layer
+# --------------------------------------------------------------------------
+
+class StoreError(ReproError, ValueError):
+    """A stored document is not a readable JSON object (a ``ValueError``
+    too, so handlers written for ``json`` decode errors still catch it)."""

@@ -43,8 +43,8 @@ Every classification carries **evidence**: the shortest static witness
 path (``AFTM.path_to``), the nearest visited ancestor on it, and the
 blocking widget when one is known.  The result is a
 :class:`CoverageExplanation` — schema-versioned and content-addressed
-under the exact :class:`~repro.obs.registry.RunRecord` discipline — so
-explanations persist, diff, and round-trip like any other run artifact.
+like a :class:`~repro.obs.registry.RunRecord` — so explanations
+persist, diff, and round-trip like any other run artifact.
 
 Everything here is pure post-hoc analysis: nothing is computed unless
 asked, so default runs stay byte-identical.
@@ -52,11 +52,8 @@ asked, so default runs stay byte-identical.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import pathlib
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -69,6 +66,7 @@ from repro.obs.events import (
     RUN_END,
     WIDGET_CLICKED,
 )
+from repro.store import DocumentStore, content_id
 
 #: Bump whenever the explanation shape changes; foreign schemas are
 #: rejected on read, mirroring ``RECORD_SCHEMA``.
@@ -202,9 +200,7 @@ class CoverageExplanation:
         }
 
     def compute_id(self) -> str:
-        canonical = json.dumps(self.payload(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return content_id(self.payload())
 
     # -- (de)serialization -------------------------------------------------
 
@@ -669,23 +665,20 @@ class _DegradationView:
 # Persistence: the explanation store
 # ---------------------------------------------------------------------------
 
-class ExplanationStore:
+class ExplanationStore(DocumentStore):
     """Explanations under a run-registry directory, keyed by run id.
 
-    One ``explanations/<run_id>.json`` per explained record, written
-    with the registry's atomic-rename discipline.  Keyed by the *source
-    run id* so the lookup from a record (or a serve job) is O(1); the
-    content-addressed ``explanation_id`` inside the file makes
+    One ``explanations/<run_id>.json`` per explained record.  Keyed by
+    the *source run id* so the lookup from a record (or a serve job) is
+    O(1); the content-addressed ``explanation_id`` inside the file makes
     tampering detectable, exactly like ``RunRecord``.
     """
 
     SUBDIR = "explanations"
+    kind = "explanation"
 
     def __init__(self, directory) -> None:
-        self.directory = pathlib.Path(directory) / self.SUBDIR
-
-    def path_of(self, run_id: str) -> pathlib.Path:
-        return self.directory / f"{run_id}.json"
+        super().__init__(pathlib.Path(directory) / self.SUBDIR)
 
     def save(self, explanation: CoverageExplanation) -> str:
         if not explanation.source_run_id:
@@ -693,56 +686,22 @@ class ExplanationStore:
                              "stored (it keys the file)")
         if not explanation.explanation_id:
             explanation.explanation_id = explanation.compute_id()
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(self.path_of(explanation.source_run_id),
-                           explanation.to_json())
+        self.put(explanation.source_run_id, explanation.to_json())
         return explanation.explanation_id
-
-    def _atomic_write(self, path: pathlib.Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(self.directory),
-                                   prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def load(self, ref: str) -> CoverageExplanation:
         """Load by source run id or explanation id (unique prefixes work)."""
-        path = self.path_of(ref)
-        if not path.exists():
-            matches = [p for p in self.ids() if p.startswith(ref)]
-            if not matches:
-                # Users paste the explanation id from the status line
-                # just as often as the run id; match it too.
-                matches = [run_id for run_id in self.ids()
-                           if self._read(run_id).explanation_id
-                           .startswith(ref)]
-            if len(matches) == 1:
-                path = self.path_of(matches[0])
-            elif len(matches) > 1:
-                raise KeyError(f"id prefix {ref!r} is ambiguous: "
-                               f"{', '.join(matches)}")
-            else:
-                raise KeyError(f"no explanation for {ref!r} under "
-                               f"{self.directory}")
-        return CoverageExplanation.from_dict(
-            json.loads(path.read_text(encoding="utf-8")))
+        # Users paste the explanation id from the status line just as
+        # often as the run id; it is matched when no run id is.
+        key = self.resolve(ref, aliases=lambda: {
+            explanation.explanation_id: explanation.source_run_id
+            for explanation in self.list()})
+        return CoverageExplanation.from_dict(self.read(key))
 
-    def _read(self, run_id: str) -> CoverageExplanation:
-        return CoverageExplanation.from_dict(json.loads(
-            self.path_of(run_id).read_text(encoding="utf-8")))
-
-    def ids(self) -> List[str]:
-        if not self.directory.is_dir():
-            return []
-        return sorted(path.stem for path in self.directory.glob("*.json")
-                      if not path.name.startswith("."))
+    def list(self) -> List[CoverageExplanation]:
+        """Every readable explanation, by source run id; unreadable
+        files are skipped with a warning."""
+        return self.documents(CoverageExplanation.from_dict)
 
 
 # ---------------------------------------------------------------------------

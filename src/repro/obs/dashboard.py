@@ -926,17 +926,11 @@ def _adversity_timeline(jobs: Sequence,
 def load_explanations(registry_dir: PathLike) -> List:
     """Every stored coverage explanation under a registry directory
     (the ``explanations/`` store ``repro explain`` writes), sorted by
-    source run id.  Corrupt files are skipped, never fatal."""
+    source run id.  Corrupt files are skipped with a warning, never
+    fatal."""
     from repro.obs.attribution import ExplanationStore
 
-    store = ExplanationStore(registry_dir)
-    explanations = []
-    for run_id in store.ids():
-        try:
-            explanations.append(store.load(run_id))
-        except (ValueError, KeyError, OSError):
-            continue
-    return explanations
+    return ExplanationStore(registry_dir).list()
 
 
 def render_attribution_section(explanations: Sequence) -> str:

@@ -29,10 +29,10 @@ Records are content-addressed: ``run_id`` is a SHA-256 prefix over the
 canonical JSON of the measurement payload (``meta`` — timestamps,
 backend, worker count — is deliberately outside the hash), so a record
 can never be silently edited in place and identical measurements share
-an id.  Writes are atomic (temp file + ``os.replace``, the
-:class:`~repro.static.cache.StaticCache` discipline), so concurrent
-sweeps sharing one store never interleave bytes; a corrupted or
-truncated record file is *skipped with a warning*, never fatal.
+an id.  The registry is a :class:`~repro.store.DocumentStore`: writes
+are atomic, so concurrent sweeps sharing one store never interleave
+bytes, and a corrupted or truncated record file is *skipped with a
+warning*, never fatal.
 
 ``RunRegistry.pin`` marks one record as the baseline the regression
 gate (:mod:`repro.obs.regress`) compares candidates against; ``gc``
@@ -45,15 +45,20 @@ import hashlib
 import json
 import os
 import pathlib
-import tempfile
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.flame import build_trees
 from repro.obs.summary import percentile
 from repro.obs.timeline import coverage_timeline, discovery_stats
+from repro.store import (
+    DocumentStore,
+    atomic_write,
+    content_id,
+    default_dir,
+    read_document,
+)
 
 #: Bump whenever the record shape changes; records written by another
 #: schema version are skipped with a warning instead of mis-parsing.
@@ -75,10 +80,7 @@ _FINGERPRINT_FIELDS = (
 
 def default_registry_dir() -> pathlib.Path:
     """``$FRAGDROID_RUNS_DIR`` or ``~/.cache/fragdroid/runs``."""
-    env = os.environ.get("FRAGDROID_RUNS_DIR")
-    if env:
-        return pathlib.Path(env)
-    return pathlib.Path.home() / ".cache" / "fragdroid" / "runs"
+    return default_dir("FRAGDROID_RUNS_DIR", "runs")
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +133,7 @@ class RunRecord:
         }
 
     def compute_id(self) -> str:
-        canonical = json.dumps(self.payload(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return content_id(self.payload())
 
     # -- (de)serialization -------------------------------------------------
 
@@ -216,10 +216,8 @@ def config_fingerprint(config) -> Dict[str, object]:
     }
     values = getattr(config, "input_values", None)
     if values:
-        canonical = json.dumps(sorted(values.items()),
-                               separators=(",", ":"))
-        fingerprint["input_values_digest"] = hashlib.sha256(
-            canonical.encode("utf-8")).hexdigest()[:16]
+        fingerprint["input_values_digest"] = content_id(
+            sorted(values.items()))
     return fingerprint
 
 
@@ -362,79 +360,34 @@ def corpus_digest_of(digests: Dict[str, Optional[str]]) -> str:
 
 def load_record(path) -> RunRecord:
     """Read one record file (e.g. a committed CI baseline)."""
-    data = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    return RunRecord.from_dict(data)
+    return RunRecord.from_dict(read_document(path))
 
 
-class RunRegistry:
+class RunRegistry(DocumentStore):
     """Append-only store of run records under one directory.
 
-    One ``<run_id>.json`` per record, written atomically; a ``BASELINE``
-    marker file pins the regression baseline.  Corrupt or truncated
-    record files are skipped with a warning (collected on
-    ``self.skipped``), mirroring the static cache's corrupt-entry
-    semantics — a damaged store degrades, it never aborts.
+    One ``<run_id>.json`` per record; a ``BASELINE`` marker file pins
+    the regression baseline.  Corrupt or truncated record files are
+    skipped with a warning (collected on ``self.skipped``) — a damaged
+    store degrades, it never aborts.
     """
 
-    def __init__(self, directory: Optional[os.PathLike] = None) -> None:
-        self.directory = (pathlib.Path(directory)
-                          if directory is not None
-                          else default_registry_dir())
-        #: (file name, reason) of records skipped by the last list().
-        self.skipped: List[Tuple[str, str]] = []
+    kind = "run record"
 
-    # -- writing -----------------------------------------------------------
+    def __init__(self, directory: Optional[os.PathLike] = None) -> None:
+        super().__init__(directory if directory is not None
+                         else default_registry_dir())
 
     def record(self, record: RunRecord) -> str:
         """Persist a record; returns its (content-addressed) run id."""
         if not record.run_id:
             record.run_id = record.compute_id()
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(self.path_of(record.run_id), record.to_json())
+        self.put(record.run_id, record.to_json())
         return record.run_id
-
-    def _atomic_write(self, path: pathlib.Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(self.directory),
-                                   prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    # -- reading -----------------------------------------------------------
-
-    def path_of(self, run_id: str) -> pathlib.Path:
-        return self.directory / f"{run_id}.json"
-
-    def ids(self) -> List[str]:
-        if not self.directory.is_dir():
-            return []
-        return sorted(path.stem for path in self.directory.glob("*.json")
-                      if not path.name.startswith("."))
 
     def load(self, run_id: str) -> RunRecord:
         """A record by id (unique prefixes accepted)."""
-        path = self.path_of(run_id)
-        if not path.exists():
-            matches = [i for i in self.ids() if i.startswith(run_id)]
-            if len(matches) == 1:
-                path = self.path_of(matches[0])
-            elif len(matches) > 1:
-                raise KeyError(
-                    f"run id prefix {run_id!r} is ambiguous: "
-                    f"{', '.join(matches)}"
-                )
-            else:
-                raise KeyError(f"no run record {run_id!r} under "
-                               f"{self.directory}")
-        return RunRecord.from_dict(
-            json.loads(path.read_text(encoding="utf-8")))
+        return RunRecord.from_dict(self.read(self.resolve(run_id)))
 
     def list(self) -> List[RunRecord]:
         """Every readable record, oldest first (created, then id).
@@ -443,22 +396,7 @@ class RunRegistry:
         corruption — are skipped with a warning and tallied on
         ``self.skipped``.
         """
-        self.skipped = []
-        records: List[RunRecord] = []
-        if not self.directory.is_dir():
-            return records
-        for path in sorted(self.directory.glob("*.json")):
-            if path.name.startswith("."):
-                continue  # in-flight temp files
-            try:
-                records.append(RunRecord.from_dict(
-                    json.loads(path.read_text(encoding="utf-8"))))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                reason = str(exc)
-                self.skipped.append((path.name, reason))
-                warnings.warn(
-                    f"skipping unreadable run record {path.name}: {reason}",
-                    RuntimeWarning, stacklevel=2)
+        records = self.documents(RunRecord.from_dict)
         records.sort(key=lambda r: (r.created, r.run_id))
         return records
 
@@ -474,10 +412,8 @@ class RunRegistry:
         id (prefixes accepted, the record must exist)."""
         record = self.load(run_id)
         full_id = record.run_id or record.compute_id()
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(self.directory / PIN_FILE, full_id + "\n")
-        # _atomic_write leaves a ".json" suffix on the temp only; the
-        # final name carries none, so ids() never lists the pin.
+        # The pin file carries no ".json" suffix, so ids() never lists it.
+        atomic_write(self.directory / PIN_FILE, full_id + "\n")
         return full_id
 
     def pinned(self) -> Optional[str]:
@@ -501,16 +437,9 @@ class RunRegistry:
         keepers = {r.run_id for r in (records[-keep:] if keep else [])}
         if pinned:
             keepers.add(pinned)
-        removed: List[str] = []
-        for record in records:
-            if record.run_id in keepers:
-                continue
-            try:
-                self.path_of(record.run_id).unlink()
-            except OSError:
-                continue
-            removed.append(record.run_id)
-        return removed
+        return [record.run_id for record in records
+                if record.run_id not in keepers
+                and self.remove(record.run_id)]
 
     # -- bench ingestion ---------------------------------------------------
 
@@ -532,7 +461,7 @@ def record_from_bench(path) -> RunRecord:
     applies, so a committed bench baseline and an ingested candidate
     always carry comparable coverage keys."""
     source = pathlib.Path(path)
-    payload = json.loads(source.read_text(encoding="utf-8"))
+    payload = read_document(source)
     name = str(payload.get("bench", source.stem))
     data = payload.get("data")
     if not isinstance(data, dict):

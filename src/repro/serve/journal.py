@@ -2,10 +2,10 @@
 
 The journal is what makes ``repro serve`` restartable: every job
 transition — admission, each completed round of apps, the terminal
-state — is written as one ``<job_id>.json`` file under the journal
-directory, atomically (temp file + ``os.replace``, the run-registry
-discipline), so a crash between writes leaves either the previous
-consistent snapshot or the new one, never interleaved bytes.
+state — is written as one ``<job_id>.json`` document of a
+:class:`~repro.store.DocumentStore`, atomically, so a crash between
+writes leaves either the previous consistent snapshot or the new one,
+never interleaved bytes.
 
 On restart the service loads every entry; jobs in a non-terminal state
 are re-admitted with their ``completed`` app rows intact, so work that
@@ -23,85 +23,39 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
-import warnings
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.serve.jobs import ACTIVE_STATES, Job
+from repro.store import DocumentStore, default_dir
 
 
 def default_journal_dir() -> pathlib.Path:
     """``$FRAGDROID_SERVE_DIR`` or ``~/.cache/fragdroid/serve``."""
-    env = os.environ.get("FRAGDROID_SERVE_DIR")
-    if env:
-        return pathlib.Path(env)
-    return pathlib.Path.home() / ".cache" / "fragdroid" / "serve"
+    return default_dir("FRAGDROID_SERVE_DIR", "serve")
 
 
-class JobJournal:
+class JobJournal(DocumentStore):
     """One atomically-written JSON snapshot per job."""
 
+    kind = "job journal entry"
+
     def __init__(self, directory: Optional[os.PathLike] = None) -> None:
-        self.directory = (pathlib.Path(directory)
-                          if directory is not None
-                          else default_journal_dir())
-        #: (file name, reason) of entries skipped by the last jobs().
-        self.skipped: List[Tuple[str, str]] = []
-
-    def path_of(self, job_id: str) -> pathlib.Path:
-        return self.directory / f"{job_id}.json"
-
-    # -- writing -------------------------------------------------------------
+        super().__init__(directory if directory is not None
+                         else default_journal_dir())
 
     def write(self, job: Job) -> None:
         """Persist the job's current snapshot (atomic replace)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(job.to_dict(), indent=2, sort_keys=True) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=str(self.directory),
-                                   prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, self.path_of(job.job_id))
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def remove(self, job_id: str) -> bool:
-        try:
-            self.path_of(job_id).unlink()
-            return True
-        except OSError:
-            return False
-
-    # -- reading -------------------------------------------------------------
+        self.put(job.job_id,
+                 json.dumps(job.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def load(self, job_id: str) -> Job:
-        data = json.loads(self.path_of(job_id).read_text(encoding="utf-8"))
-        return Job.from_dict(data)
+        """A job by id (unique prefixes accepted)."""
+        return Job.from_dict(self.read(self.resolve(job_id)))
 
     def jobs(self) -> List[Job]:
         """Every readable journal entry, oldest submission first;
         unreadable entries are skipped with a warning."""
-        self.skipped = []
-        jobs: List[Job] = []
-        if not self.directory.is_dir():
-            return jobs
-        for path in sorted(self.directory.glob("*.json")):
-            if path.name.startswith("."):
-                continue  # in-flight temp files
-            try:
-                jobs.append(Job.from_dict(
-                    json.loads(path.read_text(encoding="utf-8"))))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                reason = str(exc)
-                self.skipped.append((path.name, reason))
-                warnings.warn(
-                    f"skipping unreadable job journal entry {path.name}: "
-                    f"{reason}", RuntimeWarning, stacklevel=2)
+        jobs = self.documents(Job.from_dict)
         jobs.sort(key=lambda j: (j.created, j.job_id))
         return jobs
 

@@ -9,10 +9,10 @@ behind :meth:`~repro.apk.package.ApkPackage.digest` — a SHA-256 of the
 canonical serialized artifacts — with two tiers:
 
 * an **in-memory LRU** of serialized models (bounded, per-process), and
-* an optional **on-disk JSON store** (one ``<digest>.json`` per entry,
-  default ``~/.cache/fragdroid``, override via config/CLI
-  ``--static-cache`` or ``FRAGDROID_CACHE_DIR``) shared across
-  processes and runs.
+* an optional **on-disk JSON store** (one ``<digest>.json`` per entry
+  in a :class:`~repro.store.DocumentStore`, default
+  ``~/.cache/fragdroid``, override via config/CLI ``--static-cache`` or
+  ``FRAGDROID_CACHE_DIR``) shared across processes and runs.
 
 A hit skips decode and Algorithms 1–3 entirely and rebuilds a fresh
 :class:`~repro.static.extractor.StaticInfo` from the serialized form —
@@ -23,10 +23,10 @@ APKs are never cached (they fail before producing a model).  Stored
 entries strip analyst input values, which are re-applied per lookup, so
 one cache serves runs with different input files.
 
-Writes are atomic (temp file + ``os.replace``), so concurrent sweep
-workers sharing one directory never observe torn entries; a corrupted
-or truncated entry reads as a miss.  Hit/miss/store tallies persist
-best-effort in ``<dir>/stats.json`` for ``repro cache stats``.
+Writes are atomic, so concurrent sweep workers sharing one directory
+never observe torn entries; a corrupted or truncated entry reads as a
+miss.  Hit/miss/store tallies persist best-effort in
+``<dir>/stats.json`` for ``repro cache stats``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional
@@ -43,20 +42,25 @@ from repro.static.aftm import AFTM, Node, NodeKind
 from repro.static.extractor import StaticInfo
 from repro.static.input_dep import InputDependency
 from repro.static.resource_dep import ResourceBinding, ResourceDependency
+from repro.store import DocumentStore, default_dir
 
 #: Bump whenever the serialized shape below changes; entries written by
 #: other schema versions read as misses instead of mis-deserializing.
 CACHE_SCHEMA = 1
 
-_STATS_FILE = "stats.json"
+#: Disk keys besides the ``<digest>`` model entries.
+_STATS_KEY = "stats"
+_NOTES_PREFIX = "notes-"
 
 
 def default_cache_dir() -> pathlib.Path:
     """``$FRAGDROID_CACHE_DIR`` or ``~/.cache/fragdroid``."""
-    env = os.environ.get("FRAGDROID_CACHE_DIR")
-    if env:
-        return pathlib.Path(env)
-    return pathlib.Path.home() / ".cache" / "fragdroid"
+    return default_dir("FRAGDROID_CACHE_DIR")
+
+
+def _is_entry(key: str) -> bool:
+    """Whether a disk key is a model entry (not the stats or notes)."""
+    return key != _STATS_KEY and not key.startswith(_NOTES_PREFIX)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +180,8 @@ class StaticCache:
             )
         self.directory = (pathlib.Path(directory)
                           if directory is not None else None)
+        self._disk = (DocumentStore(directory)
+                      if directory is not None else None)
         self.memory_entries = memory_entries
         self._lock = threading.Lock()
         self._memory: "OrderedDict[str, Dict]" = OrderedDict()
@@ -189,7 +195,7 @@ class StaticCache:
     def lookup(self, digest: str) -> Optional[StaticInfo]:
         """The rehydrated model for a digest, or ``None`` on a miss."""
         data = self._memory_get(digest)
-        if data is None and self.directory is not None:
+        if data is None and self._disk is not None:
             data = self._disk_get(digest)
             if data is not None:
                 self._memory_put(digest, data)
@@ -207,7 +213,7 @@ class StaticCache:
         """Serialize a freshly extracted model under its digest."""
         data = static_info_to_dict(info)
         self._memory_put(digest, data)
-        if self.directory is not None:
+        if self._disk is not None:
             self._disk_put(digest, data)
         with self._lock:
             self.stores += 1
@@ -226,13 +232,10 @@ class StaticCache:
         """
         with self._lock:
             memory = dict(self._notes.get(kind, {}))
-        if self.directory is None:
+        if self._disk is None:
             return memory
         try:
-            payload = json.loads(
-                (self.directory / f"notes-{kind}.json").read_text(
-                    encoding="utf-8")
-            )
+            payload = self._disk.read(_NOTES_PREFIX + kind)
             if payload.get("schema") != CACHE_SCHEMA:
                 return memory
             disk = payload.get("notes", {})
@@ -241,7 +244,7 @@ class StaticCache:
             merged = {str(k): str(v) for k, v in disk.items()}
             merged.update(memory)
             return merged
-        except (OSError, ValueError, AttributeError):
+        except (KeyError, ValueError):
             return memory
 
     def store_notes(self, kind: str, notes: Dict[str, str]) -> None:
@@ -252,16 +255,14 @@ class StaticCache:
             self._notes.setdefault(kind, {}).update(notes)
             self.stores += len(notes)
         self._bump_disk_stats("stores", len(notes))
-        if self.directory is None:
+        if self._disk is None:
             return
         merged = self.load_notes(kind)
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            payload = json.dumps(
+            self._disk.put(_NOTES_PREFIX + kind, json.dumps(
                 {"schema": CACHE_SCHEMA, "kind": kind, "notes": merged},
                 sort_keys=True,
-            )
-            self._atomic_write(self.directory / f"notes-{kind}.json", payload)
+            ))
         except OSError:
             pass  # a read-only or full disk degrades to memory-only
 
@@ -294,13 +295,11 @@ class StaticCache:
     # -- disk tier ---------------------------------------------------------
 
     def _entry_path(self, digest: str) -> pathlib.Path:
-        return self.directory / f"{digest}.json"
+        return self._disk.path_of(digest)
 
     def _disk_get(self, digest: str) -> Optional[Dict]:
         try:
-            payload = json.loads(
-                self._entry_path(digest).read_text(encoding="utf-8")
-            )
+            payload = self._disk.read(digest)
             if payload.get("schema") != CACHE_SCHEMA:
                 return None
             data = payload["static_info"]
@@ -308,49 +307,29 @@ class StaticCache:
             # must read as a miss, not explode mid-sweep.
             static_info_from_dict(data)
             return data
-        except (OSError, ValueError, KeyError, TypeError, IndexError):
+        except (ValueError, KeyError, TypeError, IndexError):
             return None
 
     def _disk_put(self, digest: str, data: Dict) -> None:
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            payload = json.dumps(
+            self._disk.put(digest, json.dumps(
                 {"schema": CACHE_SCHEMA, "digest": digest,
                  "package": data["package"], "static_info": data},
                 sort_keys=True,
-            )
-            self._atomic_write(self._entry_path(digest), payload)
+            ))
         except OSError:
             pass  # a read-only or full disk degrades to memory-only
-
-    def _atomic_write(self, path: pathlib.Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(self.directory),
-                                   prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
     # -- stats / maintenance ----------------------------------------------
 
     def _bump_disk_stats(self, key: str, count: int = 1) -> None:
         """Best-effort persistent tallies for ``repro cache stats``."""
-        if self.directory is None:
+        if self._disk is None:
             return
+        stats = self.persistent_stats(self.directory)
+        stats[key] = stats.get(key, 0) + count
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            path = self.directory / _STATS_FILE
-            try:
-                stats = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                stats = {}
-            stats[key] = int(stats.get(key, 0)) + count
-            self._atomic_write(path, json.dumps(stats, sort_keys=True))
+            self._disk.put(_STATS_KEY, json.dumps(stats, sort_keys=True))
         except OSError:
             pass
 
@@ -369,18 +348,15 @@ class StaticCache:
                               if self.directory is not None else None)
         stats["disk_entries"] = 0
         stats["disk_bytes"] = 0
-        if self.directory is not None and self.directory.is_dir():
-            entries = 0
+        if self._disk is not None and self.directory.is_dir():
+            entries = [key for key in self._disk.ids() if _is_entry(key)]
             size = 0
-            for path in self.directory.glob("*.json"):
-                if path.name == _STATS_FILE:
-                    continue
-                entries += 1
+            for key in entries:
                 try:
-                    size += path.stat().st_size
+                    size += self._disk.path_of(key).stat().st_size
                 except OSError:
                     continue
-            stats["disk_entries"] = entries
+            stats["disk_entries"] = len(entries)
             stats["disk_bytes"] = size
             persisted = self.persistent_stats(self.directory)
             for key in ("hits", "misses", "stores"):
@@ -397,26 +373,20 @@ class StaticCache:
     def persistent_stats(directory: os.PathLike) -> Dict[str, int]:
         """The tallies accumulated in a directory across processes."""
         try:
-            raw = json.loads(
-                (pathlib.Path(directory) / _STATS_FILE).read_text(
-                    encoding="utf-8")
-            )
+            raw = DocumentStore(directory).read(_STATS_KEY)
             return {k: int(v) for k, v in raw.items()}
-        except (OSError, ValueError, TypeError):
+        except (KeyError, ValueError, TypeError):
             return {}
 
     def clear(self) -> int:
-        """Drop every entry (memory and disk); returns entries removed."""
+        """Drop every entry, note and tally (memory and disk); returns the
+        number of model entries removed."""
         with self._lock:
             removed = len(self._memory)
             self._memory.clear()
             self._notes.clear()
-        if self.directory is not None and self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                if path.name != _STATS_FILE:
+        if self._disk is not None:
+            for key in self._disk.ids():
+                if self._disk.remove(key) and _is_entry(key):
                     removed += 1
         return removed
