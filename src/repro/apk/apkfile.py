@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import pathlib
 import zipfile
+import zlib
 from typing import Union
 
 from repro.apk.package import ApkPackage
@@ -49,39 +50,47 @@ def save_apk(apk: ApkPackage, path: Union[str, pathlib.Path]) -> pathlib.Path:
 
 
 def load_apk(path: Union[str, pathlib.Path]) -> ApkPackage:
-    """Read a package previously written by :func:`save_apk`."""
+    """Read a package previously written by :func:`save_apk`.
+
+    A malformed archive (not a zip, a missing entry, undecodable text,
+    a broken ``classes.dex.json``) raises :class:`ApkError`.
+    """
     path = pathlib.Path(path)
     if not path.exists():
         raise ApkError(f"no such apk file: {path}")
-    with zipfile.ZipFile(path) as archive:
-        names = set(archive.namelist())
-        for required in (_MANIFEST_ENTRY, _PUBLIC_ENTRY, _DEX_ENTRY,
-                         _META_ENTRY):
-            if required not in names:
-                raise ApkError(f"{path}: missing entry {required}")
-        meta = dict(
-            line.split(": ", 1)
-            for line in archive.read(_META_ENTRY).decode().splitlines()
-            if ": " in line
-        )
-        smali_files = {}
-        layout_files = {}
-        for name in names:
-            if name.startswith("smali/"):
-                smali_files[name[len("smali/"):]] = \
-                    archive.read(name).decode()
-            elif name.startswith("res/layout/"):
-                layout_files[name] = archive.read(name).decode()
-        spec = spec_from_dict(
-            json.loads(archive.read(_DEX_ENTRY).decode())
-        )
-        return ApkPackage(
-            package=meta["Package"],
-            manifest_xml=archive.read(_MANIFEST_ENTRY).decode(),
-            smali_files=smali_files,
-            layout_files=layout_files,
-            public_xml=archive.read(_PUBLIC_ENTRY).decode(),
-            packed=meta.get("Packed", "false") == "true",
-            version_name=meta.get("Version-Name", "1.0"),
-            _spec=spec,
-        )
+    try:
+        with zipfile.ZipFile(path) as archive:
+            names = set(archive.namelist())
+            for required in (_MANIFEST_ENTRY, _PUBLIC_ENTRY, _DEX_ENTRY,
+                             _META_ENTRY):
+                if required not in names:
+                    raise ApkError(f"{path}: missing entry {required}")
+            meta = dict(
+                line.split(": ", 1)
+                for line in archive.read(_META_ENTRY).decode().splitlines()
+                if ": " in line
+            )
+            smali_files = {}
+            layout_files = {}
+            for name in names:
+                if name.startswith("smali/"):
+                    smali_files[name[len("smali/"):]] = \
+                        archive.read(name).decode()
+                elif name.startswith("res/layout/"):
+                    layout_files[name] = archive.read(name).decode()
+            spec = spec_from_dict(
+                json.loads(archive.read(_DEX_ENTRY).decode())
+            )
+            return ApkPackage(
+                package=meta["Package"],
+                manifest_xml=archive.read(_MANIFEST_ENTRY).decode(),
+                smali_files=smali_files,
+                layout_files=layout_files,
+                public_xml=archive.read(_PUBLIC_ENTRY).decode(),
+                packed=meta.get("Packed", "false") == "true",
+                version_name=meta.get("Version-Name", "1.0"),
+                _spec=spec,
+            )
+    except (zipfile.BadZipFile, zlib.error, EOFError, RuntimeError,
+            KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ApkError(f"{path}: malformed apk: {exc!r}") from exc

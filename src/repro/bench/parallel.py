@@ -1,50 +1,42 @@
-"""Parallel corpus sweeps.
+"""Parallel sweeps: one primitive for every multi-app path.
 
-Each app's exploration is fully independent — its own Device, its own
-process state — so a market-scale deployment runs apps concurrently
-(the paper's A3E comparison point is exactly this cost).  Two backends
-share one contract:
+The Table-I evaluation, the Section VII-A usage study and ``repro
+batch`` each run many independent apps.  All three go through
+:func:`sweep`, which maps a function over items on a worker pool:
 
-* ``thread`` (the default) — a ``ThreadPoolExecutor``; the live config
-  with all its observers is shared directly, exactly as before.
-* ``process`` — a ``ProcessPoolExecutor``; every worker is pure-Python
-  CPU-bound (emulated device + static analysis), so threads serialize
-  on the GIL while processes actually use the cores.  Plans ship to
-  workers in chunks together with a picklable *spec* of the config; the
-  live ``Tracer``/``EventLog`` objects cannot cross the process
-  boundary, so workers record into their own in-memory observers whose
-  spans, counters and events are folded back into the parent's sinks on
-  join (``Tracer.absorb`` / ``Metrics.merge`` / ``EventLog.absorb``).
-  Captured exceptions cross the boundary as ``(type, message,
-  fault_kind)`` triples and are re-hydrated on the parent side so
-  ``SweepOutcome.unwrap()`` still re-raises something meaningful.
+* *Backends.*  ``thread`` (the default) or ``process``: every worker is
+  pure-Python CPU-bound work (emulated device plus static analysis), so
+  threads serialize on the GIL while processes use the cores.  Items
+  ship to process workers in chunks.  A function that does not pickle
+  keeps the thread pool and counts ``sweep.backend.fallback``.
+  ``FRAGDROID_SWEEP_BACKEND`` and ``FRAGDROID_WORKERS`` set the default
+  backend and worker count (``min(items, cpus)`` otherwise).
+* *Failure isolation.*  A market contains apps that cannot be processed
+  (packed APKs, build failures: the Section VII-A rule-outs), so one
+  item's exception is captured into its :class:`SweepOutcome` instead
+  of aborting the sweep.  Workers take the next item as they free up,
+  so one slow item never holds back the rest.  Exceptions cross the
+  process boundary as ``(module, qualname, message)`` triples and are
+  re-hydrated, so ``SweepOutcome.unwrap()`` re-raises the real type.
+* *Worker death.*  A process worker killed outright (OOM, SIGKILL)
+  breaks the pool and takes its chunk's results with it, plus every
+  chunk still pending.  Those items become failed
+  :class:`~repro.errors.WorkerDiedError` outcomes (``fault_kind
+  "worker-died"``, counted under ``sweep.worker.died``); every completed
+  result is still returned.  The service scheduler
+  (:mod:`repro.serve.scheduler`) re-admits worker-died apps.
 
-Both backends produce identical ``sweep_rows``/``fault_census`` for a
-fixed seed (fault streams are per-scope seeded, never shared).  A
-config carrying non-picklable pieces (custom observers, exotic fault
-plans) silently keeps the thread backend.
-
-Environment overrides for ROADMAP-style deployments:
-
-* ``FRAGDROID_WORKERS`` — default worker count;
-* ``FRAGDROID_SWEEP_BACKEND`` — default backend (``thread``/``process``).
-
-Failure isolation: a market sweep deliberately contains apps that
-cannot be processed (packed APKs, build failures — the Section VII-A
-rule-outs), so each worker captures its own exception into a
-:class:`SweepOutcome` instead of letting one bad app abort the whole
-sweep, and outcomes are collected ``as_completed`` so one slow app
-never delays reporting of every later one.
-
-Worker death: a process-backend worker killed outright (OOM, SIGKILL)
-breaks the pool — ``BrokenProcessPool`` — and takes its whole chunk's
-results with it, plus every chunk still pending in the broken pool.
-``explore_many`` marks those apps as failed
-:class:`~repro.errors.WorkerDiedError` outcomes (``fault_kind
-"worker-died"``, counted under the ``sweep.worker.died`` metric) and
-still returns every completed result; the service scheduler
-(:mod:`repro.serve.scheduler`) re-admits worker-died apps under a
-retry policy instead of accepting the loss.
+The callers: :func:`explore_many` sweeps app plans through
+:func:`explore_one`; on the process backend a picklable *spec* of the
+config ships instead of the live one, and each worker's spans, counters
+and events are folded back into the parent's observers on join
+(``Tracer.absorb`` / ``Metrics.merge`` / ``EventLog.absorb``), so both
+backends produce identical ``sweep_rows``/``fault_census`` for a fixed
+seed.  :func:`repro.bench.runner.run_usage_study` sweeps market apps
+and re-raises any failure.  ``repro batch`` sweeps ``.apk`` paths and
+writes a failed row for each file that fails.  :class:`SweepRun` hands
+back the backend and worker count the sweep resolved, for the callers'
+run records.
 """
 
 from __future__ import annotations
@@ -59,8 +51,11 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro import FragDroid, FragDroidConfig
 from repro.apk import build_apk
@@ -74,6 +69,10 @@ from repro.obs.registry import capture_run_record, corpus_digest_of
 
 BACKENDS = ("thread", "process")
 
+#: An exception in transit from a worker process: (module, qualname,
+#: message).  Multi-argument constructors break exception pickling.
+_FrozenError = Tuple[str, str, str]
+
 
 class RemoteSweepError(ReproError):
     """A worker-process failure whose concrete type could not be rebuilt."""
@@ -81,16 +80,19 @@ class RemoteSweepError(ReproError):
 
 @dataclass
 class SweepOutcome:
-    """What one app contributed to a sweep: a result or a captured
+    """What one item contributed to a sweep: a result or a captured
     failure (never both)."""
 
+    # The item's key: an app's package, or an .apk file's name.
     package: str
-    result: Optional[ExplorationResult] = None
+    # An ExplorationResult for explore_many; whatever the swept
+    # function returns otherwise.
+    result: Any = None
     error: Optional[BaseException] = None
     duration: float = 0.0
     # The fault family of a captured failure ("adb-transient",
-    # "timeout", "disconnect", "crash", "packed-apk"); None for a
-    # success or an unclassified failure.
+    # "timeout", "disconnect", "crash", "packed-apk", "worker-died");
+    # None for a success or an unclassified failure.
     fault_kind: Optional[str] = None
     # Content digest of the built APK (ApkPackage.digest()); None when
     # the failure struck before the build finished.  The sweep's run
@@ -101,25 +103,27 @@ class SweepOutcome:
     def ok(self) -> bool:
         return self.error is None
 
-    def unwrap(self) -> ExplorationResult:
+    def unwrap(self) -> Any:
         """The result, re-raising the captured exception on failure."""
         if self.error is not None:
             raise self.error
-        assert self.result is not None
         return self.result
+
+
+@dataclass
+class SweepRun:
+    """A finished :func:`sweep`: outcomes keyed by item, and the
+    backend and worker count it resolved (a run record's ``meta``)."""
+
+    outcomes: Dict[str, SweepOutcome]
+    meta: Dict[str, object]
 
 
 def _default_workers(plan_count: int) -> int:
     """``min(plans, cpus)``, overridable via ``FRAGDROID_WORKERS``."""
     env = os.environ.get("FRAGDROID_WORKERS", "").strip()
-    if env:
-        try:
-            forced = int(env)
-        except ValueError:
-            forced = 0
-        if forced > 0:
-            return max(1, min(plan_count, forced))
-    return max(1, min(plan_count, os.cpu_count() or 4))
+    forced = int(env) if env.isdigit() else 0
+    return max(1, min(plan_count, forced or os.cpu_count() or 4))
 
 
 def _resolve_backend(backend: Optional[str]) -> str:
@@ -132,6 +136,191 @@ def _resolve_backend(backend: Optional[str]) -> str:
         )
     return backend
 
+
+# ---------------------------------------------------------------------------
+# The sweep primitive
+# ---------------------------------------------------------------------------
+
+def sweep(items: Iterable[Any], fn: Callable[[Any], Any], *,
+          key: Callable[[Any], str], max_workers: Optional[int] = None,
+          backend: Optional[str] = None, chunksize: Optional[int] = None,
+          tracer: Tracer = NULL_TRACER) -> SweepRun:
+    """Run ``fn(item)`` for every item; outcomes keyed by ``key(item)``.
+
+    ``max_workers`` defaults to ``min(len(items), os.cpu_count() or
+    4)`` (``FRAGDROID_WORKERS`` overrides it) and is clamped to the item
+    count.  ``backend`` is ``"thread"`` or ``"process"``; ``None`` reads
+    ``FRAGDROID_SWEEP_BACKEND``, then falls back to threads.  The process
+    backend needs ``fn``, items and results to pickle; ``chunksize``
+    batches items per task (default ``len(items) / (4 × workers)``, at
+    least 1).  ``tracer`` counts backend fallbacks and worker deaths.
+    """
+    keyed = [(key(item), item) for item in items]
+    backend = _resolve_backend(backend)
+    workers = max(1, min(len(keyed),
+                         max_workers or _default_workers(len(keyed))))
+    if backend == "process" and not _picklable(fn):
+        tracer.inc("sweep.backend.fallback")
+        backend = "thread"
+    if backend == "process" and keyed:
+        outcomes = _sweep_process(keyed, fn, workers, chunksize, tracer)
+    else:
+        outcomes = _sweep_thread(keyed, fn, workers)
+    return SweepRun(outcomes, {"backend": backend, "workers": workers})
+
+
+def _run_item(fn: Callable[[Any], Any], package: str,
+              item: Any) -> SweepOutcome:
+    """``fn(item)`` as an outcome, its exception captured."""
+    started = perf_counter()
+    try:
+        result = fn(item)
+    except Exception as exc:
+        return SweepOutcome(package=package, error=exc,
+                            duration=perf_counter() - started,
+                            fault_kind=classify_fault(exc))
+    return SweepOutcome(package=package, result=result,
+                        duration=perf_counter() - started)
+
+
+def _sweep_thread(keyed: List[Tuple[str, Any]], fn: Callable[[Any], Any],
+                  workers: int) -> Dict[str, SweepOutcome]:
+    if workers == 1:
+        # A one-worker pool only adds a thread handoff per item: about
+        # 5% of the 217-app market pass, measured on a 2-vCPU VM.
+        return {package: _run_item(fn, package, item)
+                for package, item in keyed}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {package: pool.submit(_run_item, fn, package, item)
+                   for package, item in keyed}
+    return {package: future.result() for package, future in futures.items()}
+
+
+def _picklable(obj: object) -> bool:
+    try:
+        pickle.dumps(obj)
+        return True
+    except Exception:
+        return False
+
+
+def _freeze(outcome: SweepOutcome,
+            ) -> Tuple[SweepOutcome, Optional[_FrozenError]]:
+    """Split a captured exception off a worker's outcome for the trip
+    back to the parent."""
+    exc, outcome.error = outcome.error, None
+    return outcome, (None if exc is None else (
+        type(exc).__module__, type(exc).__qualname__, str(exc)))
+
+
+def _thaw(outcome: SweepOutcome,
+          frozen: Optional[_FrozenError]) -> SweepOutcome:
+    """Re-attach a frozen exception (see :func:`_freeze`)."""
+    if frozen is not None:
+        outcome.error = _thaw_error(frozen)
+    return outcome
+
+
+def _thaw_error(frozen: _FrozenError) -> BaseException:
+    """Re-hydrate a worker exception; falls back to
+    :class:`RemoteSweepError` when the type cannot be rebuilt."""
+    module, qualname, message = frozen
+    try:
+        cls = getattr(importlib.import_module(module), qualname)
+        if isinstance(cls, type) and issubclass(cls, BaseException):
+            return cls(message)
+    except Exception:
+        pass
+    return RemoteSweepError(f"{qualname}: {message}")
+
+
+def _chaos_kill_check(package: str) -> None:
+    """Chaos/test instrumentation: die like an OOM-killed worker.
+
+    ``FRAGDROID_CHAOS_KILL="<package>[:<times>]"`` makes a worker
+    process ``os._exit`` the moment it reaches the item keyed
+    ``<package>`` — the parent sees a ``BrokenProcessPool``, exactly the
+    signature of a real SIGKILL.  Without ``:<times>`` every encounter
+    kills; with it, only the first ``times`` encounters do, counted
+    across pool restarts in the ``FRAGDROID_CHAOS_KILL_STATE``
+    directory (one ``O_EXCL`` marker file per kill, so concurrent
+    workers never double-spend the budget).  Unset in production; the
+    worker-death recovery tests and the chaos CI lane set it.
+    """
+    target = os.environ.get("FRAGDROID_CHAOS_KILL", "")
+    if not target:
+        return
+    name, _, times = target.partition(":")
+    if name != package:
+        return
+    if times:
+        state = os.environ.get("FRAGDROID_CHAOS_KILL_STATE", "")
+        if not state:
+            return  # a bounded kill needs a state dir to count in
+        import pathlib
+
+        state_dir = pathlib.Path(state)
+        state_dir.mkdir(parents=True, exist_ok=True)
+        for attempt in range(int(times)):
+            marker = state_dir / f"kill.{attempt}"
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL
+                                 | os.O_WRONLY))
+            except FileExistsError:
+                continue
+            os._exit(17)
+        return  # kill budget spent: survive from here on
+    os._exit(17)
+
+
+def _run_chunk(fn: Callable[[Any], Any], chunk: List[Tuple[str, Any]],
+               ) -> List[Tuple[SweepOutcome, Optional[_FrozenError]]]:
+    """Worker-process entry point: run a chunk of items serially."""
+    done = []
+    for package, item in chunk:
+        _chaos_kill_check(package)
+        done.append(_freeze(_run_item(fn, package, item)))
+    return done
+
+
+def _sweep_process(keyed: List[Tuple[str, Any]], fn: Callable[[Any], Any],
+                   workers: int, chunksize: Optional[int],
+                   tracer: Tracer) -> Dict[str, SweepOutcome]:
+    if chunksize is None:
+        chunksize = max(1, len(keyed) // (workers * 4))
+    chunks = [keyed[i:i + chunksize]
+              for i in range(0, len(keyed), chunksize)]
+    outcomes: Dict[str, SweepOutcome] = {}
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        futures = {pool.submit(_run_chunk, fn, chunk): chunk
+                   for chunk in chunks}
+        for future in as_completed(futures):
+            try:
+                done = future.result()
+            except BrokenProcessPool as exc:
+                # A worker died mid-chunk (OOM kill, SIGKILL, hard
+                # crash).  The whole chunk's results died with it, and
+                # once the pool is broken every still-pending chunk
+                # fails the same way.  Mark each item failed instead of
+                # aborting the sweep.
+                tracer.inc("sweep.worker.died")
+                for package, _ in futures[future]:
+                    outcomes[package] = SweepOutcome(
+                        package=package,
+                        error=WorkerDiedError(
+                            f"worker process died during the chunk "
+                            f"containing {package}: {exc}"),
+                        fault_kind="worker-died",
+                    )
+                continue
+            for outcome, frozen in done:
+                outcomes[outcome.package] = _thaw(outcome, frozen)
+    return outcomes
+
+
+# ---------------------------------------------------------------------------
+# Exploring apps
+# ---------------------------------------------------------------------------
 
 def explore_one(plan: AppPlan,
                 config: Optional[FragDroidConfig] = None) -> SweepOutcome:
@@ -169,10 +358,6 @@ def explore_one(plan: AppPlan,
                         duration=perf_counter() - started,
                         apk_digest=digest)
 
-
-# ---------------------------------------------------------------------------
-# The process backend: picklable config specs and frozen outcomes
-# ---------------------------------------------------------------------------
 
 #: Config fields a worker process can reconstruct its config from.  The
 #: live observers are deliberately absent — they are replaced by fresh
@@ -236,106 +421,47 @@ def _worker_config(spec: Optional[_ConfigSpec]) -> Optional[FragDroidConfig]:
 
 @dataclass
 class _FrozenOutcome:
-    """A :class:`SweepOutcome` in picklable form, plus the worker's
-    observability record for the parent to fold in."""
+    """:func:`explore_one`'s outcome in picklable form, plus the
+    worker's observability record for the parent to fold in."""
 
-    package: str
-    duration: float
-    fault_kind: Optional[str] = None
-    apk_digest: Optional[str] = None
-    result: Optional[ExplorationResult] = None
-    # (module, qualname, message) of the captured exception; exception
-    # objects themselves don't reliably round-trip through pickle
-    # (multi-argument constructors re-raise TypeError on load).
-    error: Optional[Tuple[str, str, str]] = None
+    outcome: SweepOutcome
+    error: Optional[_FrozenError] = None
     spans: List[Span] = field(default_factory=list)
     events: List[Event] = field(default_factory=list)
     counters: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, List[float]] = field(default_factory=dict)
 
 
-def _freeze_error(exc: BaseException) -> Tuple[str, str, str]:
-    return (type(exc).__module__, type(exc).__qualname__, str(exc))
+class _ExploreTask:
+    """:func:`explore_one` bound to a sweep's config.
+
+    Pickled for a worker process it becomes ``partial(_explore_frozen,
+    spec)``: the live config stays in the parent, and the worker
+    rebuilds a fresh config per app from the spec."""
+
+    def __init__(self, config: Optional[FragDroidConfig]) -> None:
+        self.config = config
+
+    def __call__(self, plan: AppPlan) -> SweepOutcome:
+        return explore_one(plan, self.config)
+
+    def __reduce__(self):
+        return (partial, (_explore_frozen, _config_spec(self.config)))
 
 
-def _thaw_error(frozen: Tuple[str, str, str]) -> BaseException:
-    """Re-hydrate a worker exception; falls back to
-    :class:`RemoteSweepError` when the type cannot be rebuilt."""
-    module, qualname, message = frozen
-    try:
-        cls = getattr(importlib.import_module(module), qualname)
-        if isinstance(cls, type) and issubclass(cls, BaseException):
-            return cls(message)
-    except Exception:
-        pass
-    return RemoteSweepError(f"{qualname}: {message}")
-
-
-def _chaos_kill_check(package: str) -> None:
-    """Chaos/test instrumentation: die like an OOM-killed worker.
-
-    ``FRAGDROID_CHAOS_KILL="<package>[:<times>]"`` makes a worker
-    process ``os._exit`` the moment it reaches that package — the
-    parent sees a ``BrokenProcessPool``, exactly the signature of a
-    real SIGKILL.  Without ``:<times>`` every encounter kills; with it,
-    only the first ``times`` encounters do, counted across pool
-    restarts in the ``FRAGDROID_CHAOS_KILL_STATE`` directory (one
-    ``O_EXCL`` marker file per kill, so concurrent workers never
-    double-spend the budget).  Unset in production; the worker-death
-    recovery tests and the chaos CI lane set it.
-    """
-    target = os.environ.get("FRAGDROID_CHAOS_KILL", "")
-    if not target:
-        return
-    name, _, times = target.partition(":")
-    if name != package:
-        return
-    if times:
-        state = os.environ.get("FRAGDROID_CHAOS_KILL_STATE", "")
-        if not state:
-            return  # a bounded kill needs a state dir to count in
-        import pathlib
-
-        state_dir = pathlib.Path(state)
-        state_dir.mkdir(parents=True, exist_ok=True)
-        for attempt in range(int(times)):
-            marker = state_dir / f"kill.{attempt}"
-            try:
-                os.close(os.open(marker, os.O_CREAT | os.O_EXCL
-                                 | os.O_WRONLY))
-            except FileExistsError:
-                continue
-            os._exit(17)
-        return  # kill budget spent: survive from here on
-    os._exit(17)
-
-
-def _run_chunk(spec: Optional[_ConfigSpec],
-               plans: List[AppPlan]) -> List[_FrozenOutcome]:
-    """Worker-process entry point: explore a chunk of plans serially,
-    each with a fresh config (and fresh per-app observers)."""
-    frozen: List[_FrozenOutcome] = []
-    for plan in plans:
-        _chaos_kill_check(plan.package)
-        config = _worker_config(spec)
-        outcome = explore_one(plan, config)
-        entry = _FrozenOutcome(
-            package=outcome.package,
-            duration=outcome.duration,
-            fault_kind=outcome.fault_kind,
-            apk_digest=outcome.apk_digest,
-            result=outcome.result,
-            error=(_freeze_error(outcome.error)
-                   if outcome.error is not None else None),
-        )
-        if config is not None and config.tracer.enabled:
-            entry.spans = config.tracer.finished_spans()
-            entry.counters = config.tracer.metrics.counters()
-            entry.histograms = config.tracer.metrics.raw_histograms()
-        if config is not None and config.event_log.enabled:
-            entry.events = config.event_log.events()
-        frozen.append(entry)
-    return frozen
+def _explore_frozen(spec: Optional[_ConfigSpec],
+                    plan: AppPlan) -> _FrozenOutcome:
+    """Worker-process body: explore one plan with a fresh config (and
+    fresh observers)."""
+    config = _worker_config(spec)
+    entry = _FrozenOutcome(*_freeze(explore_one(plan, config)))
+    if config is not None and config.tracer.enabled:
+        entry.spans = config.tracer.finished_spans()
+        entry.counters = config.tracer.metrics.counters()
+        entry.histograms = config.tracer.metrics.raw_histograms()
+    if config is not None and config.event_log.enabled:
+        entry.events = config.event_log.events()
+    return entry
 
 
 def _thaw_outcome(frozen: _FrozenOutcome,
@@ -344,7 +470,8 @@ def _thaw_outcome(frozen: _FrozenOutcome,
     counters and events into the parent's observers and sinks."""
     tracer = config.tracer if config is not None else NULL_TRACER
     event_log = config.event_log if config is not None else NULL_EVENT_LOG
-    result = frozen.result
+    outcome = _thaw(frozen.outcome, frozen.error)
+    result = outcome.result
     if frozen.counters or frozen.histograms:
         tracer.metrics.merge(frozen.counters, frozen.histograms)
     if frozen.spans and tracer.enabled:
@@ -359,28 +486,20 @@ def _thaw_outcome(frozen: _FrozenOutcome,
         absorbed_events = event_log.absorb(frozen.events)
         if result is not None:
             result.events = [e for e in absorbed_events
-                             if e.app == frozen.package]
-    return SweepOutcome(
-        package=frozen.package,
-        result=result,
-        error=_thaw_error(frozen.error) if frozen.error is not None else None,
-        duration=frozen.duration,
-        fault_kind=frozen.fault_kind,
-        apk_digest=frozen.apk_digest,
-    )
+                             if e.app == outcome.package]
+    return outcome
 
 
-def _picklable(spec: Optional[_ConfigSpec]) -> bool:
-    try:
-        pickle.dumps(spec)
-        return True
-    except Exception:
-        return False
+def _explored(outcome: SweepOutcome,
+              config: Optional[FragDroidConfig]) -> SweepOutcome:
+    """One plan's outcome: explore_one's own (thawed if it crossed the
+    process boundary), or the sweep's if the worker died first."""
+    if not outcome.ok:
+        return outcome
+    if isinstance(outcome.result, _FrozenOutcome):
+        return _thaw_outcome(outcome.result, config)
+    return outcome.result
 
-
-# ---------------------------------------------------------------------------
-# The sweep
-# ---------------------------------------------------------------------------
 
 def explore_many(
     plans: Sequence[AppPlan] = tuple(TABLE1_PLANS),
@@ -391,50 +510,31 @@ def explore_many(
 ) -> Dict[str, SweepOutcome]:
     """Explore a set of apps concurrently; outcomes keyed by package.
 
-    ``max_workers`` defaults to ``min(len(plans), os.cpu_count() or 4)``,
-    overridable via ``FRAGDROID_WORKERS``.  ``backend`` chooses the pool:
-    ``"thread"`` (default, shares the live config) or ``"process"``
-    (sidesteps the GIL; see the module docstring for the pickling and
-    observer-merge contract); ``None`` reads ``FRAGDROID_SWEEP_BACKEND``
-    before falling back to threads.  ``chunksize`` batches plans per
-    process-backend task (default ``len(plans) / (4 × workers)``,
-    at least 1); the thread backend ignores it.
-
-    The sweep always completes: per-app failures are carried inside the
-    outcomes (see :class:`SweepOutcome`), never raised from here.
+    A :func:`sweep` of :func:`explore_one` over ``plans``; the other
+    arguments mean what they mean there.  Thread workers share the live
+    config; process workers rebuild it from a picklable spec and their
+    observers are folded back (see the module docstring).  Per-app
+    failures are carried inside the outcomes, never raised.
 
     When the config carries a ``run_registry``
     (:class:`repro.obs.registry.RunRegistry`), one content-addressed
     run record — coverage rows, fault census, corpus digest, metrics
     and per-phase timing — is persisted as the sweep ends.
     """
-    plans = list(plans)
-    backend = _resolve_backend(backend)
-    if not plans:
-        return {}
-    if max_workers is None:
-        max_workers = _default_workers(len(plans))
-    used_process = False
-    if backend == "process":
-        spec = _config_spec(config)
-        if _picklable(spec):
-            used_process = True
-            outcomes = _explore_many_process(plans, config, spec,
-                                             max_workers, chunksize)
-        elif config is not None:
-            # Non-picklable observers/plans: quietly keep the thread pool.
-            config.tracer.inc("sweep.backend.fallback")
-    if not used_process:
-        outcomes = _explore_many_thread(plans, config, max_workers)
-    _record_sweep(config, outcomes,
-                  backend="process" if used_process else "thread",
-                  workers=max_workers)
+    run = sweep(plans, _ExploreTask(config), key=lambda plan: plan.package,
+                max_workers=max_workers, backend=backend,
+                chunksize=chunksize,
+                tracer=config.tracer if config is not None else NULL_TRACER)
+    outcomes = {package: _explored(outcome, config)
+                for package, outcome in run.outcomes.items()}
+    if outcomes:
+        _record_sweep(config, outcomes, run.meta)
     return outcomes
 
 
 def _record_sweep(config: Optional[FragDroidConfig],
                   outcomes: Dict[str, SweepOutcome],
-                  backend: str, workers: int) -> None:
+                  meta: Dict[str, object]) -> None:
     """Persist the sweep's run record when a registry is configured.
 
     The execution context (backend, worker count) lands in the
@@ -451,68 +551,9 @@ def _record_sweep(config: Optional[FragDroidConfig],
         corpus_digest=corpus_digest_of(
             {package: outcome.apk_digest
              for package, outcome in outcomes.items()}),
-        meta={"backend": backend, "workers": workers},
+        meta=meta,
     )
     registry.record(record)
-
-
-def _explore_many_thread(
-    plans: List[AppPlan],
-    config: Optional[FragDroidConfig],
-    max_workers: int,
-) -> Dict[str, SweepOutcome]:
-    outcomes: Dict[str, SweepOutcome] = {}
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {
-            pool.submit(explore_one, plan, config): plan.package
-            for plan in plans
-        }
-        for future in as_completed(futures):
-            outcome = future.result()
-            outcomes[futures[future]] = outcome
-    return outcomes
-
-
-def _explore_many_process(
-    plans: List[AppPlan],
-    config: Optional[FragDroidConfig],
-    spec: Optional[_ConfigSpec],
-    max_workers: int,
-    chunksize: Optional[int],
-) -> Dict[str, SweepOutcome]:
-    if chunksize is None:
-        chunksize = max(1, len(plans) // (max_workers * 4))
-    chunks = [plans[i:i + chunksize]
-              for i in range(0, len(plans), chunksize)]
-    tracer = config.tracer if config is not None else NULL_TRACER
-    outcomes: Dict[str, SweepOutcome] = {}
-    with ProcessPoolExecutor(max_workers=min(max_workers,
-                                             len(chunks))) as pool:
-        futures = {pool.submit(_run_chunk, spec, chunk): chunk
-                   for chunk in chunks}
-        for future in as_completed(futures):
-            try:
-                frozen_chunk = future.result()
-            except BrokenProcessPool as exc:
-                # A worker died mid-chunk (OOM kill, SIGKILL, hard
-                # crash).  The whole chunk's results died with it — and
-                # once the pool is broken every still-pending chunk
-                # fails the same way.  Mark each app failed instead of
-                # aborting the sweep; the service scheduler
-                # (repro.serve) re-admits "worker-died" outcomes.
-                tracer.inc("sweep.worker.died")
-                for plan in futures[future]:
-                    outcomes[plan.package] = SweepOutcome(
-                        package=plan.package,
-                        error=WorkerDiedError(
-                            f"worker process died during the chunk "
-                            f"containing {plan.package}: {exc}"),
-                        fault_kind="worker-died",
-                    )
-                continue
-            for frozen in frozen_chunk:
-                outcomes[frozen.package] = _thaw_outcome(frozen, config)
-    return outcomes
 
 
 def unwrap_results(

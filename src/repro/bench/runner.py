@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import Device, FragDroid, FragDroidConfig
 from repro.apk import build_apk, digest_many
 from repro.baselines import ActivityExplorer, DepthFirstExplorer, Monkey
-from repro.bench.parallel import _default_workers, _resolve_backend, explore_many
+from repro.bench.parallel import explore_many, sweep
 from repro.core.coverage import CoverageReport, CoverageRow
 from repro.core.explorer import ExplorationResult
 from repro.core.sensitive_analysis import SensitiveApiReport, build_api_report
@@ -148,38 +147,11 @@ class UsageStudyResult:
 
 def _classify_market_app(app) -> str:
     """One usage-study datapoint: "packed", "fragments" or "plain"."""
-    return _classify_apk(app.build())
-
-
-def _classify_apk(apk) -> str:
     try:
-        decoded = Apktool().decode(apk)
+        decoded = Apktool().decode(app.build())
     except PackedApkError:
         return "packed"
     return "fragments" if fragment_subclasses(decoded) else "plain"
-
-
-def _classify_market_chunk(apps) -> List[str]:
-    """Process-pool entry point: classify a chunk of market apps."""
-    return [_classify_market_app(app) for app in apps]
-
-
-def _classify_many(apps: List, max_workers: int, backend: str) -> List[str]:
-    """Classify a list of market apps serially or via a worker pool."""
-    if max_workers == 1 or len(apps) <= 1:
-        return [_classify_market_app(app) for app in apps]
-    if backend == "process":
-        chunksize = max(1, len(apps) // (max_workers * 4))
-        chunks = [apps[i:i + chunksize]
-                  for i in range(0, len(apps), chunksize)]
-        statuses: List[str] = []
-        with ProcessPoolExecutor(max_workers=min(max_workers,
-                                                 len(chunks))) as pool:
-            for chunk_statuses in pool.map(_classify_market_chunk, chunks):
-                statuses.extend(chunk_statuses)
-        return statuses
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_classify_market_app, apps))
 
 
 def run_usage_study(count: int = 217, seed: int = 2018,
@@ -191,11 +163,14 @@ def run_usage_study(count: int = 217, seed: int = 2018,
     """The Section VII-A market survey: decode ``count`` synthetic
     market apps and tally Fragment adoption.
 
-    Serial by default (``max_workers=1``); pass ``max_workers`` (or
+    The apps are classified by a :func:`repro.bench.parallel.sweep`:
+    one worker by default (``max_workers=1``); pass ``max_workers`` (or
     ``None`` for ``min(apps, cpus)``, honouring ``FRAGDROID_WORKERS``)
     to classify apps concurrently — every app is independent, so the
     tally is identical regardless of worker count or ``backend``
     (``"thread"``/``"process"``, defaulting like ``explore_many``).
+    The market is expected healthy, so a captured per-app failure (a
+    dead worker included) is re-raised here (``SweepOutcome.unwrap``).
     ``registry`` (a :class:`repro.obs.registry.RunRegistry`) persists
     the tallies as a run record the `repro runs` verbs can diff.
 
@@ -206,29 +181,22 @@ def run_usage_study(count: int = 217, seed: int = 2018,
     and classified — the result tallies are identical either way.
     """
     market = generate_market(count=count, seed=seed)
-    backend = _resolve_backend(backend)
-    if max_workers is None:
-        max_workers = _default_workers(len(market))
-    max_workers = max(1, min(max_workers, len(market)))
-    if cache is None:
-        statuses = _classify_many(market, max_workers, backend)
-    else:
+    statuses: List[Optional[str]] = [None] * len(market)
+    if cache is not None:
         digests = digest_many(app.build() for app in market)
         notes = cache.load_notes("usage-study")
-        slots: List[Optional[str]] = [notes.get(d) for d in digests]
-        pending = [i for i, status in enumerate(slots) if status is None]
-        cache.count_lookups(hits=len(market) - len(pending),
-                            misses=len(pending))
-        if pending:
-            fresh = _classify_many([market[i] for i in pending],
-                                   max_workers, backend)
-            for index, status in zip(pending, fresh):
-                slots[index] = status
-            cache.store_notes(
-                "usage-study",
-                {digests[i]: slots[i] for i in pending},  # type: ignore[misc]
-            )
-        statuses = [status for status in slots if status is not None]
+        statuses = [notes.get(d) for d in digests]
+        misses = statuses.count(None)
+        cache.count_lookups(hits=len(market) - misses, misses=misses)
+    pending = [i for i, status in enumerate(statuses) if status is None]
+    run = sweep([market[i] for i in pending], _classify_market_app,
+                key=lambda app: app.package, max_workers=max_workers,
+                backend=backend)
+    for i in pending:
+        statuses[i] = run.outcomes[market[i].package].unwrap()
+    if cache is not None and pending:
+        cache.store_notes("usage-study",
+                          {digests[i]: statuses[i] for i in pending})
     packed = statuses.count("packed")
     study = UsageStudyResult(
         total=len(market),
@@ -248,8 +216,7 @@ def run_usage_study(count: int = 217, seed: int = 2018,
                 "categories": study.categories,
                 "fragment_share": round(study.share, 6),
             },
-            meta={"seed": seed, "count": count, "backend": backend,
-                  "workers": max_workers},
+            meta={"seed": seed, "count": count, **run.meta},
         ))
     return study
 

@@ -55,7 +55,7 @@ from repro.bench import (
     run_table1,
     run_usage_study,
 )
-from repro.bench.parallel import BACKENDS
+from repro.bench.parallel import BACKENDS, sweep
 from repro.core.report import aftm_to_json, result_to_json
 from repro.core.sensitive_analysis import build_api_report
 from repro.faults import FAULT_PROFILES, make_device
@@ -342,14 +342,31 @@ def cmd_export_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_batch(args: argparse.Namespace) -> int:
-    """Explore every .apk in a directory; write artifacts + summary CSV."""
-    import csv
-    import pathlib
-    from concurrent.futures import ThreadPoolExecutor
-
+def _batch_one(out_dir, path) -> list:
+    """Load, explore and save one ``batch`` file; its summary row."""
     from repro.apk.apkfile import load_apk
     from repro.core.artifacts import save_artifacts
+
+    result = FragDroid(Device()).explore(load_apk(path))
+    save_artifacts(result, out_dir / result.package)
+    return [
+        result.package,
+        len(result.visited_activities), result.activity_total,
+        len(result.visited_fragments), result.fragment_total,
+        len({(i.api, i.source) for i in result.api_invocations}),
+        result.stats.events, result.stats.crashes, "",
+    ]
+
+
+def cmd_batch(args: argparse.Namespace) -> int:
+    """Explore every .apk in a directory; write artifacts + summary CSV.
+
+    A file that fails to load or explore gets a failed row, keyed by its
+    file name, instead of stopping the others; the command then exits 1.
+    """
+    import csv
+    import pathlib
+    from functools import partial
 
     in_dir = pathlib.Path(args.directory)
     out_dir = pathlib.Path(args.output)
@@ -359,33 +376,31 @@ def cmd_batch(args: argparse.Namespace) -> int:
         print(f"no .apk files under {in_dir}")
         return 1
 
-    def run(path: pathlib.Path):
-        apk = load_apk(path)
-        result = FragDroid(Device()).explore(apk)
-        save_artifacts(result, out_dir / apk.package)
-        return result
-
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(run, apk_paths))
-
+    outcomes = sweep(apk_paths, partial(_batch_one, out_dir),
+                     key=lambda path: path.name,
+                     max_workers=args.workers).outcomes
+    header = [
+        "package", "activities_visited", "activities_sum",
+        "fragments_visited", "fragments_sum", "api_relations",
+        "events", "crashes", "error",
+    ]
+    failed = 0
     summary = out_dir / "summary.csv"
     with summary.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([
-            "package", "activities_visited", "activities_sum",
-            "fragments_visited", "fragments_sum", "api_relations",
-            "events", "crashes",
-        ])
-        for result in results:
-            writer.writerow([
-                result.package,
-                len(result.visited_activities), result.activity_total,
-                len(result.visited_fragments), result.fragment_total,
-                len({(i.api, i.source) for i in result.api_invocations}),
-                result.stats.events, result.stats.crashes,
-            ])
-    print(f"explored {len(results)} apps; summary at {summary}")
-    return 0
+        writer.writerow(header)
+        for path in apk_paths:
+            outcome = outcomes[path.name]
+            if outcome.ok:
+                writer.writerow(outcome.result)
+                continue
+            failed += 1
+            error = f"{type(outcome.error).__name__}: {outcome.error}"
+            print(f"failed: {path.name}: {error}")
+            writer.writerow([path.name, *[""] * (len(header) - 2), error])
+    print(f"explored {len(apk_paths) - failed} of {len(apk_paths)} apps; "
+          f"summary at {summary}")
+    return 1 if failed else 0
 
 
 def cmd_trace_summary(args: argparse.Namespace) -> int:

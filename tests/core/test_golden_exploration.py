@@ -20,6 +20,7 @@ import pytest
 
 from repro.android import Device
 from repro.apk.builder import build_apk
+from repro.bench.parallel import explore_many
 from repro.core.explorer import FragDroid
 from repro.core.report import result_to_json
 from repro.corpus import TABLE1_PLANS
@@ -37,18 +38,23 @@ PLANS = {plan.package: plan for plan in (
 )}
 
 
-def golden_entry(package: str) -> dict:
-    """The pinned quantities of one exploration of ``package``."""
-    device = Device()
-    result = FragDroid(device).explore(build_apk(build_app(PLANS[package])))
+def result_entry(result) -> dict:
+    """The pinned quantities one exploration result carries itself."""
     digest = hashlib.sha256()
     digest.update(result_to_json(result).encode("utf-8"))
     digest.update(result.trace_text().encode("utf-8"))
     for case in result.test_cases:
         digest.update(case.to_robotium_java().encode("utf-8"))
-    return {"sha256": digest.hexdigest(), "steps": device.steps,
+    return {"sha256": digest.hexdigest(),
             "test_cases": len(result.test_cases),
             "trace": len(result.trace)}
+
+
+def golden_entry(package: str) -> dict:
+    """The pinned quantities of one exploration of ``package``."""
+    device = Device()
+    result = FragDroid(device).explore(build_apk(build_app(PLANS[package])))
+    return {**result_entry(result), "steps": device.steps}
 
 
 def _load() -> dict:
@@ -62,6 +68,21 @@ def test_fixture_covers_every_table1_app():
 @pytest.mark.parametrize("package", sorted(PLANS))
 def test_exploration_outputs_byte_identical(package):
     assert golden_entry(package) == _load()[package]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_sweep_backends_reproduce_the_golden_outputs(backend):
+    """Outputs are deterministic across sweep backends: every fixture
+    app explored through explore_many matches its pinned entry (the
+    device step count stays with the device, so it is not compared)."""
+    outcomes = explore_many(list(PLANS.values()), max_workers=2,
+                            backend=backend)
+    golden = _load()
+    assert sorted(outcomes) == sorted(golden)
+    for package, outcome in outcomes.items():
+        expected = {key: value for key, value in golden[package].items()
+                    if key != "steps"}
+        assert result_entry(outcome.unwrap()) == expected, package
 
 
 if __name__ == "__main__":

@@ -130,6 +130,39 @@ def test_export_and_batch(capsys, tmp_path):
     assert (out_dir / "org.rbc.odb" / "report.json").exists()
 
 
+def test_batch_writes_a_failed_row_for_a_broken_apk(capsys, tmp_path):
+    """A non-zip .apk next to two good ones: the good apps' artifacts
+    and rows are still written, the bad file gets a failed row keyed by
+    its file name, and the command exits 1."""
+    import csv
+
+    from repro.apk import build_apk
+    from repro.apk.apkfile import save_apk
+    from repro.corpus import build_table1_app, demo_tabbed_app
+
+    corpus_dir = tmp_path / "corpus"
+    save_apk(build_apk(demo_tabbed_app()), corpus_dir / "tabs.apk")
+    save_apk(build_apk(build_table1_app("org.rbc.odb")),
+             corpus_dir / "odb.apk")
+    (corpus_dir / "junk.apk").write_text("this is not a zip archive")
+    out_dir = tmp_path / "results"
+    code, out = run_cli(capsys, "batch", str(corpus_dir),
+                        "-o", str(out_dir), "--workers", "2")
+    assert code == 1
+    assert "junk.apk" in out
+    with (out_dir / "summary.csv").open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 3
+    by_package = {row["package"]: row for row in rows}
+    assert by_package["junk.apk"]["error"].startswith("ApkError")
+    assert by_package["junk.apk"]["activities_visited"] == ""
+    assert by_package["org.rbc.odb"]["activities_visited"] == "4"
+    assert by_package["org.rbc.odb"]["error"] == ""
+    assert by_package["com.example.wallpapers"]["error"] == ""
+    assert (out_dir / "org.rbc.odb" / "report.json").exists()
+    assert (out_dir / "com.example.wallpapers" / "report.json").exists()
+
+
 def test_batch_empty_directory(capsys, tmp_path):
     code, _ = run_cli(capsys, "batch", str(tmp_path), "-o",
                       str(tmp_path / "out"))

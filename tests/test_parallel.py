@@ -225,9 +225,9 @@ def test_non_picklable_config_falls_back_to_thread(monkeypatch):
     assert not parallel._picklable(
         parallel._ConfigSpec(kwargs={"hook": lambda: None})
     )
-    monkeypatch.setattr(parallel, "_picklable", lambda spec: False)
+    monkeypatch.setattr(parallel, "_picklable", lambda fn: False)
     spawned = []
-    monkeypatch.setattr(parallel, "_explore_many_process",
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor",
                         lambda *a, **k: spawned.append(1))
     config = FragDroidConfig(tracer=Tracer())
     plans = [plan_for("org.rbc.odb")]
@@ -348,6 +348,20 @@ def test_worker_death_marks_chunk_failed_and_continues(monkeypatch,
                           if plan.package != victim], max_workers=1)
     assert _rows_without_durations(survivors) \
         == _rows_without_durations(clean)
+
+
+def test_usage_study_worker_death_raises_worker_died_error(monkeypatch):
+    """The usage study runs on the same sweep: a worker killed on a
+    market app surfaces as the typed WorkerDiedError, never as a raw
+    BrokenProcessPool."""
+    from repro.bench.runner import run_usage_study
+    from repro.corpus import generate_market
+    from repro.errors import WorkerDiedError
+
+    victim = generate_market(count=12)[5].package
+    monkeypatch.setenv("FRAGDROID_CHAOS_KILL", victim)
+    with pytest.raises(WorkerDiedError):
+        run_usage_study(count=12, max_workers=2, backend="process")
 
 
 def test_worker_died_outcomes_cover_every_unfinished_chunk(monkeypatch,
