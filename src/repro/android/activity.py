@@ -182,9 +182,9 @@ class ActivityInstance:
                 resource_value=None,
                 clickable=True,
                 layer=overlay.kind,
+                handler=(widget_spec, self),
             )
             overlay.widgets.append(widget)
-            self.app.register_handler(widget, widget_spec, owner=self)
         overlay.window = dialog_bounds(len(overlay.widgets))
         layout_dialog(overlay.widgets)
 

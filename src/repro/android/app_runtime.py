@@ -10,7 +10,7 @@ the same spec.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.apk.appspec import (
     Action,
@@ -28,7 +28,6 @@ from repro.apk.appspec import (
     StartActivityByAction,
     SubmitForm,
     ToggleWidget,
-    WidgetSpec,
 )
 from repro.android.activity import ActivityInstance, activity_blueprint
 from repro.android.fragment import FragmentInstance, fragment_blueprint
@@ -104,8 +103,6 @@ class AppProcess:
         self.package = apk.package
         self.device = device
         self.stack: List[ActivityInstance] = []
-        # Click handlers: widget identity -> (spec, owning component).
-        self._handlers: Dict[int, Tuple[WidgetSpec, Owner]] = {}
 
     # -- stack ------------------------------------------------------------------
 
@@ -139,34 +136,24 @@ class AppProcess:
             self.device.steps,
         )
         self.stack.clear()
-        self._handlers.clear()
         raise AppCrashError(self.package, component, reason)
 
-    # -- handlers --------------------------------------------------------------------
-
-    def register_handler(self, widget: RuntimeWidget, spec: WidgetSpec,
-                         owner: Owner) -> None:
-        self._handlers[id(widget)] = (spec, owner)
+    # -- widgets ----------------------------------------------------------------------
 
     def inflate(self, owner: Owner) -> List[RuntimeWidget]:
         """Fresh widgets for ``owner``'s blueprint rows, in screen order,
-        with their click handlers registered."""
+        each carrying its click handler (owned by ``owner``)."""
         owner_class = owner.class_name
         owner_is_fragment = isinstance(owner, FragmentInstance)
-        widgets = []
-        for (widget_id, kind, text, resource_value, clickable, layer,
-             handler) in owner.blueprint.rows:
-            widget = RuntimeWidget(widget_id, kind, text, owner_class,
-                                   owner_is_fragment, resource_value,
-                                   clickable=clickable, layer=layer)
-            widgets.append(widget)
-            if handler is not None:
-                self.register_handler(widget, handler, owner)
-        return widgets
-
-    def handler_for(self, widget: RuntimeWidget
-                    ) -> Optional[Tuple[WidgetSpec, Owner]]:
-        return self._handlers.get(id(widget))
+        return [
+            RuntimeWidget(widget_id, kind, text, owner_class,
+                          owner_is_fragment, resource_value,
+                          clickable=clickable, layer=layer,
+                          handler=None if handler is None
+                          else (handler, owner))
+            for (widget_id, kind, text, resource_value, clickable, layer,
+                 handler) in owner.blueprint.rows
+        ]
 
     # -- event dispatch -----------------------------------------------------------------
 
@@ -180,7 +167,7 @@ class AppProcess:
                 activity.drawer_open = False
             elif widget.layer in ("dialog", "popup"):
                 activity.dismiss_top_overlay()
-        entry = self.handler_for(widget)
+        entry = widget.handler
         if entry is None:
             return
         spec, owner = entry

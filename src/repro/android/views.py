@@ -9,9 +9,11 @@ to right") depends on those coordinates being real and ordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, List, NamedTuple, Optional, Tuple, Union,
+)
 
 from repro.types import WidgetKind
 
@@ -65,7 +67,10 @@ class RuntimeWidget:
     ``owner`` is the ground-truth owning component class (used by the
     monitor and the test suite); automation tools must not read it —
     they identify ownership through the resource dependency, as the
-    paper does.
+    paper does.  ``handler`` is the app's click handler as the emulator
+    runs it: the handler spec and the component instance that
+    registered it, or None for a widget with no handler.  Only the
+    runtime reads it; it lives and dies with the widget.
     """
 
     widget_id: str
@@ -79,6 +84,8 @@ class RuntimeWidget:
     layer: str = "content"  # content | drawer | dialog | popup
     checked: bool = False
     entered_text: str = ""
+    handler: Optional[Tuple["WidgetSpec", Any]] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def accepts_text(self) -> bool:

@@ -33,6 +33,15 @@ class ApkPackage:
     version_name: str = "1.0"
     _spec: "AppSpec" = field(default=None, repr=False)  # type: ignore[assignment]
 
+    def __getstate__(self) -> Dict[str, object]:
+        # A text-only package (no runtime spec) pickles without the
+        # ``_spec`` key, so nothing of the spec crosses a process
+        # boundary with it; the class default restores ``None``.
+        state = dict(self.__dict__)
+        if state.get("_spec") is None:
+            state.pop("_spec", None)
+        return state
+
     @property
     def apk_name(self) -> str:
         return f"{self.package}-{self.version_name}.apk"

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import FragDroidConfig
 from repro.bench.parallel import SweepOutcome, explore_many, sweep_rows
@@ -206,7 +206,10 @@ class Scheduler:
         try:
             with self.tracer.trace_span("job.run", trace, job=job.job_id,
                                         apps=len(job.apps)):
-                return self._run_admitted(job)
+                state, error = self._run_admitted(job)
+            # job.run closes before the terminal state is published, so
+            # a reader that sees the job finished sees its whole trace.
+            return self._finish(job, state, error)
         finally:
             self._job_logs.pop(job.job_id, None)
 
@@ -214,7 +217,9 @@ class Scheduler:
         """The running job's view of the event log."""
         return self._job_logs[job.job_id]
 
-    def _run_admitted(self, job: Job) -> Job:
+    def _run_admitted(self, job: Job) -> Tuple[str, str]:
+        """Sweep the job's apps round by round; the terminal state and
+        error it ends in, for :meth:`_finish` to publish."""
         job.state = RUNNING
         job.started = job.started or round(time.time(), 3)
         self.tracer.observe("serve.job.start_s",
@@ -235,7 +240,7 @@ class Scheduler:
         round_index = 0
         while plans:
             if job.cancel_requested:
-                return self._finish(job, CANCELLED, "cancelled mid-flight")
+                return CANCELLED, "cancelled mid-flight"
             # Round 0 sweeps the whole job at once.  Re-admission
             # rounds sweep one app per pool, so a poison app that keeps
             # killing its worker can never take a surviving app's
@@ -280,8 +285,7 @@ class Scheduler:
                 unfinished = [plan for plan in plans
                               if plan.package not in job.completed]
                 self._record_unfinished(job, unfinished, failure)
-                return self._finish(
-                    job, FAILED,
+                return FAILED, (
                     f"{'watchdog: sweep hung past' if failure == 'hung' else 'exhausted'} "
                     f"the time budget ({job.time_budget_s:g}s) with "
                     f"{len(unfinished)} app(s) unfinished")
@@ -294,8 +298,8 @@ class Scheduler:
                 round_index += 1
             plans = requeue
         if job.cancel_requested:
-            return self._finish(job, CANCELLED, "cancelled mid-flight")
-        return self._finish(job, DONE, "")
+            return CANCELLED, "cancelled mid-flight"
+        return DONE, ""
 
     # -- round plumbing ------------------------------------------------------
 

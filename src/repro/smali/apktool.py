@@ -11,8 +11,8 @@ the paper had to rule out before selecting its 15 targets).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.apk.layout import Layout
 from repro.apk.manifest import Manifest
@@ -119,6 +119,11 @@ class DecodedApk:
     classes: List[SmaliClass] = field(default_factory=list)
     layouts: Dict[str, Layout] = field(default_factory=dict)
     resources: ResourceTable = None  # type: ignore[assignment]
+    # The text artifacts this was decoded from, as a package without a
+    # runtime spec: what a StaticInfo ships across a process boundary
+    # in place of the decoded object graph.
+    source: Optional[ApkPackage] = field(default=None, compare=False,
+                                         repr=False)
 
     def _index(self) -> _ClassIndex:
         # Lazily built and rebuilt whenever ``classes`` grows or shrinks
@@ -203,4 +208,5 @@ class Apktool:
             classes=classes,
             layouts=layouts,
             resources=resources,
+            source=replace(apk, _spec=None),
         )

@@ -61,7 +61,8 @@ class StaticInfo:
     static_api_map: Dict[str, List[str]]  # component class -> api names
     view_components_json: str
     # The decoded APK is carried for downstream static passes (call
-    # graph, lint); absent when the model was deserialized from JSON.
+    # graph, lint, attribution); absent when the model was deserialized
+    # from JSON.
     decoded: Optional[DecodedApk] = field(repr=False, default=None)
 
     @property
@@ -71,6 +72,42 @@ class StaticInfo:
     @property
     def fragment_count(self) -> int:
         return len(self.fragments)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Across a process boundary the decoded APK travels as the text
+        # it was decoded from (see _DecodeOnRead); the trigger-map memo
+        # is rebuilt on demand.
+        state = dict(self.__dict__)
+        state.pop("_trigger_map_cache", None)
+        source = getattr(state.get("decoded"), "source", None)
+        if source is not None:
+            del state["decoded"]
+            state["_decoded_source"] = source
+        return state
+
+
+class _DecodeOnRead:
+    """``StaticInfo.decoded`` on an unpickled info: decodes the shipped
+    source on first read and caches the result on the instance.
+
+    A non-data descriptor, so an instance whose ``decoded`` is set —
+    every info built in-process, and this one after its first read —
+    never reaches it.  Two threads reading at once may both decode;
+    both get an equal model."""
+
+    def __get__(self, info, owner=None):
+        if info is None:
+            return None
+        state = info.__dict__
+        source = state.get("_decoded_source")
+        if source is None:  # another thread finished the decode
+            return state.get("decoded")
+        decoded = state["decoded"] = Apktool().decode(source)
+        state.pop("_decoded_source", None)
+        return decoded
+
+
+StaticInfo.decoded = _DecodeOnRead()  # type: ignore[assignment]
 
 
 def extract_static_info(apk: ApkPackage,

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.android.views import RuntimeWidget
 from repro.errors import WidgetNotFoundError
+from repro.types import WidgetKind
 
 
 def test_click_starts_activity(launched):
@@ -94,3 +96,44 @@ def test_checkbox_toggles_without_handler(device, adb):
     device.click_widget("chk")
     widget = next(w for w in device.ui_dump() if w.widget_id == "chk")
     assert widget.checked
+
+
+
+
+def _screen_state(device):
+    return (device.current_activity_name(),
+            device.current_fragment_classes(),
+            len(device.api_monitor.invocations),
+            [(w.widget_id, w.checked) for w in device.ui_dump()])
+
+
+def test_a_widget_without_a_handler_dispatches_nothing_across_restarts(
+        device, adb, demo_apk):
+    # Handlers live on the widgets, so a widget built without one never
+    # picks up the handler of a widget that died earlier in the same
+    # process (a dismissed dialog's buttons), even when it reuses that
+    # widget's object id.  A check box would show a stale handler: a
+    # handler without an action toggles it.
+    adb.install(demo_apk)
+    package = demo_apk.package
+    assert adb.am_start_launcher(package)
+    targets = [w.widget_id for w in device.ui_dump()
+               if w.clickable and w.layer == "content"]
+    for target in targets:
+        device.force_stop(package)
+        assert adb.am_start_launcher(package)
+        device.click_widget(target)
+        device.press_back()
+        if not device.app_alive:
+            continue
+        process = device.foreground
+        before = _screen_state(device)
+        # Enough live widgets at once to take up every freed slot.
+        bare = [RuntimeWidget(f"bare_{index}", WidgetKind.CHECK_BOX, "",
+                              "com.example.demo.MainActivity", False,
+                              clickable=False)
+                for index in range(2000)]
+        for widget in bare:
+            process.dispatch_click(widget)
+        assert not any(widget.checked for widget in bare)
+        assert _screen_state(device) == before

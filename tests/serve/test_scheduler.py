@@ -14,6 +14,7 @@ import pytest
 from repro.bench.parallel import SweepOutcome, explore_many
 from repro.errors import WorkerDiedError
 from repro.obs import EventLog, Tracer
+from repro.obs.events import JOB_STATE
 from repro.obs.registry import RunRegistry
 from repro.serve import (
     CANCELLED,
@@ -127,6 +128,34 @@ def test_job_trace_id_correlates_the_whole_lifecycle(tmp_path):
     assert histograms["serve.queue.wait_s"]["count"] == 1
     assert histograms["serve.job.start_s"]["count"] == 1
     assert histograms["serve.job.run_s"]["count"] == 1
+
+
+class _TraceAtTerminalState:
+    """An event sink that reads the job's trace the moment the
+    scheduler publishes a terminal state (what an SSE client or a
+    status poll sees first)."""
+
+    def __init__(self, tracer, trace_id):
+        self.tracer = tracer
+        self.trace_id = trace_id
+        self.seen = {}
+
+    def emit(self, event):
+        state = event.attributes.get("state")
+        if event.kind == JOB_STATE and state in (DONE, FAILED, CANCELLED):
+            self.seen[state] = {span.name for span in
+                                self.tracer.spans_in_trace(self.trace_id)}
+
+
+def test_job_run_span_is_in_the_trace_when_the_job_turns_done(tmp_path):
+    scheduler = make_scheduler(tmp_path)
+    probe = _TraceAtTerminalState(scheduler.tracer, 4343)
+    scheduler.event_log.add_sink(probe)
+    job = submit_demo_job(scheduler, trace_id=4343)
+    scheduler.run_job(job)
+    assert job.state == DONE
+    assert list(probe.seen) == [DONE]
+    assert {"queue.wait", "job.run", "schedule.round"} <= probe.seen[DONE]
 
 
 def test_untraced_job_still_runs_with_local_spans(tmp_path):

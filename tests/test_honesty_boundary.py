@@ -5,7 +5,7 @@ source, not just stated.
   sees a screen: it never calls the ground-truth accessors
   (``Device.current_fragment_classes``, ``ApkPackage.runtime_spec``) and
   never touches the component blueprints an install builds from the
-  spec.
+  spec, nor the click handler the runtime stores on each widget.
 * Static analysis (``repro.static``, ``repro.smali``) parses text: it
   imports nothing from ``repro.corpus`` and no spec type from
   ``repro.apk.appspec`` (the framework ``*_BASE`` class names are plain
@@ -25,7 +25,7 @@ TOOL_PACKAGES = ("core", "robotium", "adb")
 STATIC_PACKAGES = ("static", "smali")
 
 GROUND_TRUTH_CALLS = {"current_fragment_classes", "runtime_spec"}
-BLUEPRINT_ATTRIBUTES = {"blueprints", "blueprint"}
+BLUEPRINT_ATTRIBUTES = {"blueprints", "blueprint", "handler"}
 BLUEPRINT_NAMES = {"AppBlueprints", "Blueprint", "WidgetRow",
                    "activity_blueprint", "fragment_blueprint"}
 
@@ -122,11 +122,13 @@ def test_the_checks_see_violations():
         "from repro.android.app_runtime import AppBlueprints\n"
         "device.current_fragment_classes()\n"
         "apk.runtime_spec()\n"
-        "process.blueprints.activity('Main')\n")
+        "process.blueprints.activity('Main')\n"
+        "widget.handler\n")
     assert tool_violations("m", tree) == [
         "m: imports AppBlueprints",
         "m: calls current_fragment_classes",
         "m: calls runtime_spec",
+        "m: .handler",
         "m: .blueprints",
     ]
     assert static_violations("m", tree) == [
