@@ -28,12 +28,13 @@ batch`` each run many independent apps.  All three go through
 
 The callers: :func:`explore_many` sweeps app plans through
 :func:`explore_one`; on the process backend a picklable *spec* of the
-config ships instead of the live one, and each worker's spans, counters
-and events are folded back into the parent's observers on join
-(``Tracer.absorb`` / ``Metrics.merge`` / ``EventLog.absorb``), so both
-backends produce identical ``sweep_rows``/``fault_census`` for a fixed
-seed.  :func:`repro.bench.runner.run_usage_study` sweeps market apps
-and re-raises any failure.  ``repro batch`` sweeps ``.apk`` paths and
+config ships instead of the live one.  Each worker's spans and counters
+are folded back into the parent's observers on join (``Tracer.absorb``
+/ ``Metrics.merge``), and each result's run record into the parent's
+event log (``EventLog.absorb``), so both backends produce identical
+``sweep_rows``/``fault_census`` for a fixed seed.
+:func:`repro.bench.runner.run_usage_study` sweeps market apps and
+re-raises any failure.  ``repro batch`` sweeps ``.apk`` paths and
 writes a failed row for each file that fails.  :class:`SweepRun` hands
 back the backend and worker count the sweep resolved, for the callers'
 run records.
@@ -64,7 +65,7 @@ from repro.corpus import TABLE1_PLANS, build_app
 from repro.corpus.synth import AppPlan
 from repro.errors import ReproError, WorkerDiedError
 from repro.faults import classify_fault, make_device
-from repro.obs import NULL_EVENT_LOG, NULL_TRACER, Event, EventLog, Span, Tracer
+from repro.obs import NULL_EVENT_LOG, NULL_TRACER, Span, Tracer
 from repro.obs.registry import capture_run_record, corpus_digest_of
 
 BACKENDS = ("thread", "process")
@@ -360,8 +361,9 @@ def explore_one(plan: AppPlan,
 
 
 #: Config fields a worker process can reconstruct its config from.  The
-#: live observers are deliberately absent — they are replaced by fresh
-#: in-memory ones in the worker and folded back on join.
+#: live observers are deliberately absent: a traced worker gets a fresh
+#: in-memory tracer, folded back on join, and each result carries its
+#: own run record home.
 _SPEC_FIELDS = (
     "enable_reflection", "enable_forced_start", "enable_input_file",
     "enable_click_exploration", "input_values", "input_strategy",
@@ -377,7 +379,6 @@ class _ConfigSpec:
 
     kwargs: Dict[str, object]
     trace: bool = False
-    events: bool = False
     # Whether the parent tracer samples per-span peak memory; workers
     # rebuild their tracer with the same sampling mode.
     memory: bool = False
@@ -392,7 +393,6 @@ def _config_spec(config: Optional[FragDroidConfig]) -> Optional[_ConfigSpec]:
     spec = _ConfigSpec(
         kwargs={name: getattr(config, name) for name in _SPEC_FIELDS},
         trace=config.tracer.enabled,
-        events=config.event_log.enabled,
         memory=bool(getattr(config.tracer, "memory", False)),
     )
     if config.static_cache is not None:
@@ -408,8 +408,6 @@ def _worker_config(spec: Optional[_ConfigSpec]) -> Optional[FragDroidConfig]:
     config = FragDroidConfig(**spec.kwargs)
     if spec.trace:
         config.tracer = Tracer(memory=spec.memory)
-    if spec.events:
-        config.event_log = EventLog()
     if spec.cache is not None:
         from repro.static.cache import StaticCache
 
@@ -422,12 +420,11 @@ def _worker_config(spec: Optional[_ConfigSpec]) -> Optional[FragDroidConfig]:
 @dataclass
 class _FrozenOutcome:
     """:func:`explore_one`'s outcome in picklable form, plus the
-    worker's observability record for the parent to fold in."""
+    worker's spans and counters for the parent to fold in."""
 
     outcome: SweepOutcome
     error: Optional[_FrozenError] = None
     spans: List[Span] = field(default_factory=list)
-    events: List[Event] = field(default_factory=list)
     counters: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, List[float]] = field(default_factory=dict)
 
@@ -451,23 +448,22 @@ class _ExploreTask:
 
 def _explore_frozen(spec: Optional[_ConfigSpec],
                     plan: AppPlan) -> _FrozenOutcome:
-    """Worker-process body: explore one plan with a fresh config (and
-    fresh observers)."""
+    """Worker-process body: explore one plan with a fresh config (and a
+    fresh tracer)."""
     config = _worker_config(spec)
     entry = _FrozenOutcome(*_freeze(explore_one(plan, config)))
     if config is not None and config.tracer.enabled:
         entry.spans = config.tracer.finished_spans()
         entry.counters = config.tracer.metrics.counters()
         entry.histograms = config.tracer.metrics.raw_histograms()
-    if config is not None and config.event_log.enabled:
-        entry.events = config.event_log.events()
     return entry
 
 
 def _thaw_outcome(frozen: _FrozenOutcome,
                   config: Optional[FragDroidConfig]) -> SweepOutcome:
-    """Rebuild the outcome in the parent, folding the worker's spans,
-    counters and events into the parent's observers and sinks."""
+    """Rebuild the outcome in the parent, folding the worker's spans and
+    counters and the result's run record into the parent's observers
+    and sinks."""
     tracer = config.tracer if config is not None else NULL_TRACER
     event_log = config.event_log if config is not None else NULL_EVENT_LOG
     outcome = _thaw(frozen.outcome, frozen.error)
@@ -482,11 +478,8 @@ def _thaw_outcome(frozen: _FrozenOutcome,
             into_trace=config.trace_id if config is not None else None)
         if result is not None:
             result.spans = absorbed
-    if frozen.events and event_log.enabled:
-        absorbed_events = event_log.absorb(frozen.events)
-        if result is not None:
-            result.events = [e for e in absorbed_events
-                             if e.app == outcome.package]
+    if result is not None and event_log.enabled:
+        result.events = event_log.absorb(result.events)
     return outcome
 
 

@@ -416,7 +416,7 @@ def cmd_trace_summary(args: argparse.Namespace) -> int:
         return 1
     try:
         spans = read_spans(path)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         print(f"{path} is not a span JSONL file: {exc}")
         return 1
     if not spans:
@@ -783,9 +783,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
         from repro.corpus import TABLE1_PLANS
         from repro.obs import EventLog, Tracer
 
-        # The event log feeds the classifier's dynamic record (clicks,
-        # quarantines, termination); without it causes degrade to the
-        # static-only ladder.
+        # The classifier reads each result's own run record; the event
+        # log gathers the sweep's records for the run registry's
+        # per-app discovery statistics.
         config = FragDroidConfig(tracer=Tracer(), event_log=EventLog(),
                                  run_registry=registry)
         outcomes = explore_many(TABLE1_PLANS, config=config,

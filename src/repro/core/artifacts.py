@@ -1,13 +1,13 @@
 """Persist a run's artifacts to disk.
 
 A FragDroid run produces inspectable artifacts — the generated Robotium
-test programs, the AFTM (JSON and Graphviz), the structured report and
-the trace.  :func:`save_artifacts` lays them out the way the paper's
-tooling would leave them next to an Ant build.  A run that carried the
-flight recorder (``FragDroidConfig.event_log`` / ``tracer``) also gets
-its observability record — ``events.jsonl``, ``spans.jsonl``,
-``metrics.prom`` and ``manifest.json`` — so ``repro dashboard`` can
-replay it; a default run writes exactly the same files as before.
+test programs, the AFTM (JSON and Graphviz), the structured report, the
+trace and the run record (``events.jsonl``) it is rendered from.
+:func:`save_artifacts` lays them out the way the paper's tooling would
+leave them next to an Ant build.  Every saved run carries its record
+and ``manifest.json``, so ``repro explain`` and ``repro dashboard``
+answer in full for any of them; a traced run (``FragDroidConfig.tracer``)
+adds ``spans.jsonl`` and ``metrics.prom``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import List, Union
 from repro.core.explorer import ExplorationResult
 from repro.core.report import aftm_to_json, result_to_json
 from repro.obs import prometheus_text, run_manifest
-from repro.obs.timeline import coverage_curve_from_trace
+from repro.obs.timeline import coverage_timeline
 
 
 def save_artifacts(result: ExplorationResult,
@@ -36,17 +36,17 @@ def save_artifacts(result: ExplorationResult,
         <dir>/trace.log            the exploration trace
         <dir>/coverage.txt         the human-readable summary
         <dir>/testcases/*.java     every generated Robotium program
+        <dir>/events.jsonl         the run record, one event per line
+        <dir>/manifest.json        the run manifest
 
     with ``replay_scripts=True``, additionally::
 
         <dir>/testcases/*.replay.json   one replay script per passing case
 
-    and, only when the run recorded observability data::
+    and, only when the run was traced::
 
-        <dir>/events.jsonl         the flight-recorder event timeline
         <dir>/spans.jsonl          the finished spans
         <dir>/metrics.prom         Prometheus text exposition
-        <dir>/manifest.json        the run manifest
 
     Returns the written paths.
     """
@@ -76,30 +76,28 @@ def save_artifacts(result: ExplorationResult,
         for case in result.passing_test_cases:
             _write(f"testcases/{case.name}.replay.json",
                    script_from_testcase(case).to_json() + "\n")
-    if result.events or result.spans:
-        if result.events:
-            _write("events.jsonl", "".join(
-                json.dumps(e.to_dict(), sort_keys=True) + "\n"
-                for e in result.events
-            ))
-        if result.spans:
-            _write("spans.jsonl", "".join(
-                json.dumps(s.to_dict(), sort_keys=True) + "\n"
-                for s in result.spans
-            ))
-        if result.metrics:
-            _write("metrics.prom", prometheus_text(result.metrics))
-        _write("manifest.json", json.dumps(
-            run_manifest(result, files=[str(p.relative_to(base))
-                                        for p in written]),
-            indent=2, sort_keys=True,
-        ) + "\n")
+    _write("events.jsonl", "".join(
+        json.dumps(e.to_dict(), sort_keys=True) + "\n"
+        for e in result.events
+    ))
+    if result.spans:
+        _write("spans.jsonl", "".join(
+            json.dumps(s.to_dict(), sort_keys=True) + "\n"
+            for s in result.spans
+        ))
+    if result.metrics:
+        _write("metrics.prom", prometheus_text(result.metrics))
+    _write("manifest.json", json.dumps(
+        run_manifest(result, files=[str(p.relative_to(base))
+                                    for p in written]),
+        indent=2, sort_keys=True,
+    ) + "\n")
     return written
 
 
 def coverage_curve(result: ExplorationResult) -> List[tuple]:
     """Discovery progress over the run: ``(step, activities, fragments)``
-    sampled at every new visit (derived from the trace; the single
-    implementation lives in ``repro.obs.timeline`` so the event-log
-    curve matches this one checkpoint for checkpoint)."""
-    return coverage_curve_from_trace(result.trace)
+    sampled at every new visit — the projection of the run record's
+    :func:`~repro.obs.timeline.coverage_timeline`."""
+    return [(point.step, point.activities, point.fragments)
+            for point in coverage_timeline(result.events)]

@@ -57,9 +57,11 @@ class FragDroidConfig:
     # nothing and costs nothing; pass a real Tracer to collect spans
     # and counters across the whole pipeline.
     tracer: Tracer = field(default=NULL_TRACER, repr=False, compare=False)
-    # Flight recorder (repro.obs.events): the default no-op log drops
-    # every event at constant cost; pass a real EventLog (optionally
-    # with a JsonlSink) to record the run's typed event timeline.
+    # Flight recorder (repro.obs.events): every run keeps its own event
+    # record (ExplorationResult.events) regardless.  An enabled EventLog
+    # also receives each event as it is recorded and fans it out to its
+    # sinks (a JsonlSink streams the run to disk); the default no-op
+    # log receives nothing.
     event_log: EventLog = field(default=NULL_EVENT_LOG, repr=False,
                                 compare=False)
     # Fault injection & resilience (repro.faults).  Either name a

@@ -95,7 +95,8 @@ def render_html_report(result: ExplorationResult) -> str:
         for relation in relations
     ]
 
-    trace_lines = "\n".join(_esc(event) for event in result.trace)
+    trace = result.trace
+    trace_lines = "\n".join(_esc(event) for event in trace)
 
     # Per-phase timing appears only for traced runs, so the default
     # (no-op tracer) report stays byte-identical.
@@ -147,7 +148,7 @@ def render_html_report(result: ExplorationResult) -> str:
 {_table("Sensitive API relations",
         ["API", "Symbol", "By activity", "By fragment"], api_rows)}
 <details>
-<summary>Exploration trace ({len(result.trace)} events)</summary>
+<summary>Exploration trace ({len(trace)} events)</summary>
 <pre>{trace_lines}</pre>
 </details>
 </body>

@@ -52,16 +52,14 @@ class FaultyAdb(Adb):
         policy: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
         clock: Optional[SimulatedClock] = None,
-        events: Optional[EventLog] = None,
     ) -> None:
         super().__init__(device, tracer=tracer)
         self.plan = plan
         self.policy = policy if policy is not None else RetryPolicy()
         self.clock = clock if clock is not None else SimulatedClock()
-        self.events = events if events is not None else NULL_EVENT_LOG
-        # Which app the flight-recorder events file under; the explorer
-        # overwrites this with the package actually being explored.
-        self.event_app = ""
+        # Where injected faults and retries are recorded: the explorer
+        # points this at the run record of the app it explores.
+        self.events: EventLog = NULL_EVENT_LOG
         self.injector: FaultInjector = (
             device.injector if isinstance(device, FaultyDevice)
             else plan.injector()
@@ -97,7 +95,7 @@ class FaultyAdb(Adb):
             return
         self.tracer.inc(f"faults.{kind}")
         self.events.emit(FAULT_INJECTED, step=self.device.steps,
-                         app=self.event_app, fault=kind, op=op)
+                         fault=kind, op=op)
         if kind == "disconnect":
             self._connected = False
             raise DeviceDisconnectedError(
@@ -108,7 +106,7 @@ class FaultyAdb(Adb):
         raise TransientAdbError(f"adb {op}: error: device still authorizing")
 
     def _on_retry(self, exc: TransientError) -> None:
-        self.events.emit(RETRY, step=self.device.steps, app=self.event_app,
+        self.events.emit(RETRY, step=self.device.steps,
                          error=type(exc).__name__)
         if isinstance(exc, DeviceDisconnectedError) and not self._connected:
             self.command_log.append("adb reconnect")

@@ -9,9 +9,12 @@ The subsystem's recording half travels through ``FragDroidConfig``:
   (events injected, clicks, reflection switches, forced starts, queue
   depth, APIs observed);
 * :class:`EventLog` — the flight recorder: a typed, sequenced record of
-  what happened (state discoveries, clicks, Case-1/2/3 decisions,
-  reflection switches, forced starts, generated inputs, injected
-  faults, retries, quarantines, crash recoveries);
+  what happened (test-case starts and failures, state discoveries,
+  clicks, Case-1/2/3 decisions, reflection switches, forced starts,
+  generated inputs, injected faults, retries, quarantines, crash
+  recoveries).  Every exploration keeps its own record
+  (``ExplorationResult.events``); an enabled log receives each event
+  as it is recorded and fans it out to its sinks;
 * sinks — pluggable consumers of finished spans and events: in-memory
   (tests) and JSON-lines files (one JSON object per line, flushed per
   line so a crashed run keeps its record).
@@ -34,12 +37,12 @@ The analysis half replays a recorded run offline:
   cause, witness path and nearest visited ancestor for every unreached
   activity, fragment and sensitive API (``repro explain``).
 
-Everything is opt-in: the default ``FragDroidConfig.tracer`` /
-``event_log`` are the shared :data:`NULL_TRACER` /
-:data:`NULL_EVENT_LOG`, whose ``span()`` / ``inc()`` / ``emit()`` are
-constant-time no-ops, so uninstrumented behaviour and benchmark
-numbers are unchanged (``benchmarks/bench_obs_overhead.py`` holds both
-no-op paths under 5% of a Table-I sweep).
+Everything but the run record is opt-in: the default
+``FragDroidConfig.tracer`` / ``event_log`` are the shared
+:data:`NULL_TRACER` / :data:`NULL_EVENT_LOG`, whose ``span()`` /
+``inc()`` / ``emit()`` are constant-time no-ops, so uninstrumented
+behaviour is unchanged (``benchmarks/bench_obs_overhead.py`` holds both
+no-op paths, and the enabled event log, under 5% of a Table-I sweep).
 """
 
 from repro.obs.attribution import (
@@ -131,7 +134,6 @@ from repro.obs.summary import (
 from repro.obs.timeline import (
     CoveragePoint,
     Stall,
-    coverage_curve_from_trace,
     coverage_timeline,
     discovery_stats,
     stalls,
@@ -185,7 +187,6 @@ __all__ = [
     "classify_result",
     "collapsed_stacks",
     "corpus_digest_of",
-    "coverage_curve_from_trace",
     "coverage_timeline",
     "critical_path",
     "default_registry_dir",

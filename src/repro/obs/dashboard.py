@@ -215,46 +215,66 @@ def _tile(label: str, value: object, detail: str = "") -> str:
 # Inline-SVG marks
 # ---------------------------------------------------------------------------
 
-def _sparkline(points: Sequence[CoveragePoint], series: str,
-               color_var: str, total: Optional[int],
+def _sparkline(points: Sequence[Tuple[float, float]], color_var: str,
+               label: str, step: bool, ceiling: float = 0,
                width: int = 280, height: int = 64) -> str:
-    """A single-series cumulative step curve: 2px line, 10% area wash,
-    8px end marker with a 2px surface ring, hairline baseline."""
-    values = [(p.step, getattr(p, series)) for p in points]
-    max_step = max((step for step, _ in values), default=0) or 1
-    max_value = max(total or 0, max(v for _, v in values), 1)
+    """A single-series curve over ``(x, value)`` points: 2px line, 10%
+    area wash, 8px end marker with a 2px surface ring, hairline
+    baseline.  The data decides the interpolation: ``step`` holds each
+    value until the next point (cumulative counts, levels), otherwise
+    the points are joined linearly (independent samples).  The y axis
+    tops out at the largest value, or at ``ceiling`` when that is
+    higher."""
     pad = 6
+    max_x = max(x for x, _ in points) or 1
+    top = max(max(value for _, value in points), ceiling, 0) or 1
 
-    def x(step: int) -> float:
-        return pad + (width - 2 * pad) * step / max_step
+    def sx(x: float) -> float:
+        return pad + (width - 2 * pad) * x / max_x
 
-    def y(value: int) -> float:
-        return height - pad - (height - 2 * pad) * value / max_value
+    def sy(value: float) -> float:
+        return height - pad - (height - 2 * pad) * max(value, 0) / top
 
-    # Cumulative counts are step functions: hold each value until the
-    # next discovery (step-after interpolation).
-    coords: List[str] = []
-    previous_y = y(values[0][1])
-    for step, value in values:
-        coords.append(f"{x(step):.1f},{previous_y:.1f}")
-        previous_y = y(value)
-        coords.append(f"{x(step):.1f},{previous_y:.1f}")
-    coords.append(f"{x(max_step):.1f},{previous_y:.1f}")
+    if step:
+        coords: List[str] = []
+        previous_y = sy(points[0][1])
+        for x, value in points:
+            coords.append(f"{sx(x):.1f},{previous_y:.1f}")
+            previous_y = sy(value)
+            coords.append(f"{sx(x):.1f},{previous_y:.1f}")
+        end_x = sx(max_x)
+        coords.append(f"{end_x:.1f},{previous_y:.1f}")
+    else:
+        coords = [f"{sx(x):.1f},{sy(value):.1f}" for x, value in points]
+        end_x = sx(points[-1][0])
     line = " ".join(coords)
     base = height - pad
-    area = f"{pad:.1f},{base:.1f} {line} {x(max_step):.1f},{base:.1f}"
-    end_x, end_y = x(values[-1][0]), y(values[-1][1])
+    area = f"{pad:.1f},{base:.1f} {line} {end_x:.1f},{base:.1f}"
+    mark_x, mark_y = sx(points[-1][0]), sy(points[-1][1])
     return (
         f'<svg viewBox="0 0 {width} {height}" width="100%" height="{height}" '
-        f'role="img" aria-label="{_esc(series)} over time">'
+        f'role="img" aria-label="{_esc(label)}">'
         f'<line x1="{pad}" y1="{base}" x2="{width - pad}" y2="{base}" '
         f'stroke="var(--baseline)" stroke-width="1"/>'
         f'<polygon points="{area}" fill="var({color_var})" opacity="0.1"/>'
         f'<polyline points="{line}" fill="none" stroke="var({color_var})" '
         f'stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>'
-        f'<circle cx="{end_x:.1f}" cy="{end_y:.1f}" r="4" '
+        f'<circle cx="{mark_x:.1f}" cy="{mark_y:.1f}" r="4" '
         f'fill="var({color_var})" stroke="var(--surface)" stroke-width="2"/>'
         f"</svg>"
+    )
+
+
+def _card(label: str, final: str, color_var: str, chart: str) -> str:
+    """One chart card: keyed label, final value, then the chart."""
+    return (
+        '<div class="card"><div class="label">'
+        f'<span class="key-dot" style="background: var({color_var})">'
+        "</span>"
+        f"{_esc(label)}"
+        f'<span class="final">{_esc(final)}</span></div>'
+        + chart
+        + "</div>"
     )
 
 
@@ -265,15 +285,12 @@ def _coverage_cards(points: Sequence[CoveragePoint],
         final = getattr(points[-1], series)
         total = totals.get(series)
         final_text = f"{final} / {total}" if total else f"{final}"
-        cards.append(
-            '<div class="card"><div class="label">'
-            f'<span class="key-dot" style="background: var({color_var})">'
-            "</span>"
-            f"{_esc(label)}"
-            f'<span class="final">{_esc(final_text)}</span></div>'
-            + _sparkline(points, series, color_var, total)
-            + "</div>"
-        )
+        # Cumulative counts are step functions: each holds until the
+        # next discovery.
+        chart = _sparkline([(p.step, getattr(p, series)) for p in points],
+                           color_var, f"{series} over time", step=True,
+                           ceiling=total or 0)
+        cards.append(_card(label, final_text, color_var, chart))
     checkpoint_rows = [
         [p.step, p.activities, p.fragments, p.fivas, p.apis] for p in points
     ]
@@ -323,40 +340,6 @@ def _phase_bars(spans: Sequence[Span], top: int = 10) -> str:
     return f'<div class="bars">{"".join(rows)}</div>'
 
 
-def _trend_sparkline(values: Sequence[float], color_var: str,
-                     width: int = 280, height: int = 64) -> str:
-    """A run-over-run line: one point per registry record, oldest
-    left.  Same chrome as the coverage curves (2px line, 10% wash,
-    ringed end marker), but linear interpolation — these are
-    independent samples, not a cumulative count."""
-    pad = 6
-    max_value = max(max(values), 0) or 1
-    span_x = max(len(values) - 1, 1)
-
-    def x(index: int) -> float:
-        return pad + (width - 2 * pad) * index / span_x
-
-    def y(value: float) -> float:
-        return height - pad - (height - 2 * pad) * max(value, 0) / max_value
-
-    line = " ".join(f"{x(i):.1f},{y(v):.1f}" for i, v in enumerate(values))
-    base = height - pad
-    area = f"{pad:.1f},{base:.1f} {line} {x(len(values) - 1):.1f},{base:.1f}"
-    end_x, end_y = x(len(values) - 1), y(values[-1])
-    return (
-        f'<svg viewBox="0 0 {width} {height}" width="100%" height="{height}" '
-        f'role="img" aria-label="trend across runs">'
-        f'<line x1="{pad}" y1="{base}" x2="{width - pad}" y2="{base}" '
-        f'stroke="var(--baseline)" stroke-width="1"/>'
-        f'<polygon points="{area}" fill="var({color_var})" opacity="0.1"/>'
-        f'<polyline points="{line}" fill="none" stroke="var({color_var})" '
-        f'stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>'
-        f'<circle cx="{end_x:.1f}" cy="{end_y:.1f}" r="4" '
-        f'fill="var({color_var})" stroke="var(--surface)" stroke-width="2"/>'
-        f"</svg>"
-    )
-
-
 #: Trend series: (label, value-extractor key into coverage, color).
 _TREND_SERIES = (
     ("Mean activity rate", "mean_activity_rate", "--series-1"),
@@ -378,31 +361,23 @@ def render_trend_section(records: Sequence) -> str:
         return ("<h2>Run trend</h2>"
                 '<p class="empty">fewer than two registry records — '
                 "record more runs to see trends</p>")
+    # One point per record, oldest left.  Runs are independent samples,
+    # not a cumulative count, so the points are joined linearly.
+    def trend(values: List[float], color_var: str) -> str:
+        return _sparkline(list(enumerate(values)), color_var,
+                          "trend across runs", step=False)
+
     cards = []
     for label, key, color_var in _TREND_SERIES:
         values = [float(r.coverage.get(key, 0) or 0) for r in records]
         if not any(values):
             continue
-        cards.append(
-            '<div class="card"><div class="label">'
-            f'<span class="key-dot" style="background: var({color_var})">'
-            "</span>"
-            f"{_esc(label)}"
-            f'<span class="final">{values[-1]:g}</span></div>'
-            + _trend_sparkline(values, color_var)
-            + "</div>"
-        )
+        cards.append(_card(label, f"{values[-1]:g}", color_var,
+                           trend(values, color_var)))
     times = [r.total_phase_time() for r in records]
     if any(times):
-        cards.append(
-            '<div class="card"><div class="label">'
-            '<span class="key-dot" style="background: var(--series-3)">'
-            "</span>"
-            "Total phase self time (s)"
-            f'<span class="final">{times[-1]:.3f}</span></div>'
-            + _trend_sparkline(times, "--series-3")
-            + "</div>"
-        )
+        cards.append(_card("Total phase self time (s)", f"{times[-1]:.3f}",
+                           "--series-3", trend(times, "--series-3")))
     run_rows = [
         [r.run_id, r.label,
          f"{float(r.coverage.get('mean_activity_rate', 0) or 0):.3f}",
@@ -481,6 +456,17 @@ def _degradation_panel(degradation: Dict) -> str:
 # ---------------------------------------------------------------------------
 # Page assembly
 # ---------------------------------------------------------------------------
+
+def _page(title: str, body: str) -> str:
+    """The self-contained page shell every dashboard view renders in."""
+    return (
+        "<!DOCTYPE html>\n"
+        '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
+        f"<title>FragDroid dashboard — {_esc(title)}</title>\n"
+        f"<style>{_STYLE}</style>\n</head>\n<body>\n"
+        f"<main>\n{body}\n</main>\n</body>\n</html>\n"
+    )
+
 
 def _coverage_totals(report: Dict) -> Dict[str, Optional[int]]:
     coverage = report.get("coverage", {})
@@ -582,14 +568,7 @@ def render_dashboard(run: RunData,
         sections.append(render_attribution_section(explanations))
     if history is not None:
         sections.append(render_trend_section(history))
-    body = "\n".join(sections)
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
-        f"<title>FragDroid dashboard — {_esc(run.package)}</title>\n"
-        f"<style>{_STYLE}</style>\n</head>\n<body>\n"
-        f"<main>\n{body}\n</main>\n</body>\n</html>\n"
-    )
+    return _page(run.package, "\n".join(sections))
 
 
 # ---------------------------------------------------------------------------
@@ -675,13 +654,7 @@ def render_fleet_dashboard(runs: Sequence[RunData],
            if explanations is not None else "")
         + (render_trend_section(history) if history is not None else "")
     )
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
-        "<title>FragDroid dashboard — fleet</title>\n"
-        f"<style>{_STYLE}</style>\n</head>\n<body>\n"
-        f"<main>\n{body}\n</main>\n</body>\n</html>\n"
-    )
+    return _page("fleet", body)
 
 
 # ---------------------------------------------------------------------------
@@ -762,45 +735,6 @@ def queue_depth_series(jobs: Sequence) -> List[Tuple[float, int]]:
     return points
 
 
-def _step_sparkline(points: Sequence[Tuple[float, float]], color_var: str,
-                    width: int = 280, height: int = 64) -> str:
-    """A generic step curve over (x, value) points — the queue-depth
-    chart.  Same chrome as the coverage curves."""
-    pad = 6
-    max_x = max((x for x, _ in points), default=0.0) or 1.0
-    max_value = max(max(v for _, v in points), 1)
-
-    def sx(value: float) -> float:
-        return pad + (width - 2 * pad) * value / max_x
-
-    def sy(value: float) -> float:
-        return height - pad - (height - 2 * pad) * value / max_value
-
-    coords: List[str] = []
-    previous_y = sy(points[0][1])
-    for x, value in points:
-        coords.append(f"{sx(x):.1f},{previous_y:.1f}")
-        previous_y = sy(value)
-        coords.append(f"{sx(x):.1f},{previous_y:.1f}")
-    coords.append(f"{sx(max_x):.1f},{previous_y:.1f}")
-    line = " ".join(coords)
-    base = height - pad
-    area = f"{pad:.1f},{base:.1f} {line} {sx(max_x):.1f},{base:.1f}"
-    end_x, end_y = sx(points[-1][0]), sy(points[-1][1])
-    return (
-        f'<svg viewBox="0 0 {width} {height}" width="100%" height="{height}" '
-        f'role="img" aria-label="queue depth over time">'
-        f'<line x1="{pad}" y1="{base}" x2="{width - pad}" y2="{base}" '
-        f'stroke="var(--baseline)" stroke-width="1"/>'
-        f'<polygon points="{area}" fill="var({color_var})" opacity="0.1"/>'
-        f'<polyline points="{line}" fill="none" stroke="var({color_var})" '
-        f'stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>'
-        f'<circle cx="{end_x:.1f}" cy="{end_y:.1f}" r="4" '
-        f'fill="var({color_var})" stroke="var(--surface)" stroke-width="2"/>'
-        f"</svg>"
-    )
-
-
 def render_service_section(jobs: Sequence,
                            records: Optional[Sequence] = None) -> str:
     """The fleet-health panel: state tiles, queue depth over time, the
@@ -846,13 +780,13 @@ def render_service_section(jobs: Sequence,
     depth_points = queue_depth_series(jobs)
     if depth_points:
         peak = max(value for _, value in depth_points)
+        chart = _sparkline(depth_points, "--series-1",
+                           "queue depth over time", step=True)
         sections.append(
-            '<div class="cards"><div class="card"><div class="label">'
-            '<span class="key-dot" style="background: var(--series-1)">'
-            "</span>Queue depth over time"
-            f'<span class="final">peak {peak}</span></div>'
-            + _step_sparkline(depth_points, "--series-1")
-            + "</div></div>"
+            '<div class="cards">'
+            + _card("Queue depth over time", f"peak {peak}", "--series-1",
+                    chart)
+            + "</div>"
         )
     job_table_rows = [
         [row["job_id"], row["state"],
@@ -993,13 +927,7 @@ def render_service_dashboard(jobs: Sequence,
            if explanations is not None else "")
         + (render_trend_section(history) if history is not None else "")
     )
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
-        "<title>FragDroid dashboard — service fleet</title>\n"
-        f"<style>{_STYLE}</style>\n</head>\n<body>\n"
-        f"<main>\n{body}\n</main>\n</body>\n</html>\n"
-    )
+    return _page("service fleet", body)
 
 
 def render_dashboard_dir(directory: PathLike,

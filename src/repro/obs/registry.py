@@ -18,7 +18,7 @@ need:
 * the **counters and histogram aggregates** of the run's metrics
   registry and the **fault census** of the sweep;
 * per-phase **span self-time percentiles** (p50/p90/p99 over each span
-  name's self time, via :func:`repro.obs.summary.percentile`) and —
+  name's self time, via :func:`repro.obs.metrics.percentile`) and —
   when the tracer samples memory (``Tracer(memory=True)``) — the peak
   **tracemalloc** growth per phase;
 * per-app **discovery statistics** from the flight-recorder timeline
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.flame import build_trees
-from repro.obs.summary import percentile
+from repro.obs.metrics import percentile
 from repro.obs.timeline import coverage_timeline, discovery_stats
 from repro.store import (
     DocumentStore,

@@ -18,6 +18,7 @@ import pathlib
 import threading
 from typing import IO, Callable, List, Union
 
+from repro.errors import StoreError
 from repro.obs.events import Event
 from repro.obs.tracer import Span
 
@@ -77,26 +78,46 @@ class JsonlSink(SpanSink):
 
 
 def _read_jsonl(source: Source, parse: Callable, what: str) -> List:
-    """Parse a JSONL file of records, reporting the file and 1-based
-    line number of any malformed line instead of a raw decoder error."""
+    """Parse a JSONL file of records.  A malformed line raises
+    :class:`~repro.errors.StoreError` naming the file and its 1-based
+    line number, never a raw decoder, key or type error."""
     if hasattr(source, "read"):
         name = getattr(source, "name", "<stream>")
         lines = source.read().splitlines()  # type: ignore[union-attr]
     else:
         name = str(source)
-        lines = pathlib.Path(source).read_text(encoding="utf-8").splitlines()
+        try:
+            text = pathlib.Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise StoreError(
+                f"{name}: {what} file is not UTF-8 text: {exc.reason}"
+            ) from exc
+        lines = text.splitlines()
     records = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
+        where = f"{name}:{lineno}"
         try:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{name}:{lineno}: malformed JSON in {what} file: {exc.msg}"
+            raise StoreError(
+                f"{where}: malformed JSON in {what} file: {exc.msg}"
             ) from exc
-        records.append(parse(data))
+        if not isinstance(data, dict):
+            raise StoreError(f"{where}: {what} record is not a JSON object")
+        if not isinstance(data.get("attributes") or {}, dict):
+            raise StoreError(f"{where}: {what} attributes are not a JSON "
+                             "object")
+        try:
+            records.append(parse(data))
+        except KeyError as exc:
+            raise StoreError(
+                f"{where}: {what} record lacks {exc.args[0]!r}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise StoreError(
+                f"{where}: malformed {what} record: {exc}") from exc
     return records
 
 

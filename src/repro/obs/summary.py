@@ -3,9 +3,8 @@
 ``aggregate_spans`` groups by span name (count / total / mean /
 p50 / p90 / p99 / max); ``top_slowest`` ranks individual spans;
 ``render_summary`` combines both into the text table the CLI and the
-reports embed.  :func:`percentile` (defined in
-:mod:`repro.obs.metrics`, re-exported here) is the shared nearest-rank
-percentile every consumer (summary tables, histogram snapshots, the
+reports embed.  :func:`repro.obs.metrics.percentile` is the shared
+nearest-rank percentile every consumer (summary tables, histogram snapshots, the
 run registry's per-phase self-time percentiles) computes with, so two
 views of the same spans never disagree on what "p90" means.
 """
@@ -18,8 +17,8 @@ from typing import Dict, Iterable, List, Sequence
 from repro.obs.metrics import percentile
 from repro.obs.tracer import Span
 
-__all__ = ["percentile", "SpanStat", "aggregate_spans", "top_slowest",
-           "timing_rows", "render_summary"]
+__all__ = ["SpanStat", "aggregate_spans", "top_slowest", "timing_rows",
+           "render_summary"]
 
 
 @dataclass(frozen=True)

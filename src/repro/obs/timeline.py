@@ -7,12 +7,8 @@ run back into those dynamics offline:
 
 * :func:`coverage_timeline` — the discovery curve, one checkpoint per
   ``state.discovered`` event, tracking activities, fragments,
-  fragments-in-visited-activities and sensitive-API invocations;
-* :func:`coverage_curve_from_trace` — the same curve derived from an
-  :class:`~repro.core.explorer.ExplorationResult` trace (the single
-  implementation behind ``repro.core.artifacts.coverage_curve``), so
-  the event-log curve and the trace curve agree checkpoint for
-  checkpoint;
+  fragments-in-visited-activities and sensitive-API invocations
+  (``repro.core.artifacts.coverage_curve`` is its projection);
 * :func:`stalls` — plateau detection via events-since-last-discovery;
 * :func:`discovery_stats` — time-to-50% / time-to-90% discovery.
 """
@@ -70,9 +66,8 @@ def coverage_timeline(events: Iterable[Event]) -> List[CoveragePoint]:
     """The discovery curve of a recorded run.
 
     Checkpoints are exactly the ``state.discovered`` events (plus the
-    origin), so the ``(step, activities, fragments)`` projection of
-    this curve matches ``repro.core.artifacts.coverage_curve`` on the
-    same run checkpoint for checkpoint.
+    origin); the ``(step, activities, fragments)`` projection of this
+    curve is ``repro.core.artifacts.coverage_curve``.
     """
     events = list(events)
     api_steps = sorted(e.step for e in events if e.kind == API_OBSERVED)
@@ -113,28 +108,6 @@ def coverage_timeline(events: Iterable[Event]) -> List[CoveragePoint]:
             apis=apis_by(event.step),
         ))
     return points
-
-
-def coverage_curve_from_trace(trace: Sequence) -> List[tuple]:
-    """Discovery progress derived from an exploration trace: one
-    ``(step, activities, fragments)`` tuple per new visit.
-
-    ``trace`` is any sequence of records with ``kind``/``detail``/
-    ``step`` attributes (``repro.core.explorer.TraceEvent`` in
-    practice; kept duck-typed so the obs layer stays core-free).
-    """
-    curve: List[tuple] = [(0, 0, 0)]
-    activities = 0
-    fragments = 0
-    for event in trace:
-        if event.kind != "visit":
-            continue
-        if event.detail.startswith("activity "):
-            activities += 1
-        else:
-            fragments += 1
-        curve.append((event.step, activities, fragments))
-    return curve
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,15 @@ def test_api_symbols_rendered(report):
 
 def test_text_is_escaped():
     result = FragDroid(Device()).explore(build_apk(demo_aftm_example()))
-    # Inject a hostile-looking trace detail and re-render.
-    from repro.core.explorer import TraceEvent
+    # Record a hostile-looking discovery and re-render: the trace line
+    # it renders as must come out escaped.
+    from repro.obs import Event
+    from repro.obs.events import STATE_DISCOVERED
 
-    result.trace.append(TraceEvent(999, "visit", "<script>alert(1)</script>"))
+    result.events.append(Event(
+        999, STATE_DISCOVERED, step=999,
+        attributes={"component": "activity",
+                    "name": "<script>alert(1)</script>"}))
     html_text = render_html_report(result)
     assert "<script>alert(1)</script>" not in html_text
     assert "&lt;script&gt;" in html_text

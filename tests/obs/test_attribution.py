@@ -1,5 +1,6 @@
 """The coverage-attribution engine: a typed cause for every miss."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro import Device, FragDroid, FragDroidConfig
 from repro.apk import build_apk
 from repro.bench.parallel import SweepOutcome, explore_many
-from repro.corpus import AppPlan, build_app
+from repro.corpus import TABLE1_PLANS, AppPlan, build_app
 from repro.obs import (
     CoverageExplanation,
     EventLog,
@@ -115,6 +116,28 @@ def test_explanations_are_byte_identical_across_backends():
     processed = explain_outcomes(sweep("process"))
     assert threaded.to_json() == processed.to_json()
     assert threaded.explanation_id == processed.explanation_id
+    assert hashlib.sha256(threaded.to_json().encode("utf-8")).hexdigest() \
+        == TABLE1_EXPLANATION_SHA256
+
+
+#: sha256 of the event-logged Table-I sweep's explanation JSON, as it
+#: was before default runs kept a run record: the record must not move
+#: a single verdict of a logged run.
+TABLE1_EXPLANATION_SHA256 = (
+    "a7525a37cd7e96b22a94efdf11f059fdc07f9ed929075aa79e10c725b50eb3a9")
+
+
+@pytest.mark.parametrize("plan", TABLE1_PLANS,
+                         ids=[plan.package for plan in TABLE1_PLANS])
+def test_default_run_explains_like_an_event_logged_run(plan):
+    """The classifier reads the run record, which every run keeps: an
+    event log adds a consumer, never evidence."""
+    apk = build_apk(build_app(plan))
+    plain = FragDroid(Device()).explore(apk)
+    logged = FragDroid(Device(), FragDroidConfig(event_log=EventLog())
+                       ).explore(apk)
+    assert explain_result(plain).to_json() == \
+        explain_result(logged).to_json()
 
 
 # -- the artifact ------------------------------------------------------------

@@ -88,6 +88,9 @@ def test_dashboard_without_event_log_degrades_gracefully(tmp_path):
     )
     run_dir = tmp_path / "plain"
     save_artifacts(result, run_dir)
+    # Run directories saved before every run kept its record lack the
+    # file.
+    (run_dir / "events.jsonl").unlink()
     html_text = render_dashboard_dir(run_dir)
     _assert_well_formed(html_text)
     assert "--events-jsonl" in html_text  # points at the opt-in flag

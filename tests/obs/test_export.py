@@ -95,6 +95,10 @@ def test_run_manifest_summarises_an_instrumented_run():
 
 def test_run_manifest_without_events_skips_discovery_section():
     result = FragDroid(Device()).explore(build_apk(demo_tabbed_app()))
-    manifest = run_manifest(result)
+    # A default run keeps its record too; an empty event list (a run
+    # directory without events.jsonl) has no discovery section.
+    assert run_manifest(result)["flight_recorder"]["events"] == \
+        len(result.events) > 0
+    manifest = run_manifest(result, events=[])
     assert manifest["flight_recorder"]["events"] == 0
     assert "discovery" not in manifest

