@@ -54,3 +54,28 @@ def test_coverage_curve_monotonic(result):
     assert fragments == sorted(fragments)
     assert activities[-1] == len(result.visited_activities)
     assert fragments[-1] == len(result.visited_fragments)
+
+
+def test_save_artifacts_writes_the_run_record(result, tmp_path):
+    written = save_artifacts(result, tmp_path)
+    names = {p.relative_to(tmp_path).as_posix() for p in written}
+    assert {"events.jsonl", "manifest.json"} <= names
+    assert "spans.jsonl" not in names  # the run was not traced
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["flight_recorder"]["events"] == len(result.events)
+
+
+def test_saved_default_run_answers_like_an_event_logged_one(tmp_path):
+    from repro import FragDroidConfig
+    from repro.corpus import TABLE1_PLANS, build_app
+    from repro.obs import EventLog, explain_run_dir, render_dashboard_dir
+
+    plan = next(p for p in TABLE1_PLANS if p.package == "com.happy2.bbmanga")
+    apk = build_apk(build_app(plan))
+    save_artifacts(FragDroid(Device()).explore(apk), tmp_path / "plain")
+    logged = FragDroidConfig(event_log=EventLog())
+    save_artifacts(FragDroid(Device(), logged).explore(apk),
+                   tmp_path / "logged")
+    assert explain_run_dir(tmp_path / "plain").to_json() == \
+        explain_run_dir(tmp_path / "logged").to_json()
+    assert "Coverage over time" in render_dashboard_dir(tmp_path / "plain")

@@ -73,6 +73,33 @@ def test_bound_view_stamps_and_keeps_only_its_own_events():
     assert NULL_EVENT_LOG.bind(job="j1") is NULL_EVENT_LOG
 
 
+def test_run_record_forwards_to_an_enabled_log():
+    sink = InMemorySink()
+    log = EventLog(sinks=[sink])
+    log.emit(STATE_DISCOVERED, app="com.other", name="X")
+    record = log.bind(job="j1").run_record("com.a")
+    first = record.emit(STATE_DISCOVERED, step=2, name="A")
+    second = record.emit(WIDGET_CLICKED, step=3, app="com.b", widget="w")
+    # The record holds the log's own objects: same seq, app filed,
+    # the job stamp applied, every sink fed.
+    assert record.events() == [first, second]
+    assert log.events()[1:] == [first, second]
+    assert [e.seq for e in sink.spans] == [1, 2, 3]
+    assert (first.app, second.app) == ("com.a", "com.b")
+    assert first.attributes == {"name": "A", "job": "j1"}
+
+
+def test_run_record_over_the_null_log_is_private():
+    record = NULL_EVENT_LOG.run_record("com.a")
+    first = record.emit(STATE_DISCOVERED, step=2, name="A")
+    second = record.emit(WIDGET_CLICKED, step=3, widget="w")
+    assert [e.seq for e in record.events()] == [1, 2]
+    assert (first.app, second.app) == ("com.a", "com.a")
+    assert record.sinks == []
+    # Nothing leaks into the shared null log.
+    assert NULL_EVENT_LOG.events() == []
+
+
 def test_null_event_log_is_disabled_and_records_nothing():
     assert NULL_EVENT_LOG.enabled is False
     event = NULL_EVENT_LOG.emit(STATE_DISCOVERED, step=9, name="A")
