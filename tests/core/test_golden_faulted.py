@@ -2,8 +2,11 @@
 
 ``golden/faulted_runs.json`` pins three Table-I apps explored under the
 ``mild`` and ``hostile`` fault profiles with a fixed seed: the sha256
-of the run trace and of the flight record's ``(kind, step, attributes)``
-projection.  The fault-free fixture (``exploration_outputs.json``)
+of the run trace, of the flight record's ``(kind, step, attributes)``
+projection and of the observed sensitive-API invocations, the
+``stats`` dict, the tracer's counters, and each profile's run-registry
+discovery ``timeline`` of the three-app sweep.  The fault-free fixture
+(``exploration_outputs.json``)
 never exercises the resilience paths -- requeues, quarantines, ANRs,
 injected adb faults -- so this one does.  Regenerate it only for
 *intentional* model changes::
@@ -11,9 +14,11 @@ injected adb faults -- so this one does.  Regenerate it only for
     PYTHONPATH=src python tests/core/test_golden_faulted.py
 """
 
+import dataclasses
 import hashlib
 import json
 import pathlib
+import tempfile
 
 import pytest
 
@@ -24,7 +29,8 @@ from repro.core.explorer import FragDroid
 from repro.corpus import TABLE1_PLANS
 from repro.corpus.synth import build_app
 from repro.faults import make_device
-from repro.obs import EventLog
+from repro.obs import EventLog, Tracer
+from repro.obs.registry import RunRegistry
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "faulted_runs.json"
 
@@ -41,7 +47,7 @@ PINNED_KINDS = frozenset((
     "run.start", "run.end", "state.discovered", "widget.clicked",
     "case.decision", "reflection.switch", "forced.start",
     "input.generated", "transition", "fault.injected", "retry",
-    "quarantine", "crash.recovery", "api.observed",
+    "quarantine", "crash.recovery",
 ))
 
 
@@ -71,10 +77,18 @@ def event_projection(events) -> str:
                       sort_keys=True)
 
 
+def api_rows(result) -> list:
+    """The observed sensitive-API invocations as ``[step, api, class]``."""
+    return [[inv.step, inv.api, inv.component.cls]
+            for inv in result.api_invocations]
+
+
 def result_entry(result) -> dict:
     return {"trace_sha256": _sha256(result.trace_text()),
             "trace": len(result.trace),
-            "events_sha256": _sha256(event_projection(result.events))}
+            "events_sha256": _sha256(event_projection(result.events)),
+            "apis_sha256": _sha256(json.dumps(api_rows(result))),
+            "stats": dataclasses.asdict(result.stats)}
 
 
 def _explore(package: str, config: FragDroidConfig):
@@ -84,8 +98,23 @@ def _explore(package: str, config: FragDroidConfig):
 
 
 def golden_entry(package: str, profile: str) -> dict:
-    return result_entry(_explore(package,
-                                 _config(profile, event_log=EventLog())))
+    tracer = Tracer()
+    result = _explore(package, _config(profile, event_log=EventLog(),
+                                       tracer=tracer))
+    return {**result_entry(result), "counters": tracer.metrics.counters()}
+
+
+def sweep_timeline(profile: str, backend: str = "thread") -> dict:
+    """The run registry's per-app discovery timeline of the three-app
+    sweep, recorded through an enabled event log."""
+    with tempfile.TemporaryDirectory() as directory:
+        registry = RunRegistry(directory)
+        explore_many(list(PLANS.values()),
+                     _config(profile, event_log=EventLog(),
+                             run_registry=registry),
+                     max_workers=2, backend=backend)
+        (record,) = registry.list()
+        return record.timeline
 
 
 def _load() -> dict:
@@ -94,6 +123,10 @@ def _load() -> dict:
 
 def _key(package: str, profile: str) -> str:
     return f"{package}/{profile}"
+
+
+def _timeline_key(profile: str) -> str:
+    return f"sweep-timeline/{profile}"
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -114,14 +147,33 @@ def test_sweep_backends_reproduce_the_faulted_runs(backend, profile):
                             max_workers=2, backend=backend)
     golden = _load()
     for package, outcome in outcomes.items():
-        assert result_entry(outcome.unwrap()) == \
-            golden[_key(package, profile)], package
+        expected = dict(golden[_key(package, profile)])
+        expected.pop("counters")
+        assert result_entry(outcome.unwrap()) == expected, package
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("profile", PROFILES)
+def test_sweep_timeline_matches_the_golden(backend, profile):
+    assert sweep_timeline(profile, backend) == \
+        _load()[_timeline_key(profile)]
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("package", PACKAGES)
+def test_api_observed_events_restate_the_invocations(package, profile):
+    result = _explore(package, _config(profile))
+    rows = [[e.step, e.attributes["api"], e.attributes["component"]]
+            for e in result.events if e.kind == "api.observed"]
+    assert rows == api_rows(result)
 
 
 if __name__ == "__main__":
+    golden = {_key(package, profile): golden_entry(package, profile)
+              for package in PACKAGES for profile in PROFILES}
+    golden.update({_timeline_key(profile): sweep_timeline(profile)
+                   for profile in PROFILES})
     GOLDEN_PATH.write_text(
-        json.dumps({_key(package, profile): golden_entry(package, profile)
-                    for package in PACKAGES for profile in PROFILES},
-                   indent=1, sort_keys=True) + "\n",
+        json.dumps(golden, indent=1, sort_keys=True) + "\n",
         encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")
