@@ -545,6 +545,10 @@ def _record_sweep(config: Optional[FragDroidConfig],
             {package: outcome.apk_digest
              for package, outcome in outcomes.items()}),
         meta=meta,
+        api_steps={package: [inv.step
+                             for inv in outcome.result.api_invocations]
+                   for package, outcome in outcomes.items()
+                   if outcome.result is not None},
     )
     registry.record(record)
 

@@ -61,11 +61,11 @@ from repro.faults.degradation import Degradation
 from repro.faults.quarantine import WidgetQuarantine
 from repro.obs import Event, EventLog, Span
 from repro.obs.events import (
-    API_OBSERVED,
     CASE_DECISION,
     CRASH_RECOVERY,
     FAULT_INJECTED,
     FORCED_START,
+    INPUT_GENERATED,
     ITEM_FAILED,
     ITEM_START,
     LEFT_APP,
@@ -139,6 +139,27 @@ def _trace_line(event: Event) -> Optional[Tuple[str, str]]:
         return "quarantine", (f"{attrs['widget']} after {attrs['strikes']} "
                               f"{attrs['strike']} strikes")
     return None
+
+
+def record_census(events: Iterable[Event]) -> Counter:
+    """Run-record events counted by ``(kind, cause or action)``; the
+    second element is None for kinds that carry neither."""
+    return Counter((event.kind, event.attributes.get(
+                        "cause", event.attributes.get("action")))
+                   for event in events)
+
+
+#: Metrics counters that restate run-record facts, each counted off the
+#: record once per exploration: name -> ``record_census`` key.
+_RECORD_COUNTERS = {
+    "clicks": (WIDGET_CLICKED, None),
+    "reflection.switches": (REFLECTION_SWITCH, None),
+    "forced.starts": (FORCED_START, None),
+    "inputs.filled": (INPUT_GENERATED, None),
+    "resilience.quarantined_widgets": (QUARANTINE, None),
+    "resilience.requeues": (CRASH_RECOVERY, "requeue"),
+    "resilience.abandoned_items": (CRASH_RECOVERY, "abandon"),
+}
 
 
 def trace_of(events: Iterable[Event]) -> List[TraceEvent]:
@@ -274,30 +295,39 @@ class FragDroid:
         if isinstance(self.adb, FaultyAdb):
             self.adb.events = record
         record.emit(RUN_START, step=self.device.steps)
-        with tracer.span("explore", app=apk.package) as root:
-            if info is None:
-                info = extract_static_info(
-                    apk,
-                    input_values=config.input_values
-                    if config.enable_input_file else None,
-                    tracer=tracer,
-                    cache=config.static_cache,
-                )
-            installed = (instrument_manifest(apk)
-                         if config.enable_forced_start else apk)
-            self.adb.install(installed)
+        try:
+            with tracer.span("explore", app=apk.package) as root:
+                if info is None:
+                    info = extract_static_info(
+                        apk,
+                        input_values=config.input_values
+                        if config.enable_input_file else None,
+                        tracer=tracer,
+                        cache=config.static_cache,
+                    )
+                installed = (instrument_manifest(apk)
+                             if config.enable_forced_start else apk)
+                self.adb.install(installed)
 
-            run = _Run(self, apk.package, info, record)
-            run.seed_queue()
-            run.drain_queue()
-            if config.enable_forced_start:
-                run.enqueue_forced_starts()
+                run = _Run(self, apk.package, info, record)
+                run.seed_queue()
                 run.drain_queue()
-            result = run.result()
-            root.set_attribute("termination", run.termination_reason())
-            trace_id = root.trace_id
-        record.emit(RUN_END, step=self.device.steps,
-                    termination=run.termination_reason())
+                if config.enable_forced_start:
+                    run.enqueue_forced_starts()
+                    run.drain_queue()
+                result = run.result()
+                root.set_attribute("termination", run.termination_reason())
+                trace_id = root.trace_id
+            record.emit(RUN_END, step=self.device.steps,
+                        termination=run.termination_reason())
+        finally:
+            # Counted even when the exploration raises: the counters
+            # hold what the record holds.
+            if tracer.enabled:
+                census = record_census(record.events())
+                for name, key in _RECORD_COUNTERS.items():
+                    if census[key]:
+                        tracer.inc(name, census[key])
         result.events = record.events()
         if tracer.enabled:
             result.spans = tracer.spans_in_trace(trace_id)
@@ -346,6 +376,8 @@ class _Run:
             active=self._resilient,
         )
         self._item_restarts: Dict[Tuple, int] = {}
+        # No event records a replay, so its restarts are counted here.
+        self._replays = 0
 
     # -- queue management ---------------------------------------------------------
 
@@ -420,24 +452,21 @@ class _Run:
         self.device.force_stop(self.package)
         case = TestCase(
             package=self.package,
-            name=f"GeneratedTest{self.stats.test_cases:04d}",
+            name=f"GeneratedTest{len(self.test_cases):04d}",
             operations=item.operations,
         )
-        self.stats.test_cases += 1
         self.test_cases.append(case)
         self._emit(ITEM_START, item=str(item))
         crashes_before = self.device.crash_count
         try:
             case.install_and_run(self.solo, self.adb)
         except ReflectionError as exc:
-            self.stats.reflection_failures += 1
             self._emit(ITEM_FAILED, cause="reflection", error=str(exc))
             return False
         except TransientError as exc:
             # An injected fault survived the adb retry budget (or an
             # ANR hit mid-replay): the item was interrupted by the
             # environment, not the app — relaunch it later.
-            self.stats.failed_items += 1
             self._emit(ITEM_FAILED, cause="fault", error=str(exc))
             self._requeue_interrupted(item)
             return False
@@ -445,18 +474,14 @@ class _Run:
             if self._resilient and self.device.crash_count > crashes_before:
                 # The app force-closed mid-item (spurious or real):
                 # record the crash and re-enqueue the interrupted item.
-                self.stats.crashes += 1
                 self._emit(ITEM_FAILED, cause="crash", error=str(exc))
                 self._requeue_interrupted(item)
                 return False
-            self.stats.failed_items += 1
             self._emit(ITEM_FAILED, cause="error", error=str(exc))
             return False
         if item.method == "reflection":
-            self.tracer.inc("reflection.switches")
             self._emit(REFLECTION_SWITCH, target=str(item.target))
         elif item.method == "forced-start":
-            self.tracer.inc("forced.starts")
             self._emit(FORCED_START, target=str(item.target))
         self.passing_test_cases.append(case)
         return True
@@ -471,12 +496,9 @@ class _Run:
         key = (item.method, item.target, item.operations)
         restarts = self._item_restarts.get(key, 0)
         if restarts >= self.config.max_restarts_per_item:
-            self.tracer.inc("resilience.abandoned_items")
             self._emit(CRASH_RECOVERY, action="abandon", item=str(item))
             return
         self._item_restarts[key] = restarts + 1
-        self.stats.restarts += 1
-        self.tracer.inc("resilience.requeues")
         with self.tracer.span("explorer.queue", app=self.package,
                               op="requeue"):
             self.queue.requeue(item)
@@ -485,7 +507,7 @@ class _Run:
 
     def _replay(self, operations: Tuple[Operation, ...]) -> bool:
         """Restart the app and re-run a path (Case 3 restart handling)."""
-        self.stats.restarts += 1
+        self._replays += 1
         self.device.force_stop(self.package)
         case = TestCase(self.package, "Replay", operations)
         try:
@@ -601,7 +623,6 @@ class _Run:
             if not before.alive:
                 return
             try:
-                self.tracer.inc("clicks")
                 self._emit(WIDGET_CLICKED, widget=widget_id,
                            activity=before.activity)
                 self.solo.click_on_view(widget_id)
@@ -616,7 +637,6 @@ class _Run:
                 continue
             if not self.device.app_alive:
                 # FC: restart and continue under clicking (Case 3).
-                self.stats.crashes += 1
                 self._strike(widget_id, "crash")
                 self._emit(CRASH_RECOVERY, action="replay", widget=widget_id)
                 needs_replay = True
@@ -655,7 +675,6 @@ class _Run:
         """Count a crash/hang against a widget; record when the strike
         trips the circuit breaker (no-op unless faults are active)."""
         if self.quarantine.record(widget_id, kind):
-            self.tracer.inc("resilience.quarantined_widgets")
             self._emit(QUARANTINE, widget=widget_id,
                        strikes=self.quarantine.strikes(widget_id),
                        strike=kind)
@@ -702,18 +721,24 @@ class _Run:
     # -- result -----------------------------------------------------------------------------
 
     def result(self) -> ExplorationResult:
-        self.stats.events = self.device.steps
-        self.stats.distinct_interfaces = len(self._processed_signatures)
+        census = record_census(self.events.events())
+        stats = self.stats
+        stats.test_cases = census[ITEM_START, None]
+        stats.reflection_failures = census[ITEM_FAILED, "reflection"]
+        stats.failed_items = (census[ITEM_FAILED, "fault"]
+                              + census[ITEM_FAILED, "error"])
+        stats.crashes = (census[ITEM_FAILED, "crash"]
+                         + census[CRASH_RECOVERY, "replay"])
+        stats.restarts = census[CRASH_RECOVERY, "requeue"] + self._replays
+        stats.events = self.device.steps
+        stats.distinct_interfaces = len(self._processed_signatures)
         invocations = [
             inv
             for inv in self.device.api_monitor.invocations[self._api_start:]
             if inv.component.package == self.package
         ]
-        self.tracer.inc("events.injected", self.stats.events)
+        self.tracer.inc("events.injected", stats.events)
         self.tracer.inc("apis.observed", len(invocations))
-        for inv in invocations:
-            self.events.emit(API_OBSERVED, step=inv.step, api=inv.api,
-                             component=inv.component.cls)
         visited_activities = {
             n.name for n in self.aftm.iter_visited()
             if n.kind is NodeKind.ACTIVITY
@@ -722,7 +747,7 @@ class _Run:
             n.name for n in self.aftm.iter_visited()
             if n.kind is NodeKind.FRAGMENT
         }
-        degradation = self._degradation()
+        degradation = self._degradation(census)
         return ExplorationResult(
             package=self.package,
             info=self.info,
@@ -731,22 +756,19 @@ class _Run:
             visited_fragments=visited_fragments,
             api_invocations=invocations,
             test_cases=self.test_cases,
-            stats=self.stats,
+            stats=stats,
             paths=dict(self._paths),
             passing_test_cases=self.passing_test_cases,
             degradation=degradation,
         )
 
-    def _degradation(self) -> Optional[Degradation]:
+    def _degradation(self, census: Counter) -> Optional[Degradation]:
         """The resilience account of the run — None when no fault plan
         was active, keeping fault-free results unchanged."""
         if not self._resilient:
             return None
         plan = self.config.fault_plan
         assert plan is not None
-        recovery = Counter(event.attributes.get("action")
-                           for event in self.events.events()
-                           if event.kind == CRASH_RECOVERY)
         faults: Dict[str, int] = {}
         retries = recoveries = giveups = reconnects = 0
         backoff = 0.0
@@ -767,6 +789,6 @@ class _Run:
             backoff_s=backoff,
             reconnects=reconnects,
             quarantined=self.quarantine.blocked_ids(),
-            requeued_items=recovery["requeue"],
-            abandoned_items=recovery["abandon"],
+            requeued_items=census[CRASH_RECOVERY, "requeue"],
+            abandoned_items=census[CRASH_RECOVERY, "abandon"],
         )

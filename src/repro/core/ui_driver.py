@@ -111,7 +111,6 @@ class UiDriver:
                 else:
                     value = DEFAULT_TEXT
                 self.solo.enter_text(widget.widget_id, value)
-                self.tracer.inc("inputs.filled")
                 self.events.emit(INPUT_GENERATED,
                                  step=self.solo.device.steps,
                                  app=self.info.package,

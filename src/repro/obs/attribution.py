@@ -58,7 +58,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.events import (
-    API_OBSERVED,
     ATTRIBUTION_COMPUTED,
     ATTRIBUTION_MISS,
     FORCED_START,
@@ -261,7 +260,6 @@ class _DynamicRecord:
         self.quarantined: set = set()
         self.termination: Optional[str] = None
         self.forced_start_used = False
-        self.observed_apis: set = set()
         for event in events or ():
             if isinstance(event, dict):
                 kind = event.get("kind")
@@ -281,9 +279,6 @@ class _DynamicRecord:
                 self.termination = attrs.get("termination")
             elif kind == FORCED_START:
                 self.forced_start_used = True
-            elif kind == API_OBSERVED:
-                self.observed_apis.add(
-                    (str(attrs.get("component", "")), str(attrs.get("api", ""))))
         self.faults_present = False
         if degradation is not None:
             quarantined = getattr(degradation, "quarantined", None) or ()
@@ -345,12 +340,7 @@ def classify_app(package: str,
             misses.append(miss)
             component_misses[name] = miss
 
-    observed = set(record.observed_apis)
-    for inv in api_invocations or ():
-        component = getattr(getattr(inv, "component", None), "cls", None)
-        api = getattr(inv, "api", None)
-        if component and api:
-            observed.add((str(component), str(api)))
+    observed = {(inv.component.cls, inv.api) for inv in api_invocations}
     for owner in sorted(static_api_map or {}):
         for api in sorted((static_api_map or {})[owner]):
             if (owner, api) in observed:

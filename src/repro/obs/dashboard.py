@@ -59,6 +59,12 @@ class RunData:
     def package(self) -> str:
         return str(self.report.get("package", self.path.name))
 
+    @property
+    def api_steps(self) -> List[int]:
+        """The device steps of the run's sensitive-API invocations."""
+        return [int(inv["step"])
+                for inv in self.report.get("api_invocations", [])]
+
 
 def load_run(directory: PathLike) -> RunData:
     """Load one run directory (``explore --save`` layout).
@@ -540,7 +546,7 @@ def render_dashboard(run: RunData,
         _run_tiles(run),
     ]
     if run.events:
-        points = coverage_timeline(run.events)
+        points = coverage_timeline(run.events, run.api_steps)
         sections.append("<h2>Coverage over time</h2>")
         sections.append(_coverage_cards(points, _coverage_totals(run.report)))
         sections.append(_discovery_tiles(run.events))

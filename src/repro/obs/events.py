@@ -10,8 +10,12 @@ the timeline analytics (``repro.obs.timeline``) and the run dashboard
 
 Every exploration keeps its own record, ``ExplorationResult.events``:
 one ordered list into which each fact is recorded exactly once (see
-:meth:`EventLog.run_record`).  The run trace, the coverage curve and
-the miss classifier all read that record.  An enabled :class:`EventLog`
+:meth:`EventLog.run_record`).  The run trace, the coverage curve, the
+miss classifier, the result's ``stats`` and the explorer's Metrics
+counters all read that record.  Sensitive-API invocations are not
+restated in it: their home is ``ExplorationResult.api_invocations``
+(``report.json``'s ``api_invocations`` on disk), and the readers that
+chart them take their steps from there.  An enabled :class:`EventLog`
 on the config receives each event as it is recorded — the same object,
 sequenced in the log's global order — keeps it in memory (``events()``)
 and fans it out to its sinks: attach a
@@ -45,7 +49,6 @@ FAULT_INJECTED = "fault.injected"    # repro.faults hit the run (fault, op)
 RETRY = "retry"                      # a retry policy re-attempt (error)
 QUARANTINE = "quarantine"            # widget circuit breaker tripped
 CRASH_RECOVERY = "crash.recovery"    # requeue / replay / abandon after a crash
-API_OBSERVED = "api.observed"        # a sensitive API fired (api, component)
 ITEM_START = "item.start"            # a queue item's test case begins (item)
 ITEM_FAILED = "item.failed"          # the test case failed (cause, error)
 LEFT_APP = "left.app"                # an intent escaped the app (activity)
@@ -71,7 +74,7 @@ ATTRIBUTION_MISS = "attribution.miss"          # one unreached target (cause)
 EXPLORATION_EVENT_KINDS = (
     RUN_START, RUN_END, STATE_DISCOVERED, WIDGET_CLICKED, CASE_DECISION,
     REFLECTION_SWITCH, FORCED_START, INPUT_GENERATED, TRANSITION,
-    FAULT_INJECTED, RETRY, QUARANTINE, CRASH_RECOVERY, API_OBSERVED,
+    FAULT_INJECTED, RETRY, QUARANTINE, CRASH_RECOVERY,
     ITEM_START, ITEM_FAILED, LEFT_APP,
 )
 SERVE_EVENT_KINDS = (
@@ -212,13 +215,6 @@ class EventLog:
             if app is None:
                 return list(self._events)
             return [e for e in self._events if e.app == app]
-
-    def census(self) -> Dict[str, int]:
-        """Event counts by kind."""
-        census: Dict[str, int] = {}
-        for event in self.events():
-            census[event.kind] = census.get(event.kind, 0) + 1
-        return census
 
     # -- plumbing ----------------------------------------------------------
 

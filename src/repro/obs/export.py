@@ -101,7 +101,8 @@ def run_manifest(result,
         "files": sorted(files),
     }
     if events:
-        manifest["discovery"] = discovery_stats(events)
+        manifest["discovery"] = discovery_stats(
+            events, [inv.step for inv in result.api_invocations])
     if result.degradation is not None:
         manifest["degradation"] = result.degradation.to_dict()
     return manifest

@@ -278,13 +278,16 @@ def coverage_from_rows(rows: Sequence[Dict]) -> Dict[str, float]:
     return coverage
 
 
-def _timeline_stats(event_log) -> Dict[str, Dict]:
-    """Per-app discovery statistics out of the flight record."""
+def _timeline_stats(event_log,
+                    api_steps: Dict[str, Sequence[int]]) -> Dict[str, Dict]:
+    """Per-app discovery statistics out of the flight record and each
+    app's sensitive-API invocation steps."""
     apps = sorted({e.app for e in event_log.events() if e.app})
     out: Dict[str, Dict] = {}
     for app in apps:
         events = event_log.events(app=app)
-        points = coverage_timeline(events)
+        steps = api_steps.get(app, ())
+        points = coverage_timeline(events, steps)
         final = points[-1]
         entry: Dict[str, object] = {
             "checkpoints": len(points) - 1,
@@ -293,7 +296,7 @@ def _timeline_stats(event_log) -> Dict[str, Dict]:
             "fivas": final.fivas,
             "apis": final.apis,
         }
-        entry.update(discovery_stats(events))
+        entry.update(discovery_stats(events, steps))
         out[app] = entry
     return out
 
@@ -305,6 +308,7 @@ def capture_run_record(label: str,
                        coverage: Optional[Dict[str, float]] = None,
                        corpus_digest: str = "",
                        meta: Optional[Dict[str, object]] = None,
+                       api_steps: Optional[Dict[str, Sequence[int]]] = None,
                        ) -> RunRecord:
     """Snapshot a finished run into a :class:`RunRecord`.
 
@@ -315,7 +319,9 @@ def capture_run_record(label: str,
     when enabled, so an unobserved run still records its coverage.
     ``apps`` are per-app rows in the ``sweep_rows`` shape; ``coverage``
     overrides the aggregates derived from them (for runs without
-    per-app rows, e.g. the usage study).
+    per-app rows, e.g. the usage study).  ``api_steps`` maps each
+    package to the device steps of its sensitive-API invocations, for
+    the timeline's API series.
     """
     rows = sorted((dict(r) for r in apps),
                   key=lambda r: str(r.get("package", "")))
@@ -337,7 +343,7 @@ def capture_run_record(label: str,
             record.phases = phase_stats(tracer.finished_spans())
         event_log = getattr(config, "event_log", None)
         if event_log is not None and getattr(event_log, "enabled", False):
-            record.timeline = _timeline_stats(event_log)
+            record.timeline = _timeline_stats(event_log, api_steps or {})
     record.meta.setdefault("created", round(time.time(), 3))
     record.run_id = record.compute_id()
     return record

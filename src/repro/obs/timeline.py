@@ -8,17 +8,20 @@ run back into those dynamics offline:
 * :func:`coverage_timeline` — the discovery curve, one checkpoint per
   ``state.discovered`` event, tracking activities, fragments,
   fragments-in-visited-activities and sensitive-API invocations
-  (``repro.core.artifacts.coverage_curve`` is its projection);
+  (``repro.core.artifacts.coverage_curve`` is its projection).  The
+  record does not restate API invocations: callers pass their steps,
+  from ``ExplorationResult.api_invocations`` or ``report.json``;
 * :func:`stalls` — plateau detection via events-since-last-discovery;
 * :func:`discovery_stats` — time-to-50% / time-to-90% discovery.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.events import API_OBSERVED, RUN_END, STATE_DISCOVERED, Event
+from repro.obs.events import RUN_END, STATE_DISCOVERED, Event
 
 
 @dataclass(frozen=True)
@@ -62,24 +65,16 @@ class Stall:
 # Coverage curves
 # ---------------------------------------------------------------------------
 
-def coverage_timeline(events: Iterable[Event]) -> List[CoveragePoint]:
+def coverage_timeline(events: Iterable[Event],
+                      api_steps: Iterable[int] = ()) -> List[CoveragePoint]:
     """The discovery curve of a recorded run.
 
     Checkpoints are exactly the ``state.discovered`` events (plus the
     origin); the ``(step, activities, fragments)`` projection of this
-    curve is ``repro.core.artifacts.coverage_curve``.
+    curve is ``repro.core.artifacts.coverage_curve``.  ``api_steps``
+    are the device steps of the run's sensitive-API invocations.
     """
-    events = list(events)
-    api_steps = sorted(e.step for e in events if e.kind == API_OBSERVED)
-
-    def apis_by(step: int) -> int:
-        count = 0
-        for api_step in api_steps:
-            if api_step > step:
-                break
-            count += 1
-        return count
-
+    api_steps = sorted(api_steps)
     points: List[CoveragePoint] = [CoveragePoint(0, 0, 0, 0, 0)]
     visited_activities: set = set()
     fragment_hosts: Dict[str, Tuple[str, ...]] = {}
@@ -105,7 +100,7 @@ def coverage_timeline(events: Iterable[Event]) -> List[CoveragePoint]:
             activities=len(visited_activities),
             fragments=len(fragment_hosts),
             fivas=fiva_count(),
-            apis=apis_by(event.step),
+            apis=bisect_right(api_steps, event.step),
         ))
     return points
 
@@ -159,10 +154,11 @@ def time_to_fraction(points: Sequence[CoveragePoint], series: str,
     return None  # pragma: no cover - unreachable (last point qualifies)
 
 
-def discovery_stats(events: Iterable[Event]) -> Dict[str, Optional[int]]:
+def discovery_stats(events: Iterable[Event], api_steps: Iterable[int] = (),
+                    ) -> Dict[str, Optional[int]]:
     """Time-to-50% and time-to-90% discovery per series, in device
     steps — the "how fast did it get there" half of Table I."""
-    points = coverage_timeline(events)
+    points = coverage_timeline(events, api_steps)
     stats: Dict[str, Optional[int]] = {}
     for series in ("activities", "fragments", "fivas", "apis"):
         stats[f"{series}_t50"] = time_to_fraction(points, series, 0.5)

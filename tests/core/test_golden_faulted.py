@@ -159,15 +159,6 @@ def test_sweep_timeline_matches_the_golden(backend, profile):
         _load()[_timeline_key(profile)]
 
 
-@pytest.mark.parametrize("profile", PROFILES)
-@pytest.mark.parametrize("package", PACKAGES)
-def test_api_observed_events_restate_the_invocations(package, profile):
-    result = _explore(package, _config(profile))
-    rows = [[e.step, e.attributes["api"], e.attributes["component"]]
-            for e in result.events if e.kind == "api.observed"]
-    assert rows == api_rows(result)
-
-
 if __name__ == "__main__":
     golden = {_key(package, profile): golden_entry(package, profile)
               for package in PACKAGES for profile in PROFILES}

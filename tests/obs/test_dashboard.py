@@ -71,7 +71,8 @@ def test_dashboard_renders_recorded_run(tmp_path):
 def test_dashboard_checkpoint_table_matches_coverage_timeline(tmp_path):
     result, run_dir = _recorded_run(tmp_path)
     html_text = render_dashboard(load_run(run_dir))
-    points = coverage_timeline(result.events)
+    points = coverage_timeline(
+        result.events, [inv.step for inv in result.api_invocations])
     for point in points:
         row = (f"<tr><td class=num>{point.step}</td>"
                f"<td class=num>{point.activities}</td>"

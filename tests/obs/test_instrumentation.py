@@ -1,11 +1,15 @@
 """The pipeline emits the promised spans and counters when traced —
 and nothing at all when not."""
 
+import pytest
+
 from repro import Device, FragDroid, FragDroidConfig, build_apk
+from repro.core.explorer import _Run
 from repro.core.htmlreport import render_html_report
 from repro.core.report import result_to_dict
 from repro.corpus import build_table1_app, demo_tabbed_app
-from repro.obs import Tracer
+from repro.obs import EventLog, Tracer
+from repro.obs.events import event_census
 
 
 def _traced_result(app_spec, **config_kwargs):
@@ -48,6 +52,27 @@ def test_counters_cover_the_event_taxonomy():
     assert counters["adb.installs"] >= 1
     assert tracer.metrics.histogram_stats("queue.depth").count > 0
     assert result.metrics["counters"] == counters
+
+
+def test_an_exploration_that_raises_still_counts_its_record(monkeypatch):
+    # The record-derived counters are added as the exploration ends,
+    # even when it ends in an exception: they count what the record
+    # holds at that point.
+    def boom(run):
+        raise RuntimeError("device lost")
+
+    monkeypatch.setattr(_Run, "enqueue_forced_starts", boom)
+    tracer, log = Tracer(), EventLog()
+    config = FragDroidConfig(tracer=tracer, event_log=log)
+    with pytest.raises(RuntimeError):
+        FragDroid(Device(), config).explore(
+            build_apk(build_table1_app("com.advancedprocessmanager")))
+    census = event_census(log.events())
+    counters = tracer.metrics.counters()
+    assert census["widget.clicked"] > 0
+    assert counters["clicks"] == census["widget.clicked"]
+    assert counters["reflection.switches"] == census["reflection.switch"]
+    assert "events.injected" not in counters
 
 
 def test_spans_nest_static_under_explore():

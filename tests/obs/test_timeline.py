@@ -11,7 +11,7 @@ from repro.obs import (
     stalls,
     time_to_fraction,
 )
-from repro.obs.events import API_OBSERVED, RUN_END, STATE_DISCOVERED, Event
+from repro.obs.events import RUN_END, STATE_DISCOVERED, Event
 
 
 def _event(seq, kind, step, **attrs):
@@ -21,7 +21,6 @@ def _event(seq, kind, step, **attrs):
 def _discovery_record():
     return [
         _event(1, STATE_DISCOVERED, 2, component="activity", name="A"),
-        _event(2, API_OBSERVED, 3, api="net/openConnection"),
         _event(3, STATE_DISCOVERED, 5, component="fragment", name="F1",
                hosts=["A"]),
         _event(4, STATE_DISCOVERED, 9, component="fragment", name="F2",
@@ -31,8 +30,12 @@ def _discovery_record():
     ]
 
 
+#: The steps of the record's sensitive-API invocations.
+API_STEPS = (3,)
+
+
 def test_coverage_timeline_checkpoints_and_fivas():
-    points = coverage_timeline(_discovery_record())
+    points = coverage_timeline(_discovery_record(), API_STEPS)
     assert [p.to_dict() for p in points] == [
         {"step": 0, "activities": 0, "fragments": 0, "fivas": 0, "apis": 0},
         {"step": 2, "activities": 1, "fragments": 0, "fivas": 0, "apis": 0},
@@ -57,11 +60,11 @@ def test_stalls_detects_plateaus_including_the_terminal_one():
 
 
 def test_time_to_fraction_and_discovery_stats():
-    points = coverage_timeline(_discovery_record())
+    points = coverage_timeline(_discovery_record(), API_STEPS)
     assert time_to_fraction(points, "activities", 0.5) == 2
     assert time_to_fraction(points, "activities", 0.9) == 11
     assert time_to_fraction(points, "fragments", 0.5) == 5
-    stats = discovery_stats(_discovery_record())
+    stats = discovery_stats(_discovery_record(), API_STEPS)
     assert stats["activities_t50"] == 2
     assert stats["activities_t90"] == 11
     assert stats["apis_t50"] == 5  # first checkpoint with the API counted
@@ -110,17 +113,17 @@ def test_all_events_in_one_tick_only_stalls_on_the_lead_in():
         _event(1, STATE_DISCOVERED, 4, component="activity", name="A"),
         _event(2, STATE_DISCOVERED, 4, component="fragment", name="F",
                hosts=["A"]),
-        _event(3, API_OBSERVED, 4, api="net/openConnection"),
         _event(4, RUN_END, 4, termination="queue-drained"),
     ]
     assert [(s.start_step, s.end_step) for s in stalls(events,
                                                        min_events=1)] \
         == [(0, 4)]
     assert stalls(events, min_events=5) == []
-    points = coverage_timeline(events)
-    assert [(p.step, p.activities, p.fragments, p.fivas) for p in points] \
-        == [(0, 0, 0, 0), (4, 1, 0, 0), (4, 1, 1, 1)]
-    stats = discovery_stats(events)
+    points = coverage_timeline(events, api_steps=[4])
+    assert [(p.step, p.activities, p.fragments, p.fivas, p.apis)
+            for p in points] \
+        == [(0, 0, 0, 0, 0), (4, 1, 0, 0, 1), (4, 1, 1, 1, 1)]
+    stats = discovery_stats(events, api_steps=[4])
     assert stats["activities_t50"] == 4
     assert stats["fivas_t90"] == 4
 
