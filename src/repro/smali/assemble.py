@@ -220,28 +220,10 @@ class _ClassParser:
             self.method.instructions.append(_parse_instruction(line))
         # Outside a method, unmatched ``.end …`` lines are ignored.
 
-    def _dir_fallback(self, line: str) -> None:
-        # Historical prefix-matching chain, kept for lines whose leading
-        # token is not an exact directive (e.g. ``.classx``): matches the
-        # pre-dispatch parser byte for byte, errors included.
-        if line.startswith(".class"):
-            self._dir_class(line)
-        elif line.startswith(".super"):
-            self._dir_super(line)
-        elif line.startswith(".source"):
-            self._dir_source(line)
-        elif line.startswith(".implements"):
-            self._dir_implements(line)
-        elif line.startswith(".field"):
-            self._dir_field(line)
-        elif line.startswith(".method"):
-            self._dir_method(line)
-        elif line.startswith(".registers"):
-            self._dir_registers(line)
-        elif line.startswith(".end method"):
-            self.cls.methods.append(self.method)
-            self.in_method = False
-        elif self.in_method:
+    def _dir_unknown(self, line: str) -> None:
+        # Any other directive (``.annotation``, ``.line``, ``.classx``):
+        # ignored outside a method, parsed as an instruction inside one.
+        if self.in_method:
             self.method.instructions.append(_parse_instruction(line))
 
 
@@ -266,14 +248,14 @@ def parse_class(text: str) -> SmaliClass:
     """
     parser = _ClassParser()
     directives_get = _DIRECTIVES.get
-    fallback = _ClassParser._dir_fallback
+    unknown = _ClassParser._dir_unknown
     cache_get = _INSTRUCTION_CACHE.get
     for line in map(str.strip, text.splitlines()):
         if not line:
             continue
         head = line[0]
         if head == ".":
-            directives_get(line.partition(" ")[0], fallback)(parser, line)
+            directives_get(line.partition(" ")[0], unknown)(parser, line)
         elif head == "#":
             continue
         elif parser.in_method:

@@ -4,8 +4,10 @@ The single-pass lexer replaced a per-line ``startswith`` chain; a
 verbatim copy of the old parser lives in ``benchmarks/_legacy_smali.py``
 as the benchmark's reference arm.  These tests pin *semantic* parity:
 identical parse results on generated classes and on an edge-case corpus
-(unknown directives, annotation-style lines, nested inner classes,
-directive-prefix collisions), and identical errors on malformed input.
+(unknown directives, annotation-style lines, nested inner classes), and
+identical errors on malformed input.  The one intended departure: a
+token that merely starts like a directive (``.classx``) is an unknown
+directive, not the directive it prefixes.
 """
 
 import importlib.util
@@ -60,11 +62,6 @@ EDGE_CASES = [
      "    new-instance v0, Lcom/app/Main$Other;\n"
      "    return-void\n"
      ".end method\n"),
-    # A directive-prefix collision: ".classx" startswith ".class", so the
-    # historical parser treated it as a class directive.  Parity matters
-    # more than prettiness here.
-    (".classx Lcom/app/Weird;\n"
-     ".super Ljava/lang/Object;\n"),
     # Comments and blank lines everywhere, label/branch instructions.
     ("# leading comment\n"
      ".class public Lcom/app/Loop;\n"
@@ -96,6 +93,14 @@ EDGE_CASES = [
 @pytest.mark.parametrize("text", EDGE_CASES)
 def test_edge_case_corpus_parity(text):
     assert_classes_equal(legacy.parse_class(text), parse_class(text))
+
+
+def test_directive_prefix_is_not_the_directive():
+    # ".classx" starts like ".class" but is an unknown directive, which
+    # is ignored outside a method: the class has no .class directive.
+    with pytest.raises(SmaliError, match="no .class directive found"):
+        parse_class(".classx Lcom/app/Weird;\n"
+                    ".super Ljava/lang/Object;\n")
 
 
 MALFORMED = [
