@@ -79,3 +79,48 @@ def test_saved_default_run_answers_like_an_event_logged_one(tmp_path):
     assert explain_run_dir(tmp_path / "plain").to_json() == \
         explain_run_dir(tmp_path / "logged").to_json()
     assert "Coverage over time" in render_dashboard_dir(tmp_path / "plain")
+
+
+def _restate_api_invocations(run_dir, result):
+    """Rewrite a saved ``events.jsonl`` the way runs were saved while the
+    record still restated each sensitive-API invocation: one
+    ``api.observed`` line per invocation, just before ``run.end``."""
+    path = run_dir / "events.jsonl"
+    *body, end = [json.loads(line)
+                  for line in path.read_text().splitlines()]
+    assert end["kind"] == "run.end"
+    observed = [
+        {"seq": end["seq"] + i, "kind": "api.observed", "step": inv.step,
+         "app": result.package, "wall": end["wall"],
+         "attributes": {"api": inv.api, "component": inv.component.cls}}
+        for i, inv in enumerate(result.api_invocations)
+    ]
+    end["seq"] += len(observed)
+    path.write_text("".join(json.dumps(event, sort_keys=True) + "\n"
+                            for event in body + observed + [end]))
+
+
+def test_runs_saved_with_api_observed_events_read_the_same(tmp_path):
+    import pathlib
+
+    from repro.corpus import build_table1_app
+    from repro.obs import explain_run_dir
+    from repro.obs.dashboard import load_run, render_dashboard
+
+    result = FragDroid(Device()).explore(
+        build_apk(build_table1_app("com.happy2.bbmanga")))
+    assert result.api_invocations
+    save_artifacts(result, tmp_path / "new")
+    save_artifacts(result, tmp_path / "old")
+    _restate_api_invocations(tmp_path / "old", result)
+    assert "api.observed" in (tmp_path / "old" / "events.jsonl").read_text()
+
+    def page(name):
+        run = load_run(tmp_path / name)
+        run.path = pathlib.Path("run")  # the page names its directory
+        return render_dashboard(run)
+
+    assert "Sensitive APIs observed" in page("new")
+    assert page("old") == page("new")
+    assert explain_run_dir(tmp_path / "old").to_json() == \
+        explain_run_dir(tmp_path / "new").to_json()
