@@ -151,7 +151,7 @@ def record_census(events: Iterable[Event]) -> Counter:
 
 #: Metrics counters that restate run-record facts, each counted off the
 #: record once per exploration: name -> ``record_census`` key.
-_RECORD_COUNTERS = {
+RECORD_COUNTERS = {
     "clicks": (WIDGET_CLICKED, None),
     "reflection.switches": (REFLECTION_SWITCH, None),
     "forced.starts": (FORCED_START, None),
@@ -325,7 +325,7 @@ class FragDroid:
             # hold what the record holds.
             if tracer.enabled:
                 census = record_census(record.events())
-                for name, key in _RECORD_COUNTERS.items():
+                for name, key in RECORD_COUNTERS.items():
                     if census[key]:
                         tracer.inc(name, census[key])
         result.events = record.events()
