@@ -250,9 +250,9 @@ class CoverageExplanation:
 class _DynamicRecord:
     """The dynamic facts the classifier consults, pre-indexed.
 
-    Reads events in place (live ``Event`` objects or replayed dicts)
-    without materializing intermediate rows — this runs once per app
-    per explanation and is on the benchmark-pinned path.
+    Reads the run record's events in place without materializing
+    intermediate rows — this runs once per app per explanation and is
+    on the benchmark-pinned path.
     """
 
     def __init__(self, events: Iterable, degradation=None) -> None:
@@ -260,19 +260,12 @@ class _DynamicRecord:
         self.quarantined: set = set()
         self.termination: Optional[str] = None
         self.forced_start_used = False
-        for event in events or ():
-            if isinstance(event, dict):
-                kind = event.get("kind")
-                attrs = event.get("attributes") or {}
-                step = event.get("step", 0)
-            else:
-                kind = event.kind
-                attrs = event.attributes or {}
-                step = event.step
+        for event in events:
+            kind, attrs = event.kind, event.attributes
             if kind == WIDGET_CLICKED:
                 widget = str(attrs.get("widget", ""))
                 if widget and widget not in self.clicked:
-                    self.clicked[widget] = int(step)
+                    self.clicked[widget] = event.step
             elif kind == QUARANTINE:
                 self.quarantined.add(str(attrs.get("widget", "")))
             elif kind == RUN_END:

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.events import RUN_END, STATE_DISCOVERED, Event
+from repro.obs.events import STATE_DISCOVERED, Event
 
 
 @dataclass(frozen=True)
@@ -114,17 +114,13 @@ def stalls(events: Iterable[Event], min_events: int = 50) -> List[Stall]:
     discovery, longest first.
 
     The final stretch — from the last discovery to the end of the run
-    (the ``run.end`` event, falling back to the latest step seen) —
-    counts too: the terminal plateau is usually the one that says the
-    budget was spent on nothing.
+    (the latest step any event carries, ``run.end``'s in a whole
+    record) — counts too: the terminal plateau is usually the one that
+    says the budget was spent on nothing.
     """
     events = list(events)
     discovery_steps = [e.step for e in events if e.kind == STATE_DISCOVERED]
-    end_step = 0
-    for event in events:
-        if event.kind == RUN_END:
-            end_step = max(end_step, event.step)
-        end_step = max(end_step, event.step)
+    end_step = max((e.step for e in events), default=0)
     found: List[Stall] = []
     previous = 0
     for step in discovery_steps + [end_step]:
