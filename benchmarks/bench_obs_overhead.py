@@ -209,7 +209,7 @@ def test_serve_telemetry_overhead(tmp_path, save_result,
         f"spans / observations / events: {spans:5d} / {observations:5d}"
         f" / {emits:5d}",
         f"enabled-telemetry cost:        {cost * 1e3:8.3f} ms",
-        f"share of the job's wall time:  {share:8.2%} (budget: 5%)",
+        f"share of the jobs' wall time: {share:8.2%} (budget: 5%)",
     ]
     save_result("serve_telemetry_overhead", "\n".join(lines))
     save_result_json("serve_telemetry_overhead", {
