@@ -101,6 +101,9 @@ class Layout:
             line = raw.strip()
             if line.startswith("<FrameLayout"):
                 attrs = _attrs(line)
+                if "android:id" not in attrs:
+                    raise ApkError(f"container without an id in layout "
+                                   f"{name!r}: {line}")
                 container = attrs["android:id"].replace("@+id/", "")
                 if layout.container_id is None:
                     layout.container_id = container
@@ -112,7 +115,11 @@ class Layout:
             attrs = _attrs(line)
             if "android:id" not in attrs:
                 continue
-            kind = WidgetKind[attrs.get("repro:kind", "TEXT_VIEW")]
+            kind = WidgetKind.__members__.get(
+                attrs.get("repro:kind", "TEXT_VIEW"))
+            if kind is None:
+                raise ApkError(f"unknown widget kind in layout {name!r}: "
+                               f"{line}")
             layout.add(
                 LayoutElement(
                     widget_id=attrs["android:id"].replace("@+id/", ""),

@@ -134,11 +134,13 @@ class Manifest:
         for raw in text.splitlines():
             line = raw.strip()
             if line.startswith("package="):
-                package = line.split('"')[1]
+                package = _quoted(line)
                 manifest = cls(package)
             elif line.startswith("<uses-permission"):
-                assert manifest is not None
-                manifest.uses_permissions.append(line.split('"')[1])
+                if manifest is None:
+                    raise ManifestError(
+                        "uses-permission before package declaration")
+                manifest.uses_permissions.append(_quoted(line))
             elif line.startswith("<activity "):
                 if manifest is None:
                     raise ManifestError("activity before package declaration")
@@ -166,6 +168,14 @@ class Manifest:
         if manifest is None:
             raise ManifestError("no package declaration found")
         return manifest
+
+
+def _quoted(line: str) -> str:
+    """The line's first double-quoted value."""
+    parts = line.split('"', 2)
+    if len(parts) < 3:
+        raise ManifestError(f"missing quoted value in: {line}")
+    return parts[1]
 
 
 def _attr(line: str, name: str) -> str:

@@ -102,9 +102,13 @@ class ResourceTable:
             if not line.startswith("<public "):
                 continue
             attrs = _parse_attrs(line)
-            rtype, name = attrs["type"], attrs["name"]
-            value = int(attrs["id"], 16)
-            rid = ResourceId(value, name)
+            try:
+                rtype, name = attrs["type"], attrs["name"]
+                value = int(attrs["id"], 16)
+                rid = ResourceId(value, name)
+            except (KeyError, ValueError) as exc:
+                raise ResourceError(
+                    f"malformed public.xml entry: {line}") from exc
             table._entries[(rtype, name)] = rid
             table._by_value[value] = (rtype, name)
             index = value & 0xFFFF

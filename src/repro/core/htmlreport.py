@@ -8,12 +8,12 @@ external assets, no scripts.
 
 from __future__ import annotations
 
-import html
-from typing import List
+from typing import List, Tuple
 
 from repro.core.explorer import ExplorationResult
 from repro.core.sensitive_analysis import relations_from_invocations
 from repro.obs import timing_rows
+from repro.obs.dashboard import esc, html_table
 
 _STYLE = """
 body { font-family: system-ui, sans-serif; margin: 2rem auto;
@@ -28,20 +28,9 @@ details { margin: 1rem 0; }
 """.strip()
 
 
-def _esc(value: object) -> str:
-    return html.escape(str(value))
-
-
-def _table(caption: str, headers: List[str], rows: List[List[object]]) -> str:
-    parts = [f"<table><caption>{_esc(caption)}</caption><tr>"]
-    parts.extend(f"<th>{_esc(h)}</th>" for h in headers)
-    parts.append("</tr>")
-    for row in rows:
-        parts.append("<tr>")
-        parts.extend(f"<td>{_esc(cell)}</td>" for cell in row)
-        parts.append("</tr>")
-    parts.append("</table>")
-    return "".join(parts)
+def _columns(*labels: str) -> List[Tuple[str, bool]]:
+    """Headers for :func:`html_table`; the report aligns no column."""
+    return [(label, False) for label in labels]
 
 
 def render_html_report(result: ExplorationResult) -> str:
@@ -96,17 +85,17 @@ def render_html_report(result: ExplorationResult) -> str:
     ]
 
     trace = result.trace
-    trace_lines = "\n".join(_esc(event) for event in trace)
+    trace_lines = "\n".join(esc(event) for event in trace)
 
     # Per-phase timing appears only for traced runs, so the default
     # (no-op tracer) report stays byte-identical.
     timing_table = ""
     if result.spans:
-        timing_table = _table(
-            "Per-phase timing",
-            ["Span", "Count", "Total (s)", "Mean (ms)", "p50 (ms)",
-             "p90 (ms)", "p99 (ms)", "Max (ms)"],
+        timing_table = html_table(
+            _columns("Span", "Count", "Total (s)", "Mean (ms)", "p50 (ms)",
+                     "p90 (ms)", "p99 (ms)", "Max (ms)"),
             timing_rows(result.spans),
+            caption="Per-phase timing",
         )
 
     # The degradation section exists only for fault-injected runs.
@@ -115,10 +104,8 @@ def render_html_report(result: ExplorationResult) -> str:
         deg = result.degradation
         fault_rows = [[kind, count]
                       for kind, count in sorted(deg.faults.items())]
-        degradation_table = _table(
-            f"Degradation — fault profile "
-            f"'{deg.profile}' (seed {deg.seed})",
-            ["Metric", "Value"],
+        degradation_table = html_table(
+            _columns("Metric", "Value"),
             [["Faults injected", deg.total_faults],
              *fault_rows,
              ["Retries (recovered / gave up)",
@@ -129,24 +116,29 @@ def render_html_report(result: ExplorationResult) -> str:
               ", ".join(deg.quarantined) or "none"],
              ["Items re-enqueued / abandoned",
               f"{deg.requeued_items} / {deg.abandoned_items}"]],
+            caption=f"Degradation — fault profile "
+                    f"'{deg.profile}' (seed {deg.seed})",
         )
 
     return f"""<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
-<title>FragDroid report — {_esc(result.package)}</title>
+<title>FragDroid report — {esc(result.package)}</title>
 <style>{_STYLE}</style>
 </head>
 <body>
 <h1>FragDroid exploration report</h1>
-<p>Package: <code>{_esc(result.package)}</code></p>
-{_table("Run summary", ["Metric", "Value", "Rate"], summary_rows)}
-{timing_table}{degradation_table}{_table("Components", ["Kind", "Class", "Status"], component_rows)}
-{_table("AFTM transitions",
-        ["Kind", "From", "To", "Host", "Trigger"], edge_rows)}
-{_table("Sensitive API relations",
-        ["API", "Symbol", "By activity", "By fragment"], api_rows)}
+<p>Package: <code>{esc(result.package)}</code></p>
+{html_table(_columns("Metric", "Value", "Rate"), summary_rows,
+            caption="Run summary")}
+{timing_table}{degradation_table}{html_table(
+    _columns("Kind", "Class", "Status"), component_rows,
+    caption="Components")}
+{html_table(_columns("Kind", "From", "To", "Host", "Trigger"), edge_rows,
+            caption="AFTM transitions")}
+{html_table(_columns("API", "Symbol", "By activity", "By fragment"),
+            api_rows, caption="Sensitive API relations")}
 <details>
 <summary>Exploration trace ({len(trace)} events)</summary>
 <pre>{trace_lines}</pre>

@@ -190,31 +190,40 @@ _SERIES = (
 )
 
 
-def _esc(value: object) -> str:
+def esc(value: object) -> str:
+    """``value`` as escaped HTML text."""
     return html.escape(str(value))
 
 
-def _table(headers: Sequence[Tuple[str, bool]],
-           rows: Sequence[Sequence[object]]) -> str:
-    parts = ["<table><tr>"]
+def html_table(headers: Sequence[Tuple[str, bool]],
+               rows: Sequence[Sequence[object]], caption: str = "") -> str:
+    """A plain HTML table, the dashboard's and the run report's.
+
+    ``headers`` pairs each column's label with whether it holds numbers
+    (its cells get ``class=num``); each row gives one cell per column.
+    """
+    parts = ["<table>"]
+    if caption:
+        parts.append(f"<caption>{esc(caption)}</caption>")
+    parts.append("<tr>")
     parts.extend(
-        f"<th{' class=num' if num else ''}>{_esc(label)}</th>"
+        f"<th{' class=num' if num else ''}>{esc(label)}</th>"
         for label, num in headers
     )
     parts.append("</tr>")
     for row in rows:
         parts.append("<tr>")
-        for (label, num), cell in zip(headers, row):
-            parts.append(f"<td{' class=num' if num else ''}>{_esc(cell)}</td>")
+        for (_, num), cell in zip(headers, row):
+            parts.append(f"<td{' class=num' if num else ''}>{esc(cell)}</td>")
         parts.append("</tr>")
     parts.append("</table>")
     return "".join(parts)
 
 
 def _tile(label: str, value: object, detail: str = "") -> str:
-    detail_html = f'<div class="detail">{_esc(detail)}</div>' if detail else ""
-    return (f'<div class="tile"><div class="label">{_esc(label)}</div>'
-            f'<div class="value">{_esc(value)}</div>{detail_html}</div>')
+    detail_html = f'<div class="detail">{esc(detail)}</div>' if detail else ""
+    return (f'<div class="tile"><div class="label">{esc(label)}</div>'
+            f'<div class="value">{esc(value)}</div>{detail_html}</div>')
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +268,7 @@ def _sparkline(points: Sequence[Tuple[float, float]], color_var: str,
     mark_x, mark_y = sx(points[-1][0]), sy(points[-1][1])
     return (
         f'<svg viewBox="0 0 {width} {height}" width="100%" height="{height}" '
-        f'role="img" aria-label="{_esc(label)}">'
+        f'role="img" aria-label="{esc(label)}">'
         f'<line x1="{pad}" y1="{base}" x2="{width - pad}" y2="{base}" '
         f'stroke="var(--baseline)" stroke-width="1"/>'
         f'<polygon points="{area}" fill="var({color_var})" opacity="0.1"/>'
@@ -277,8 +286,8 @@ def _card(label: str, final: str, color_var: str, chart: str) -> str:
         '<div class="card"><div class="label">'
         f'<span class="key-dot" style="background: var({color_var})">'
         "</span>"
-        f"{_esc(label)}"
-        f'<span class="final">{_esc(final)}</span></div>'
+        f"{esc(label)}"
+        f'<span class="final">{esc(final)}</span></div>'
         + chart
         + "</div>"
     )
@@ -300,7 +309,7 @@ def _coverage_cards(points: Sequence[CoveragePoint],
     checkpoint_rows = [
         [p.step, p.activities, p.fragments, p.fivas, p.apis] for p in points
     ]
-    table = _table(
+    table = html_table(
         [("Step", True), ("Activities", True), ("Fragments", True),
          ("FIVAs", True), ("APIs", True)],
         checkpoint_rows,
@@ -334,8 +343,8 @@ def _phase_bars(spans: Sequence[Span], top: int = 10) -> str:
         label_x = bar_w + 6
         rows.append(
             '<div class="row">'
-            f'<span class="name" title="{_esc(stat.name)}">'
-            f"{_esc(stat.name)} &times;{stat.count}</span>"
+            f'<span class="name" title="{esc(stat.name)}">'
+            f"{esc(stat.name)} &times;{stat.count}</span>"
             f'<svg viewBox="0 0 380 18" width="100%" height="18" '
             f'preserveAspectRatio="xMinYMid meet">'
             f'<path d="{bar_path}" fill="var(--bar)"/>'
@@ -392,7 +401,7 @@ def render_trend_section(records: Sequence) -> str:
          f"{r.total_phase_time():.3f}"]
         for r in records
     ]
-    table = _table(
+    table = html_table(
         [("Run", False), ("Label", False), ("Act rate", True),
          ("Frag rate", True), ("APIs", True), ("Phase s", True)],
         run_rows,
@@ -410,7 +419,7 @@ def _critical_path(spans: Sequence[Span]) -> str:
     if not path:
         return ""
     crumbs = " &rarr; ".join(
-        f"<code>{_esc(span.name)}</code> "
+        f"<code>{esc(span.name)}</code> "
         f"<span>{span.duration * 1000:.1f} ms</span>"
         for span in path
     )
@@ -422,7 +431,7 @@ def _stall_table(found: Sequence[Stall], top: int = 8) -> str:
         return ('<p class="empty">no discovery stalls at this '
                 "threshold</p>")
     rows = [[s.start_step, s.end_step, s.events] for s in found[:top]]
-    return _table(
+    return html_table(
         [("Plateau from step", True), ("To step", True),
          ("Events without discovery", True)],
         rows,
@@ -453,9 +462,9 @@ def _degradation_panel(degradation: Dict) -> str:
     return (
         "<h2>Degradation "
         f'<span class="badge" style="color: var({badge_color})">'
-        f"&#9679; profile: {_esc(degradation.get('profile', '?'))}, "
-        f"seed {_esc(degradation.get('seed', '?'))}</span></h2>"
-        + _table([("Metric", False), ("Value", False)], rows)
+        f"&#9679; profile: {esc(degradation.get('profile', '?'))}, "
+        f"seed {esc(degradation.get('seed', '?'))}</span></h2>"
+        + html_table([("Metric", False), ("Value", False)], rows)
     )
 
 
@@ -468,7 +477,7 @@ def _page(title: str, body: str) -> str:
     return (
         "<!DOCTYPE html>\n"
         '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
-        f"<title>FragDroid dashboard — {_esc(title)}</title>\n"
+        f"<title>FragDroid dashboard — {esc(title)}</title>\n"
         f"<style>{_STYLE}</style>\n</head>\n<body>\n"
         f"<main>\n{body}\n</main>\n</body>\n</html>\n"
     )
@@ -541,8 +550,8 @@ def render_dashboard(run: RunData,
     explanations — the miss-cause section."""
     sections: List[str] = [
         f"<h1>FragDroid flight recorder</h1>"
-        f'<p class="sub">Run: <strong>{_esc(run.package)}</strong> '
-        f"&middot; {_esc(run.path)}</p>",
+        f'<p class="sub">Run: <strong>{esc(run.package)}</strong> '
+        f"&middot; {esc(run.path)}</p>",
         _run_tiles(run),
     ]
     if run.events:
@@ -629,7 +638,7 @@ def render_fleet_table(rows: Sequence[Dict]) -> str:
             row.get("crashes", 0),
             f"{duration:.3f}" if duration is not None else "—",
         ])
-    return _table(headers, body)
+    return html_table(headers, body)
 
 
 def render_fleet_dashboard(runs: Sequence[RunData],
@@ -652,7 +661,7 @@ def render_fleet_dashboard(runs: Sequence[RunData],
     ]
     body = (
         "<h1>FragDroid flight recorder — fleet</h1>"
-        f'<p class="sub">Sweep: {_esc(path)}</p>'
+        f'<p class="sub">Sweep: {esc(path)}</p>'
         f'<div class="tiles">{"".join(tiles)}</div>'
         f"<h2>Per-app results ({len(runs)} apps)</h2>"
         + render_fleet_table(fleet_rows(runs))
@@ -805,7 +814,7 @@ def render_service_section(jobs: Sequence,
         for row in rows
     ]
     sections.append(f"<h3>Jobs ({len(rows)})</h3>")
-    sections.append(_table(
+    sections.append(html_table(
         [("Job", False), ("State", False), ("Apps done", True),
          ("Failed", True), ("Queue wait (s)", True), ("Run (s)", True),
          ("Trace", True), ("Error", False)],
@@ -851,7 +860,7 @@ def _adversity_timeline(jobs: Sequence,
         return ('<h3>Adversity timeline</h3><p class="empty">no worker '
                 "deaths, re-admissions or failed rows — a healthy "
                 "fleet</p>")
-    return "<h3>Adversity timeline</h3>" + _table(
+    return "<h3>Adversity timeline</h3>" + html_table(
         [("Job", False), ("Worker deaths", True), ("Re-admitted", False),
          ("Quarantined", False), ("Failed apps", False),
          ("In registry", False)],
@@ -906,12 +915,12 @@ def render_attribution_section(explanations: Sequence) -> str:
                    if census.get(cause)]
     if census_rows:
         sections.append("<h3>Cause census</h3>")
-        sections.append(_table([("Cause", False), ("Targets", True)],
+        sections.append(html_table([("Cause", False), ("Targets", True)],
                                census_rows))
     widgets = top_blocking_widgets(explanations)
     if widgets:
         sections.append("<h3>Top blocking widgets</h3>")
-        sections.append(_table(
+        sections.append(html_table(
             [("Widget", False), ("Targets blocked", True)],
             [[widget, count] for widget, count in widgets],
         ))
@@ -927,7 +936,7 @@ def render_service_dashboard(jobs: Sequence,
     (``repro dashboard --journal DIR``)."""
     body = (
         "<h1>FragDroid flight recorder — service fleet</h1>"
-        f'<p class="sub">Journal: {_esc(path)}</p>'
+        f'<p class="sub">Journal: {esc(path)}</p>'
         + render_service_section(jobs, records)
         + (render_attribution_section(explanations)
            if explanations is not None else "")

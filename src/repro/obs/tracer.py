@@ -170,6 +170,9 @@ class Tracer:
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._finished: List[Span] = []
+        # The same spans by trace, so a job's or an app's trace is read
+        # without scanning every span the tracer has kept.
+        self._by_trace: Dict[int, List[Span]] = {}
         self._local = threading.local()
 
     # -- span lifecycle ----------------------------------------------------
@@ -248,6 +251,7 @@ class Tracer:
     def _record(self, span: Span) -> None:
         with self._lock:
             self._finished.append(span)
+            self._by_trace.setdefault(span.trace_id, []).append(span)
         for sink in self.sinks:
             sink.emit(span)
 
@@ -282,7 +286,7 @@ class Tracer:
 
     def spans_in_trace(self, trace_id: int) -> List[Span]:
         with self._lock:
-            return [s for s in self._finished if s.trace_id == trace_id]
+            return list(self._by_trace.get(trace_id, ()))
 
     # -- merging -----------------------------------------------------------
 
@@ -340,6 +344,7 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self._finished.clear()
+            self._by_trace.clear()
         self.metrics.clear()
 
     def close(self) -> None:

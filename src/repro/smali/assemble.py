@@ -250,19 +250,24 @@ def parse_class(text: str) -> SmaliClass:
     directives_get = _DIRECTIVES.get
     unknown = _ClassParser._dir_unknown
     cache_get = _INSTRUCTION_CACHE.get
-    for line in map(str.strip, text.splitlines()):
-        if not line:
-            continue
-        head = line[0]
-        if head == ".":
-            directives_get(line.partition(" ")[0], unknown)(parser, line)
-        elif head == "#":
-            continue
-        elif parser.in_method:
-            instruction = cache_get(line)
-            if instruction is None:
-                instruction = _parse_instruction(line)
-            parser.method.instructions.append(instruction)
+    try:
+        for line in map(str.strip, text.splitlines()):
+            if not line:
+                continue
+            head = line[0]
+            if head == ".":
+                directives_get(line.partition(" ")[0], unknown)(parser, line)
+            elif head == "#":
+                continue
+            elif parser.in_method:
+                instruction = cache_get(line)
+                if instruction is None:
+                    instruction = _parse_instruction(line)
+                parser.method.instructions.append(instruction)
+    except (ValueError, IndexError) as exc:
+        # A malformed operand, descriptor or header (a missing "(", a
+        # non-numeric register count, an unterminated "L...;").
+        raise SmaliError(f"malformed smali: {exc}") from exc
     if not parser.seen_class:
         raise SmaliError("no .class directive found")
     return parser.cls

@@ -20,7 +20,11 @@ import pytest
 
 from repro.android import Device
 from repro.apk.builder import build_apk
-from repro.bench.parallel import explore_many
+from repro.bench.parallel import (
+    _IDLE_POOLS,
+    _drop_idle_pools,
+    explore_many,
+)
 from repro.core.explorer import FragDroid
 from repro.core.report import result_to_json
 from repro.corpus import TABLE1_PLANS
@@ -74,15 +78,25 @@ def test_exploration_outputs_byte_identical(package):
 def test_sweep_backends_reproduce_the_golden_outputs(backend):
     """Outputs are deterministic across sweep backends: every fixture
     app explored through explore_many matches its pinned entry (the
-    device step count stays with the device, so it is not compared)."""
-    outcomes = explore_many(list(PLANS.values()), max_workers=2,
-                            backend=backend)
+    device step count stays with the device, so it is not compared).
+    The process sweep runs twice: on a freshly forked pool, then on the
+    warm pool the first run left idle."""
+    _drop_idle_pools()
     golden = _load()
-    assert sorted(outcomes) == sorted(golden)
-    for package, outcome in outcomes.items():
-        expected = {key: value for key, value in golden[package].items()
-                    if key != "steps"}
-        assert result_entry(outcome.unwrap()) == expected, package
+    idle = []
+    for _ in range(2 if backend == "process" else 1):
+        outcomes = explore_many(list(PLANS.values()), max_workers=2,
+                                backend=backend)
+        assert sorted(outcomes) == sorted(golden)
+        for package, outcome in outcomes.items():
+            expected = {key: value
+                        for key, value in golden[package].items()
+                        if key != "steps"}
+            assert result_entry(outcome.unwrap()) == expected, package
+        idle.append(_IDLE_POOLS.get(2))
+    if backend == "process":
+        # The second sweep leased, and then idled, the first one's pool.
+        assert idle[0] is not None and idle[1] is idle[0]
 
 
 if __name__ == "__main__":

@@ -98,6 +98,40 @@ def test_clear_resets_spans_and_metrics():
     tracer.clear()
     assert tracer.finished_spans() == []
     assert tracer.metrics.counter("n") == 0
+    assert tracer.spans_in_trace(1) == []
+
+
+def test_spans_in_trace_equals_a_scan_of_every_span():
+    """The per-trace index answers what a scan of the finished spans
+    would, over interleaved traces, explicit traces, retrospective spans
+    and absorbed spans (remapped, or re-homed with into_trace)."""
+    worker = Tracer()
+    with worker.span("sweep.app"):
+        with worker.span("explore"):
+            pass
+    with worker.span("other.root"):
+        pass
+
+    tracer = Tracer()
+    with tracer.span("job.submit") as submit:
+        pass
+    job = submit.trace_id
+    with tracer.span("unrelated"):
+        tracer.record_span("queue.wait", 0.5, trace_id=job)
+    with tracer.trace_span("job.run", job):
+        with tracer.span("schedule.round"):
+            pass
+    tracer.absorb(worker.finished_spans(), into_trace=job)
+    tracer.absorb(worker.finished_spans())
+    tracer.record_span("queue.wait", 0.25)
+
+    spans = tracer.finished_spans()
+    traces = {span.trace_id for span in spans}
+    assert len(traces) >= 4
+    for trace in traces | {job + 1000}:
+        assert tracer.spans_in_trace(trace) == [
+            span for span in spans if span.trace_id == trace]
+    assert len(tracer.spans_in_trace(job)) == 7
 
 
 def test_null_tracer_records_nothing():

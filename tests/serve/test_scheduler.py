@@ -444,7 +444,14 @@ def test_crash_between_registry_and_journal_does_not_duplicate(tmp_path):
 
 def test_real_worker_death_recovery_end_to_end(tmp_path, monkeypatch):
     """A process-backend job whose worker is SIGKILLed mid-chunk
-    completes after re-admission, and its rows match a clean run."""
+    completes after re-admission, and its rows match a clean run.  The
+    clean run goes first, so the kill is set after its pool forked and
+    the killed job's first round leases that warm pool."""
+    clean = make_scheduler(tmp_path / "clean")
+    clean_job = submit_demo_job(clean, backend="process", workers=2,
+                                time_budget_s=120.0)
+    clean.run_job(clean_job)
+
     monkeypatch.setenv("FRAGDROID_CHAOS_KILL", f"{BETA}:1")
     monkeypatch.setenv("FRAGDROID_CHAOS_KILL_STATE",
                        str(tmp_path / "chaos"))
@@ -457,10 +464,4 @@ def test_real_worker_death_recovery_end_to_end(tmp_path, monkeypatch):
     counters = scheduler.tracer.metrics.counters()
     assert counters["sweep.worker.died"] >= 1
     assert counters["serve.readmitted"] >= 1
-
-    monkeypatch.delenv("FRAGDROID_CHAOS_KILL")
-    clean = make_scheduler(tmp_path / "clean")
-    clean_job = submit_demo_job(clean, backend="process", workers=2,
-                                time_budget_s=120.0)
-    clean.run_job(clean_job)
     assert _rows_sans_duration(job) == _rows_sans_duration(clean_job)
