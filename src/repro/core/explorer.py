@@ -316,7 +316,6 @@ class FragDroid:
                     run.enqueue_forced_starts()
                     run.drain_queue()
                 result = run.result()
-                root.set_attribute("termination", run.termination_reason())
                 trace_id = root.trace_id
             record.emit(RUN_END, step=self.device.steps,
                         termination=run.termination_reason())
@@ -388,28 +387,21 @@ class _Run:
         other statically known node becomes reachable as Cases 1–3
         attach operations to discovered paths (the BFS order of the
         model is preserved through FIFO processing)."""
-        entry = self.aftm.entry
-        with self.tracer.span("explorer.queue", app=self.package,
-                              op="seed"):
-            self.queue.push(
-                UIQueueItem(
-                    method="launch",
-                    start=None,
-                    target=entry,
-                    operations=(launch_op(),),
-                )
+        self.queue.push(
+            UIQueueItem(
+                method="launch",
+                start=None,
+                target=self.aftm.entry,
+                operations=(launch_op(),),
             )
+        )
 
     def drain_queue(self) -> None:
         while self.queue and not self._budget_exhausted():
             self.tracer.observe("queue.depth", len(self.queue))
             item = self.queue.pop()
-            with self.tracer.span("explorer.test_case", app=self.package,
-                                  method=item.method) as span:
-                executed = self._execute_item(item)
-                span.set_attribute("ok", executed)
-                if executed:
-                    self._process_interface(item)
+            if self._execute_item(item):
+                self._process_interface(item)
 
     def termination_reason(self) -> str:
         """Why the run stopped: the queue drained (the paper's AFTM
@@ -419,21 +411,16 @@ class _Run:
     def enqueue_forced_starts(self) -> None:
         """Section VI-C: forcibly invoke unvisited Activities through
         empty Intents."""
-        with self.tracer.span("explorer.queue", app=self.package,
-                              op="forced-start") as span:
-            enqueued = 0
-            for node in self.aftm.unvisited_activities():
-                component = f"{self.package}/{node.name}"
-                self.queue.push(
-                    UIQueueItem(
-                        method="forced-start",
-                        start=None,
-                        target=node,
-                        operations=(force_start_op(component),),
-                    )
+        for node in self.aftm.unvisited_activities():
+            component = f"{self.package}/{node.name}"
+            self.queue.push(
+                UIQueueItem(
+                    method="forced-start",
+                    start=None,
+                    target=node,
+                    operations=(force_start_op(component),),
                 )
-                enqueued += 1
-            span.set_attribute("enqueued", enqueued)
+            )
 
     def _budget_exhausted(self) -> bool:
         return self.device.steps >= self.config.max_events
@@ -499,9 +486,7 @@ class _Run:
             self._emit(CRASH_RECOVERY, action="abandon", item=str(item))
             return
         self._item_restarts[key] = restarts + 1
-        with self.tracer.span("explorer.queue", app=self.package,
-                              op="requeue"):
-            self.queue.requeue(item)
+        self.queue.requeue(item)
         self._emit(CRASH_RECOVERY, action="requeue", restart=restarts + 1,
                    item=str(item))
 
@@ -535,10 +520,7 @@ class _Run:
         self._processed_signatures.add(snapshot.signature)
         if self.config.enable_click_exploration:
             self._emit(CASE_DECISION, case=3, activity=snapshot.activity)
-            with self.tracer.span("explorer.case3", app=self.package,
-                                  activity=snapshot.activity) as span:
-                self._click_sweep(item, snapshot)
-                span.set_attribute("queue", len(self.queue))
+            self._click_sweep(item, snapshot)
 
     def _register_visit(self, snapshot: UiSnapshot,
                         item: UIQueueItem) -> None:
@@ -559,21 +541,16 @@ class _Run:
             self._paths.setdefault(fragment, item.operations)
         if newly_visited or activity not in self._case1_done:
             self._case1_done.add(activity)
-            with self.tracer.span("explorer.case1", app=self.package,
-                                  activity=activity) as span:
-                enqueued = self._case1_enqueue_fragments(activity, item)
-                span.set_attribute("enqueued", enqueued)
-                if enqueued:
-                    self._emit(CASE_DECISION, case=1, activity=activity,
-                               enqueued=enqueued)
+            enqueued = self._case1_enqueue_fragments(activity, item)
+            if enqueued:
+                self._emit(CASE_DECISION, case=1, activity=activity,
+                           enqueued=enqueued)
         for fragment in snapshot.fragments:
             node = fragment_node(fragment)
             if self.aftm.is_visited(node):
                 continue
-            with self.tracer.span("explorer.case2", app=self.package,
-                                  fragment=fragment):
-                self._emit(CASE_DECISION, case=2, fragment=fragment)
-                self.aftm.mark_visited(node)
+            self._emit(CASE_DECISION, case=2, fragment=fragment)
+            self.aftm.mark_visited(node)
 
     def _case1_enqueue_fragments(self, activity: str,
                                  item: UIQueueItem) -> int:

@@ -180,7 +180,7 @@ def test_explore_trace_jsonl_and_trace_summary(capsys, tmp_path):
     code, out = run_cli(capsys, "trace-summary", str(trace), "--top", "3")
     assert code == 0
     assert "static.extract" in out
-    assert "explorer.test_case" in out
+    assert "ui.snapshot" in out
     assert "slowest spans" in out
 
 
