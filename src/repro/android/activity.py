@@ -59,12 +59,12 @@ def activity_blueprint(spec: ActivitySpec, class_name: str,
             # NavigationView renders menu rows internally: they carry
             # runtime IDs, not the layout resource IDs, and no handler.
             rows.append((synthetic_id(class_name, widget_spec.id),
-                         widget_spec.kind, widget_spec.text, None, False,
-                         layer, None))
+                         widget_spec.kind, widget_spec.text, class_name,
+                         False, None, False, layer, None))
             continue
         rid = resources.get("id", widget_spec.id)
         rows.append((widget_spec.id, widget_spec.kind, widget_spec.text,
-                     rid.value if rid else None,
+                     class_name, False, rid.value if rid else None,
                      widget_spec.on_click is not None
                      or widget_spec.kind.clickable,
                      layer, widget_spec))
@@ -72,16 +72,17 @@ def activity_blueprint(spec: ActivitySpec, class_name: str,
 
 
 class ActivityInstance:
-    """One live Activity on the stack."""
+    """One live Activity on the stack.  It keeps its app's package, not
+    the process: the process owns it."""
 
-    def __init__(self, blueprint: Blueprint, app: "AppProcess",
+    def __init__(self, blueprint: Blueprint, package: str,
                  intent: Intent) -> None:
         self.blueprint = blueprint
         self.spec: ActivitySpec = blueprint.spec
-        self.app = app
+        self.package = package
         self.intent = intent
         self.class_name = blueprint.class_name
-        self.fragment_manager = FragmentManager(self)
+        self.fragment_manager = FragmentManager()
         self.direct_fragments: List[FragmentInstance] = []
         self.overlays: List[Overlay] = []
         self.drawer_open = False
@@ -91,42 +92,43 @@ class ActivityInstance:
 
     @property
     def component(self) -> ComponentName:
-        return ComponentName(self.app.package, self.class_name)
+        return ComponentName(self.package, self.class_name)
 
     # -- lifecycle ----------------------------------------------------------
 
-    def on_create(self) -> bool:
-        """Run onCreate.  Returns False when the Activity finishes
-        immediately (missing Intent extras under a forced start)."""
+    def on_create(self, process: "AppProcess") -> bool:
+        """Run onCreate in ``process``.  Returns False when the Activity
+        finishes immediately (missing Intent extras under a forced
+        start)."""
+        device = process.device
         if self.spec.requires_intent_extras and self.intent.is_empty:
-            self.app.device.logcat.log(
+            device.logcat.log(
                 "W", "ActivityManager",
                 f"{self.class_name} finished in onCreate: missing extras",
-                self.app.device.steps,
+                device.steps,
             )
             self.finished = True
             return False
-        device = self.app.device
         for api in self.spec.api_calls:
             device.api_monitor.record(
                 api, self.component, InvocationSource.ACTIVITY, device.steps
             )
         self._build_content_widgets()
         if self.spec.initial_fragment:
-            self.app.attach_fragment(
+            process.attach_fragment(
                 self, self.spec.initial_fragment,
                 self.spec.container_id or "fragment_container",
                 mode="replace", via="transaction",
             )
         for container, fragment_name in self.spec.panes:
-            self.app.attach_fragment(
+            process.attach_fragment(
                 self, fragment_name, container,
                 mode="add", via="transaction",
             )
         return True
 
     def _build_content_widgets(self) -> None:
-        for widget in self.app.inflate(self):
+        for widget in self.blueprint.inflate():
             if widget.layer == "drawer":
                 self.drawer_widgets.append(widget)
             else:
@@ -157,6 +159,9 @@ class ActivityInstance:
 
     def _populate_overlay(self, overlay: Overlay, specs: List[WidgetSpec],
                           owner_class: str, owner_is_fragment: bool) -> None:
+        # The widgets name the component that showed the overlay, but
+        # the overlay is built on this activity's window: a click on one
+        # runs as the activity (AppProcess.dispatch_click).
         if overlay.kind == "dialog":
             # Every AlertDialog shows its message; a button-less builder
             # still gets the default OK button.
@@ -182,7 +187,7 @@ class ActivityInstance:
                 resource_value=None,
                 clickable=True,
                 layer=overlay.kind,
-                handler=(widget_spec, self),
+                handler=widget_spec,
             )
             overlay.widgets.append(widget)
         overlay.window = dialog_bounds(len(overlay.widgets))

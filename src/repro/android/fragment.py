@@ -22,6 +22,7 @@ from repro.types import ComponentName, InvocationSource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.android.activity import ActivityInstance
+    from repro.android.device import Device
 
 
 def fragment_blueprint(spec: FragmentSpec, class_name: str,
@@ -40,7 +41,7 @@ def fragment_blueprint(spec: FragmentSpec, class_name: str,
             widget_id = synthetic_id(class_name, widget_spec.id)
             resource_value = None
         rows.append((widget_id, widget_spec.kind, widget_spec.text,
-                     resource_value,
+                     class_name, True, resource_value,
                      widget_spec.on_click is not None
                      or widget_spec.kind.clickable,
                      "content", widget_spec))
@@ -48,13 +49,15 @@ def fragment_blueprint(spec: FragmentSpec, class_name: str,
 
 
 class FragmentInstance:
-    """One attached Fragment."""
+    """One attached Fragment.  It keeps its host's package and name,
+    not the host: the host owns it."""
 
     def __init__(self, blueprint: Blueprint, host: "ActivityInstance",
                  container_id: str, via: str) -> None:
         self.blueprint = blueprint
         self.spec: FragmentSpec = blueprint.spec
-        self.host = host
+        self.package = host.package
+        self.host_name = host.spec.name
         self.container_id = container_id
         self.via = via  # "transaction" | "direct" | "reflection"
         self.class_name = blueprint.class_name
@@ -63,23 +66,23 @@ class FragmentInstance:
 
     @property
     def component(self) -> ComponentName:
-        return ComponentName(self.host.app.package, self.class_name)
+        return ComponentName(self.package, self.class_name)
 
     @property
     def managed(self) -> bool:
         return self.spec.managed
 
-    def on_create_view(self) -> None:
-        """Inflate widgets and run the fragment's onCreateView API calls."""
+    def on_create_view(self, device: "Device") -> None:
+        """Inflate widgets and run the fragment's onCreateView API calls
+        through ``device``'s monitor."""
         if self._created:
             return
         self._created = True
-        device = self.host.app.device
         for api in self.spec.api_calls:
             device.api_monitor.record(
                 api, self.component, InvocationSource.FRAGMENT, device.steps
             )
-        self.widgets = self.host.app.inflate(self)
+        self.widgets = self.blueprint.inflate()
 
     def __repr__(self) -> str:
-        return f"<Fragment {self.spec.name} in {self.host.spec.name}>"
+        return f"<Fragment {self.spec.name} in {self.host_name}>"

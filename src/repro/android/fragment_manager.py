@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.errors import DeviceError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.android.activity import ActivityInstance
     from repro.android.fragment import FragmentInstance
 
 
@@ -68,10 +67,11 @@ class FragmentTransaction:
 
 
 class FragmentManager:
-    """Per-Activity registry of attached (managed) fragments."""
+    """Per-Activity registry of attached (managed) fragments.  The
+    process runs an attached fragment's ``onCreateView`` once its
+    transaction commits."""
 
-    def __init__(self, activity: "ActivityInstance") -> None:
-        self._activity = activity
+    def __init__(self) -> None:
         self._containers: Dict[str, List["FragmentInstance"]] = {}
         self._back_stack: List[Dict[str, List["FragmentInstance"]]] = []
 
@@ -100,7 +100,6 @@ class FragmentManager:
 
     def attach(self, container_id: str, fragment: "FragmentInstance") -> None:
         self._containers.setdefault(container_id, []).append(fragment)
-        fragment.on_create_view()
 
     def detach(self, container_id: str, fragment: "FragmentInstance") -> None:
         fragments = self._containers.get(container_id, [])

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import (
-    TYPE_CHECKING, Any, List, NamedTuple, Optional, Tuple, Union,
-)
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple, Union
 
 from repro.types import WidgetKind
 
@@ -60,17 +58,20 @@ class Rect:
 NO_BOUNDS = Rect(0, 0, 0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class RuntimeWidget:
     """A widget as it exists on screen.
 
     ``owner`` is the ground-truth owning component class (used by the
     monitor and the test suite); automation tools must not read it —
     they identify ownership through the resource dependency, as the
-    paper does.  ``handler`` is the app's click handler as the emulator
-    runs it: the handler spec and the component instance that
-    registered it, or None for a widget with no handler.  Only the
-    runtime reads it; it lives and dies with the widget.
+    paper does.  ``handler`` is the spec of the app's click handler as
+    the emulator runs it, or None for a widget with no handler; the
+    component it runs as is resolved when the click is dispatched.
+    Only the runtime reads it.
+
+    The fields up to ``handler`` are the widget's blueprint row, in row
+    order; the rest are its on-screen state.
     """
 
     widget_id: str
@@ -79,13 +80,13 @@ class RuntimeWidget:
     owner_class: str
     owner_is_fragment: bool
     resource_value: Optional[int] = None
-    bounds: Rect = NO_BOUNDS
     clickable: bool = True
     layer: str = "content"  # content | drawer | dialog | popup
+    handler: Optional["WidgetSpec"] = field(
+        default=None, compare=False, repr=False)
+    bounds: Rect = NO_BOUNDS
     checked: bool = False
     entered_text: str = ""
-    handler: Optional[Tuple["WidgetSpec", Any]] = field(
-        default=None, compare=False, repr=False)
 
     @property
     def accepts_text(self) -> bool:
@@ -96,12 +97,13 @@ class RuntimeWidget:
 
 
 #: What a widget is on every build of its screen, resolved once per
-#: install: (widget id, kind, text, resource value, clickable, layer,
-#: click-handler spec).  The handler is None for a widget the app
-#: registers no handler on.  Bounds, ``checked`` and ``entered_text``
-#: belong to each RuntimeWidget instead.
-WidgetRow = Tuple[str, WidgetKind, str, Optional[int], bool, str,
-                  Optional["WidgetSpec"]]
+#: install: (widget id, kind, text, owner class, owner is a fragment,
+#: resource value, clickable, layer, click-handler spec) — the leading
+#: fields of a RuntimeWidget, in its field order.  The handler is None
+#: for a widget the app registers no handler on.  Bounds, ``checked``
+#: and ``entered_text`` belong to each RuntimeWidget instead.
+WidgetRow = Tuple[str, WidgetKind, str, str, bool, Optional[int], bool,
+                  str, Optional["WidgetSpec"]]
 
 
 class Blueprint(NamedTuple):
@@ -113,6 +115,10 @@ class Blueprint(NamedTuple):
     spec: Union["ActivitySpec", "FragmentSpec"]
     class_name: str
     rows: Tuple[WidgetRow, ...]
+
+    def inflate(self) -> List[RuntimeWidget]:
+        """Fresh widgets for the rows, in screen order."""
+        return [RuntimeWidget(*row) for row in self.rows]
 
 
 @lru_cache(maxsize=1024)

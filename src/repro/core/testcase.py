@@ -12,6 +12,7 @@ driver.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -170,8 +171,11 @@ class TestCase:
 
     def install_and_run(self, solo: "Solo", adb: "Adb") -> None:
         """The full Section VI-A method 2 flow: package the script,
-        install it, run it via ``am instrument``."""
+        install it, run it via ``am instrument``.  The registered runner
+        reaches ``adb`` through a weak reference: ``adb`` holds the
+        runner, and a strong one would make the pair a cycle."""
+        adb_ref = weakref.ref(adb)
         adb.register_instrumentation(
-            self.test_package, lambda: self.run(solo, adb)
+            self.test_package, lambda: self.run(solo, adb_ref())
         )
         adb.am_instrument(self.test_package)
