@@ -49,6 +49,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.errors import StoreError
 from repro.obs.flame import build_trees
 from repro.obs.metrics import percentile
 from repro.obs.timeline import coverage_timeline, discovery_stats
@@ -148,25 +149,38 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunRecord":
-        schema = int(data.get("schema", -1))
+        """The record ``data`` holds.  Raises :class:`StoreError` for
+        anything else: a non-object, another schema, a field of the
+        wrong shape."""
+        if not isinstance(data, dict):
+            raise StoreError(f"run record is a {type(data).__name__}, "
+                             "not a JSON object")
+        try:
+            schema = int(data.get("schema", -1))
+        except (TypeError, ValueError, OverflowError):
+            schema = None
         if schema != RECORD_SCHEMA:
-            raise ValueError(f"unsupported run-record schema {schema!r} "
+            raise StoreError("unsupported run-record schema "
+                             f"{data.get('schema', -1)!r} "
                              f"(this build reads {RECORD_SCHEMA})")
-        return cls(
-            label=str(data.get("label", "run")),
-            config=dict(data.get("config") or {}),
-            corpus_digest=str(data.get("corpus_digest", "")),
-            apps=[dict(r) for r in data.get("apps") or ()],
-            coverage=dict(data.get("coverage") or {}),
-            counters=dict(data.get("counters") or {}),
-            histograms=dict(data.get("histograms") or {}),
-            fault_census=dict(data.get("fault_census") or {}),
-            phases=dict(data.get("phases") or {}),
-            timeline=dict(data.get("timeline") or {}),
-            meta=dict(data.get("meta") or {}),
-            schema=schema,
-            run_id=str(data.get("run_id", "")),
-        )
+        try:
+            return cls(
+                label=str(data.get("label", "run")),
+                config=dict(data.get("config") or {}),
+                corpus_digest=str(data.get("corpus_digest", "")),
+                apps=[dict(r) for r in data.get("apps") or ()],
+                coverage=dict(data.get("coverage") or {}),
+                counters=dict(data.get("counters") or {}),
+                histograms=dict(data.get("histograms") or {}),
+                fault_census=dict(data.get("fault_census") or {}),
+                phases=dict(data.get("phases") or {}),
+                timeline=dict(data.get("timeline") or {}),
+                meta=dict(data.get("meta") or {}),
+                schema=schema,
+                run_id=str(data.get("run_id", "")),
+            )
+        except (TypeError, ValueError) as exc:
+            raise StoreError(f"malformed run record: {exc}") from exc
 
     # -- views -------------------------------------------------------------
 

@@ -4,10 +4,12 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import FragDroidConfig
 from repro.bench.parallel import explore_many
 from repro.corpus.table1_apps import plan_for
+from repro.errors import ReproError, StoreError
 from repro.obs import RunRecord, RunRegistry, Tracer, capture_run_record
 from repro.obs.registry import (
     PIN_FILE,
@@ -60,6 +62,59 @@ def test_from_dict_rejects_foreign_schema():
     data["schema"] = RECORD_SCHEMA + 1
     with pytest.raises(ValueError, match="schema"):
         RunRecord.from_dict(data)
+
+
+@pytest.mark.parametrize("data", [
+    None,
+    [make_record().to_dict()],
+    {"schema": "one"},
+    {"schema": float("inf")},
+    {"schema": RECORD_SCHEMA, "apps": 5},
+    {"schema": RECORD_SCHEMA, "apps": ["row"]},
+    {"schema": RECORD_SCHEMA, "config": 7},
+    {"schema": RECORD_SCHEMA, "meta": "created"},
+], ids=["null", "list", "schema-text", "schema-inf", "apps-number",
+        "apps-row-text", "config-number", "meta-text"])
+def test_from_dict_rejects_malformed_records_with_store_error(data):
+    with pytest.raises(StoreError):
+        RunRecord.from_dict(data)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+FUZZ = settings(max_examples=200, deadline=None)
+
+
+def _load_or_repro_error(data) -> None:
+    try:
+        RunRecord.from_dict(data)
+    except ReproError:
+        pass
+
+
+@FUZZ
+@given(value=_json)
+def test_from_dict_of_any_json_value_loads_or_raises_repro_error(value):
+    _load_or_repro_error(value)
+
+
+@FUZZ
+@given(field=st.sampled_from(sorted(make_record().to_dict())),
+       value=_json, drop=st.booleans())
+def test_from_dict_of_a_damaged_field_loads_or_raises_repro_error(
+        field, value, drop):
+    data = make_record().to_dict()
+    if drop:
+        data.pop(field)
+    else:
+        data[field] = value
+    _load_or_repro_error(data)
 
 
 def test_corpus_digest_is_order_independent_and_content_sensitive():

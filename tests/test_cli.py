@@ -418,6 +418,15 @@ def test_regress_against_record_files(capsys, tmp_path):
     assert code == 2
     assert "cannot load baseline" in out
 
+    # A baseline file of the wrong shape is a message, not a traceback.
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps({"schema": 1, "apps": 5}))
+    code, out = run_cli(capsys, "regress", "--baseline", str(bad_file),
+                        "--candidate", str(cand_file),
+                        "--dir", str(tmp_path / "runs"))
+    assert code == 2
+    assert "cannot load baseline" in out and "malformed run record" in out
+
 
 def test_regress_runs_the_sweep_when_no_candidate_named(capsys, tmp_path):
     from repro.obs import RunRegistry
