@@ -16,8 +16,9 @@ batch`` each run many independent apps.  All three go through
   item's exception is captured into its :class:`SweepOutcome` instead
   of aborting the sweep.  Workers take the next item as they free up,
   so one slow item never holds back the rest.  Exceptions cross the
-  process boundary as ``(module, qualname, message)`` triples and are
-  re-hydrated, so ``SweepOutcome.unwrap()`` re-raises the real type.
+  process boundary as themselves, so ``SweepOutcome.unwrap()``
+  re-raises the real type with its attributes; one that does not
+  pickle comes home as a :class:`RemoteSweepError` naming its type.
 * *Worker death.*  A process worker killed outright (OOM, SIGKILL)
   breaks the pool and takes its chunk's results with it, plus every
   chunk still pending.  Those items become failed
@@ -38,12 +39,15 @@ batch`` each run many independent apps.  All three go through
   sweeps once, such as a single ``repro table1``, gains nothing.
 
 The callers: :func:`explore_many` sweeps app plans through
-:func:`explore_one`; on the process backend a picklable *spec* of the
-config ships instead of the live one.  Each worker's spans and counters
-are folded back into the parent's observers on join (``Tracer.absorb``
-/ ``Metrics.merge``), and each result's run record into the parent's
-event log (``EventLog.absorb``), so both backends produce identical
-``sweep_rows``/``fault_census`` for a fixed seed.
+:func:`explore_one`.  On the process backend the config itself ships,
+and each live observer crosses by its own pickling rule: a tracer as an
+empty one in the same memory mode, an event log as a null log, a static
+cache as a fresh handle on its directory.  A worker unpickles a fresh
+config per app; what its tracer recorded comes home on the app's
+outcome.  The parent folds those spans and counters into its observers
+on join (``Tracer.absorb`` / ``Metrics.merge``), and each result's run
+record into its event log (``EventLog.absorb``), so both backends
+produce identical ``sweep_rows``/``fault_census`` for a fixed seed.
 :func:`repro.bench.runner.run_usage_study` sweeps market apps and
 re-raises any failure.  ``repro batch`` sweeps ``.apk`` paths and
 writes a failed row for each file that fails.  :class:`SweepRun` hands
@@ -53,7 +57,6 @@ run records.
 
 from __future__ import annotations
 
-import importlib
 import os
 import pickle
 import threading
@@ -78,18 +81,14 @@ from repro.corpus import TABLE1_PLANS, build_app
 from repro.corpus.synth import AppPlan
 from repro.errors import ReproError, WorkerDiedError
 from repro.faults import classify_fault, make_device
-from repro.obs import NULL_EVENT_LOG, NULL_TRACER, Span, Tracer
+from repro.obs import NULL_TRACER, Span, Tracer
 from repro.obs.registry import capture_run_record, corpus_digest_of
 
 BACKENDS = ("thread", "process")
 
-#: An exception in transit from a worker process: (module, qualname,
-#: message).  Multi-argument constructors break exception pickling.
-_FrozenError = Tuple[str, str, str]
-
 
 class RemoteSweepError(ReproError):
-    """A worker-process failure whose concrete type could not be rebuilt."""
+    """A worker-process failure whose exception did not pickle."""
 
 
 @dataclass
@@ -112,6 +111,13 @@ class SweepOutcome:
     # the failure struck before the build finished.  The sweep's run
     # record derives its corpus digest from these.
     apk_digest: Optional[str] = None
+    # What a process worker's own tracer recorded for this item: its
+    # spans, counters and raw histogram values.  The parent folds them
+    # into the sweep's tracer; empty for an item run in the parent.
+    spans: List[Span] = field(default_factory=list, repr=False)
+    counters: Dict[str, float] = field(default_factory=dict, repr=False)
+    histograms: Dict[str, List[float]] = field(default_factory=dict,
+                                               repr=False)
 
     @property
     def ok(self) -> bool:
@@ -167,7 +173,9 @@ def sweep(items: Iterable[Any], fn: Callable[[Any], Any], *,
     ``FRAGDROID_SWEEP_BACKEND``, then falls back to threads.  The process
     backend needs ``fn``, items and results to pickle; ``chunksize``
     batches items per task (default ``len(items) / (4 × workers)``, at
-    least 1).  ``tracer`` counts backend fallbacks and worker deaths.
+    least 1).  An ``fn`` that returns a :class:`SweepOutcome` gives the
+    item's outcome itself.  ``tracer`` counts backend fallbacks and
+    worker deaths.
     """
     keyed = [(key(item), item) for item in items]
     backend = _resolve_backend(backend)
@@ -185,7 +193,8 @@ def sweep(items: Iterable[Any], fn: Callable[[Any], Any], *,
 
 def _run_item(fn: Callable[[Any], Any], package: str,
               item: Any) -> SweepOutcome:
-    """``fn(item)`` as an outcome, its exception captured."""
+    """``fn(item)`` as an outcome, its exception captured.  An ``fn``
+    that returns an outcome itself (:func:`explore_one`) keeps it."""
     started = perf_counter()
     try:
         result = fn(item)
@@ -193,6 +202,8 @@ def _run_item(fn: Callable[[Any], Any], package: str,
         return SweepOutcome(package=package, error=exc,
                             duration=perf_counter() - started,
                             fault_kind=classify_fault(exc))
+    if isinstance(result, SweepOutcome):
+        return result
     return SweepOutcome(package=package, result=result,
                         duration=perf_counter() - started)
 
@@ -218,34 +229,18 @@ def _picklable(obj: object) -> bool:
         return False
 
 
-def _freeze(outcome: SweepOutcome,
-            ) -> Tuple[SweepOutcome, Optional[_FrozenError]]:
-    """Split a captured exception off a worker's outcome for the trip
-    back to the parent."""
-    exc, outcome.error = outcome.error, None
-    return outcome, (None if exc is None else (
-        type(exc).__module__, type(exc).__qualname__, str(exc)))
-
-
-def _thaw(outcome: SweepOutcome,
-          frozen: Optional[_FrozenError]) -> SweepOutcome:
-    """Re-attach a frozen exception (see :func:`_freeze`)."""
-    if frozen is not None:
-        outcome.error = _thaw_error(frozen)
+def _portable(outcome: SweepOutcome) -> SweepOutcome:
+    """A worker's outcome, fit for the trip home: a captured exception
+    that does not survive pickling becomes a :class:`RemoteSweepError`,
+    so it cannot abort the sweep."""
+    exc = outcome.error
+    if exc is not None:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            outcome.error = RemoteSweepError(
+                f"{type(exc).__qualname__}: {exc}")
     return outcome
-
-
-def _thaw_error(frozen: _FrozenError) -> BaseException:
-    """Re-hydrate a worker exception; falls back to
-    :class:`RemoteSweepError` when the type cannot be rebuilt."""
-    module, qualname, message = frozen
-    try:
-        cls = getattr(importlib.import_module(module), qualname)
-        if isinstance(cls, type) and issubclass(cls, BaseException):
-            return cls(message)
-    except Exception:
-        pass
-    return RemoteSweepError(f"{qualname}: {message}")
 
 
 def _chaos_kill_check(package: str, target: str, state: str) -> None:
@@ -289,13 +284,12 @@ def _chaos_kill_check(package: str, target: str, state: str) -> None:
 
 
 def _run_chunk(fn: Callable[[Any], Any], chunk: List[Tuple[str, Any]],
-               chaos: Tuple[str, str],
-               ) -> List[Tuple[SweepOutcome, Optional[_FrozenError]]]:
+               chaos: Tuple[str, str]) -> List[SweepOutcome]:
     """Worker-process entry point: run a chunk of items serially."""
     done = []
     for package, item in chunk:
         _chaos_kill_check(package, *chaos)
-        done.append(_freeze(_run_item(fn, package, item)))
+        done.append(_portable(_run_item(fn, package, item)))
     return done
 
 
@@ -381,8 +375,8 @@ def _sweep_process(keyed: List[Tuple[str, Any]], fn: Callable[[Any], Any],
                         fault_kind="worker-died",
                     )
                 continue
-            for outcome, frozen in done:
-                outcomes[outcome.package] = _thaw(outcome, frozen)
+            for outcome in done:
+                outcomes[outcome.package] = outcome
         finished = True
     finally:
         _release_pool(size, pool, finished)
@@ -425,86 +419,18 @@ def explore_one(plan: AppPlan,
                                 duration=perf_counter() - started,
                                 fault_kind=kind, apk_digest=digest)
     tracer.inc("sweep.apps")
+    result.spans = tracer.subtree(span)
     return SweepOutcome(package=plan.package, result=result,
                         duration=perf_counter() - started,
                         apk_digest=digest)
 
 
-#: Config fields a worker process can reconstruct its config from.  The
-#: live observers are deliberately absent: a traced worker gets a fresh
-#: in-memory tracer, folded back on join, and each result carries its
-#: own run record home.
-_SPEC_FIELDS = (
-    "enable_reflection", "enable_forced_start", "enable_input_file",
-    "enable_click_exploration", "input_values", "input_strategy",
-    "queue_order", "max_events", "max_queue_items", "max_restarts_per_item",
-    "fault_profile", "fault_seed", "fault_plan", "retry_policy",
-    "quarantine_threshold", "trace_id",
-)
-
-
-@dataclass
-class _ConfigSpec:
-    """Everything a worker needs to rebuild an equivalent config."""
-
-    kwargs: Dict[str, object]
-    trace: bool = False
-    # Whether the parent tracer samples per-span peak memory; workers
-    # rebuild their tracer with the same sampling mode.
-    memory: bool = False
-    # (directory, memory_entries) of the parent's StaticCache; workers
-    # open their own handle — the disk tier is the shared medium.
-    cache: Optional[Tuple[Optional[str], int]] = None
-
-
-def _config_spec(config: Optional[FragDroidConfig]) -> Optional[_ConfigSpec]:
-    if config is None:
-        return None
-    spec = _ConfigSpec(
-        kwargs={name: getattr(config, name) for name in _SPEC_FIELDS},
-        trace=config.tracer.enabled,
-        memory=bool(getattr(config.tracer, "memory", False)),
-    )
-    if config.static_cache is not None:
-        directory = config.static_cache.directory
-        spec.cache = (str(directory) if directory is not None else None,
-                      config.static_cache.memory_entries)
-    return spec
-
-
-def _worker_config(spec: Optional[_ConfigSpec]) -> Optional[FragDroidConfig]:
-    if spec is None:
-        return None
-    config = FragDroidConfig(**spec.kwargs)
-    if spec.trace:
-        config.tracer = Tracer(memory=spec.memory)
-    if spec.cache is not None:
-        from repro.static.cache import StaticCache
-
-        directory, memory_entries = spec.cache
-        config.static_cache = StaticCache(directory=directory,
-                                          memory_entries=memory_entries)
-    return config
-
-
-@dataclass
-class _FrozenOutcome:
-    """:func:`explore_one`'s outcome in picklable form, plus the
-    worker's spans and counters for the parent to fold in."""
-
-    outcome: SweepOutcome
-    error: Optional[_FrozenError] = None
-    spans: List[Span] = field(default_factory=list)
-    counters: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, List[float]] = field(default_factory=dict)
-
-
 class _ExploreTask:
     """:func:`explore_one` bound to a sweep's config.
 
-    Pickled for a worker process it becomes ``partial(_explore_frozen,
-    spec)``: the live config stays in the parent, and the worker
-    rebuilds a fresh config per app from the spec."""
+    Pickled for a worker process it becomes ``partial(_explore_apart,
+    <the pickled config>)``, so the worker unpickles a fresh config per
+    app: each app explores under fresh observers."""
 
     def __init__(self, config: Optional[FragDroidConfig]) -> None:
         self.config = config
@@ -513,57 +439,35 @@ class _ExploreTask:
         return explore_one(plan, self.config)
 
     def __reduce__(self):
-        return (partial, (_explore_frozen, _config_spec(self.config)))
+        return (partial, (_explore_apart, pickle.dumps(self.config)))
 
 
-def _explore_frozen(spec: Optional[_ConfigSpec],
-                    plan: AppPlan) -> _FrozenOutcome:
-    """Worker-process body: explore one plan with a fresh config (and a
-    fresh tracer)."""
-    config = _worker_config(spec)
-    entry = _FrozenOutcome(*_freeze(explore_one(plan, config)))
+def _explore_apart(config_bytes: bytes, plan: AppPlan) -> SweepOutcome:
+    """Worker-process body: explore one plan under a fresh config, and
+    send what its tracer recorded home on the outcome."""
+    config = pickle.loads(config_bytes)
+    outcome = explore_one(plan, config)
     if config is not None and config.tracer.enabled:
-        entry.spans = config.tracer.finished_spans()
-        entry.counters = config.tracer.metrics.counters()
-        entry.histograms = config.tracer.metrics.raw_histograms()
+        outcome.spans = config.tracer.finished_spans()
+        outcome.counters = config.tracer.metrics.counters()
+        outcome.histograms = config.tracer.metrics.raw_histograms()
         # The worker outlives this app: stop its memory sampling.
         config.tracer.close()
-    return entry
-
-
-def _thaw_outcome(frozen: _FrozenOutcome,
-                  config: Optional[FragDroidConfig]) -> SweepOutcome:
-    """Rebuild the outcome in the parent, folding the worker's spans and
-    counters and the result's run record into the parent's observers
-    and sinks."""
-    tracer = config.tracer if config is not None else NULL_TRACER
-    event_log = config.event_log if config is not None else NULL_EVENT_LOG
-    outcome = _thaw(frozen.outcome, frozen.error)
-    result = outcome.result
-    if frozen.counters or frozen.histograms:
-        tracer.metrics.merge(frozen.counters, frozen.histograms)
-    if frozen.spans and tracer.enabled:
-        # Re-home worker spans onto the submitting job's trace when the
-        # config names one; worker-local trace ids (remapped) otherwise.
-        absorbed = tracer.absorb(
-            frozen.spans,
-            into_trace=config.trace_id if config is not None else None)
-        if result is not None:
-            result.spans = absorbed
-    if result is not None and event_log.enabled:
-        result.events = event_log.absorb(result.events)
     return outcome
 
 
-def _explored(outcome: SweepOutcome,
-              config: Optional[FragDroidConfig]) -> SweepOutcome:
-    """One plan's outcome: explore_one's own (thawed if it crossed the
-    process boundary), or the sweep's if the worker died first."""
-    if not outcome.ok:
-        return outcome
-    if isinstance(outcome.result, _FrozenOutcome):
-        return _thaw_outcome(outcome.result, config)
-    return outcome.result
+def _fold(outcome: SweepOutcome, config: FragDroidConfig) -> None:
+    """Fold what a process worker recorded for one app into the
+    parent's observers: its spans (re-homed onto the config's trace
+    when it names one), counters and histograms, and the result's run
+    record.  The result then holds the absorbed spans and events."""
+    tracer = config.tracer
+    tracer.metrics.merge(outcome.counters, outcome.histograms)
+    outcome.spans = tracer.absorb(outcome.spans, into_trace=config.trace_id)
+    if outcome.result is not None:
+        outcome.result.spans = outcome.spans
+        outcome.result.events = config.event_log.absorb(
+            outcome.result.events)
 
 
 def explore_many(
@@ -577,9 +481,9 @@ def explore_many(
 
     A :func:`sweep` of :func:`explore_one` over ``plans``; the other
     arguments mean what they mean there.  Thread workers share the live
-    config; process workers rebuild it from a picklable spec and their
-    observers are folded back (see the module docstring).  Per-app
-    failures are carried inside the outcomes, never raised.
+    config; process workers get a fresh copy per app, and what their
+    observers recorded is folded back (see the module docstring).
+    Per-app failures are carried inside the outcomes, never raised.
 
     When the config carries a ``run_registry``
     (:class:`repro.obs.registry.RunRegistry`), one content-addressed
@@ -590,8 +494,10 @@ def explore_many(
                 max_workers=max_workers, backend=backend,
                 chunksize=chunksize,
                 tracer=config.tracer if config is not None else NULL_TRACER)
-    outcomes = {package: _explored(outcome, config)
-                for package, outcome in run.outcomes.items()}
+    outcomes = run.outcomes
+    if config is not None and run.meta["backend"] == "process":
+        for outcome in outcomes.values():
+            _fold(outcome, config)
     if outcomes:
         _record_sweep(config, outcomes, run.meta)
     return outcomes

@@ -80,6 +80,11 @@ class AppCrashError(DeviceError):
         self.component = component
         self.reason = reason
 
+    def __reduce__(self):
+        # The default rebuilds an exception from its message alone; this
+        # one takes three arguments (a process sweep pickles it home).
+        return (AppCrashError, (self.package, self.component, self.reason))
+
 
 class TransientError(DeviceError):
     """A retryable, environment-caused failure (flaky cable, busy adb

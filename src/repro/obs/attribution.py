@@ -57,6 +57,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.errors import StoreError
 from repro.obs.events import (
     ATTRIBUTION_COMPUTED,
     ATTRIBUTION_MISS,
@@ -214,21 +215,34 @@ class CoverageExplanation:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CoverageExplanation":
-        schema = int(data.get("schema", -1))
+        """The explanation ``data`` holds.  Raises :class:`StoreError`
+        for anything else: a non-object, another schema, a field of the
+        wrong shape."""
+        if not isinstance(data, dict):
+            raise StoreError(f"coverage explanation is a "
+                             f"{type(data).__name__}, not a JSON object")
+        try:
+            schema = int(data.get("schema", -1))
+        except (TypeError, ValueError, OverflowError):
+            schema = None
         if schema != EXPLANATION_SCHEMA:
-            raise ValueError(
-                f"unsupported coverage-explanation schema {schema!r} "
-                f"(this build reads {EXPLANATION_SCHEMA})")
-        return cls(
-            label=str(data.get("label", "explanation")),
-            source_run_id=str(data.get("source_run_id", "")),
-            apps=[dict(r) for r in data.get("apps") or ()],
-            targets=[dict(t) for t in data.get("targets") or ()],
-            cause_census=dict(data.get("cause_census") or {}),
-            meta=dict(data.get("meta") or {}),
-            schema=schema,
-            explanation_id=str(data.get("explanation_id", "")),
-        )
+            raise StoreError("unsupported coverage-explanation schema "
+                             f"{data.get('schema', -1)!r} "
+                             f"(this build reads {EXPLANATION_SCHEMA})")
+        try:
+            return cls(
+                label=str(data.get("label", "explanation")),
+                source_run_id=str(data.get("source_run_id", "")),
+                apps=[dict(r) for r in data.get("apps") or ()],
+                targets=[dict(t) for t in data.get("targets") or ()],
+                cause_census=dict(data.get("cause_census") or {}),
+                meta=dict(data.get("meta") or {}),
+                schema=schema,
+                explanation_id=str(data.get("explanation_id", "")),
+            )
+        except (TypeError, ValueError) as exc:
+            raise StoreError(f"malformed coverage explanation: {exc}") \
+                from exc
 
     # -- views -------------------------------------------------------------
 

@@ -156,6 +156,13 @@ class EventLog:
         self._events: List[Event] = []
         self._epoch = perf_counter()
 
+    def __reduce__(self):
+        # Any log, bound or null, crosses a process boundary as a null
+        # log: it stays with its sinks.  Each run still keeps its own
+        # record (ExplorationResult.events), which a process sweep
+        # absorbs into the parent's log.
+        return (NullEventLog, ())
+
     # -- recording ---------------------------------------------------------
 
     def emit(self, kind: str, step: int = 0, app: str = "",
@@ -166,8 +173,8 @@ class EventLog:
     def absorb(self, events: Iterable[Event]) -> List[Event]:
         """Fold events recorded by another log into this one.
 
-        Process-pool sweep workers record into their own logs (the live
-        log cannot cross the process boundary); on join the parent
+        Process-pool sweep workers record into their own logs (a log
+        crosses the process boundary as a null log); on join the parent
         absorbs each worker's record.  Sequence numbers are re-assigned
         from this log's global counter (keeping the fleet stream
         gap-free); kind, step, app, wall offset and attributes are

@@ -175,6 +175,12 @@ class Tracer:
         self._by_trace: Dict[int, List[Span]] = {}
         self._local = threading.local()
 
+    def __reduce__(self):
+        # A tracer crosses a process boundary empty, in the same memory
+        # mode: its sinks and record stay behind.  A process sweep folds
+        # what the far side records back in (``absorb``, Metrics.merge).
+        return (Tracer, ((), None, self.memory))
+
     # -- span lifecycle ----------------------------------------------------
 
     def span(self, name: str, **attributes: object) -> _ActiveSpan:
@@ -288,6 +294,22 @@ class Tracer:
         with self._lock:
             return list(self._by_trace.get(trace_id, ()))
 
+    def subtree(self, root: Span) -> List[Span]:
+        """``root`` and every span under it, in recording order.
+
+        A finished span is recorded after its children, so one backward
+        pass over the root's trace meets each parent before its
+        children; spans of other subtrees on the trace are left out.
+        """
+        ids = {root.span_id}
+        spans = []
+        for span in reversed(self.spans_in_trace(root.trace_id)):
+            if span is root or span.parent_id in ids:
+                ids.add(span.span_id)
+                spans.append(span)
+        spans.reverse()
+        return spans
+
     # -- merging -----------------------------------------------------------
 
     def absorb(self, spans: Iterable[Span],
@@ -370,6 +392,9 @@ class NullTracer(Tracer):
     def __init__(self) -> None:
         super().__init__(metrics=NULL_METRICS)
         self._null_context = _NullSpanContext()
+
+    def __reduce__(self):
+        return (NullTracer, ())
 
     def span(self, name: str, **attributes: object) -> _NullSpanContext:  # type: ignore[override]
         return self._null_context

@@ -166,10 +166,10 @@ def static_info_from_dict(data: Dict) -> StaticInfo:
 class StaticCache:
     """In-memory LRU over serialized models, plus an optional disk tier.
 
-    Thread-safe; one instance can serve a whole thread-pool sweep.  For
-    a process-pool sweep each worker opens its own instance on the same
-    directory — the disk tier is the shared medium and every write is
-    atomic.
+    Thread-safe; one instance can serve a whole thread-pool sweep.  It
+    pickles as a fresh handle on the same directory, so in a
+    process-pool sweep each worker opens its own instance — the disk
+    tier is the shared medium and every write is atomic.
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None,
@@ -189,6 +189,9 @@ class StaticCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+
+    def __reduce__(self):
+        return (StaticCache, (self.directory, self.memory_entries))
 
     # -- lookup / store ----------------------------------------------------
 

@@ -4,11 +4,13 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Device, FragDroid, FragDroidConfig
 from repro.apk import build_apk
 from repro.bench.parallel import SweepOutcome, explore_many
 from repro.corpus import TABLE1_PLANS, AppPlan, build_app
+from repro.errors import ReproError, StoreError
 from repro.obs import (
     CoverageExplanation,
     EventLog,
@@ -161,6 +163,75 @@ def test_foreign_schema_is_rejected():
     data = {"schema": EXPLANATION_SCHEMA + 1, "targets": []}
     with pytest.raises(ValueError, match="schema"):
         CoverageExplanation.from_dict(data)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+_FIELDS = ("label", "source_run_id", "apps", "targets", "cause_census",
+           "meta", "schema", "explanation_id")
+
+
+def _parse_or_repro_error(data) -> None:
+    try:
+        CoverageExplanation.from_dict(data)
+    except ReproError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_json)
+def test_from_dict_of_any_json_value_parses_or_raises_repro_error(value):
+    _parse_or_repro_error(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_json, drop=st.booleans())
+def test_from_dict_of_a_damaged_field_parses_or_raises_repro_error(
+        field, value, drop):
+    data = CoverageExplanation(
+        source_run_id="feedc0de00000000",
+        apps=[{"package": "com.a", "ok": True}],
+        targets=[{"package": "com.a", "kind": "activity", "name": "A"}],
+        cause_census={"no-static-path": 1}).to_dict()
+    if drop:
+        data.pop(field)
+    else:
+        data[field] = value
+    _parse_or_repro_error(data)
+
+
+@pytest.mark.parametrize("data", [
+    None,
+    [],
+    {"schema": "one"},
+    {"schema": EXPLANATION_SCHEMA, "apps": 3},
+    {"schema": EXPLANATION_SCHEMA, "targets": ["row"]},
+    {"schema": EXPLANATION_SCHEMA, "meta": "created"},
+], ids=["null", "list", "schema-text", "apps-number", "targets-row-text",
+        "meta-text"])
+def test_from_dict_rejects_malformed_explanations_with_store_error(data):
+    with pytest.raises(StoreError):
+        CoverageExplanation.from_dict(data)
+
+
+def test_explain_cli_reports_a_malformed_stored_explanation(tmp_path,
+                                                            capsys):
+    from repro.cli import main
+
+    stored = tmp_path / "explanations" / "abc123.json"
+    stored.parent.mkdir()
+    stored.write_text(json.dumps({"schema": EXPLANATION_SCHEMA,
+                                  "apps": 3}))
+    assert main(["explain", "abc123", "--dir", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "cannot load explanation 'abc123'" in out
+    assert "malformed coverage explanation" in out
 
 
 # -- the store ---------------------------------------------------------------

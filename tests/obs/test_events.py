@@ -108,6 +108,18 @@ def test_null_event_log_is_disabled_and_records_nothing():
     assert EventLog().enabled is True
 
 
+def test_every_log_pickles_as_a_null_log():
+    import pickle
+
+    log = EventLog(sinks=[InMemorySink()])
+    log.emit(STATE_DISCOVERED, step=1, app="com.a", name="A")
+    for original in (log, log.bind(job="j1"), log.run_record("com.a"),
+                     NULL_EVENT_LOG):
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy.enabled is False
+        assert copy.sinks == [] and copy.events() == []
+
+
 def test_event_round_trip_via_jsonl(tmp_path):
     path = tmp_path / "events.jsonl"
     log = EventLog(sinks=[JsonlSink(path)])

@@ -134,6 +134,38 @@ def test_spans_in_trace_equals_a_scan_of_every_span():
     assert len(tracer.spans_in_trace(job)) == 7
 
 
+def test_subtree_is_one_root_and_its_descendants_in_recording_order():
+    tracer = Tracer()
+    with tracer.trace_span("app", 7) as first:
+        with tracer.span("child"):
+            with tracer.span("grandchild"):
+                pass
+        with tracer.span("sibling"):
+            pass
+    with tracer.trace_span("app", 7) as second:
+        with tracer.span("child"):
+            pass
+    tracer.record_span("queue.wait", 0.1, trace_id=7)
+    assert [s.name for s in tracer.subtree(first)] \
+        == ["grandchild", "child", "sibling", "app"]
+    assert [s.name for s in tracer.subtree(second)] == ["child", "app"]
+    assert tracer.subtree(second)[-1] is second
+    assert len(tracer.spans_in_trace(7)) == 7
+
+
+def test_a_tracer_pickles_empty_in_its_memory_mode():
+    import pickle
+
+    tracer = Tracer(sinks=[InMemorySink()])
+    with tracer.span("kept.here"):
+        tracer.inc("kept.here")
+    copy = pickle.loads(pickle.dumps(tracer))
+    assert type(copy) is Tracer and copy.enabled and not copy.memory
+    assert copy.sinks == [] and copy.finished_spans() == []
+    assert copy.metrics.counters() == {}
+    assert type(pickle.loads(pickle.dumps(NULL_TRACER))) is NullTracer
+
+
 def test_null_tracer_records_nothing():
     tracer = NullTracer()
     with tracer.span("anything", app="x") as span:
