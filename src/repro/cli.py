@@ -8,9 +8,10 @@ Commands:
 * ``explore <app>`` — run the full FragDroid pipeline, print the
   coverage report (``--json`` for the structured run report);
 * ``audit <app>`` — explore and print the sensitive-API relations;
-* ``trace-summary <run.jsonl>`` — per-phase timing and top-N slowest
-  spans of a traced run (written with ``explore --trace-jsonl``);
-  ``--flame`` emits collapsed-stack flamegraph lines instead;
+* ``show <run>`` — one view of a saved run (``explore --save``) or a
+  run-registry record: where the time went, what the explorer did, and
+  why each missed target was missed; ``--flame`` emits a traced run's
+  collapsed-stack flamegraph lines instead;
 * ``dashboard <run dir>`` — render the self-contained HTML run
   dashboard from a saved run (``explore --save`` with the flight
   recorder on) or a directory of runs (the fleet view);
@@ -43,8 +44,10 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import json
+import pathlib
 import sys
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro import Device, FragDroid, FragDroidConfig
 from repro.apk import build_apk
@@ -75,48 +78,61 @@ DEMOS: Dict[str, Callable[[], AppSpec]] = {
 }
 
 
-def _resolve_apk(name: str):
-    """An app by corpus name, demo name, or .apk file path."""
-    import pathlib
-
-    if name.endswith(".apk") and pathlib.Path(name).exists():
-        from repro.apk.apkfile import load_apk
-
-        return load_apk(name)
-    if name in DEMOS:
-        return build_apk(DEMOS[name]())
-    if name in table1_packages():
-        return build_apk(build_table1_app(name))
-    # Replay scripts name the Android package, not the demo alias.
-    for factory in DEMOS.values():
-        spec = factory()
-        if spec.package == name:
-            return build_apk(spec)
-    raise SystemExit(
-        f"unknown app {name!r}; run `python -m repro list` for choices, "
-        "or pass a path to a saved .apk"
-    )
-
-
-def _resolve_spec(name: str) -> AppSpec:
-    """An app *spec* by corpus or demo name (mutations need the spec;
-    a bare .apk file cannot be mutated)."""
-    if name.endswith(".apk"):
-        raise SystemExit(
-            "the fragility study mutates the app spec; .apk files are "
-            "not supported — pass a demo:* or corpus name"
-        )
+def _resolve_spec(name: str, hint: str = "") -> AppSpec:
+    """An app spec by demo name, corpus name or Android package."""
     if name in DEMOS:
         return DEMOS[name]()
     if name in table1_packages():
         return build_table1_app(name)
+    # Replay scripts name the Android package, not the demo alias.
     for factory in DEMOS.values():
         spec = factory()
         if spec.package == name:
             return spec
     raise SystemExit(
-        f"unknown app {name!r}; run `python -m repro list` for choices"
+        f"unknown app {name!r}; run `python -m repro list` for choices{hint}"
     )
+
+
+def _resolve_apk(name: str):
+    """An app by corpus name, demo name, or .apk file path."""
+    if name.endswith(".apk") and pathlib.Path(name).exists():
+        from repro.apk.apkfile import load_apk
+
+        return load_apk(name)
+    return build_apk(_resolve_spec(name, ", or pass a path to a saved .apk"))
+
+
+def _static_cache(args: argparse.Namespace):
+    """The ``--static-cache DIR`` cache, or None without the flag."""
+    if not getattr(args, "static_cache", None):
+        return None
+    from repro.static.cache import StaticCache
+
+    return StaticCache(directory=args.static_cache)
+
+
+def _jsonl_sink(path: str, what: str):
+    """A JSONL sink writing ``path``; exits with a message if it cannot
+    be opened."""
+    from repro.obs import JsonlSink
+
+    try:
+        return JsonlSink(path)
+    except OSError as exc:
+        raise SystemExit(f"cannot open {what} file {path!r}: {exc}") from exc
+
+
+def _write_file(path: str, text: str, what: str) -> pathlib.Path:
+    """Write ``text`` to ``path``, making its directory; exits with a
+    message if it cannot."""
+    out = pathlib.Path(path)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(f"cannot write {what} {path!r}: {exc}") from exc
+    return out
 
 
 def _config_from(args: argparse.Namespace) -> FragDroidConfig:
@@ -130,15 +146,9 @@ def _config_from(args: argparse.Namespace) -> FragDroidConfig:
         fault_seed=getattr(args, "fault_seed", 0),
     )
     if getattr(args, "trace_jsonl", None):
-        from repro.obs import JsonlSink, Tracer
+        from repro.obs import Tracer
 
-        try:
-            sink = JsonlSink(args.trace_jsonl)
-        except OSError as exc:
-            raise SystemExit(
-                f"cannot open trace file {args.trace_jsonl!r}: {exc}"
-            ) from exc
-        config.tracer = Tracer(sinks=[sink])
+        config.tracer = Tracer(sinks=[_jsonl_sink(args.trace_jsonl, "trace")])
     if getattr(args, "metrics_prom", None) and not config.tracer.enabled:
         from repro.obs import Tracer
 
@@ -146,19 +156,11 @@ def _config_from(args: argparse.Namespace) -> FragDroidConfig:
         # needs a live one (spans just go nowhere).
         config.tracer = Tracer()
     if getattr(args, "events_jsonl", None):
-        from repro.obs import EventLog, JsonlSink
+        from repro.obs import EventLog
 
-        try:
-            sink = JsonlSink(args.events_jsonl)
-        except OSError as exc:
-            raise SystemExit(
-                f"cannot open event file {args.events_jsonl!r}: {exc}"
-            ) from exc
-        config.event_log = EventLog(sinks=[sink])
-    if getattr(args, "static_cache", None):
-        from repro.static.cache import StaticCache
-
-        config.static_cache = StaticCache(directory=args.static_cache)
+        config.event_log = EventLog(
+            sinks=[_jsonl_sink(args.events_jsonl, "event")])
+    config.static_cache = _static_cache(args)
     return config
 
 
@@ -182,7 +184,7 @@ def _add_explore_flags(parser: argparse.ArgumentParser) -> None:
                         help="print the exploration trace")
     parser.add_argument("--trace-jsonl", metavar="FILE",
                         help="record observability spans as JSON lines "
-                             "(inspect with `repro trace-summary FILE`)")
+                             "(with --save, inspect with `repro show DIR`)")
     parser.add_argument("--events-jsonl", metavar="FILE",
                         help="record the flight-recorder event timeline "
                              "as JSON lines (feeds `repro dashboard`)")
@@ -223,12 +225,8 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 
 def cmd_static(args: argparse.Namespace) -> int:
-    cache = None
-    if getattr(args, "static_cache", None):
-        from repro.static.cache import StaticCache
-
-        cache = StaticCache(directory=args.static_cache)
-    info = extract_static_info(_resolve_apk(args.app), cache=cache)
+    info = extract_static_info(_resolve_apk(args.app),
+                               cache=_static_cache(args))
     if args.json:
         print(aftm_to_json(info.aftm))
         return 0
@@ -240,12 +238,20 @@ def cmd_static(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_explore(args: argparse.Namespace) -> int:
+def _explore(args: argparse.Namespace):
+    """Explore ``args.app`` on a device built from the flags' fault plan,
+    then close the tracer and the event log; ``(config, apk, result)``."""
     config = _config_from(args)
     device = make_device(config.fault_plan, scope=args.app)
-    result = FragDroid(device, config).explore(_resolve_apk(args.app))
+    apk = _resolve_apk(args.app)
+    result = FragDroid(device, config).explore(apk)
     config.tracer.close()
     config.event_log.close()
+    return config, apk, result
+
+
+def cmd_explore(args: argparse.Namespace) -> int:
+    config, _, result = _explore(args)
     if args.json:
         print(result_to_json(result))
     else:
@@ -270,25 +276,14 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if getattr(args, "metrics_prom", None):
         from repro.obs import prometheus_text
 
-        try:
-            with open(args.metrics_prom, "w", encoding="utf-8") as handle:
-                handle.write(prometheus_text(config.tracer.metrics))
-        except OSError as exc:
-            raise SystemExit(
-                f"cannot write metrics file {args.metrics_prom!r}: {exc}"
-            ) from exc
+        _write_file(args.metrics_prom, prometheus_text(config.tracer.metrics),
+                    "metrics file")
         print(f"wrote metrics to {args.metrics_prom}")
     return 0
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    device = make_device(config.fault_plan, scope=args.app)
-    result = FragDroid(device, config).explore(_resolve_apk(args.app))
-    config.tracer.close()
-    config.event_log.close()
-    report = build_api_report([result])
-    print(report.render())
+    print(build_api_report([_explore(args)[2]]).render())
     return 0
 
 
@@ -296,14 +291,11 @@ def cmd_target(args: argparse.Namespace) -> int:
     """Explore, then drive straight to a sensitive API (SmartDroid-style)."""
     from repro.core.targeted import components_invoking, drive_to_api
 
-    apk = _resolve_apk(args.app)
-    result = FragDroid(Device(), _config_from(args)).explore(apk)
-    candidates = components_invoking(result, args.api)
-    if not candidates:
+    _, apk, result = _explore(args)
+    if not components_invoking(result, args.api):
         print(f"{args.api} was never observed in {args.app}")
         return 1
-    device = Device()
-    case, component = drive_to_api(result, apk, device, args.api)
+    case, component = drive_to_api(result, apk, Device(), args.api)
     print(f"drove to {component}; {args.api} fired.")
     print()
     print(case.to_robotium_java())
@@ -328,8 +320,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_export_corpus(args: argparse.Namespace) -> int:
     """Write the whole evaluation corpus to .apk files."""
-    import pathlib
-
     from repro.apk.apkfile import save_apk
 
     out = pathlib.Path(args.output)
@@ -365,7 +355,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     file name, instead of stopping the others; the command then exits 1.
     """
     import csv
-    import pathlib
     from functools import partial
 
     in_dir = pathlib.Path(args.directory)
@@ -403,40 +392,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_trace_summary(args: argparse.Namespace) -> int:
-    """Summarize a span JSONL file: per-phase totals + slowest spans
-    (or collapsed-stack flamegraph lines with ``--flame``)."""
-    import pathlib
-
-    from repro.obs import collapsed_stacks, read_spans, render_summary
-
-    path = pathlib.Path(args.jsonl)
-    if not path.exists():
-        print(f"no such trace file: {path}")
-        return 1
-    try:
-        spans = read_spans(path)
-    except ValueError as exc:
-        print(f"{path} is not a span JSONL file: {exc}")
-        return 1
-    if not spans:
-        print(f"{path} holds no spans — was the run traced? "
-              "(record with `explore --trace-jsonl`)")
-        return 1
-    if args.flame:
-        for line in collapsed_stacks(spans):
-            print(line)
-        return 0
-    print(render_summary(spans, top=args.top))
-    return 0
-
-
 def cmd_dashboard(args: argparse.Namespace) -> int:
     """Render the self-contained HTML dashboard for a saved run, a
     directory of runs (the fleet view), or — with ``--journal`` — the
     service fleet-health view from a job journal."""
-    import pathlib
-
     from repro.obs import render_dashboard_dir
 
     history = None
@@ -472,46 +431,25 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"cannot read run records under {args.directory}: {exc}")
             return 1
-    out = pathlib.Path(args.output)
-    try:
-        out.write_text(html, encoding="utf-8")
-    except OSError as exc:
-        raise SystemExit(
-            f"cannot write dashboard file {args.output!r}: {exc}"
-        ) from exc
+    out = _write_file(args.output, html, "dashboard file")
     print(f"wrote dashboard to {out}")
     return 0
 
 
-def _sweep_config(args: argparse.Namespace) -> Optional[FragDroidConfig]:
-    if getattr(args, "static_cache", None):
-        from repro.static.cache import StaticCache
-
-        return FragDroidConfig(
-            static_cache=StaticCache(directory=args.static_cache)
-        )
-    return None
-
-
-def cmd_table1(args: argparse.Namespace) -> int:
-    print(run_table1(config=_sweep_config(args), max_workers=args.workers,
-                     backend=args.backend).render_table1())
-    return 0
-
-
-def cmd_table2(args: argparse.Namespace) -> int:
-    print(run_table1(config=_sweep_config(args), max_workers=args.workers,
-                     backend=args.backend).render_table2())
+def cmd_table(args: argparse.Namespace) -> int:
+    """``table1`` / ``table2``: one Table-I sweep, rendered as the
+    table the command names."""
+    cache = _static_cache(args)
+    config = None if cache is None else FragDroidConfig(static_cache=cache)
+    result = run_table1(config=config, max_workers=args.workers,
+                        backend=args.backend)
+    print(getattr(result, f"render_{args.command}")())
     return 0
 
 
 def cmd_study(args: argparse.Namespace) -> int:
     workers = args.workers if args.workers is not None else 1
-    cache = None
-    if getattr(args, "static_cache", None):
-        from repro.static.cache import StaticCache
-
-        cache = StaticCache(directory=args.static_cache)
+    cache = _static_cache(args)
     result = run_usage_study(max_workers=workers, backend=args.backend,
                              cache=cache)
     print(result.render())
@@ -544,6 +482,13 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_registry_dir(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--dir", metavar="DIR", default=None,
+                        help="registry directory (default "
+                             "$FRAGDROID_RUNS_DIR or "
+                             "~/.cache/fragdroid/runs)")
+
+
 def _open_registry(args: argparse.Namespace):
     from repro.obs.registry import RunRegistry
 
@@ -559,9 +504,6 @@ def _resolve_record(registry, ref: str):
     the latter is converted through the same flattening as
     ``repro runs ingest``, so committed bench baselines gate directly.
     """
-    import json
-    import pathlib
-
     from repro.obs.registry import load_record, record_from_bench
 
     path = pathlib.Path(ref)
@@ -574,9 +516,10 @@ def _resolve_record(registry, ref: str):
     return registry.load(ref)
 
 
-def _print_diff_attribution(registry, baseline, candidate) -> None:
-    """Append the attribution delta to a textual ``runs diff`` when
-    both records have stored explanations; silent otherwise."""
+def _attribution_delta(registry, baseline, candidate):
+    """``(newly unreached, newly reached, candidate explanation)`` from
+    both records' stored explanations; ``([], [], None)`` when either
+    has none."""
     from repro.obs import ExplanationStore, newly_unreached
 
     store = ExplanationStore(registry.directory)
@@ -584,9 +527,15 @@ def _print_diff_attribution(registry, baseline, candidate) -> None:
         base_exp = store.load(baseline.run_id)
         cand_exp = store.load(candidate.run_id)
     except (KeyError, ValueError, OSError):
-        return
-    fresh = newly_unreached(base_exp, cand_exp)
-    recovered = newly_unreached(cand_exp, base_exp)
+        return [], [], None
+    return (newly_unreached(base_exp, cand_exp),
+            newly_unreached(cand_exp, base_exp), cand_exp)
+
+
+def _print_diff_attribution(registry, baseline, candidate) -> None:
+    """Append the attribution delta to a textual ``runs diff`` when
+    both records have stored explanations; silent otherwise."""
+    fresh, recovered, _ = _attribution_delta(registry, baseline, candidate)
     if not fresh and not recovered:
         return
     print(f"attribution: {len(fresh)} newly unreached, "
@@ -600,8 +549,6 @@ def _print_diff_attribution(registry, baseline, candidate) -> None:
 def cmd_runs(args: argparse.Namespace) -> int:
     """The longitudinal run registry: list / show / diff / gc / pin /
     ingest."""
-    import json
-
     registry = _open_registry(args)
 
     def need(count: int, what: str) -> bool:
@@ -700,70 +647,171 @@ def cmd_runs(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Where the time goes: top phases by p90 self time from a run
-    record (default: the latest in the registry), optionally diffed
-    against a baseline record."""
-    registry = _open_registry(args)
-    if args.record:
-        try:
-            record = _resolve_record(registry, args.record)
-        except (KeyError, ValueError, OSError) as exc:
-            print(f"cannot load record {args.record!r}: {exc}")
-            return 2
-    else:
-        latest = registry.latest(1)
-        if not latest:
-            print(f"no run records in {registry.directory} — run a sweep "
-                  "with a registry, or name a record file")
-            return 2
-        record = latest[0]
-    if not record.phases:
-        print(f"record {record.run_id or '<unnamed>'} has no phase data")
-        return 2
-
-    baseline = None
-    if args.diff:
-        try:
-            baseline = _resolve_record(registry, args.diff)
-        except (KeyError, ValueError, OSError) as exc:
-            print(f"cannot load baseline {args.diff!r}: {exc}")
-            return 2
-
-    total = record.total_phase_time()
-    ranked = sorted(record.phases.items(),
+def _print_self_times(phases: Dict[str, Dict], top: int, unit: str) -> None:
+    """The ``top`` entries of ``phases`` (the ``RunRecord.phases``
+    shape) by p90 self time."""
+    total = sum(stats.get("self_total_s", 0.0) for stats in phases.values())
+    ranked = sorted(phases.items(),
                     key=lambda item: item[1].get("self_p90_ms", 0.0),
-                    reverse=True)[:args.top]
-    print(f"run {record.run_id or '<unnamed>'} ({record.label}) — "
-          f"top {len(ranked)} phases by p90 self time; "
+                    reverse=True)[:top]
+    print(f"top {len(ranked)} {unit}s by p90 self time; "
           f"total self time {total:.3f}s")
-    header = (f"{'phase':<32} {'count':>7} {'self_s':>8} {'share':>7} "
-              f"{'p50_ms':>8} {'p90_ms':>8} {'p99_ms':>8}")
-    if baseline is not None:
-        header += f" {'Δp90_ms':>9}"
-    print(header)
+    print(f"{'count':>7} {'self_s':>8} {'share':>7} {'p50_ms':>8} "
+          f"{'p90_ms':>8} {'p99_ms':>8}  {unit}")
     for name, stats in ranked:
         self_s = stats.get("self_total_s", 0.0)
         share = self_s / total if total else 0.0
-        line = (f"{name:<32} {int(stats.get('count', 0)):>7} "
-                f"{self_s:>8.3f} {share:>6.1%} "
-                f"{stats.get('self_p50_ms', 0.0):>8.2f} "
-                f"{stats.get('self_p90_ms', 0.0):>8.2f} "
-                f"{stats.get('self_p99_ms', 0.0):>8.2f}")
-        if baseline is not None:
-            base_stats = baseline.phases.get(name)
-            if base_stats is None:
-                line += f" {'new':>9}"
-            else:
-                delta = (stats.get("self_p90_ms", 0.0)
-                         - base_stats.get("self_p90_ms", 0.0))
-                line += f" {delta:>+9.2f}"
-        print(line)
-    if baseline is not None:
-        gone = sorted(set(baseline.phases) - set(record.phases))
-        if gone:
-            print("phases only in baseline: " + ", ".join(gone))
+        print(f"{int(stats.get('count', 0)):>7} {self_s:>8.3f} "
+              f"{share:>6.1%} {stats.get('self_p50_ms', 0.0):>8.2f} "
+              f"{stats.get('self_p90_ms', 0.0):>8.2f} "
+              f"{stats.get('self_p99_ms', 0.0):>8.2f}  {name}")
+
+
+def _item_self_times(events) -> Dict[str, Dict[str, float]]:
+    """Self-time stats per queue item of a run record.  An item's time
+    is the gap between its ``item.start`` wall and the next one; the
+    last is closed by ``run.end``."""
+    from repro.obs.events import ITEM_START, RUN_END
+    from repro.obs.registry import self_time_stats
+
+    marks = [e for e in events if e.kind in (ITEM_START, RUN_END)]
+    times: Dict[str, List[float]] = {}
+    for mark, following in zip(marks, marks[1:]):
+        if mark.kind == ITEM_START:
+            times.setdefault(str(mark.attributes.get("item")), []).append(
+                following.wall - mark.wall)
+    return {item: self_time_stats(values) for item, values in times.items()}
+
+
+def _explorer_lines(run, top: int) -> List[str]:
+    """What the explorer did in a saved run, from its report and run
+    record."""
+    from repro.obs import discovery_stats, event_census, stalls
+    from repro.obs.dashboard import fleet_rows
+    from repro.obs.events import RUN_END
+
+    ends = [e.attributes.get("termination") for e in run.events
+            if e.kind == RUN_END]
+    row = fleet_rows([run])[0]
+    census = event_census(run.events)
+    found = stalls(run.events)
+    steps = discovery_stats(run.events, run.api_steps)
+    lines = [
+        f"termination: {ends[-1] if ends else 'unknown (no run record)'}",
+        f"coverage: activities {row['activities_visited']}/"
+        f"{row['activities_sum']}, fragments {row['fragments_visited']}/"
+        f"{row['fragments_sum']}, sensitive-API invocations {row['apis']}, "
+        f"events {row['events']}, crashes {row['crashes']}",
+        "event census:",
+        *(f"  {kind:24} {census[kind]}" for kind in sorted(census)),
+        f"stalls of 50+ events without a discovery: {len(found)}",
+        *(f"  steps {stall.start_step}-{stall.end_step}: {stall.events} "
+          "events" for stall in found[:top]),
+        "device steps to 50% / 90% of each series:",
+    ]
+    for series in ("activities", "fragments", "fivas", "apis"):
+        t50, t90 = steps[f"{series}_t50"], steps[f"{series}_t90"]
+        lines.append(f"  {series:24} {'-' if t50 is None else t50} / "
+                     f"{'-' if t90 is None else t90}")
+    degradation = run.report.get("degradation")
+    if degradation:
+        lines.append("degradation:")
+        lines += [f"  {key}: {json.dumps(degradation[key], sort_keys=True)}"
+                  for key in sorted(degradation)]
+    return lines
+
+
+def cmd_show(args: argparse.Namespace) -> int:
+    """One view of a saved run: where the time went, what the explorer
+    did, and why each missed target was missed.  REF is a run directory
+    (``explore --save``), a registry run id or a record file (default:
+    the registry's latest record)."""
+    from repro.obs import (
+        ExplanationStore,
+        collapsed_stacks,
+        load_run,
+        render_explanation,
+    )
+    from repro.obs.attribution import explain_run_dir
+    from repro.obs.registry import phase_stats
+
+    if args.ref and pathlib.Path(args.ref).is_dir():
+        try:
+            run = load_run(args.ref)
+            misses = render_explanation(explain_run_dir(run))
+        except (OSError, ValueError, KeyError) as exc:
+            print(f"cannot read run directory {args.ref!r}: {exc}")
+            return 2
+        spans = run.spans
+        title = f"run {run.package} ({run.path})"
+        phases = phase_stats(spans) if spans else _item_self_times(run.events)
+        unit = "phase" if spans else "item"
+        explorer = _explorer_lines(run, args.top)
+    else:
+        registry = _open_registry(args)
+        if args.ref:
+            try:
+                record = _resolve_record(registry, args.ref)
+            except (KeyError, ValueError, OSError) as exc:
+                print(f"cannot load {args.ref!r}: {exc}")
+                return 2
+        else:
+            latest = registry.latest(1)
+            if not latest:
+                print(f"no run records in {registry.directory} — name a "
+                      "saved run directory or a record file")
+                return 2
+            record = latest[0]
+        row = record.summary_row()
+        spans, phases, unit = [], record.phases, "phase"
+        title = f"run {row['run_id']} ({record.label})"
+        explorer = [f"{key}: {value}" for key, value in row.items()]
+        try:
+            misses = render_explanation(
+                ExplanationStore(registry.directory).load(row["run_id"]))
+        except (KeyError, ValueError, OSError):
+            misses = (f"no stored explanation for run {row['run_id']} "
+                      "(`repro explain --table1` stores one)\n")
+    if args.flame:
+        if not spans:
+            print(f"{args.ref or title} holds no spans — record the run "
+                  "with `explore --trace-jsonl FILE --save DIR`")
+            return 1
+        print("\n".join(collapsed_stacks(spans)))
+        return 0
+    print(title)
+    print("\n== time ==")
+    if phases:
+        _print_self_times(phases, args.top, unit)
+    else:
+        print("no spans, queue items or phase data recorded")
+    print("\n== explorer ==")
+    print("\n".join(explorer))
+    print("\n== misses ==")
+    print(misses, end="")
     return 0
+
+
+def _record_table1(registry, args: argparse.Namespace):
+    """Run the Table-I sweep, record it in ``registry`` and store its
+    explanation there; ``(record, explanation)``."""
+    from repro.bench.parallel import explore_many
+    from repro.corpus import TABLE1_PLANS
+    from repro.obs import EventLog, ExplanationStore, Tracer
+    from repro.obs.attribution import explain_outcomes
+
+    # The classifier reads each result's own run record; the event log
+    # gathers the sweep's records for the run registry's per-app
+    # discovery statistics.
+    config = FragDroidConfig(tracer=Tracer(), event_log=EventLog(),
+                             run_registry=registry)
+    outcomes = explore_many(TABLE1_PLANS, config=config,
+                            max_workers=args.workers, backend=args.backend)
+    record = registry.latest(1)[0]
+    explanation = explain_outcomes(outcomes, label="table1",
+                                   source_run_id=record.run_id)
+    ExplanationStore(registry.directory).save(explanation)
+    return record, explanation
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -771,30 +819,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
     witness path and blocking widget per missed activity / fragment /
     sensitive API, from a stored explanation, a saved run directory,
     or a fresh Table-I sweep."""
-    import pathlib
-
     from repro.obs import ExplanationStore, render_explanation
-    from repro.obs.attribution import explain_outcomes, explain_run_dir
+    from repro.obs.attribution import explain_run_dir
 
     registry = _open_registry(args)
     store = ExplanationStore(registry.directory)
     if args.table1:
-        from repro.bench.parallel import explore_many
-        from repro.corpus import TABLE1_PLANS
-        from repro.obs import EventLog, Tracer
-
-        # The classifier reads each result's own run record; the event
-        # log gathers the sweep's records for the run registry's
-        # per-app discovery statistics.
-        config = FragDroidConfig(tracer=Tracer(), event_log=EventLog(),
-                                 run_registry=registry)
-        outcomes = explore_many(TABLE1_PLANS, config=config,
-                                max_workers=args.workers,
-                                backend=args.backend)
-        record = registry.latest(1)[0]
-        explanation = explain_outcomes(outcomes, label="table1",
-                                       source_run_id=record.run_id)
-        store.save(explanation)
+        record, explanation = _record_table1(registry, args)
         print(f"recorded sweep as {record.run_id}; stored explanation "
               f"{explanation.explanation_id} under {store.directory}",
               file=sys.stderr)
@@ -803,19 +834,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
               "or --table1")
         return 2
     else:
-        path = pathlib.Path(args.ref)
-        if path.is_dir():
-            try:
-                explanation = explain_run_dir(path)
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"cannot explain run directory {args.ref!r}: {exc}")
-                return 2
-        else:
-            try:
-                explanation = store.load(args.ref)
-            except (KeyError, ValueError, OSError) as exc:
-                print(f"cannot load explanation {args.ref!r}: {exc}")
-                return 2
+        run_dir = pathlib.Path(args.ref).is_dir()
+        try:
+            explanation = (explain_run_dir(args.ref) if run_dir
+                           else store.load(args.ref))
+        except (OSError, ValueError, KeyError) as exc:
+            what = "explain run directory" if run_dir else "load explanation"
+            print(f"cannot {what} {args.ref!r}: {exc}")
+            return 2
     if args.json:
         print(explanation.to_json(), end="")
     else:
@@ -833,15 +859,7 @@ def _print_newly_unreached(registry, baseline, candidate, report) -> None:
     """
     if not any(v.kind == "coverage" for v in report.violations):
         return
-    from repro.obs import ExplanationStore, newly_unreached
-
-    store = ExplanationStore(registry.directory)
-    try:
-        base_exp = store.load(baseline.run_id)
-        cand_exp = store.load(candidate.run_id)
-    except (KeyError, ValueError, OSError):
-        return
-    fresh = newly_unreached(base_exp, cand_exp)
+    fresh, _, cand_exp = _attribution_delta(registry, baseline, candidate)
     if not fresh:
         return
     print(f"newly unreached targets ({len(fresh)}):")
@@ -856,9 +874,6 @@ def _print_newly_unreached(registry, baseline, candidate, report) -> None:
 def cmd_regress(args: argparse.Namespace) -> int:
     """The regression gate: candidate vs pinned baseline, exit 1 on
     regression."""
-    import json
-    import pathlib
-
     from repro.obs.regress import RegressionPolicy, check_regression
 
     registry = _open_registry(args)
@@ -875,22 +890,10 @@ def cmd_regress(args: argparse.Namespace) -> int:
             return 2
     else:
         # No candidate named: run the Table-I sweep now and gate on it.
-        from repro.bench.parallel import explore_many
-        from repro.corpus import TABLE1_PLANS
-        from repro.obs import EventLog, ExplanationStore, Tracer
-        from repro.obs.attribution import explain_outcomes
-
-        config = FragDroidConfig(tracer=Tracer(), event_log=EventLog(),
-                                 run_registry=registry)
-        outcomes = explore_many(TABLE1_PLANS, config=config,
-                                max_workers=args.workers,
-                                backend=args.backend)
-        candidate = registry.latest(1)[0]
+        # Its stored explanation lets a coverage drop below name the
+        # newly unreached targets.
+        candidate, _ = _record_table1(registry, args)
         print(f"recorded candidate sweep as {candidate.run_id}")
-        # Attribution rides along: store the candidate's explanation so
-        # a coverage drop below names the newly unreached targets.
-        ExplanationStore(registry.directory).save(explain_outcomes(
-            outcomes, label="table1", source_run_id=candidate.run_id))
     policy_kwargs = dict(
         max_coverage_drop=args.max_coverage_drop,
         max_phase_time_increase=args.max_phase_time_increase,
@@ -908,15 +911,8 @@ def cmd_regress(args: argparse.Namespace) -> int:
         print(report.render_text())
         _print_newly_unreached(registry, baseline, candidate, report)
     if args.record_out:
-        out = pathlib.Path(args.record_out)
-        try:
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(candidate.to_json(), encoding="utf-8")
-        except OSError as exc:
-            raise SystemExit(
-                f"cannot write candidate record {args.record_out!r}: "
-                f"{exc}"
-            ) from exc
+        out = _write_file(args.record_out, candidate.to_json(),
+                          "candidate record")
         print(f"wrote candidate record to {out}")
     return report.exit_code
 
@@ -927,9 +923,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     Exit codes: 0 applied divergence-free, 1 diverged, 2 the script
     (or the app) could not be loaded.
     """
-    import json
-    import pathlib
-
     from repro.errors import ReproError
     from repro.rnr import ReplayScript, replay_script
 
@@ -970,10 +963,13 @@ def cmd_fragility(args: argparse.Namespace) -> int:
     """The R&R fragility study: replay a recorded suite against
     mutated app versions; exit 1 when even the unchanged app diverges
     (a harness regression, not UI drift)."""
-    import json
-
     from repro.rnr import run_fragility
 
+    if args.app.endswith(".apk"):
+        raise SystemExit(
+            "the fragility study mutates the app spec; .apk files are "
+            "not supported — pass a demo:* or corpus name"
+        )
     spec = _resolve_spec(args.app)
     config = FragDroidConfig(max_events=args.max_events)
     report = run_fragility(spec, seed=args.seed, config=config)
@@ -1039,7 +1035,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_jobs(args: argparse.Namespace) -> int:
     """Drive a running service: submit / status / logs / cancel."""
-    import json
     import os
 
     from repro.serve import DEFAULT_URL, ServeClient, ServeClientError
@@ -1073,10 +1068,8 @@ def cmd_jobs(args: argparse.Namespace) -> int:
             if args.wait:
                 job = client.wait(job["job_id"],
                                   timeout_s=args.wait_timeout)
-                show(job)
-                return 0 if job["state"] == "done" else 1
             show(job)
-            return 0
+            return 1 if args.wait and job["state"] != "done" else 0
         if args.action == "status":
             if args.refs:
                 show(client.job(args.refs[0]))
@@ -1132,13 +1125,10 @@ def cmd_jobs(args: argparse.Namespace) -> int:
         return 1
 
 
-def cmd_compare(_args: argparse.Namespace) -> int:
-    print(run_baseline_comparison().render())
-    return 0
-
-
-def cmd_ablate(_args: argparse.Namespace) -> int:
-    print(run_ablation().render())
+def cmd_experiment(args: argparse.Namespace) -> int:
+    """``compare`` / ``ablate``: run the experiment and print its table."""
+    run = {"compare": run_baseline_comparison, "ablate": run_ablation}
+    print(run[args.command]().render())
     return 0
 
 
@@ -1187,18 +1177,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory")
     export.set_defaults(func=cmd_export_corpus)
 
-    trace_summary = sub.add_parser(
-        "trace-summary",
-        help="per-phase timing of a traced run (JSONL from --trace-jsonl)",
-    )
-    trace_summary.add_argument("jsonl", help="span JSONL file")
-    trace_summary.add_argument("--top", type=int, default=10,
-                               help="how many slowest spans to list")
-    trace_summary.add_argument("--flame", action="store_true",
-                               help="emit collapsed-stack flamegraph "
-                                    "lines (name;name <self-time µs>)")
-    trace_summary.set_defaults(func=cmd_trace_summary)
-
     dashboard = sub.add_parser(
         "dashboard",
         help="render the HTML dashboard of a saved run (or run dirs)",
@@ -1230,8 +1208,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.set_defaults(func=cmd_batch)
 
     for name, func, help_text in (
-        ("table1", cmd_table1, "regenerate Table I"),
-        ("table2", cmd_table2, "regenerate Table II"),
+        ("table1", cmd_table, "regenerate Table I"),
+        ("table2", cmd_table, "regenerate Table II"),
         ("study", cmd_study, "the 217-app usage study"),
     ):
         sweep = sub.add_parser(name, help=help_text)
@@ -1260,10 +1238,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run ids / record files (show: ID; diff: "
                            "BASELINE CANDIDATE; pin: ID; ingest: "
                            "bench JSON files)")
-    runs.add_argument("--dir", metavar="DIR", default=None,
-                      help="registry directory (default "
-                           "$FRAGDROID_RUNS_DIR or "
-                           "~/.cache/fragdroid/runs)")
+    _add_registry_dir(runs)
     runs.add_argument("--keep", type=int, default=10,
                       help="gc: how many newest records to keep "
                            "(default 10; the pinned baseline always "
@@ -1277,23 +1252,23 @@ def build_parser() -> argparse.ArgumentParser:
                       help="diff: emit the structured JSON diff")
     runs.set_defaults(func=cmd_runs)
 
-    profile = sub.add_parser(
-        "profile",
-        help="top phases by p90 self time from a run record",
+    show = sub.add_parser(
+        "show",
+        help="where a saved run's time went, what the explorer did, and "
+             "why targets were missed",
     )
-    profile.add_argument("record", nargs="?", default=None,
-                         help="run id (in the registry) or record JSON "
-                              "file; omitted: the latest registry record")
-    profile.add_argument("--top", type=int, default=10, metavar="N",
-                         help="phases to show (default 10)")
-    profile.add_argument("--diff", metavar="BASELINE", default=None,
-                         help="also show per-phase p90 deltas against "
-                              "this run id or record file")
-    profile.add_argument("--dir", metavar="DIR", default=None,
-                         help="registry directory (default "
-                              "$FRAGDROID_RUNS_DIR or "
-                              "~/.cache/fragdroid/runs)")
-    profile.set_defaults(func=cmd_profile)
+    show.add_argument("ref", nargs="?", default=None,
+                      help="an `explore --save` run directory, a run id "
+                           "or a record file; omitted: the latest "
+                           "registry record")
+    show.add_argument("--top", type=int, default=10, metavar="N",
+                      help="rows per table (default 10)")
+    show.add_argument("--flame", action="store_true",
+                      help="emit a traced run's collapsed-stack "
+                           "flamegraph lines (name;name <self-time µs>) "
+                           "instead")
+    _add_registry_dir(show)
+    show.set_defaults(func=cmd_show)
 
     explain = sub.add_parser(
         "explain",
@@ -1312,10 +1287,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="miss-table rows to show (default 0: all)")
     explain.add_argument("--json", action="store_true",
                          help="emit the explanation artifact JSON")
-    explain.add_argument("--dir", metavar="DIR", default=None,
-                         help="registry directory (default "
-                              "$FRAGDROID_RUNS_DIR or "
-                              "~/.cache/fragdroid/runs)")
+    _add_registry_dir(explain)
     _add_sweep_flags(explain)
     explain.set_defaults(func=cmd_explain)
 
@@ -1330,10 +1302,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="candidate run id or record file; "
                               "omitted: run the Table-I sweep now and "
                               "record it")
-    regress.add_argument("--dir", metavar="DIR", default=None,
-                         help="registry directory (default "
-                              "$FRAGDROID_RUNS_DIR or "
-                              "~/.cache/fragdroid/runs)")
+    _add_registry_dir(regress)
     regress.add_argument("--max-coverage-drop", type=float, default=0.10,
                          help="relative coverage drop allowed "
                               "(default 0.10)")
@@ -1472,11 +1441,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(jobs)
     jobs.set_defaults(func=cmd_jobs)
 
-    for name, func, help_text in (
-        ("compare", cmd_compare, "baseline comparison"),
-        ("ablate", cmd_ablate, "mechanism ablations"),
-    ):
-        sub.add_parser(name, help=help_text).set_defaults(func=func)
+    for name, help_text in (("compare", "baseline comparison"),
+                            ("ablate", "mechanism ablations")):
+        sub.add_parser(name, help=help_text).set_defaults(func=cmd_experiment)
     return parser
 
 

@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import StoreError
+from repro.obs.dashboard import RunData, load_run
 from repro.obs.events import (
     ATTRIBUTION_COMPUTED,
     ATTRIBUTION_MISS,
@@ -66,7 +67,7 @@ from repro.obs.events import (
     RUN_END,
     WIDGET_CLICKED,
 )
-from repro.store import DocumentStore, content_id
+from repro.store import DocumentStore, check_schema, content_id
 
 #: Bump whenever the explanation shape changes; foreign schemas are
 #: rejected on read, mirroring ``RECORD_SCHEMA``.
@@ -218,17 +219,8 @@ class CoverageExplanation:
         """The explanation ``data`` holds.  Raises :class:`StoreError`
         for anything else: a non-object, another schema, a field of the
         wrong shape."""
-        if not isinstance(data, dict):
-            raise StoreError(f"coverage explanation is a "
-                             f"{type(data).__name__}, not a JSON object")
-        try:
-            schema = int(data.get("schema", -1))
-        except (TypeError, ValueError, OverflowError):
-            schema = None
-        if schema != EXPLANATION_SCHEMA:
-            raise StoreError("unsupported coverage-explanation schema "
-                             f"{data.get('schema', -1)!r} "
-                             f"(this build reads {EXPLANATION_SCHEMA})")
+        schema = check_schema(data, EXPLANATION_SCHEMA,
+                              "coverage explanation")
         try:
             return cls(
                 label=str(data.get("label", "explanation")),
@@ -605,11 +597,12 @@ def explain_outcomes(outcomes: Dict[str, object],
     return _assemble(label, source_run_id, rows, misses, meta, event_log)
 
 
-def explain_run_dir(run_dir,
+def explain_run_dir(run,
                     label: str = "run-dir",
                     source_run_id: str = "",
                     meta: Optional[Dict] = None) -> CoverageExplanation:
-    """Explain a saved run directory (``explore --save DIR``).
+    """Explain a saved run directory (``explore --save DIR``): its path,
+    or the :class:`~repro.obs.dashboard.RunData` ``load_run`` read.
 
     Works from ``report.json`` + ``aftm.json`` + ``events.jsonl``; the
     sensitive-API universe is not part of the saved report, so run-dir
@@ -617,17 +610,12 @@ def explain_run_dir(run_dir,
     APIs too).
     """
     from repro.core.report import aftm_from_json
-    from repro.obs.sinks import read_events
 
-    directory = pathlib.Path(run_dir)
-    report = json.loads((directory / "report.json").read_text(
+    if not isinstance(run, RunData):
+        run = load_run(run)
+    report = run.report
+    aftm = aftm_from_json((run.path / "aftm.json").read_text(
         encoding="utf-8"))
-    aftm = aftm_from_json((directory / "aftm.json").read_text(
-        encoding="utf-8"))
-    events: List = []
-    events_path = directory / "events.jsonl"
-    if events_path.exists():
-        events = read_events(events_path)
     package = str(report.get("package", aftm.package))
     coverage = report.get("coverage") or {}
     visited_activities = list(
@@ -641,7 +629,7 @@ def explain_run_dir(run_dir,
         activities=sorted(n.name for n in aftm.activities),
         fragments=sorted(n.name for n in aftm.fragments),
         visited=set(visited_activities) | set(visited_fragments),
-        events=events,
+        events=run.events,
         degradation=_DegradationView(degradation) if degradation else None,
     )
     row = _app_row(package, True, len(visited_activities),

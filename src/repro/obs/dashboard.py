@@ -67,7 +67,9 @@ class RunData:
 
 
 def load_run(directory: PathLike) -> RunData:
-    """Load one run directory (``explore --save`` layout).
+    """Load one run directory (``explore --save`` layout): the one
+    reader of that layout, for the dashboard, ``repro show`` and
+    ``repro explain DIR``.
 
     ``report.json`` is required; ``events.jsonl``, ``spans.jsonl`` and
     ``manifest.json`` are picked up when present.

@@ -56,6 +56,7 @@ from repro.obs.timeline import coverage_timeline, discovery_stats
 from repro.store import (
     DocumentStore,
     atomic_write,
+    check_schema,
     content_id,
     default_dir,
     read_document,
@@ -152,17 +153,7 @@ class RunRecord:
         """The record ``data`` holds.  Raises :class:`StoreError` for
         anything else: a non-object, another schema, a field of the
         wrong shape."""
-        if not isinstance(data, dict):
-            raise StoreError(f"run record is a {type(data).__name__}, "
-                             "not a JSON object")
-        try:
-            schema = int(data.get("schema", -1))
-        except (TypeError, ValueError, OverflowError):
-            schema = None
-        if schema != RECORD_SCHEMA:
-            raise StoreError("unsupported run-record schema "
-                             f"{data.get('schema', -1)!r} "
-                             f"(this build reads {RECORD_SCHEMA})")
+        schema = check_schema(data, RECORD_SCHEMA, "run record")
         try:
             return cls(
                 label=str(data.get("label", "run")),
@@ -235,6 +226,18 @@ def config_fingerprint(config) -> Dict[str, object]:
     return fingerprint
 
 
+def self_time_stats(values: Sequence[float]) -> Dict[str, float]:
+    """Count, total and p50/p90/p99 of one phase's self times (seconds
+    in, milliseconds out for the percentiles)."""
+    return {
+        "count": len(values),
+        "self_total_s": round(sum(values), 6),
+        "self_p50_ms": round(percentile(values, 0.50) * 1000, 3),
+        "self_p90_ms": round(percentile(values, 0.90) * 1000, 3),
+        "self_p99_ms": round(percentile(values, 0.99) * 1000, 3),
+    }
+
+
 def phase_stats(spans) -> Dict[str, Dict[str, float]]:
     """Per-phase (span-name) self-time stats with p50/p90/p99, plus the
     peak tracemalloc growth when the tracer sampled memory."""
@@ -249,13 +252,7 @@ def phase_stats(spans) -> Dict[str, Dict[str, float]]:
                 mem_peaks.setdefault(name, []).append(float(mem))
     stats: Dict[str, Dict[str, float]] = {}
     for name, values in self_times.items():
-        entry: Dict[str, float] = {
-            "count": len(values),
-            "self_total_s": round(sum(values), 6),
-            "self_p50_ms": round(percentile(values, 0.50) * 1000, 3),
-            "self_p90_ms": round(percentile(values, 0.90) * 1000, 3),
-            "self_p99_ms": round(percentile(values, 0.99) * 1000, 3),
-        }
+        entry = self_time_stats(values)
         if name in mem_peaks:
             entry["mem_peak_kb"] = max(mem_peaks[name])
         stats[name] = entry

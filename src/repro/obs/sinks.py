@@ -2,7 +2,7 @@
 
 * :class:`InMemorySink` — a list, for tests and in-process inspection;
 * :class:`JsonlSink` — one JSON object per line, the format
-  ``python -m repro trace-summary`` and ``repro dashboard`` read back.
+  ``repro show`` and ``repro dashboard`` read back.
 
 A :class:`JsonlSink` accepts anything with a ``to_dict()`` — spans from
 a :class:`~repro.obs.tracer.Tracer` and events from an

@@ -193,7 +193,7 @@ class Scheduler:
         Everything the job does — the ``queue.wait`` it already paid,
         every ``schedule.round``, every worker's spans (thread or
         process backend) — lands on one trace, the job's ``trace_id``,
-        so ``trace-summary``/flamegraphs show one tree per job.
+        so collapsed-stack flamegraphs show one tree per job.
         """
         trace = job.trace_id or None
         wait_s = max(0.0, time.time() - job.created)

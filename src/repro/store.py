@@ -83,6 +83,24 @@ def read_document(path: os.PathLike) -> Dict:
     return data
 
 
+def check_schema(data, expected: int, kind: str) -> int:
+    """The schema of ``data``, a parsed ``kind`` document.  Raises
+    :class:`StoreError` unless it is a JSON object of schema
+    ``expected``."""
+    if not isinstance(data, dict):
+        raise StoreError(f"{kind} is a {type(data).__name__}, not a JSON "
+                         "object")
+    try:
+        schema = int(data.get("schema", -1))
+    except (TypeError, ValueError, OverflowError):
+        schema = None
+    if schema != expected:
+        raise StoreError(f"unsupported {kind.replace(' ', '-')} schema "
+                         f"{data.get('schema', -1)!r} "
+                         f"(this build reads {expected})")
+    return schema
+
+
 class DocumentStore:
     """One ``<key>.json`` document per entry under ``directory``;
     subclasses add typed ``load``/``list`` on :meth:`read` and
