@@ -16,6 +16,9 @@ from typing import Dict, List, Optional
 from repro.errors import ApkError
 from repro.types import WidgetKind
 
+# ``WidgetKind.__members__`` builds a new mapping view on every access.
+_WIDGET_KINDS = WidgetKind.__members__
+
 _KIND_TO_TAG = {
     WidgetKind.BUTTON: "Button",
     WidgetKind.TEXT_VIEW: "TextView",
@@ -57,10 +60,10 @@ class Layout:
     extra_containers: List[str] = field(default_factory=list)
 
     def add(self, element: LayoutElement) -> None:
-        if any(e.widget_id == element.widget_id for e in self.elements):
-            raise ApkError(
-                f"duplicate widget id {element.widget_id!r} in layout {self.name!r}"
-            )
+        for existing in self.elements:
+            if existing.widget_id == element.widget_id:
+                raise ApkError(f"duplicate widget id {element.widget_id!r} "
+                               f"in layout {self.name!r}")
         self.elements.append(element)
 
     def widget_ids(self) -> List[str]:
@@ -115,8 +118,7 @@ class Layout:
             attrs = _attrs(line)
             if "android:id" not in attrs:
                 continue
-            kind = WidgetKind.__members__.get(
-                attrs.get("repro:kind", "TEXT_VIEW"))
+            kind = _WIDGET_KINDS.get(attrs.get("repro:kind", "TEXT_VIEW"))
             if kind is None:
                 raise ApkError(f"unknown widget kind in layout {name!r}: "
                                f"{line}")

@@ -81,6 +81,7 @@ def lint_apk(apk: ApkPackage) -> LintReport:
                    f"expected exactly 1 launcher, found {len(launchers)}")
 
     # 3. Every const operand that looks like a resource ID must resolve.
+    resources = decoded.resources
     for cls in decoded.classes:
         for method in cls.methods:
             for instruction in method.instructions:
@@ -92,7 +93,7 @@ def lint_apk(apk: ApkPackage) -> LintReport:
                 ):
                     continue
                 try:
-                    decoded.resources.reverse(value)
+                    resources.reverse(value)
                 except Exception:
                     report.add(
                         "error", "dangling-resource",

@@ -6,6 +6,17 @@ AndroidManifest.xml file."  Decoding parses the package's *text* artifacts
 — it does not shortcut through any in-memory structures — and fails on
 packed/encrypted apps exactly like the real tool does on packers (the apps
 the paper had to rule out before selecting its 15 targets).
+
+Decoding parses what its reader reads, like real Apktool's
+``-s``/``--no-src`` and ``-r``/``--no-res`` split.  :meth:`Apktool.decode`
+refuses packed apps and parses every class header (``.class``,
+``.super``, ``.source``, ``.implements``, ``.field``); those errors
+raise there.  A class's method bodies parse on the first read of its
+``methods``, and the manifest, layouts and resource table on the first
+read of ``manifest``, ``layouts`` and ``resources`` (see
+:class:`~repro.smali.model.ParseOnRead`); a malformed artifact raises
+its typed error on that read.  Every read after the first returns the
+same object.
 """
 
 from __future__ import annotations
@@ -19,8 +30,8 @@ from repro.apk.manifest import Manifest
 from repro.apk.package import ApkPackage
 from repro.apk.resources import ResourceTable
 from repro.errors import PackedApkError
-from repro.smali.assemble import parse_class
-from repro.smali.model import INVOKE_OPCODES, SmaliClass
+from repro.smali.assemble import parse_class_header
+from repro.smali.model import INVOKE_OPCODES, ParseOnRead, SmaliClass
 
 
 class _ClassIndex:
@@ -112,7 +123,11 @@ class _ReferenceIndex:
 
 @dataclass
 class DecodedApk:
-    """The output directory of an ``apktool d`` run, as structured data."""
+    """The output directory of an ``apktool d`` run, as structured data.
+
+    A decoded one holds ``package``, ``classes`` and ``source``; its
+    ``manifest``, ``layouts`` and ``resources`` parse from ``source``
+    when first read."""
 
     package: str
     manifest: Manifest
@@ -195,18 +210,28 @@ class Apktool:
             raise PackedApkError(
                 f"{apk.package}: DEX is packed/encrypted; cannot decode"
             )
-        manifest = Manifest.from_xml(apk.manifest_xml)
-        classes = [parse_class(text) for _, text in sorted(apk.smali_files.items())]
-        layouts: Dict[str, Layout] = {}
-        for path, text in sorted(apk.layout_files.items()):
-            name = path.rsplit("/", 1)[-1].removesuffix(".xml")
-            layouts[name] = Layout.from_xml(name, text)
-        resources = ResourceTable.from_public_xml(apk.package, apk.public_xml)
-        return DecodedApk(
+        decoded = DecodedApk.__new__(DecodedApk)
+        decoded.__dict__.update(
             package=apk.package,
-            manifest=manifest,
-            classes=classes,
-            layouts=layouts,
-            resources=resources,
+            classes=[parse_class_header(text)
+                     for _, text in sorted(apk.smali_files.items())],
             source=replace(apk, _spec=None),
         )
+        return decoded
+
+
+def _parse_layouts(decoded: DecodedApk) -> Dict[str, Layout]:
+    layouts: Dict[str, Layout] = {}
+    for path, text in sorted(decoded.source.layout_files.items()):
+        name = path.rsplit("/", 1)[-1].removesuffix(".xml")
+        layouts[name] = Layout.from_xml(name, text)
+    return layouts
+
+
+DecodedApk.manifest = ParseOnRead(  # type: ignore[assignment]
+    "manifest", lambda decoded: Manifest.from_xml(decoded.source.manifest_xml))
+DecodedApk.layouts = ParseOnRead(  # type: ignore[assignment]
+    "layouts", _parse_layouts)
+DecodedApk.resources = ParseOnRead(  # type: ignore[assignment]
+    "resources", lambda decoded: ResourceTable.from_public_xml(
+        decoded.package, decoded.source.public_xml))

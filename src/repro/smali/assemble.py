@@ -5,6 +5,11 @@ baksmali text format; ``parse_class`` reads it back.  The static pipeline
 operates on the *text* (as the paper's does on Apktool output), so the
 round trip is load-bearing, and is covered by property-based tests.
 
+A class is read in two parts by one parser: the header (the lines
+before the first ``.method``) and the body.  ``parse_class`` reads both;
+``parse_class_header``, which the decoder uses, reads the body when its
+``methods`` are first read.
+
 Both directions are driven by dispatch tables keyed on the leading
 directive/opcode token: the parser classifies each line once (directive,
 comment, or instruction) and jumps straight to its handler instead of
@@ -16,8 +21,8 @@ to the pre-dispatch implementation.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SmaliError
 from repro.smali.model import (
@@ -26,6 +31,7 @@ from repro.smali.model import (
     SmaliClass,
     SmaliField,
     SmaliMethod,
+    _split_descriptors,
     java_name,
     jvm_type,
 )
@@ -171,15 +177,24 @@ _INSTRUCTION_PRINTERS: Dict[str, Callable[[str, Tuple[object, ...]], str]] = {
 
 
 class _ClassParser:
-    """Mutable state for one :func:`parse_class` pass."""
+    """Mutable state for one pass over the lines of a class."""
 
-    __slots__ = ("cls", "method", "in_method", "seen_class")
+    __slots__ = ("cls", "methods", "method", "append", "seen_class")
 
-    def __init__(self) -> None:
-        self.cls = SmaliClass(name="__pending__")
-        self.method = SmaliMethod(name="__none__")
-        self.in_method = False
+    def __init__(self, cls: Optional[SmaliClass],
+                 methods: List[SmaliMethod]) -> None:
+        self.cls = cls
+        self.methods = methods
+        self.method: Optional[SmaliMethod] = None  # the open or last one
+        # The open method's ``instructions.append``; None outside one.
+        self.append: Optional[Callable[[Instruction], None]] = None
         self.seen_class = False
+
+    def _placeholder(self) -> SmaliMethod:
+        # A stray ``.registers``/``.end method`` before any ``.method``
+        # lands on a placeholder method.
+        self.method = SmaliMethod(name="__none__")
+        return self.method
 
     # Directive handlers.  Each receives the stripped line whose leading
     # token matched the dispatch key exactly.
@@ -206,28 +221,38 @@ class _ClassParser:
         )
 
     def _dir_method(self, line: str) -> None:
-        self.method = _parse_method_header(line)
-        self.in_method = True
+        # Headers like ``.method public onCreate(...)V`` recur across
+        # every class in a corpus; the immutable parts are cached, the
+        # mutable SmaliMethod shell is always fresh.
+        name, params, ret, static = _method_header_parts(line)
+        self.method = method = SmaliMethod(name, list(params), ret, static)
+        self.append = method.instructions.append
 
     def _dir_registers(self, line: str) -> None:
-        self.method.registers = int(line.split()[-1])
+        (self.method or self._placeholder()).registers = int(line.split()[-1])
 
     def _dir_end(self, line: str) -> None:
         if line.startswith(".end method"):
-            self.cls.methods.append(self.method)
-            self.in_method = False
-        elif self.in_method:
-            self.method.instructions.append(_parse_instruction(line))
+            self.methods.append(self.method or self._placeholder())
+            self.append = None
+        elif self.append is not None:
+            self.append(_parse_instruction(line))
         # Outside a method, unmatched ``.end …`` lines are ignored.
 
     def _dir_unknown(self, line: str) -> None:
         # Any other directive (``.annotation``, ``.line``, ``.classx``):
         # ignored outside a method, parsed as an instruction inside one.
-        if self.in_method:
-            self.method.instructions.append(_parse_instruction(line))
+        if self.append is not None:
+            self.append(_parse_instruction(line))
+
+    def _dir_late_header(self, line: str) -> None:
+        raise SmaliError(
+            f"{line.partition(' ')[0]} after the first .method: {line!r}")
 
 
-_DIRECTIVES: Dict[str, Callable[[_ClassParser, str], None]] = {
+_Directives = Dict[str, Callable[[_ClassParser, str], None]]
+
+_HEADER_DIRECTIVES: _Directives = {
     ".class": _ClassParser._dir_class,
     ".super": _ClassParser._dir_super,
     ".source": _ClassParser._dir_source,
@@ -238,16 +263,68 @@ _DIRECTIVES: Dict[str, Callable[[_ClassParser, str], None]] = {
     ".end": _ClassParser._dir_end,
 }
 
+# Past the header, its directives are malformed: the body pass never
+# touches the class, so two threads may parse one body at once.
+_BODY_DIRECTIVES: _Directives = {
+    **_HEADER_DIRECTIVES,
+    **dict.fromkeys((".class", ".super", ".source", ".implements", ".field"),
+                    _ClassParser._dir_late_header),
+}
+
 
 def parse_class(text: str) -> SmaliClass:
-    """Parse smali text produced by :func:`print_class`.
+    """Parse smali text produced by :func:`print_class`, bodies included."""
+    cls = parse_class_header(text)
+    body = cls.__dict__.pop("_unparsed_body", None)
+    if body is not None:
+        cls.methods = body()
+    return cls
+
+
+def parse_class_header(text: str) -> SmaliClass:
+    """Parse a class's header now and its method bodies on first read.
+
+    The header — ``.class``, ``.super``, ``.source``, ``.implements``
+    and ``.field``, the text before the first line that starts
+    ``.method`` — is lexed here and its errors raise here.  ``methods``
+    lexes the rest of the same text when first read
+    (:class:`~repro.smali.model.ParseOnRead`) and raises a malformed
+    body's :class:`SmaliError` then.  Once read, the class equals
+    :func:`parse_class` of the same text.
+    """
+    cls = SmaliClass(name="__pending__")
+    parser = _ClassParser(cls, cls.methods)
+    body_at = text.find("\n.method")
+    _lex(parser, text if body_at < 0 else text[:body_at], _HEADER_DIRECTIVES)
+    if body_at >= 0 and (parser.append is not None or parser.methods):
+        # The header met an indented ``.method``: lex the rest now.
+        _lex(parser, text[body_at:], _BODY_DIRECTIVES)
+        body_at = -1
+    if not parser.seen_class:
+        raise SmaliError("no .class directive found")
+    if body_at >= 0:
+        state = cls.__dict__
+        del state["methods"]
+        state["_unparsed_body"] = partial(_parse_body, text, body_at)
+    return cls
+
+
+def _parse_body(text: str, body_at: int) -> List[SmaliMethod]:
+    """The methods of ``text[body_at:]``, resuming the header's pass in
+    the state it ended in: past the header, outside any method."""
+    parser = _ClassParser(None, [])
+    _lex(parser, text[body_at:], _BODY_DIRECTIVES)
+    return parser.methods
+
+
+def _lex(parser: _ClassParser, text: str, directives: _Directives) -> None:
+    """Feed every line of ``text`` to ``parser``.
 
     Single pass: each line is classified once by its first character —
     directive (``.``), comment (``#``), or instruction — and directives
     dispatch on their leading token.
     """
-    parser = _ClassParser()
-    directives_get = _DIRECTIVES.get
+    directives_get = directives.get
     unknown = _ClassParser._dir_unknown
     cache_get = _INSTRUCTION_CACHE.get
     try:
@@ -259,18 +336,14 @@ def parse_class(text: str) -> SmaliClass:
                 directives_get(line.partition(" ")[0], unknown)(parser, line)
             elif head == "#":
                 continue
-            elif parser.in_method:
-                instruction = cache_get(line)
-                if instruction is None:
-                    instruction = _parse_instruction(line)
-                parser.method.instructions.append(instruction)
+            else:
+                append = parser.append
+                if append is not None:
+                    append(cache_get(line) or _parse_instruction(line))
     except (ValueError, IndexError) as exc:
         # A malformed operand, descriptor or header (a missing "(", a
         # non-numeric register count, an unterminated "L...;").
         raise SmaliError(f"malformed smali: {exc}") from exc
-    if not parser.seen_class:
-        raise SmaliError("no .class directive found")
-    return parser.cls
 
 
 @lru_cache(maxsize=None)
@@ -282,29 +355,6 @@ def _method_header_parts(line: str) -> Tuple[str, Tuple[str, ...], str, bool]:
     params_str, ret = rest.split(")", 1)
     params = tuple(java_name(d) for d in _split_descriptors(params_str))
     return name, params, java_name(ret), static
-
-
-def _parse_method_header(line: str) -> SmaliMethod:
-    # Headers like ``.method public onCreate(...)V`` recur across every
-    # class in a corpus; the immutable parts are cached, the mutable
-    # SmaliMethod shell is always fresh.
-    name, params, ret, static = _method_header_parts(line)
-    return SmaliMethod(name=name, params=list(params), ret=ret, static=static)
-
-
-def _split_descriptors(text: str) -> List[str]:
-    out: List[str] = []
-    index = 0
-    while index < len(text):
-        start = index
-        while text[index] == "[":
-            index += 1
-        if text[index] == "L":
-            index = text.index(";", index) + 1
-        else:
-            index += 1
-        out.append(text[start:index])
-    return out
 
 
 def _parse_bare(opcode: str, rest: str) -> Instruction:

@@ -86,9 +86,10 @@ def _layouts_referenced_by(decoded: DecodedApk, class_name: str) -> Set[str]:
     """Layout names a component inflates (``setContentView``/``inflate``
     consts that are layout-type resources)."""
     names: Set[str] = set()
+    resources = decoded.resources
     for value in _ids_referenced_by(decoded, class_name):
         try:
-            rtype, name = decoded.resources.reverse(value)
+            rtype, name = resources.reverse(value)
         except Exception:
             continue
         if rtype == "layout":

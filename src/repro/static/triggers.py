@@ -271,8 +271,9 @@ def _section_key(listener: str) -> str:
 
 
 def _widget_name(decoded: DecodedApk, resid: int) -> str:
+    resources = decoded.resources
     try:
-        rtype, name = decoded.resources.reverse(resid)
+        rtype, name = resources.reverse(resid)
     except ResourceError:
         return f"0x{resid:08x}"
     return name

@@ -7,7 +7,14 @@ would bypass the typed-error handling of every caller (``repro batch``,
 the sweep's fault classifier), so each parser is fuzzed here with
 mutated Table-I artifacts and with random text.  The unmutated
 artifacts must parse back to the text they came from.
+
+The decoder parses lazily (a class body, the manifest, layouts and the
+resource table on first read), so the smali entry and the decode-level
+case read every lazy field: a malformed artifact must raise its typed
+error there, not escape as another exception.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +26,18 @@ from repro.apk.resources import ResourceTable
 from repro.corpus import TABLE1_PLANS
 from repro.corpus.synth import build_app
 from repro.errors import ReproError
-from repro.smali.assemble import parse_class, print_class
+from repro.smali.apktool import Apktool
+from repro.smali.assemble import parse_class_header, print_class
 
 APKS = [build_apk(build_app(plan)) for plan in TABLE1_PLANS]
+
+
+def _parse_smali(text):
+    """The decoder's class parse, with its lazy body read."""
+    cls = parse_class_header(text)
+    cls.methods, cls.fields, cls.interfaces
+    return cls
+
 
 #: (parser, its valid inputs, the printer that must give them back).
 PARSERS = {
@@ -41,7 +57,7 @@ PARSERS = {
         lambda manifest: manifest.to_xml(),
     ),
     "smali": (
-        parse_class,
+        _parse_smali,
         [text for apk in APKS[:3] for text in apk.smali_files.values()],
         print_class,
     ),
@@ -129,3 +145,40 @@ def test_random_text_parses_or_raises_repro_error(kind, text):
 def test_each_known_defect_raises_a_typed_error(kind, text):
     with pytest.raises(ReproError):
         PARSERS[kind][0](text)
+
+
+#: The artifacts of one package a mutation may hit.
+_ARTIFACTS = ("manifest", "public.xml", "layout", "smali")
+
+
+def _mutated_apk(apk, artifact, pick, edits):
+    if artifact == "manifest":
+        return replace(apk, manifest_xml=_mutate(apk.manifest_xml, edits))
+    if artifact == "public.xml":
+        return replace(apk, public_xml=_mutate(apk.public_xml, edits))
+    files = apk.layout_files if artifact == "layout" else apk.smali_files
+    path = sorted(files)[pick % len(files)]
+    mutated = {**files, path: _mutate(files[path], edits)}
+    if artifact == "layout":
+        return replace(apk, layout_files=mutated)
+    return replace(apk, smali_files=mutated)
+
+
+def read_every_lazy_field(decoded):
+    """Force every field the decoder parses on first read."""
+    decoded.manifest, decoded.layouts, decoded.resources
+    for cls in decoded.classes:
+        cls.methods, cls.fields, cls.interfaces
+
+
+@pytest.mark.parametrize("artifact", _ARTIFACTS)
+@FUZZ
+@given(which=st.integers(0, 10**6), pick=st.integers(0, 10**6),
+       edits=_EDITS)
+def test_mutated_apk_decodes_or_raises_repro_error(artifact, which, pick,
+                                                   edits):
+    apk = _mutated_apk(APKS[which % len(APKS)], artifact, pick, edits)
+    try:
+        read_every_lazy_field(Apktool().decode(apk))
+    except ReproError:
+        pass
