@@ -42,7 +42,12 @@ def test_a_pickled_info_decodes_back_to_an_equal_model(plan):
     assert "decoded" not in copy.__dict__
     assert copy.decoded == info.decoded
     assert copy.decoded.source is not None
-    assert "_decoded_source" not in copy.__dict__
+    # The decode shares the shipped text; it holds no second copy.
+    shipped = copy.__dict__["_decoded_source"]
+    for artifact in ("smali_files", "layout_files", "manifest_xml",
+                     "public_xml"):
+        assert getattr(copy.decoded.source, artifact) is getattr(
+            shipped, artifact)
 
 
 def test_an_unread_copy_pickles_its_source_again():
