@@ -80,7 +80,8 @@ class FragDroidConfig:
     # Content-addressed memoization of the static phase
     # (repro.static.cache).  None (the default) analyzes every APK from
     # scratch; a StaticCache skips decode + Algorithms 1–3 on digest
-    # hits.  Cache-served runs carry StaticInfo.decoded=None.
+    # hits.  A cache-served run carries the APK's decoded model like a
+    # fresh one, so it explains the same.
     static_cache: Optional["StaticCache"] = field(default=None, repr=False,
                                                   compare=False)
     # Longitudinal run registry (repro.obs.registry).  None (the

@@ -23,6 +23,12 @@ around the rounds:
 * **Crash-safe journaling** — the job snapshot is journaled after every
   round, so a service restart resumes mid-job without re-analyzing any
   app whose row was already journaled.
+* **One static analysis per APK** — every job's sweep shares the
+  scheduler's memory-only :class:`~repro.static.cache.StaticCache`, so
+  an app the service has analysed skips decode and Algorithms 1–3 (by
+  APK digest; its LRU bound exceeds the apps the default resolver
+  admits).  A hit carries the decoded APK, so rows, records and
+  explanations match a fresh run's.
 * **Registry hand-off** — a terminal ``done``/``failed`` job lands as
   one content-addressed record in the
   :class:`~repro.obs.registry.RunRegistry`, its ``meta`` carrying the
@@ -64,6 +70,7 @@ from repro.serve.jobs import (
     JobQueue,
 )
 from repro.serve.journal import JobJournal
+from repro.static.cache import StaticCache
 
 #: Fault kinds the scheduler re-admits: the app did not fail, its
 #: execution vehicle did.
@@ -151,6 +158,7 @@ class Scheduler:
         self.tracer = tracer
         self.event_log = event_log
         self.wall = wall
+        self.static_cache = StaticCache()
         # Live sweep outcomes per running job, so the terminal record
         # can be explained (per-target miss causes) before the results
         # are dropped.  Journal-resumed rows have no outcome — their
@@ -331,7 +339,8 @@ class Scheduler:
     def _job_config(self, job: Job,
                     observed: bool = True) -> FragDroidConfig:
         """A fresh per-round config: the job's budgets plus (when
-        ``observed``) the service's shared observers.  No registry —
+        ``observed``) the service's shared observers and static cache
+        (which a process worker receives as no cache).  No registry —
         the scheduler writes the one terminal record itself.  The
         terminal record passes ``observed=False`` so each job's record
         carries its own fingerprint, not the whole service's spans."""
@@ -346,6 +355,7 @@ class Scheduler:
             # Worker spans — thread or process backend — land on the
             # job's trace (observer-only: not part of the fingerprint).
             config.trace_id = job.trace_id or None
+            config.static_cache = self.static_cache
         return config
 
     def _readmit(self, job: Job, plan: AppPlan,

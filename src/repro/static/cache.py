@@ -8,7 +8,9 @@ decode + analysis cost every run.  This module memoizes the whole phase
 behind :meth:`~repro.apk.package.ApkPackage.digest` — a SHA-256 of the
 canonical serialized artifacts — with two tiers:
 
-* an **in-memory LRU** of serialized models (bounded, per-process), and
+* an **in-memory LRU** (bounded, per-process) of serialized models,
+  each beside the :class:`~repro.smali.apktool.DecodedApk` its miss
+  decoded, and
 * an optional **on-disk JSON store** (one ``<digest>.json`` per entry
   in a :class:`~repro.store.DocumentStore`, default
   ``~/.cache/fragdroid``, override via config/CLI ``--static-cache`` or
@@ -17,11 +19,14 @@ canonical serialized artifacts — with two tiers:
 A hit skips decode and Algorithms 1–3 entirely and rebuilds a fresh
 :class:`~repro.static.extractor.StaticInfo` from the serialized form —
 fresh, because the dynamic phase mutates ``info.aftm`` in place, so
-cached state must never be shared between runs.  Rehydrated models
-carry ``decoded=None`` (the existing deserialization contract); packed
-APKs are never cached (they fail before producing a model).  Stored
-entries strip analyst input values, which are re-applied per lookup, so
-one cache serves runs with different input files.
+cached state must never be shared between runs.  The decoded APK is
+read-only, so a memory hit shares the one its miss decoded; a disk hit
+decodes the APK in hand on the first read of ``decoded``.  Either way
+attribution sees what a fresh run sees.  The LRU evicts a model and its
+decoded APK together.  Packed APKs are never cached (they fail before
+producing a model).  Stored entries strip analyst input values, which
+are re-applied per lookup, so one cache serves runs with different
+input files.
 
 Writes are atomic, so concurrent sweep workers sharing one directory
 never observe torn entries; a corrupted or truncated entry reads as a
@@ -36,8 +41,11 @@ import os
 import pathlib
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
+from repro.apk.package import ApkPackage
+from repro.smali.apktool import DecodedApk
 from repro.static.aftm import AFTM, Node, NodeKind
 from repro.static.extractor import StaticInfo
 from repro.static.input_dep import InputDependency
@@ -130,16 +138,20 @@ def static_info_to_dict(info: StaticInfo) -> Dict:
     }
 
 
-def static_info_from_dict(data: Dict) -> StaticInfo:
-    """Rebuild a fresh, independently mutable model; ``decoded`` stays
-    ``None`` exactly like any deserialized :class:`StaticInfo`."""
+def static_info_from_dict(data: Dict,
+                          source: Optional[ApkPackage] = None) -> StaticInfo:
+    """Rebuild a fresh, independently mutable model.
+
+    Its ``decoded`` decodes ``source`` on first read; without a source
+    it is ``None``, as on any :class:`StaticInfo` read back from JSON.
+    """
     resource_dep = ResourceDependency()
     for widget_id, value, activity, fragment in data.get("resource_dep", ()):
         resource_dep.add(ResourceBinding(widget_id, value, activity,
                                          fragment))
     input_dep = InputDependency(package=data["package"])
     input_dep.known_widgets = list(data.get("input_widgets", ()))
-    return StaticInfo(
+    info = StaticInfo(
         package=data["package"],
         aftm=_aftm_from_dict(data["aftm"]),
         activities=list(data.get("activities", ())),
@@ -157,11 +169,21 @@ def static_info_from_dict(data: Dict) -> StaticInfo:
         view_components_json=data.get("view_components_json", "[]"),
         decoded=None,
     )
+    if source is not None:
+        del info.decoded
+        # Text only, as a StaticInfo ships it across a process boundary.
+        info._decoded_source = replace(source, _spec=None)
+    return info
 
 
 # ---------------------------------------------------------------------------
 # The two-tier store
 # ---------------------------------------------------------------------------
+
+#: A memory-tier entry: the serialized model and, when this process
+#: decoded it, the decoded APK.
+_Entry = Tuple[Dict, Optional[DecodedApk]]
+
 
 class StaticCache:
     """In-memory LRU over serialized models, plus an optional disk tier.
@@ -169,7 +191,9 @@ class StaticCache:
     Thread-safe; one instance can serve a whole thread-pool sweep.  It
     pickles as a fresh handle on the same directory, so in a
     process-pool sweep each worker opens its own instance — the disk
-    tier is the shared medium and every write is atomic.
+    tier is the shared medium and every write is atomic.  A cache
+    without a directory pickles as no cache: its memory cannot follow
+    it, and a worker's copy would die with the worker's config.
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None,
@@ -184,25 +208,33 @@ class StaticCache:
                       if directory is not None else None)
         self.memory_entries = memory_entries
         self._lock = threading.Lock()
-        self._memory: "OrderedDict[str, Dict]" = OrderedDict()
+        self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
         self._notes: Dict[str, Dict[str, str]] = {}
         self.hits = 0
         self.misses = 0
         self.stores = 0
 
     def __reduce__(self):
+        if self.directory is None:
+            return (type(None), ())
         return (StaticCache, (self.directory, self.memory_entries))
 
     # -- lookup / store ----------------------------------------------------
 
-    def lookup(self, digest: str) -> Optional[StaticInfo]:
-        """The rehydrated model for a digest, or ``None`` on a miss."""
-        data = self._memory_get(digest)
-        if data is None and self._disk is not None:
+    def lookup(self, digest: str,
+               source: Optional[ApkPackage] = None) -> Optional[StaticInfo]:
+        """The rehydrated model for a digest, or ``None`` on a miss.
+
+        Its ``decoded`` is the APK the miss decoded while the memory
+        tier holds it, and otherwise decodes ``source`` on first read.
+        """
+        entry = self._memory_get(digest)
+        if entry is None and self._disk is not None:
             data = self._disk_get(digest)
             if data is not None:
-                self._memory_put(digest, data)
-        if data is None:
+                entry = (data, None)
+                self._memory_put(digest, entry)
+        if entry is None:
             with self._lock:
                 self.misses += 1
             self._bump_disk_stats("misses")
@@ -210,12 +242,18 @@ class StaticCache:
         with self._lock:
             self.hits += 1
         self._bump_disk_stats("hits")
-        return static_info_from_dict(data)
+        data, decoded = entry
+        if decoded is None:
+            return static_info_from_dict(data, source)
+        info = static_info_from_dict(data)
+        info.decoded = decoded
+        return info
 
     def store(self, digest: str, info: StaticInfo) -> None:
-        """Serialize a freshly extracted model under its digest."""
+        """Serialize a freshly extracted model under its digest, beside
+        its decoded APK."""
         data = static_info_to_dict(info)
-        self._memory_put(digest, data)
+        self._memory_put(digest, (data, info.decoded))
         if self._disk is not None:
             self._disk_put(digest, data)
         with self._lock:
@@ -281,16 +319,16 @@ class StaticCache:
 
     # -- memory tier -------------------------------------------------------
 
-    def _memory_get(self, digest: str) -> Optional[Dict]:
+    def _memory_get(self, digest: str) -> Optional[_Entry]:
         with self._lock:
-            data = self._memory.get(digest)
-            if data is not None:
+            entry = self._memory.get(digest)
+            if entry is not None:
                 self._memory.move_to_end(digest)
-            return data
+            return entry
 
-    def _memory_put(self, digest: str, data: Dict) -> None:
+    def _memory_put(self, digest: str, entry: _Entry) -> None:
         with self._lock:
-            self._memory[digest] = data
+            self._memory[digest] = entry
             self._memory.move_to_end(digest)
             while len(self._memory) > self.memory_entries:
                 self._memory.popitem(last=False)

@@ -167,8 +167,8 @@ class LazyTriggerMap:
 
 def trigger_map_of(info) -> Optional[TriggerMap]:
     """The trigger map of a :class:`~repro.static.extractor.StaticInfo`,
-    or ``None`` when the decoded APK is gone (cache hits deserialize
-    with ``decoded=None``; attribution then degrades gracefully).
+    or ``None`` when the info has no decoded APK (a model read back
+    from JSON without its APK); attribution then degrades gracefully.
 
     Memoized on the info object — explaining the same result twice
     (regress then explain, the serve endpoint, a diff) extracts once.
