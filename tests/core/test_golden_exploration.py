@@ -18,6 +18,7 @@ import pathlib
 
 import pytest
 
+from repro import FragDroidConfig
 from repro.android import Device
 from repro.apk.builder import build_apk
 from repro.bench.parallel import (
@@ -29,6 +30,7 @@ from repro.core.explorer import FragDroid
 from repro.core.report import result_to_json
 from repro.corpus import TABLE1_PLANS
 from repro.corpus.synth import AppPlan, build_app
+from repro.static.cache import StaticCache
 
 GOLDEN_PATH = (pathlib.Path(__file__).parent / "golden"
                / "exploration_outputs.json")
@@ -97,6 +99,25 @@ def test_sweep_backends_reproduce_the_golden_outputs(backend):
     if backend == "process":
         # The second sweep leased, and then idled, the first one's pool.
         assert idle[0] is not None and idle[1] is idle[0]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_a_warm_static_cache_reproduces_the_golden_outputs(backend,
+                                                           tmp_path):
+    """A second sweep through one warm cache serves every app's static
+    model from it and still matches every pinned entry.  The cache has
+    a directory, so a process worker shares it too; one worker keeps
+    the directory's hit tally exact."""
+    golden = _load()
+    config = FragDroidConfig(static_cache=StaticCache(tmp_path))
+    for _ in range(2):
+        outcomes = explore_many(list(PLANS.values()), config=config,
+                                max_workers=1, backend=backend)
+    assert StaticCache.persistent_stats(tmp_path)["hits"] == len(PLANS)
+    for package, outcome in outcomes.items():
+        expected = {key: value for key, value in golden[package].items()
+                    if key != "steps"}
+        assert result_entry(outcome.unwrap()) == expected, package
 
 
 if __name__ == "__main__":

@@ -12,8 +12,10 @@ import threading
 import pytest
 
 from repro.bench.parallel import SweepOutcome, explore_many
+from repro.corpus import TABLE1_PLANS
 from repro.errors import WorkerDiedError
 from repro.obs import EventLog, Tracer
+from repro.obs.attribution import ExplanationStore
 from repro.obs.events import JOB_STATE
 from repro.obs.registry import RunRegistry
 from repro.serve import (
@@ -196,6 +198,51 @@ def test_clean_job_completes_and_lands_in_registry(tmp_path):
     assert len(record.apps) == len(DEMO_APPS)
     # The journal holds the terminal snapshot.
     assert scheduler.journal.load(job.job_id).state == DONE
+
+
+def test_a_repeat_job_is_served_from_the_static_memo_like_a_fresh_one(
+        tmp_path):
+    """The second job of an app skips its static analysis, and yields
+    the first job's row, run record and explanation bytes (ids and
+    timings aside).  The app is one whose misses attribution explains
+    from the decoded APK."""
+    scheduler = make_scheduler(tmp_path)
+    counters = scheduler.tracer.metrics.counter
+    jobs = []
+    for _ in range(2):
+        job = Job(apps=[TABLE1_PLANS[0].package], max_events=200)
+        scheduler.queue.submit(job)
+        scheduler.run_job(job)
+        assert job.state == DONE
+        jobs.append(job)
+        if len(jobs) == 1:
+            assert counters("static.cache.hit") == 0
+    assert counters("static.cache.hit") == 1
+    assert counters("static.cache.miss") == 1
+    first, second = jobs
+    assert _rows_sans_duration(second) == _rows_sans_duration(first)
+
+    def record(job):
+        data = scheduler.registry.load(job.run_id).to_dict()
+        del data["run_id"], data["meta"]["created"], data["meta"]["job_id"]
+        for row in data["apps"]:
+            del row["duration_s"]
+        return data
+
+    assert record(second) == record(first)
+
+    def explanation(job):
+        store = ExplanationStore(scheduler.registry.directory)
+        return (store.path_of(job.run_id).read_text(encoding="utf-8"),
+                store.load(job.run_id).explanation_id)
+
+    first_text, first_id = explanation(first)
+    second_text, second_id = explanation(second)
+    for mine, theirs in ((second.run_id, first.run_id),
+                         (second.job_id, first.job_id),
+                         (second_id, first_id)):
+        second_text = second_text.replace(mine, theirs)
+    assert second_text == first_text
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,16 @@ def test_a_config_with_live_observers_pickles(tmp_path):
     assert not pickle.loads(pickle.dumps(FragDroidConfig())).tracer.enabled
 
 
+def test_a_memory_only_static_cache_pickles_as_no_cache():
+    """Its memory cannot cross a process boundary, so a worker gets no
+    cache rather than an empty one it would fill and drop per app."""
+    from repro import FragDroidConfig
+    from repro.static.cache import StaticCache
+
+    config = FragDroidConfig(static_cache=StaticCache())
+    assert pickle.loads(pickle.dumps(config)).static_cache is None
+
+
 def test_non_picklable_config_falls_back_to_thread(monkeypatch):
     """A config the process backend cannot ship keeps the thread pool
     (and the sweep still completes correctly)."""
