@@ -25,8 +25,10 @@ from repro.adb.bridge import Adb
 from repro.adb.instrumentation import instrument_manifest
 from repro.android.device import Device
 from repro.apk.package import ApkPackage
+from repro.core.queue import Operation, click_op, force_start_op, launch_op
+from repro.core.testcase import apply_operation
 from repro.core.ui_driver import UiDriver
-from repro.errors import DeviceError, ReproError
+from repro.errors import ReproError
 from repro.obs import NULL_TRACER, Tracer
 from repro.robotium.solo import Solo
 from repro.static.extractor import StaticInfo, extract_static_info
@@ -101,28 +103,19 @@ class ActivityExplorer:
                 )
 
         # Work list: operation paths reaching unprocessed activities.
-        pending: List[Tuple[Tuple[Tuple[str, str], ...], str]] = []
+        pending: List[Tuple[Tuple[Operation, ...], str]] = []
         processed: Set[str] = set()
 
-        def replay(path: Tuple[Tuple[str, str], ...]) -> bool:
+        def replay(path: Tuple[Operation, ...]) -> bool:
+            """Relaunch and re-run ``path``; False once a step fails."""
             self.device.force_stop(package)
-            try:
-                self.adb.am_start_launcher(package)
-            except DeviceError:
-                return False
-            consume_api_log()
-            for kind, target in path:
+            for op in (launch_op(),) + path:
                 try:
-                    if kind == "click":
-                        self.solo.click_on_view(target)
-                    elif kind == "force":
-                        from repro.types import ComponentName
-                        self.device.start_activity(ComponentName.parse(target))
+                    apply_operation(op, package, self.solo, self.adb)
                 except ReproError:
                     return False
-                consume_api_log()
-                if not self.device.app_alive:
-                    return False
+                finally:
+                    consume_api_log()
             return True
 
         pending.append(((), "entry"))
@@ -170,7 +163,7 @@ class ActivityExplorer:
                     result.visited_activities.add(after)
                     if after not in processed:
                         pending.append(
-                            (path + (("click", widget_id),), after)
+                            (path + (click_op(widget_id),), after)
                         )
                     replay(path)
 
@@ -180,7 +173,7 @@ class ActivityExplorer:
                         or self.device.steps >= self.max_events):
                     continue
                 component = f"{package}/{activity}"
-                if replay((("force", component),)):
+                if replay((force_start_op(component),)):
                     current = self.device.current_activity_name()
                     if current == activity:
                         result.visited_activities.add(activity)

@@ -71,11 +71,12 @@ def save_artifacts(result: ExplorationResult,
     for case in result.test_cases:
         _write(f"testcases/{case.name}.java", case.to_robotium_java())
     if replay_scripts:
-        from repro.rnr.export import script_from_testcase
+        from repro.rnr.recorder import ReplayScript
 
         for case in result.passing_test_cases:
             _write(f"testcases/{case.name}.replay.json",
-                   script_from_testcase(case).to_json() + "\n")
+                   ReplayScript(case.package, case.operations).to_json()
+                   + "\n")
     _write("events.jsonl", "".join(
         json.dumps(e.to_dict(), sort_keys=True) + "\n"
         for e in result.events

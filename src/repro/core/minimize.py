@@ -12,15 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.adb.bridge import Adb
-from repro.adb.instrumentation import instrument_manifest
 from repro.android.device import Device
 from repro.apk.package import ApkPackage
 from repro.core.explorer import ExplorationResult
 from repro.core.testcase import TestCase
-from repro.errors import ReproError
 from repro.obs import NULL_TRACER, Tracer
-from repro.robotium.solo import Solo
+from repro.rnr.recorder import ReplayScript
+from repro.rnr.replay import replay_script
 
 
 @dataclass
@@ -62,29 +60,10 @@ def _coverage_of_case(case: TestCase, apk: ApkPackage,
     keeps the coverage observed so far but flags the truncation instead
     of silently under-counting.
     """
-    device = Device()
-    adb = Adb(device)
-    adb.install(instrument_manifest(apk))
-    solo = Solo(device)
-    covered: Set[str] = set()
-    truncated = False
-
-    try:
-        # Replay op by op, sampling after each step.
-        for index in range(1, len(case.operations) + 1):
-            prefix = TestCase(case.package, "Probe",
-                              case.operations[:index])
-            device.force_stop(case.package)
-            prefix.run(solo, adb)
-            activity = device.current_activity_name()
-            if activity in known_components:
-                covered.add(activity)
-            for fragment in device.current_fragment_classes():
-                if fragment in known_components:
-                    covered.add(fragment)
-    except ReproError:
-        truncated = True
-    return covered, truncated
+    outcome = replay_script(ReplayScript(case.package, case.operations),
+                            Device(), apk=apk)
+    reached = set(outcome.activities) | set(outcome.fragments)
+    return reached & known_components, not outcome.ok
 
 
 def minimize_suite(result: ExplorationResult,

@@ -25,15 +25,22 @@ class OpKind(str, enum.Enum):
     REFLECT = "reflect"          # reflective fragment switch
     FORCE_START = "force_start"  # am start -n with empty intent
     BACK = "back"
+    TAP = "tap"                  # tap at recorded coordinates
 
 
 @dataclass(frozen=True)
 class Operation:
-    """One concrete step of a test case."""
+    """One concrete UI event: a step of a test case or a replay script."""
 
     kind: OpKind
-    target: str = ""   # widget id / fragment class / component
+    target: str = ""   # widget id / fragment class / component / "x,y"
     value: str = ""    # text for ENTER_TEXT
+
+    @property
+    def point(self) -> Tuple[int, int]:
+        """A TAP's coordinates (they ride in the target slot)."""
+        x, y = self.target.split(",")
+        return int(x), int(y)
 
     def __str__(self) -> str:
         if self.kind is OpKind.ENTER_TEXT:
@@ -65,6 +72,10 @@ def reflect_op(fragment_class: str) -> Operation:
 
 def force_start_op(component: str) -> Operation:
     return Operation(OpKind.FORCE_START, component)
+
+
+def tap_op(x: int, y: int) -> Operation:
+    return Operation(OpKind.TAP, f"{x},{y}")
 
 
 @dataclass

@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.adb.bridge import Adb
-from repro.adb.instrumentation import instrument_manifest
 from repro.android.device import Device
 from repro.apk.package import ApkPackage
 from repro.core.explorer import ExplorationResult
-from repro.core.testcase import TestCase
 from repro.errors import ReproError
-from repro.robotium.solo import Solo
+from repro.rnr.recorder import ReplayScript
+from repro.rnr.replay import replay_script
 
 PASS = "pass"
 BROKEN = "broken"   # an operation no longer applies (UI drifted)
@@ -81,24 +79,15 @@ def run_regression(
             f"suite is for {baseline.package}, APK is {new_apk.package}"
         )
     device = device or Device()
-    adb = Adb(device)
-    solo = Solo(device)
-    adb.install(instrument_manifest(new_apk))
     report = RegressionReport(package=baseline.package)
+    apk: Optional[ApkPackage] = new_apk
     for case in baseline.passing_test_cases:
-        device.force_stop(baseline.package)
-        crashes_before = device.crash_count
-        try:
-            case.run(solo, adb)
-        except ReproError as exc:
-            if device.crash_count > crashes_before:
-                report.outcomes.append(
-                    RegressionOutcome(case.name, CRASH, str(exc))
-                )
-            else:
-                report.outcomes.append(
-                    RegressionOutcome(case.name, BROKEN, str(exc))
-                )
-            continue
-        report.outcomes.append(RegressionOutcome(case.name, PASS))
+        # The first replay installs the new version; the rest reuse it.
+        outcome = replay_script(
+            ReplayScript(case.package, case.operations), device, apk=apk)
+        apk = None
+        status = (PASS if outcome.ok
+                  else CRASH if outcome.crashed else BROKEN)
+        report.outcomes.append(
+            RegressionOutcome(case.name, status, outcome.detail))
     return report

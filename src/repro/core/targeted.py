@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.adb.bridge import Adb
-from repro.adb.instrumentation import instrument_manifest
 from repro.android.device import Device
 from repro.apk.package import ApkPackage
 from repro.core.explorer import ExplorationResult
 from repro.core.testcase import TestCase
-from repro.errors import ExplorationError
+from repro.errors import ExplorationError, TestCaseError
+from repro.rnr.recorder import ReplayScript
+from repro.rnr.replay import replay_script
 from repro.robotium.solo import Solo
 
 
@@ -53,15 +53,16 @@ def drive_to_component(
     """Replay the recorded path to ``component`` on a device.
 
     Installs the instrumented package (paths may include forced starts),
-    runs the path as a Robotium test case, and returns the test case —
-    the reusable artifact a security analyst hands to a colleague.
+    replays the path, and returns it as a test case — the reusable
+    artifact a security analyst hands to a colleague.  Raises
+    :class:`TestCaseError` when the path no longer applies.
     """
     operations = path_to_component(result, component)
-    adb = Adb(device)
-    adb.install(instrument_manifest(apk))
-    case = TestCase(package=apk.package, name=name, operations=operations)
-    case.install_and_run(Solo(device), adb)
-    return case
+    outcome = replay_script(ReplayScript(apk.package, operations), device,
+                            apk=apk, name=name)
+    if not outcome.ok:
+        raise TestCaseError(outcome.detail)
+    return TestCase(package=apk.package, name=name, operations=operations)
 
 
 def drive_to_api(

@@ -6,22 +6,20 @@ other devices.  This subpackage implements that technique over the
 emulator — and wires it into the pipeline as a first-class citizen:
 
 * :mod:`repro.rnr.recorder` — the manual recorder and the
-  schema-versioned :class:`ReplayScript` format;
-* :mod:`repro.rnr.export` — the ``Operation -> RecordedEvent``
-  translator exporting every generated test case as a replay script;
-* :mod:`repro.rnr.replay` — deterministic replay with per-step
+  schema-versioned :class:`ReplayScript` format, whose events are the
+  test cases' own :class:`~repro.core.queue.Operation` objects (every
+  passing test case exports as a script as it is);
+* :mod:`repro.rnr.replay` — the one replay loop, with per-step
   divergence reporting and run-registry records;
 * :mod:`repro.rnr.fragility` — the breakage study replaying recorded
   suites against mutated app versions ("scripts break when the UI
   changes", quantified).
 """
 
-from repro.rnr.export import event_from_operation, script_from_testcase
 from repro.rnr.fragility import FragilityReport, run_fragility
 from repro.rnr.recorder import (
     SCRIPT_SCHEMA,
     Recorder,
-    RecordedEvent,
     ReplayScript,
 )
 from repro.rnr.replay import (
@@ -34,14 +32,11 @@ from repro.rnr.replay import (
 
 __all__ = [
     "SCRIPT_SCHEMA",
-    "RecordedEvent",
     "Recorder",
     "ReplayScript",
     "ReplayOutcome",
     "SuiteReplayReport",
     "FragilityReport",
-    "event_from_operation",
-    "script_from_testcase",
     "replay_script",
     "replay_suite",
     "replay_run_record",

@@ -29,6 +29,7 @@ from repro.apk.appspec import AppSpec
 from repro.apk.builder import build_apk
 from repro.core.config import FragDroidConfig
 from repro.core.explorer import FragDroid
+from repro.core.queue import OpKind
 from repro.corpus.mutations import (
     add_activity,
     remove_handler,
@@ -36,7 +37,6 @@ from repro.corpus.mutations import (
     rename_widget,
     shuffle_widget_ids,
 )
-from repro.rnr.export import script_from_testcase
 from repro.rnr.recorder import ReplayScript
 from repro.rnr.replay import SuiteReplayReport, replay_suite
 
@@ -197,9 +197,9 @@ def plan_mutations(spec: AppSpec, scripts: List[ReplayScript],
     plans: List[PlannedMutation] = []
     mutable = set(_recordable_widget_ids(spec))
     clicked = sorted({
-        event.widget_id
+        event.target
         for script in scripts for event in script.events
-        if event.kind == "click" and event.widget_id in mutable
+        if event.kind is OpKind.CLICK and event.target in mutable
     })
     pool = clicked or sorted(mutable)
     if pool:
@@ -259,7 +259,7 @@ def run_fragility(spec: AppSpec, seed: int = 0,
     apk = build_apk(spec)
     result = FragDroid(Device(), config or FragDroidConfig()).explore(apk)
     names = [case.name for case in result.passing_test_cases]
-    scripts = [script_from_testcase(case)
+    scripts = [ReplayScript(case.package, case.operations)
                for case in result.passing_test_cases]
     recorded_activities = sorted(result.visited_activities)
     recorded_fragments = sorted(result.visited_fragments)

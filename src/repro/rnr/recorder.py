@@ -1,9 +1,11 @@
-"""Event recording and script replay.
+"""Event recording and the replay-script format.
 
-A :class:`Recorder` proxies a tester's session: every injected event is
-forwarded to the device and appended to the script.  The resulting
-:class:`ReplayScript` serialises to JSON ("translate them to scripts",
-Section I) and replays against any device with the app installed.
+A :class:`Recorder` proxies a tester's session: every event steps
+through :func:`~repro.core.testcase.apply_operation`, the one executor
+test cases also run on, and lands in the script once it applied.  The
+resulting :class:`ReplayScript` serialises to JSON ("translate them to
+scripts", Section I) and replays against any device with the app
+installed (:func:`repro.rnr.replay.replay_script`).
 
 Like the real technique, replay is *coordinate- and id-literal*: it
 re-injects exactly what was recorded, so it reproduces the recorded
@@ -11,26 +13,51 @@ path cheaply but breaks when the UI changes — the maintenance cost the
 paper cites as the reason MBT superseded R&R.  The fragility study
 (:mod:`repro.rnr.fragility`) measures exactly that breakage.
 
-Scripts carry a ``schema`` field so a foreign or stale file fails with
-a named error instead of a stack trace deep inside replay.
+Events are :class:`~repro.core.queue.Operation` objects, the test
+cases' own vocabulary; the schema-2 kind names (``text``, ``swipe``,
+``start``) exist only in the JSON.  Scripts carry a ``schema`` field so
+a foreign or stale file fails with a named error instead of a stack
+trace deep inside replay.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import List, Sequence
 
 from repro.adb.bridge import Adb
 from repro.android.device import Device
+from repro.core.queue import (
+    OpKind,
+    Operation,
+    click_op,
+    launch_op,
+    swipe_op,
+    tap_op,
+    text_op,
+)
+from repro.core.testcase import apply_operation
 from repro.errors import ReproError
+from repro.robotium.solo import Solo
 
 #: Bump whenever the event shape or kind list changes; scripts written
 #: by another schema are rejected with a named error.
 SCRIPT_SCHEMA = 2
 
-EVENT_KINDS = ("launch", "tap", "click", "text", "back", "swipe",
-               "reflect", "start")
+#: Each operation kind's name in a schema-2 script.
+_KIND_NAMES = {
+    OpKind.LAUNCH: "launch",
+    OpKind.TAP: "tap",
+    OpKind.CLICK: "click",
+    OpKind.ENTER_TEXT: "text",
+    OpKind.BACK: "back",
+    OpKind.SWIPE_OPEN: "swipe",
+    OpKind.REFLECT: "reflect",
+    OpKind.FORCE_START: "start",
+}
+_KINDS_BY_NAME = {name: kind for kind, name in _KIND_NAMES.items()}
+EVENT_KINDS = tuple(_KIND_NAMES.values())
 
 #: Per-event fields and the types :meth:`ReplayScript.from_json`
 #: accepts for each (``bool`` is not an ``int`` here).
@@ -44,29 +71,6 @@ _EVENT_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class RecordedEvent:
-    """One recorded input event.
-
-    ``widget_id`` doubles as the generic target slot: the widget id for
-    ``click``/``text``, the fragment class for ``reflect`` and the
-    ``package/Class`` component for ``start``.  ``step`` is the device
-    step count sampled *before* the event was applied, so event *i* of a
-    fresh-device recording carries ``step == i``.
-    """
-
-    kind: str
-    x: int = 0
-    y: int = 0
-    widget_id: str = ""
-    text: str = ""
-    step: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ReproError(f"unknown event kind: {self.kind!r}")
-
-
 def _check_field(name: str, value, expected, where: str):
     """Type-check one script field; bool masquerading as int rejected."""
     if isinstance(value, bool) or not isinstance(value, expected):
@@ -77,30 +81,56 @@ def _check_field(name: str, value, expected, where: str):
     return value
 
 
+def _event_to_dict(op: Operation, step: int) -> dict:
+    """One event as schema-2 JSON: ``widget_id`` is the target slot
+    (widget id, fragment class or component), a tap's point is
+    ``x``/``y``."""
+    x, y = op.point if op.kind is OpKind.TAP else (0, 0)
+    return {
+        "kind": _KIND_NAMES[op.kind], "x": x, "y": y,
+        "widget_id": "" if op.kind is OpKind.TAP else op.target,
+        "text": op.value, "step": step,
+    }
+
+
+def _event_from_dict(fields: dict) -> Operation:
+    kind = _KINDS_BY_NAME[fields["kind"]]
+    target = fields.get("widget_id", "")
+    if kind is OpKind.TAP:
+        target = f"{fields.get('x', 0)},{fields.get('y', 0)}"
+    return Operation(kind, target, fields.get("text", ""))
+
+
 @dataclass
 class ReplayScript:
-    """An ordered, serialisable event script for one package."""
+    """An ordered, serialisable event script for one package.
+
+    ``steps`` holds the device step count sampled *before* each event
+    was recorded; empty means a fresh-device script, where event *i*
+    ran at step *i* (every event costs one step).
+    """
 
     package: str
-    events: List[RecordedEvent]
+    events: Sequence[Operation]
+    steps: List[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.events = list(self.events)
+        if self.steps and len(self.steps) != len(self.events):
+            raise ReproError(f"replay script has {len(self.events)} events "
+                             f"but {len(self.steps)} steps")
 
     def to_json(self) -> str:
+        steps = self.steps or range(len(self.events))
         return json.dumps(
             {
                 "schema": SCRIPT_SCHEMA,
                 "package": self.package,
-                "events": [
-                    {
-                        "kind": e.kind, "x": e.x, "y": e.y,
-                        "widget_id": e.widget_id, "text": e.text,
-                        "step": e.step,
-                    }
-                    for e in self.events
-                ],
+                "events": [_event_to_dict(op, step)
+                           for op, step in zip(self.events, steps)],
             },
             indent=2,
         )
-
     @classmethod
     def from_json(cls, text: str) -> "ReplayScript":
         """Parse and *validate* a script file.
@@ -142,7 +172,8 @@ class ReplayScript:
         if not isinstance(raw_events, list):
             raise ReproError("replay script field 'events' must be a list, "
                              f"got {type(raw_events).__name__}")
-        events: List[RecordedEvent] = []
+        events: List[Operation] = []
+        steps: List[int] = []
         for index, entry in enumerate(raw_events):
             where = f"in events[{index}]"
             if not isinstance(entry, dict):
@@ -164,104 +195,59 @@ class ReplayScript:
                 raise ReproError(
                     f"replay script event {where} has unknown kind "
                     f"{fields['kind']!r} (known: {', '.join(EVENT_KINDS)})")
-            events.append(RecordedEvent(**fields))
-        return cls(package=package, events=events)
-
-    def apply_event(self, event: RecordedEvent, device: Device,
-                    adb: Optional[Adb] = None) -> None:
-        """Re-inject one event on a device.
-
-        Raises :class:`ReproError` subclasses when the UI has drifted
-        and the recorded target no longer exists.
-        """
-        adb = adb or Adb(device)
-        if event.kind == "launch":
-            adb.am_start_launcher(self.package)
-        elif event.kind == "tap":
-            device.tap(event.x, event.y)
-        elif event.kind == "click":
-            device.click_widget(event.widget_id)
-        elif event.kind == "text":
-            device.enter_text(event.widget_id, event.text)
-        elif event.kind == "back":
-            device.press_back()
-        elif event.kind == "swipe":
-            device.swipe_from_left()
-        elif event.kind == "reflect":
-            from repro.android.reflection import reflective_fragment_switch
-
-            reflective_fragment_switch(device, event.widget_id)
-        elif event.kind == "start":
-            from repro.types import ComponentName
-
-            device.start_activity(ComponentName.parse(event.widget_id))
-
-    def replay(self, device: Device) -> int:
-        """Re-inject the script on a device; returns events applied.
-
-        Raises :class:`ReproError` (via the device) when the UI has
-        drifted and a recorded widget no longer exists — the fragility
-        that motivates model-based approaches.  For a step-by-step
-        account that *reports* the divergence instead of raising, use
-        :func:`repro.rnr.replay.replay_script`.
-        """
-        adb = Adb(device)
-        applied = 0
-        for event in self.events:
-            self.apply_event(event, device, adb)
-            applied += 1
-        return applied
+            events.append(_event_from_dict(fields))
+            steps.append(fields.get("step", 0))
+        return cls(package=package, events=events, steps=steps)
 
 
 class Recorder:
-    """A recording session bound to one device and package."""
+    """A recording session bound to one device and package.
+
+    Each verb samples the step counter *before* forwarding, so the
+    recorded step is the state the event was applied in — not the state
+    it produced (which would be off by exactly one action).  An event
+    that does not apply (a missing widget, a failed launch, the app
+    leaving the foreground) raises and is not recorded, so a script
+    replays on the app it was recorded on without diverging.
+    """
 
     def __init__(self, device: Device, package: str) -> None:
         self.device = device
         self.package = package
+        self._solo = Solo(device)
         self._adb = Adb(device)
-        self._events: List[RecordedEvent] = []
+        self._events: List[Operation] = []
+        self._steps: List[int] = []
 
-    def _log(self, kind: str, step: int, **kwargs) -> None:
-        self._events.append(RecordedEvent(kind=kind, step=step, **kwargs))
+    def _record(self, op: Operation) -> None:
+        """Forward one event to the device and append it to the script."""
+        step = self.device.steps
+        apply_operation(op, self.package, self._solo, self._adb)
+        self._events.append(op)
+        self._steps.append(step)
 
-    # -- the tester's verbs (forward + record) ------------------------------
-    #
-    # Each verb samples the step counter *before* forwarding, so the
-    # recorded step is the state the event was applied in — not the
-    # state it produced (which would be off by exactly one action).
+    # -- the tester's verbs ---------------------------------------------------
 
     def launch(self) -> None:
-        step = self.device.steps
-        self._adb.am_start_launcher(self.package)
-        self._log("launch", step)
+        self._record(launch_op())
 
     def tap(self, x: int, y: int) -> None:
-        step = self.device.steps
-        self.device.tap(x, y)
-        self._log("tap", step, x=x, y=y)
+        self._record(tap_op(x, y))
 
     def click(self, widget_id: str) -> None:
-        step = self.device.steps
-        self.device.click_widget(widget_id)
-        self._log("click", step, widget_id=widget_id)
+        self._record(click_op(widget_id))
 
     def enter_text(self, widget_id: str, text: str) -> None:
-        step = self.device.steps
-        self.device.enter_text(widget_id, text)
-        self._log("text", step, widget_id=widget_id, text=text)
+        self._record(text_op(widget_id, text))
 
     def back(self) -> None:
-        step = self.device.steps
-        self.device.press_back()
-        self._log("back", step)
+        self._record(Operation(OpKind.BACK))
 
     def swipe(self) -> None:
-        step = self.device.steps
-        self.device.swipe_from_left()
-        self._log("swipe", step)
+        self._record(swipe_op())
 
     # -- output ---------------------------------------------------------------
 
     def script(self) -> ReplayScript:
-        return ReplayScript(package=self.package, events=list(self._events))
+        return ReplayScript(package=self.package, events=self._events,
+                            steps=list(self._steps))

@@ -1,11 +1,13 @@
 """Deterministic script replay with divergence reporting.
 
-:meth:`ReplayScript.replay` mirrors the paper's R&R technique — it
-re-injects events and *raises* the moment the UI has drifted.  For the
-pipeline (``repro replay``, the fragility study, the regression gate)
-we need the civilised version: apply the script step by step, observe
-the coverage it reaches, and when a step no longer applies report
-*which* step broke and *why* instead of unwinding the stack.
+:func:`replay_script` is the one replay loop.  ``repro replay``, the
+fragility study, regression runs, suite minimisation and targeted
+driving all replay through it: it installs the instrumented package the
+explorer ran on, applies the script step by step through
+:func:`~repro.core.testcase.apply_operation` (the executor generated
+test cases run on), observes the coverage each step reaches, and when a
+step no longer applies reports *which* step broke and *why* instead of
+unwinding the stack.
 
 The outcome of one script is a :class:`ReplayOutcome`; a whole suite
 aggregates into a :class:`SuiteReplayReport`, which converts to a
@@ -16,20 +18,24 @@ diffed and gated with the same machinery as coverage sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.adb.bridge import Adb
+from repro.adb.instrumentation import instrument_manifest
 from repro.android.device import Device
 from repro.apk.package import ApkPackage
+from repro.core.testcase import apply_operation
 from repro.errors import (
     ActivityNotFoundError,
     AppNotInstalledError,
     ReflectionError,
     ReproError,
     SecurityException,
+    TestCaseError,
     WidgetNotFoundError,
 )
 from repro.rnr.recorder import ReplayScript
+from repro.robotium.solo import Solo
 
 #: Divergence reason categories, most specific first.
 _REASONS = (
@@ -41,11 +47,17 @@ _REASONS = (
 )
 
 
-def _categorize(exc: ReproError) -> str:
+def _categorize(exc: ReproError, device: Device) -> Tuple[str, str]:
+    """``(reason, error)`` of a failed step: the device-level cause the
+    executor chained, if any, names both."""
+    cause = exc
+    if isinstance(exc, TestCaseError) and isinstance(exc.__cause__,
+                                                     ReproError):
+        cause = exc.__cause__
     for cls, reason in _REASONS:
-        if isinstance(exc, cls):
-            return reason
-    return "error"
+        if isinstance(cause, cls):
+            return reason, str(cause)
+    return ("error" if device.app_alive else "app-died"), str(cause)
 
 
 @dataclass
@@ -59,6 +71,8 @@ class ReplayOutcome:
     diverged_at: Optional[int] = None  # index of the event that broke
     reason: str = ""                   # divergence category
     error: str = ""                    # the underlying message
+    detail: str = ""                   # the executor's whole message
+    crashed: bool = False              # the device's crash count rose
     activities: List[str] = field(default_factory=list)
     fragments: List[str] = field(default_factory=list)
 
@@ -104,41 +118,37 @@ def replay_script(script: ReplayScript, device: Device,
                   name: str = "") -> ReplayOutcome:
     """Replay one script event by event on ``device``.
 
-    ``apk`` (when given) is installed first, so a fresh ``Device()`` is
-    enough.  After every applied event the reached interface is sampled
-    (top activity + attached fragments) — the union is the coverage the
-    replay reproduced.  The first event that no longer applies ends the
-    run with a categorised divergence; nothing raises.
+    ``apk`` (when given) is installed first, instrumented as the
+    explorer installs it (forced starts need its exported activities),
+    so a fresh ``Device()`` is enough.  The app starts from a stopped
+    process.  After every applied event the reached interface is
+    sampled (top activity + attached fragments) — the union is the
+    coverage the replay reproduced.  The first event that no longer
+    applies ends the run with a categorised divergence; nothing raises.
     """
     if apk is not None:
-        device.install(apk)
-    adb = Adb(device)
+        device.install(instrument_manifest(apk))
+    device.force_stop(script.package)
+    solo, adb = Solo(device), Adb(device)
     outcome = ReplayOutcome(package=script.package, name=name,
                             total=len(script.events))
     activities: set = set()
     fragments: set = set()
-
-    def diverge(index: int, reason: str, error: str) -> ReplayOutcome:
-        outcome.diverged_at = index
-        outcome.reason = reason
-        outcome.error = error
-        outcome.activities = sorted(activities)
-        outcome.fragments = sorted(fragments)
-        return outcome
-
-    for index, event in enumerate(script.events):
+    crashes_before = device.crash_count
+    for index, op in enumerate(script.events):
         try:
-            script.apply_event(event, device, adb)
+            apply_operation(op, script.package, solo, adb)
         except ReproError as exc:
-            return diverge(index, _categorize(exc), str(exc))
-        if not device.app_alive:
-            return diverge(index, "app-died",
-                           f"app left the foreground after {event.kind}")
+            outcome.diverged_at = index
+            outcome.reason, outcome.error = _categorize(exc, device)
+            outcome.detail = str(exc)
+            break
         outcome.applied += 1
         activity = device.current_activity_name()
         if activity is not None:
             activities.add(activity)
         fragments.update(device.current_fragment_classes())
+    outcome.crashed = device.crash_count > crashes_before
     outcome.activities = sorted(activities)
     outcome.fragments = sorted(fragments)
     return outcome
@@ -209,7 +219,8 @@ class SuiteReplayReport:
 
 def replay_suite(scripts: List[ReplayScript], apk: ApkPackage,
                  names: Optional[List[str]] = None) -> SuiteReplayReport:
-    """Replay each script on its own fresh device against ``apk``."""
+    """Replay each script on its own fresh device against ``apk``
+    (installed instrumented, as :func:`replay_script` does)."""
     package = scripts[0].package if scripts else apk.package
     report = SuiteReplayReport(package=package)
     for index, script in enumerate(scripts):

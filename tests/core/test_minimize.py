@@ -112,3 +112,70 @@ def test_greedy_tie_break_picks_lowest_index():
     )
     suite = minimize_suite(result, apk)
     assert [case.name for case in suite.cases] == ["Twin0"]
+
+
+def _prefix_replay_oracle(case, apk, known_components):
+    """The minimiser's former probe, kept as an oracle: replay every
+    prefix of the case with ``TestCase.run`` on one scratch device,
+    restarting the app before each, and sample after each prefix."""
+    from repro.adb import Adb
+    from repro.adb.instrumentation import instrument_manifest
+    from repro.core.testcase import TestCase
+    from repro.errors import ReproError
+    from repro.robotium import Solo
+
+    device = Device()
+    adb = Adb(device)
+    adb.install(instrument_manifest(apk))
+    solo = Solo(device)
+    covered = set()
+    try:
+        for index in range(1, len(case.operations) + 1):
+            prefix = TestCase(case.package, "Probe", case.operations[:index])
+            device.force_stop(case.package)
+            prefix.run(solo, adb)
+            activity = device.current_activity_name()
+            if activity in known_components:
+                covered.add(activity)
+            for fragment in device.current_fragment_classes():
+                if fragment in known_components:
+                    covered.add(fragment)
+    except ReproError:
+        return covered, True
+    return covered, False
+
+
+def _equivalence_specs():
+    from repro.corpus import TABLE1_PLANS, demo_tabbed_app
+
+    specs = {"demo:full": make_full_demo_spec, "demo:tabs": demo_tabbed_app}
+    for plan in TABLE1_PLANS:
+        specs[plan.package] = (
+            lambda package=plan.package: build_table1_app(package))
+    return specs
+
+
+@pytest.mark.parametrize("app", sorted(_equivalence_specs()))
+def test_one_pass_probe_matches_prefix_replay(app):
+    """One replay per case observes what replaying every prefix did:
+    the same ``(covered, truncated)`` for every passing case, on its own
+    APK and on a version whose first clicked widget was renamed (where
+    probes truncate)."""
+    from repro.core.minimize import _coverage_of_case
+    from repro.core.queue import OpKind
+    from repro.corpus.mutations import rename_widget
+
+    spec = _equivalence_specs()[app]()
+    apk = build_apk(spec)
+    result = FragDroid(Device()).explore(apk)
+    universe = set(result.visited_activities) | set(result.visited_fragments)
+    assert result.passing_test_cases
+    versions = [apk]
+    clicked = sorted(op.target for case in result.passing_test_cases
+                     for op in case.operations if op.kind is OpKind.CLICK)
+    if clicked:
+        versions.append(build_apk(rename_widget(spec, clicked[0], "gone")))
+    for version in versions:
+        for case in result.passing_test_cases:
+            assert _coverage_of_case(case, version, universe) == \
+                _prefix_replay_oracle(case, version, universe), case.name

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError, StoreError
+from repro.core.queue import click_op
 from repro.rnr import ReplayScript
-from repro.rnr.recorder import RecordedEvent
 from repro.serve import JOB_SCHEMA, Job, JobJournal
 
 _json = st.recursive(
@@ -29,7 +29,7 @@ _JOB = Job(apps=["com.a", "com.b"], job_id="feedface0000",
            workers=2).to_dict()
 _SCRIPT = json.loads(ReplayScript(
     package="com.a",
-    events=[RecordedEvent(kind="click", widget_id="ok", step=1)]).to_json())
+    events=[click_op("ok")], steps=[1]).to_json())
 
 
 @pytest.fixture(scope="module")

@@ -5,10 +5,11 @@ import json
 import pytest
 
 from repro.core.config import FragDroidConfig
+from repro.core.queue import OpKind
 from repro.corpus import demo_tabbed_app
 from repro.rnr import run_fragility
 from repro.rnr.fragility import CONTROL, plan_mutations
-from repro.rnr.export import script_from_testcase
+from repro.rnr import ReplayScript
 from tests.conftest import make_full_demo_spec
 
 
@@ -83,9 +84,10 @@ def test_plan_prefers_clicked_widgets():
 
     spec = demo_tabbed_app()
     result = FragDroid(Device()).explore(build_apk(spec))
-    scripts = [script_from_testcase(c) for c in result.passing_test_cases]
-    clicked = {e.widget_id for s in scripts for e in s.events
-               if e.kind == "click"}
+    scripts = [ReplayScript(c.package, c.operations)
+               for c in result.passing_test_cases]
+    clicked = {e.target for s in scripts for e in s.events
+               if e.kind is OpKind.CLICK}
     plan = next(p for p in plan_mutations(spec, scripts, seed=0)
                 if p.name == "rename-widget")
     renamed = plan.description.split(" -> ")[0]
@@ -96,4 +98,14 @@ def test_custom_event_budget_flows_through():
     report = run_fragility(demo_tabbed_app(), seed=1,
                            config=FragDroidConfig(max_events=50))
     assert report.scripts > 0
+    assert report.control_ok
+
+
+def test_forced_start_suite_replays_on_the_unchanged_app():
+    """cnn's suite holds forced-start cases; its control row replays
+    divergence-free because replay installs the instrumented package."""
+    from repro.corpus import build_table1_app
+
+    report = run_fragility(build_table1_app("com.cnn.mobile.android.phone"),
+                           seed=0)
     assert report.control_ok

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.rnr import SCRIPT_SCHEMA, RecordedEvent, ReplayScript
+from repro.core.queue import launch_op
+from repro.rnr import SCRIPT_SCHEMA, ReplayScript
 
 
 def valid_payload():
@@ -26,7 +27,8 @@ def loads(payload):
 def test_valid_script_loads():
     script = loads(valid_payload())
     assert script.package == "com.app"
-    assert script.events == [RecordedEvent(kind="launch")]
+    assert script.events == [launch_op()]
+    assert script.steps == [0]
 
 
 def test_invalid_json_is_a_named_error():

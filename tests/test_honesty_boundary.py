@@ -30,12 +30,9 @@ BLUEPRINT_NAMES = {"AppBlueprints", "Blueprint", "WidgetRow",
                    "activity_blueprint", "fragment_blueprint"}
 
 #: (module path under repro/, ground-truth name) -> why it is allowed.
-ALLOWED = {
-    # An oracle, not exploration: it replays a *finished* suite to
-    # measure which components each test case covers.
-    ("core/minimize.py", "current_fragment_classes"):
-        "coverage oracle for suite minimization",
-}
+#: Empty: suite minimisation's coverage oracle reads the fragments that
+#: the replay loop (``repro.rnr.replay``, outside the tool) samples.
+ALLOWED = {}
 
 #: Spec types a static module could import from repro.apk.appspec or
 #: its re-export in repro.apk.

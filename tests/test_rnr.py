@@ -4,8 +4,9 @@ import pytest
 
 from repro.android import Device
 from repro.apk import build_apk
-from repro.errors import ReproError, WidgetNotFoundError
-from repro.rnr import RecordedEvent, Recorder, ReplayScript
+from repro.core.queue import OpKind
+from repro.errors import ReproError
+from repro.rnr import Recorder, ReplayScript, replay_script
 from tests.conftest import make_full_demo_spec
 
 
@@ -22,15 +23,17 @@ def recorded(device, adb, demo_apk):
 def test_recording_forwards_events(recorded):
     script, device = recorded
     assert device.current_activity_name() == "com.example.demo.VaultActivity"
-    assert [e.kind for e in script.events] == ["launch", "text", "click"]
+    assert [e.kind for e in script.events] == [
+        OpKind.LAUNCH, OpKind.ENTER_TEXT, OpKind.CLICK]
 
 
 def test_replay_reaches_same_state(recorded):
     script, _ = recorded
     fresh = Device()
     fresh.install(build_apk(make_full_demo_spec()))
-    applied = script.replay(fresh)
-    assert applied == 3
+    outcome = replay_script(script, fresh)
+    assert outcome.ok
+    assert outcome.applied == 3
     assert fresh.current_activity_name() == "com.example.demo.VaultActivity"
 
 
@@ -39,6 +42,7 @@ def test_script_json_round_trip(recorded):
     restored = ReplayScript.from_json(script.to_json())
     assert restored.package == script.package
     assert restored.events == script.events
+    assert restored.steps == script.steps
 
 
 def test_replay_breaks_when_ui_drifts(recorded):
@@ -53,8 +57,9 @@ def test_replay_breaks_when_ui_drifts(recorded):
     ]
     fresh = Device()
     fresh.install(build_apk(drifted))
-    with pytest.raises(WidgetNotFoundError):
-        script.replay(fresh)
+    outcome = replay_script(script, fresh)
+    assert not outcome.ok
+    assert outcome.reason == "widget-missing"
 
 
 def test_recorded_drawer_and_back(device, adb, demo_apk):
@@ -66,13 +71,14 @@ def test_recorded_drawer_and_back(device, adb, demo_apk):
     recorder.back()
     fresh = Device()
     fresh.install(build_apk(make_full_demo_spec()))
-    recorder.script().replay(fresh)
+    assert replay_script(recorder.script(), fresh).ok
     assert fresh.current_activity_name() == "com.example.demo.MainActivity"
 
 
 def test_unknown_event_kind_rejected():
-    with pytest.raises(ReproError):
-        RecordedEvent(kind="teleport")
+    with pytest.raises(ReproError, match="teleport"):
+        ReplayScript.from_json(
+            '{"schema": 2, "package": "p", "events": [{"kind": "teleport"}]}')
 
 
 def test_recorded_steps_are_pre_action_steps(device, adb, demo_apk):
@@ -85,9 +91,9 @@ def test_recorded_steps_are_pre_action_steps(device, adb, demo_apk):
     recorder.click("btn_login")
     recorder.back()
     script = recorder.script()
-    assert [e.step for e in script.events] == list(range(len(script.events)))
+    assert script.steps == list(range(len(script.events)))
     # Post-action sampling would have read 1, 2, 3, 4 instead.
-    assert script.events[0].step == 0
+    assert script.steps[0] == 0
 
 
 def test_recorded_step_matches_replay_position(device, adb, demo_apk):
@@ -101,6 +107,7 @@ def test_recorded_step_matches_replay_position(device, adb, demo_apk):
     script = recorder.script()
     fresh = Device()
     fresh.install(build_apk(make_full_demo_spec()))
-    for event in script.events:
-        assert event.step == fresh.steps
-        script.apply_event(event, fresh)
+    assert replay_script(script, fresh).ok
+    # Each replayed event ran in the step it was recorded in (the event
+    # log stamps the step the event produced, one later).
+    assert [e.step - 1 for e in fresh.event_log.events] == script.steps
