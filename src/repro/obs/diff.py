@@ -1,8 +1,7 @@
 """Structured diff between two run-registry records.
 
-`repro.core.diff` answers "did the *same run* replay identically" at
-trace granularity.  This module answers the longitudinal question —
-"what changed *between two runs*" — over the persistent
+This module answers the longitudinal question — "what changed
+*between two runs*" — over the persistent
 :class:`~repro.obs.registry.RunRecord` shape: per-app coverage deltas,
 counter appear/vanish/shift with a tolerance band, per-phase self-time
 and peak-memory deltas, plus the comparability facts (config
@@ -12,9 +11,7 @@ compared at all.
 Everything here is pure arithmetic over two records — no clocks, no
 filesystem — so the same pair always produces the same
 :class:`RecordDiff`, which is what lets :mod:`repro.obs.regress` gate
-CI on it deterministically.  (Named ``RecordDiff`` rather than
-``RunDiff`` to stay distinct from the replay-comparison class in
-``repro.core.diff``.)
+CI on it deterministically.
 """
 
 from __future__ import annotations
