@@ -7,7 +7,10 @@ trace and the run record (``events.jsonl``) it is rendered from.
 leave them next to an Ant build.  Every saved run carries its record
 and ``manifest.json``, so ``repro explain`` and ``repro dashboard``
 answer in full for any of them; a traced run (``FragDroidConfig.tracer``)
-adds ``spans.jsonl`` and ``metrics.prom``.
+adds ``spans.jsonl`` and ``metrics.prom``.  ``report.html`` is the
+dashboard's run page, rendered from the same report, record and spans
+the directory holds, so it is byte for byte what ``repro dashboard
+DIR`` renders.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import pathlib
 from typing import List, Union
 
 from repro.core.explorer import ExplorationResult
-from repro.core.report import aftm_to_json, result_to_json
+from repro.core.report import aftm_to_json, result_to_dict
 from repro.obs import prometheus_text, run_manifest
+from repro.obs.dashboard import RunData, render_dashboard
 from repro.obs.timeline import coverage_timeline
 
 
@@ -30,7 +34,7 @@ def save_artifacts(result: ExplorationResult,
     Layout::
 
         <dir>/report.json          structured run report
-        <dir>/report.html          self-contained HTML report
+        <dir>/report.html          the run page `repro dashboard DIR` renders
         <dir>/aftm.json            the final AFTM
         <dir>/aftm.dot             Graphviz rendering
         <dir>/trace.log            the exploration trace
@@ -60,10 +64,10 @@ def save_artifacts(result: ExplorationResult,
         path.write_text(content)
         written.append(path)
 
-    from repro.core.htmlreport import render_html_report
-
-    _write("report.json", result_to_json(result))
-    _write("report.html", render_html_report(result))
+    report = result_to_dict(result)
+    _write("report.json", json.dumps(report, indent=2, sort_keys=True))
+    _write("report.html", render_dashboard(RunData(
+        path=base, report=report, events=result.events, spans=result.spans)))
     _write("aftm.json", aftm_to_json(result.aftm))
     _write("aftm.dot", result.aftm.to_dot())
     _write("trace.log", result.trace_text())

@@ -12,7 +12,7 @@ import json
 from typing import Dict, List
 
 from repro.core.explorer import ExplorationResult
-from repro.obs import Span, aggregate_spans, render_summary
+from repro.obs import Span, aggregate_spans
 from repro.static.aftm import AFTM, Node, NodeKind, activity_node, fragment_node
 
 
@@ -157,8 +157,3 @@ def timing_to_dict(spans: List[Span]) -> List[Dict]:
         }
         for stat in aggregate_spans(spans)
     ]
-
-
-def timing_text(spans: List[Span], top: int = 10) -> str:
-    """The human-readable per-phase timing table (CLI / docs)."""
-    return render_summary(spans, top=top)

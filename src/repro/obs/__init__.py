@@ -124,13 +124,7 @@ from repro.obs.sinks import (
     read_events,
     read_spans,
 )
-from repro.obs.summary import (
-    SpanStat,
-    aggregate_spans,
-    render_summary,
-    timing_rows,
-    top_slowest,
-)
+from repro.obs.summary import SpanStat, aggregate_spans
 from repro.obs.timeline import (
     CoveragePoint,
     Stall,
@@ -214,14 +208,11 @@ __all__ = [
     "render_fleet_table",
     "render_service_dashboard",
     "render_service_section",
-    "render_summary",
     "render_trend_section",
     "run_manifest",
     "self_times",
     "service_rows",
     "stalls",
     "time_to_fraction",
-    "timing_rows",
     "top_blocking_widgets",
-    "top_slowest",
 ]

@@ -4,10 +4,14 @@
 can open anywhere: stat tiles for the headline coverage numbers,
 inline-SVG coverage-over-time sparklines (one single-series card per
 curve: activities, fragments, FIVAs, sensitive APIs), the phase-timing
-bars and critical path from the span record, the stall table, the
-degradation panel of a faulted run, and — when pointed at a directory
-of per-app run directories (``repro batch`` output or
-``bench.parallel`` sweep aggregation) — a per-app fleet table.
+bars, percentiles and critical path from the span record, the stall
+table, the degradation panel of a faulted run, the components, AFTM
+transitions and sensitive-API relations of the report, the exploration
+trace, and — when pointed at a directory of per-app run directories
+(``repro batch`` output or ``bench.parallel`` sweep aggregation) — a
+per-app fleet table.  The run page is the saved run's ``report.html``:
+:func:`repro.core.artifacts.save_artifacts` writes exactly what
+``repro dashboard DIR`` renders.
 
 No scripts, no external assets: charts are static inline SVG with a
 table fallback (`<details>`) for every curve, colors are CSS custom
@@ -25,7 +29,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.events import Event
+from repro.obs.events import ITEM_FAILED, ITEM_START, Event
 from repro.obs.flame import critical_path
 from repro.obs.sinks import read_events, read_spans
 from repro.obs.summary import aggregate_spans
@@ -53,7 +57,6 @@ class RunData:
     report: Dict
     events: List[Event] = field(default_factory=list)
     spans: List[Span] = field(default_factory=list)
-    manifest: Optional[Dict] = None
 
     @property
     def package(self) -> str:
@@ -71,8 +74,8 @@ def load_run(directory: PathLike) -> RunData:
     reader of that layout, for the dashboard, ``repro show`` and
     ``repro explain DIR``.
 
-    ``report.json`` is required; ``events.jsonl``, ``spans.jsonl`` and
-    ``manifest.json`` are picked up when present.
+    ``report.json`` is required; ``events.jsonl`` and ``spans.jsonl``
+    are picked up when present.
     """
     base = pathlib.Path(directory)
     report_path = base / "report.json"
@@ -83,17 +86,11 @@ def load_run(directory: PathLike) -> RunData:
     report = json.loads(report_path.read_text(encoding="utf-8"))
     events: List[Event] = []
     spans: List[Span] = []
-    manifest: Optional[Dict] = None
     if (base / "events.jsonl").exists():
         events = read_events(base / "events.jsonl")
     if (base / "spans.jsonl").exists():
         spans = read_spans(base / "spans.jsonl")
-    if (base / "manifest.json").exists():
-        manifest = json.loads(
-            (base / "manifest.json").read_text(encoding="utf-8")
-        )
-    return RunData(path=base, report=report, events=events, spans=spans,
-                   manifest=manifest)
+    return RunData(path=base, report=report, events=events, spans=spans)
 
 
 def load_fleet(directory: PathLike) -> List[RunData]:
@@ -504,24 +501,37 @@ def _visited(report: Dict, key: str) -> int:
     return len(visited) if isinstance(visited, list) else int(visited)
 
 
+def _rate(entry: Dict) -> str:
+    return f"{entry.get('rate', 0.0):.1%}" if entry.get("sum") else "n/a"
+
+
 def _run_tiles(run: RunData) -> str:
     report = run.report
     stats = report.get("stats", {})
     coverage = report.get("coverage", {})
     fiva = coverage.get("fragments_in_visited_activities", {})
+    cases = f"{stats.get('reflection_failures', 0)} reflection failures"
+    if run.events:
+        # Every started item either records exactly one failure or
+        # passes.
+        passing = sum((event.kind == ITEM_START) - (event.kind == ITEM_FAILED)
+                      for event in run.events)
+        cases = f"{passing} passing, {cases}"
     tiles = [
         _tile("Activities",
               f"{_visited(report, 'activities')} / "
-              f"{coverage.get('activities', {}).get('sum', 0)}"),
+              f"{coverage.get('activities', {}).get('sum', 0)}",
+              _rate(coverage.get("activities", {}))),
         _tile("Fragments",
               f"{_visited(report, 'fragments')} / "
-              f"{coverage.get('fragments', {}).get('sum', 0)}"),
+              f"{coverage.get('fragments', {}).get('sum', 0)}",
+              _rate(coverage.get("fragments", {}))),
         _tile("Fragments in visited activities",
               f"{fiva.get('visited', 0)} / {fiva.get('sum', 0)}"),
         _tile("Sensitive API invocations",
               len(report.get("api_invocations", []))),
-        _tile("Events injected", stats.get("events", 0),
-              f"{stats.get('test_cases', 0)} test cases"),
+        _tile("Test cases", stats.get("test_cases", 0), cases),
+        _tile("Events injected", stats.get("events", 0)),
         _tile("Crashes", stats.get("crashes", 0),
               f"{stats.get('restarts', 0)} restarts"),
     ]
@@ -541,19 +551,98 @@ def _discovery_tiles(events: Sequence[Event]) -> str:
     return f'<div class="tiles">{"".join(tiles)}</div>' if tiles else ""
 
 
+def _timing_table(timing: Sequence[Dict]) -> str:
+    """The per-phase percentiles of a traced run's ``report["timing"]``."""
+    rows = [
+        [row["span"], row["count"], f"{row['total_s']:.4f}",
+         f"{row['mean_ms']:.2f}", f"{row['p50_ms']:.2f}",
+         f"{row['p90_ms']:.2f}", f"{row['p99_ms']:.2f}",
+         f"{row['max_ms']:.2f}"]
+        for row in timing
+    ]
+    table = html_table(
+        [("Span", False), ("Count", True), ("Total (s)", True),
+         ("Mean (ms)", True), ("p50 (ms)", True), ("p90 (ms)", True),
+         ("p99 (ms)", True), ("Max (ms)", True)],
+        rows,
+    )
+    return (f"<details><summary>Per-phase timing ({len(rows)} spans)"
+            f"</summary>{table}</details>")
+
+
+def _short(name: Optional[str]) -> str:
+    return name.rsplit(".", 1)[-1] if name else ""
+
+
+def _model_sections(run: RunData) -> str:
+    """The components, AFTM transitions and sensitive-API relations of
+    the report."""
+    from repro.core.sensitive_analysis import relations_from_invocations
+    from repro.types import ApiInvocation, ComponentName, InvocationSource
+
+    aftm = run.report.get("aftm", {})
+    visited = set(aftm.get("visited", ()))
+    components = [
+        [kind, name, "visited" if name in visited else "unvisited"]
+        for kind, key in (("Activity", "activities"),
+                          ("Fragment", "fragments"))
+        for name in aftm.get(key, ())
+    ]
+    edges = [
+        [edge["kind"], _short(edge["src"]), _short(edge["dst"]),
+         _short(edge["host"]), edge["trigger"]]
+        for edge in aftm.get("edges", ())
+    ]
+    invocations = [
+        ApiInvocation(inv["api"], ComponentName(run.package, inv["component"]),
+                      InvocationSource(inv["source"]), int(inv["step"]))
+        for inv in run.report.get("api_invocations", [])
+    ]
+    relations = [
+        [relation.api, relation.symbol,
+         "activity" if relation.by_activity else "",
+         "fragment" if relation.by_fragment else ""]
+        for relation in relations_from_invocations(run.package, invocations)
+    ]
+    return (
+        "<h2>Components</h2>"
+        + html_table([("Kind", False), ("Class", False), ("Status", False)],
+                     components)
+        + "\n<h2>AFTM transitions</h2>"
+        + html_table([("Kind", False), ("From", False), ("To", False),
+                      ("Host", False), ("Trigger", False)], edges)
+        + "\n<h2>Sensitive API relations</h2>"
+        + html_table([("API", False), ("Symbol", False),
+                      ("By activity", False), ("By fragment", False)],
+                     relations)
+    )
+
+
+def _trace_section(events: Sequence[Event]) -> str:
+    """The exploration trace, rendered from the run record the way
+    ``trace.log`` is."""
+    from repro.core.explorer import trace_of
+
+    trace = trace_of(events)
+    lines = "\n".join(esc(line) for line in trace)
+    return (f"<details><summary>Exploration trace ({len(trace)} events)"
+            f"</summary><pre>{lines}</pre></details>")
+
+
 def render_dashboard(run: RunData,
                      fleet: Optional[Sequence[RunData]] = None,
                      history: Optional[Sequence] = None,
                      explanations: Optional[Sequence] = None) -> str:
     """One self-contained HTML page for one recorded run.
 
-    ``history`` — run-registry records (oldest first) — adds the
+    Every section derives from the saved run alone (report, run record
+    and spans), so the page does not depend on where the run directory
+    lives.  ``history`` — run-registry records (oldest first) — adds the
     longitudinal trend section; ``explanations`` — stored coverage
     explanations — the miss-cause section."""
     sections: List[str] = [
         f"<h1>FragDroid flight recorder</h1>"
-        f'<p class="sub">Run: <strong>{esc(run.package)}</strong> '
-        f"&middot; {esc(run.path)}</p>",
+        f'<p class="sub">Run: <strong>{esc(run.package)}</strong></p>',
         _run_tiles(run),
     ]
     if run.events:
@@ -565,17 +654,24 @@ def render_dashboard(run: RunData,
         sections.append(_stall_table(stalls(run.events)))
     else:
         sections.append(
-            '<p class="empty">No event log (events.jsonl) in this run '
-            "directory — re-run with <code>explore --events-jsonl</code> "
-            "for coverage-over-time analytics.</p>"
+            '<p class="empty">No run record (events.jsonl) in this run '
+            "directory — save the run again with <code>explore --save"
+            "</code> for coverage-over-time analytics and the trace.</p>"
         )
-    if run.spans:
+    timing = run.report.get("timing")
+    if run.spans or timing:
         sections.append("<h2>Phase timing (total wall time per span)</h2>")
-        sections.append(_phase_bars(run.spans))
-        sections.append(_critical_path(run.spans))
+        if timing:
+            sections.append(_timing_table(timing))
+        if run.spans:
+            sections.append(_phase_bars(run.spans))
+            sections.append(_critical_path(run.spans))
     degradation = run.report.get("degradation")
     if degradation:
         sections.append(_degradation_panel(degradation))
+    sections.append(_model_sections(run))
+    if run.events:
+        sections.append(_trace_section(run.events))
     if fleet:
         sections.append(
             f"<h2>Fleet ({len(fleet)} apps)</h2>"

@@ -1,11 +1,12 @@
-"""Byte-identical HTML run reports against a committed fixture.
+"""Byte-identical saved run pages against a committed fixture.
 
-``golden/html_reports.json`` pins the sha256 of ``render_html_report``
-for each of the 15 Table-I results of a default run, plus two
+``golden/html_reports.json`` pins the sha256 of the ``report.html``
+:func:`~repro.core.artifacts.save_artifacts` writes (the dashboard run
+page) for each of the 15 Table-I results of a default run, plus two
 hostile-profile runs with fixed synthetic spans, so the per-phase
-timing and degradation tables are pinned too.  A change to how the
-report is rendered must not change a byte of it.  Regenerate only for
-an *intentional* change to the report::
+timing and degradation sections are pinned too.  A change to how the
+page is rendered must not change a byte of it.  Regenerate only for
+an *intentional* change to the page::
 
     PYTHONPATH=src python tests/core/test_golden_htmlreport.py
 """
@@ -13,14 +14,15 @@ an *intentional* change to the report::
 import hashlib
 import json
 import pathlib
+import tempfile
 
 import pytest
 
 from repro.android import Device
 from repro.apk.builder import build_apk
+from repro.core.artifacts import save_artifacts
 from repro.core.config import FragDroidConfig
 from repro.core.explorer import FragDroid
-from repro.core.htmlreport import render_html_report
 from repro.corpus import TABLE1_PLANS, build_table1_app
 from repro.corpus.synth import build_app
 from repro.faults import make_device
@@ -32,9 +34,15 @@ GOLDEN_PATH = (pathlib.Path(__file__).parent / "golden"
 FAULTED = ("com.aircrunch.shopalerts", "com.c51")
 
 
+def _saved_page(result) -> str:
+    with tempfile.TemporaryDirectory() as directory:
+        save_artifacts(result, directory)
+        return (pathlib.Path(directory) / "report.html").read_text(
+            encoding="utf-8")
+
+
 def _plain(plan) -> str:
-    result = FragDroid(Device()).explore(build_apk(build_app(plan)))
-    return render_html_report(result)
+    return _saved_page(FragDroid(Device()).explore(build_apk(build_app(plan))))
 
 
 def _faulted(package: str) -> str:
@@ -47,7 +55,7 @@ def _faulted(package: str) -> str:
         Span("explorer.test_case", 3, 1, 1, 1, 0.125, 0.25),
         Span("explorer.test_case", 4, 1, 1, 1, 0.375, 0.0625),
     ]
-    return render_html_report(result)
+    return _saved_page(result)
 
 
 def report_hashes() -> dict:

@@ -94,7 +94,22 @@ def test_dashboard_without_event_log_degrades_gracefully(tmp_path):
     (run_dir / "events.jsonl").unlink()
     html_text = render_dashboard_dir(run_dir)
     _assert_well_formed(html_text)
-    assert "--events-jsonl" in html_text  # points at the opt-in flag
+    assert "No run record (events.jsonl)" in html_text
+    assert "explore --save" in html_text  # which always writes it
+
+
+def test_run_page_timing_table_formats_report_timing(tmp_path):
+    from repro.core.report import timing_to_dict
+    from repro.obs import Span
+    from repro.obs.dashboard import RunData
+
+    spans = [Span("x", 1, 1, None, 0, 0.0, 0.5)]
+    report = {"package": "com.a", "timing": timing_to_dict(spans)}
+    html_text = render_dashboard(RunData(path=tmp_path, report=report))
+    _assert_well_formed(html_text)
+    assert ("<td>x</td><td class=num>1</td><td class=num>0.5000</td>"
+            "<td class=num>500.00</td>") in html_text
+    assert "Per-phase timing (1 spans)" in html_text
 
 
 def test_fleet_dashboard_over_run_directories(tmp_path):

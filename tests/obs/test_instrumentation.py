@@ -5,7 +5,7 @@ import pytest
 
 from repro import Device, FragDroid, FragDroidConfig, build_apk
 from repro.core.explorer import _Run
-from repro.core.htmlreport import render_html_report
+from repro.core.artifacts import save_artifacts
 from repro.core.report import result_to_dict
 from repro.corpus import build_table1_app, demo_tabbed_app
 from repro.obs import EventLog, Tracer
@@ -88,24 +88,34 @@ def test_spans_nest_static_under_explore():
     assert by_id[decode.parent_id] is static
 
 
-def test_untraced_run_keeps_reports_byte_identical():
+def _run_page(result, directory):
+    """The run page (``report.html``) of the saved run."""
+    save_artifacts(result, directory)
+    return (directory / "report.html").read_text(encoding="utf-8")
+
+
+def test_untraced_run_keeps_reports_byte_identical(tmp_path):
     apk = build_apk(demo_tabbed_app())
     plain = FragDroid(Device()).explore(apk)
     assert plain.spans == [] and plain.metrics == {}
     report = result_to_dict(plain)
     assert "timing" not in report and "metrics" not in report
-    assert "Per-phase timing" not in render_html_report(plain)
+    html = _run_page(plain, tmp_path)
+    assert "Phase timing" not in html
+    assert "Per-phase timing" not in html
 
 
-def test_traced_run_renders_timing_tables():
+def test_traced_run_renders_timing_tables(tmp_path):
     result, _ = _traced_result(demo_tabbed_app())
     report = result_to_dict(result)
     assert report["timing"][0]["count"] >= 1
     assert {row["span"] for row in report["timing"]} >= {"explore",
                                                          "static.extract"}
-    html = render_html_report(result)
+    html = _run_page(result, tmp_path)
+    assert html.count("Phase timing") == 1
     assert "Per-phase timing" in html
-    assert "static.extract" in html
+    assert "<th class=num>p99 (ms)</th>" in html
+    assert "<td>static.extract</td>" in html
 
 
 def test_parallel_sweep_produces_disjoint_traces():

@@ -1,4 +1,4 @@
-"""JSONL sink round-trip and the summary table."""
+"""JSONL sink round-trip and the per-phase aggregates."""
 
 import io
 
@@ -10,9 +10,6 @@ from repro.obs import (
     Tracer,
     aggregate_spans,
     read_spans,
-    render_summary,
-    timing_rows,
-    top_slowest,
 )
 
 
@@ -106,28 +103,3 @@ def test_aggregate_spans_groups_by_name():
     assert stats["b"].count == 1
     # Sorted by total descending.
     assert [s.name for s in aggregate_spans(spans)] == ["a", "b"]
-
-
-def test_top_slowest_orders_individual_spans():
-    spans = [_span("a", 0.1), _span("b", 0.5), _span("c", 0.3)]
-    assert [s.name for s in top_slowest(spans, 2)] == ["b", "c"]
-    assert top_slowest(spans, 0) == []
-
-
-def test_render_summary_contains_aggregates_and_slowest():
-    spans = [_span("static.extract", 0.25, app="com.example"),
-             _span("explorer.test_case", 0.05)]
-    text = render_summary(spans, top=5)
-    assert "static.extract" in text
-    assert "explorer.test_case" in text
-    assert "app=com.example" in text
-    assert "top 2 slowest spans" in text
-    assert render_summary([], top=5) == "no spans recorded"
-
-
-def test_timing_rows_format():
-    rows = timing_rows([_span("x", 0.5)])
-    assert rows[0][0] == "x"
-    assert rows[0][1] == 1
-    assert rows[0][2] == "0.5000"
-    assert rows[0][3] == "500.00"
