@@ -408,7 +408,7 @@ def explore_one(plan: AppPlan,
             apk = build_apk(build_app(plan))
             digest = apk.digest()
             device = make_device(fault_plan, scope=plan.package)
-            result = FragDroid(device, config).explore(apk)
+            result = FragDroid(device, config).explore(apk, digest=digest)
         except Exception as exc:
             tracer.inc("sweep.failures")
             span.set_attribute("error", repr(exc))

@@ -287,8 +287,13 @@ class FragDroid:
     # -- public API ----------------------------------------------------------------
 
     def explore(self, apk: ApkPackage,
-                info: Optional[StaticInfo] = None) -> ExplorationResult:
-        """Run the full pipeline on one APK."""
+                info: Optional[StaticInfo] = None,
+                digest: Optional[str] = None) -> ExplorationResult:
+        """Run the full pipeline on one APK.
+
+        ``digest`` is ``apk.digest()`` when the caller already has it:
+        the static cache keys on it instead of hashing the APK again.
+        """
         config = self.config
         tracer = config.tracer
         record = config.event_log.run_record(apk.package)
@@ -304,6 +309,7 @@ class FragDroid:
                         if config.enable_input_file else None,
                         tracer=tracer,
                         cache=config.static_cache,
+                        digest=digest,
                     )
                 installed = (instrument_manifest(apk)
                              if config.enable_forced_start else apk)

@@ -31,18 +31,21 @@ input files.
 Writes are atomic, so concurrent sweep workers sharing one directory
 never observe torn entries; a corrupted or truncated entry reads as a
 miss.  Hit/miss/store tallies persist best-effort in
-``<dir>/stats.json`` for ``repro cache stats``.
+``<dir>/stats.json`` for ``repro cache stats``.  Tallies and notes
+are updated under a file lock, so concurrent processes add up exactly.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import json
 import os
 import pathlib
 import threading
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.apk.package import ApkPackage
 from repro.smali.apktool import DecodedApk
@@ -59,6 +62,9 @@ CACHE_SCHEMA = 1
 #: Disk keys besides the ``<digest>`` model entries.
 _STATS_KEY = "stats"
 _NOTES_PREFIX = "notes-"
+#: The lock file serializing the stats and notes updates across
+#: processes (a dotfile, so the store never lists it).
+_UPDATE_LOCK = ".update.lock"
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -298,12 +304,13 @@ class StaticCache:
         self._bump_disk_stats("stores", len(notes))
         if self._disk is None:
             return
-        merged = self.load_notes(kind)
         try:
-            self._disk.put(_NOTES_PREFIX + kind, json.dumps(
-                {"schema": CACHE_SCHEMA, "kind": kind, "notes": merged},
-                sort_keys=True,
-            ))
+            with self._disk_lock():
+                merged = self.load_notes(kind)
+                self._disk.put(_NOTES_PREFIX + kind, json.dumps(
+                    {"schema": CACHE_SCHEMA, "kind": kind, "notes": merged},
+                    sort_keys=True,
+                ))
         except OSError:
             pass  # a read-only or full disk degrades to memory-only
 
@@ -363,16 +370,28 @@ class StaticCache:
 
     # -- stats / maintenance ----------------------------------------------
 
+    @contextlib.contextmanager
+    def _disk_lock(self) -> Iterator[None]:
+        """An exclusive ``flock`` on ``<dir>/.update.lock``: a
+        read-modify-write of a shared document under it never loses
+        another process's update.  Raises ``OSError`` on a read-only
+        disk."""
+        self.directory.mkdir(parents=True, exist_ok=True)
+        with open(self.directory / _UPDATE_LOCK, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            yield
+
     def _bump_disk_stats(self, key: str, count: int = 1) -> None:
         """Best-effort persistent tallies for ``repro cache stats``."""
         if self._disk is None:
             return
-        stats = self.persistent_stats(self.directory)
-        stats[key] = stats.get(key, 0) + count
         try:
-            self._disk.put(_STATS_KEY, json.dumps(stats, sort_keys=True))
+            with self._disk_lock():
+                stats = self.persistent_stats(self.directory)
+                stats[key] = stats.get(key, 0) + count
+                self._disk.put(_STATS_KEY, json.dumps(stats, sort_keys=True))
         except OSError:
-            pass
+            pass  # a read-only disk keeps its tallies in memory only
 
     def stats(self) -> Dict[str, object]:
         """Hits/misses/stores plus entry counts and disk footprint."""

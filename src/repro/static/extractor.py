@@ -96,7 +96,8 @@ StaticInfo.decoded = ParseOnRead(  # type: ignore[assignment]
 def extract_static_info(apk: ApkPackage,
                         input_values: Optional[Dict[str, str]] = None,
                         tracer: Optional[Tracer] = None,
-                        cache: Optional["StaticCache"] = None) -> StaticInfo:
+                        cache: Optional["StaticCache"] = None,
+                        digest: Optional[str] = None) -> StaticInfo:
     """Run the full static pipeline on one APK.
 
     ``input_values`` plays the analyst's role for the input-dependency
@@ -109,12 +110,13 @@ def extract_static_info(apk: ApkPackage,
     returns a fresh model whose ``decoded`` is the APK's decoded model,
     shared from the miss or decoded from ``apk`` on first read; packed
     APKs are never cached.  ``static.cache.{hit,miss,store}`` counters
-    land on the tracer.
+    land on the tracer.  ``digest``, when given, is ``apk.digest()``
+    computed by the caller; the cache keys on it without hashing again.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    digest = None
     if cache is not None and not apk.packed:
-        digest = apk.digest()
+        if digest is None:
+            digest = apk.digest()
         with tracer.span("static.cache.lookup", app=apk.package):
             info = cache.lookup(digest, apk)
         if info is not None:
@@ -186,7 +188,7 @@ def extract_static_info(apk: ApkPackage,
             view_components_json=_view_components_json(decoded),
             decoded=decoded,
         )
-    if cache is not None and digest is not None:
+    if cache is not None and not apk.packed:
         # Serialized immediately, so later in-place AFTM mutation by the
         # dynamic phase never leaks into the stored entry; analyst
         # values are stripped by the serializer and re-applied per hit.

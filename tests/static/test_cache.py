@@ -86,6 +86,93 @@ def test_any_byte_mutation_changes_digest():
     assert apk.digest() != base
 
 
+@pytest.fixture
+def hashed_packages(monkeypatch, tmp_path):
+    """The package of every ``ApkPackage`` hashed from here on, in any
+    process: worker processes fork with the patch and append to one
+    file.  Idle pools are dropped before and after, so no worker runs
+    unpatched code here or patched code later."""
+    from repro.bench.parallel import _drop_idle_pools
+
+    log = tmp_path / "hashed.log"
+    log.touch()
+    original = ApkPackage._digest_payload
+
+    def counted(self):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(self.package + "\n")
+        return original(self)
+
+    _drop_idle_pools()
+    monkeypatch.setattr(ApkPackage, "_digest_payload", counted)
+    yield lambda: Counter(log.read_text(encoding="utf-8").split())
+    _drop_idle_pools()
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_a_cached_sweep_hashes_each_apk_once(tmp_path, hashed_packages,
+                                             backend):
+    plans = TABLE1_PLANS[:3]
+    config = FragDroidConfig(static_cache=StaticCache(tmp_path / "cache"))
+    outcomes = explore_many(plans, config=config, max_workers=2,
+                            backend=backend)
+    assert all(outcome.ok for outcome in outcomes.values())
+    assert all(outcome.apk_digest for outcome in outcomes.values())
+    assert hashed_packages() == {plan.package: 1 for plan in plans}
+
+
+def test_a_serve_job_hashes_each_apk_once(tmp_path, hashed_packages):
+    from tests.serve.test_scheduler import (
+        DEMO_APPS,
+        make_scheduler,
+        submit_demo_job,
+    )
+
+    scheduler = make_scheduler(tmp_path)
+    job = submit_demo_job(scheduler)
+    scheduler.run_job(job)
+    assert job.state == "done"
+    assert scheduler.tracer.metrics.counter("static.cache.miss") == 3
+    assert hashed_packages() == {package: 1 for package in DEMO_APPS}
+
+
+def _bump_and_note(directory, tag, times):
+    cache = StaticCache(directory)
+    for index in range(times):
+        cache.count_lookups(hits=1)
+        cache.store_notes("race", {f"{tag}-{index}": "noted"})
+
+
+def test_processes_sharing_a_directory_keep_every_update(tmp_path):
+    """Processes bumping the tallies and merging notes through one
+    directory lose none of each other's updates."""
+    import multiprocessing
+
+    times, tags = 100, ("a", "b", "c")
+    context = multiprocessing.get_context("spawn")
+    workers = [context.Process(target=_bump_and_note,
+                               args=(tmp_path, tag, times))
+               for tag in tags]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert [worker.exitcode for worker in workers] == [0] * len(tags)
+    total = len(tags) * times
+    assert StaticCache.persistent_stats(tmp_path) == {"hits": total,
+                                                      "stores": total}
+    assert len(StaticCache(tmp_path).load_notes("race")) == total
+
+
+def test_stats_on_an_unwritable_directory_stay_in_memory(tmp_path):
+    blocked = tmp_path / "a-file"
+    blocked.write_text("")
+    cache = StaticCache(blocked / "cache")
+    cache.count_lookups(hits=2, misses=1)
+    assert (cache.hits, cache.misses) == (2, 1)
+    assert StaticCache.persistent_stats(blocked / "cache") == {}
+
+
 def test_default_cache_dir_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv("FRAGDROID_CACHE_DIR", str(tmp_path / "elsewhere"))
     assert default_cache_dir() == tmp_path / "elsewhere"
