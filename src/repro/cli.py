@@ -164,6 +164,17 @@ def _config_from(args: argparse.Namespace) -> FragDroidConfig:
     return config
 
 
+def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--faults", metavar="PROFILE",
+                        choices=sorted(FAULT_PROFILES), default="none",
+                        help="fault-injection profile (none | mild | "
+                             "hostile); a faulted run retries, "
+                             "quarantines and reports a degradation "
+                             "section")
+    parser.add_argument("--fault-seed", type=int, default=0,
+                        help="seed for the deterministic fault stream")
+
+
 def _add_explore_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("app", help="corpus package or demo:* name")
     parser.add_argument("--no-reflection", action="store_true")
@@ -171,13 +182,7 @@ def _add_explore_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-click-sweep", action="store_true")
     parser.add_argument("--heuristic-inputs", action="store_true")
     parser.add_argument("--max-events", type=int, default=20000)
-    parser.add_argument("--faults", metavar="PROFILE",
-                        choices=sorted(FAULT_PROFILES), default="none",
-                        help="fault-injection profile (none | mild | "
-                             "hostile); the run retries, quarantines "
-                             "and reports a degradation section")
-    parser.add_argument("--fault-seed", type=int, default=0,
-                        help="seed for the deterministic fault stream")
+    _add_fault_flags(parser)
     parser.add_argument("--json", action="store_true",
                         help="emit the structured JSON report")
     parser.add_argument("--trace", action="store_true",
@@ -1421,11 +1426,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="submit: per-app event budget")
     jobs.add_argument("--time-budget", type=float, default=None,
                       help="submit: job wall-clock budget in seconds")
-    jobs.add_argument("--faults", metavar="PROFILE",
-                      choices=sorted(FAULT_PROFILES), default="none",
-                      help="submit: fault-injection profile")
-    jobs.add_argument("--fault-seed", type=int, default=0,
-                      help="submit: fault-stream seed")
+    _add_fault_flags(jobs)
     jobs.add_argument("--follow", action="store_true",
                       help="logs: stream the job's events live over "
                            "SSE until it finishes (Ctrl-C to stop)")
