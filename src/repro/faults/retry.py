@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
 from repro.errors import TransientError
-from repro.obs import NULL_TRACER, Tracer
 
 T = TypeVar("T")
 
@@ -32,16 +31,6 @@ class SimulatedClock:
 
     def sleep(self, seconds: float) -> None:
         self.now += seconds
-
-
-@dataclass
-class RetryStats:
-    """What the policy spent across all calls it guarded."""
-
-    retries: int = 0      # re-attempts after a transient failure
-    recoveries: int = 0   # calls that succeeded after >= 1 retry
-    giveups: int = 0      # calls that exhausted the attempt budget
-    backoff_s: float = 0.0  # total (simulated) time slept
 
 
 @dataclass(frozen=True)
@@ -95,43 +84,29 @@ class RetryPolicy:
         *,
         clock: SimulatedClock,
         rng: Optional[random.Random] = None,
-        stats: Optional[RetryStats] = None,
-        tracer: Tracer = NULL_TRACER,
-        on_retry: Optional[Callable[[TransientError], None]] = None,
+        on_retry: Optional[Callable[[TransientError, float], None]] = None,
     ) -> T:
         """Run ``fn`` under this policy.
 
         Retries on :class:`TransientError` only; re-raises the last
         failure once the attempt budget — or the ``max_total_delay``
-        wall-clock budget — is spent.  ``on_retry`` runs after each
-        backoff sleep — the hook the adb layer uses to issue its
-        ``adb reconnect``.
+        budget of backoff slept on ``clock`` — is spent.  ``on_retry``
+        runs after each backoff sleep with the failure and the delay
+        slept: the hook the adb layer uses to record the retry and to
+        issue its ``adb reconnect``.
         """
         slept = 0.0
         for attempt in range(self.max_attempts):
             try:
-                result = fn()
+                return fn()
             except TransientError as exc:
                 budget_spent = (self.max_total_delay is not None
                                 and slept >= self.max_total_delay)
                 if attempt + 1 >= self.max_attempts or budget_spent:
-                    if stats is not None:
-                        stats.giveups += 1
-                    tracer.inc("retry.giveups")
                     raise
                 delay = self.delay_for(attempt, rng, elapsed=slept)
                 slept += delay
-                if stats is not None:
-                    stats.retries += 1
-                    stats.backoff_s += delay
-                tracer.inc("retry.attempts")
                 clock.sleep(delay)
                 if on_retry is not None:
-                    on_retry(exc)
-                continue
-            if attempt > 0:
-                if stats is not None:
-                    stats.recoveries += 1
-                tracer.inc("retry.recoveries")
-            return result
+                    on_retry(exc, delay)
         raise AssertionError("unreachable")  # pragma: no cover

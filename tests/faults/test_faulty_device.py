@@ -5,6 +5,8 @@ import pytest
 from repro.adb import Adb
 from repro.errors import CommandTimeoutError
 from repro.faults import FaultPlan, FaultyDevice, make_device
+from repro.obs import EventLog
+from repro.obs.events import FAULT_INJECTED
 from tests.conftest import make_full_demo_spec
 
 
@@ -15,7 +17,14 @@ def _launched_device(plan):
     adb = Adb(device)
     adb.install(build_apk(make_full_demo_spec()))
     assert adb.am_start_launcher("com.example.demo")
+    device.events = EventLog()
     return device
+
+
+def _recorded_faults(device):
+    return [(event.step, event.attributes)
+            for event in device.events.events()
+            if event.kind == FAULT_INJECTED]
 
 
 def test_anr_raises_timeout_and_consumes_a_step():
@@ -23,9 +32,12 @@ def test_anr_raises_timeout_and_consumes_a_step():
         FaultPlan(profile="custom", seed=1, anr_rate=1.0)
     )
     steps = device.steps
-    with pytest.raises(CommandTimeoutError, match="ANR"):
+    with pytest.raises(CommandTimeoutError, match="ANR") as raised:
         device.click_widget("btn_next")
     assert device.steps == steps + 1
+    assert _recorded_faults(device) == [
+        (steps + 1, {"fault": "anr", "widget": "btn_next",
+                     "error": str(raised.value)})]
     # The app is still alive — the widget just never reacted.
     assert device.app_alive
     assert device.current_activity_name().endswith("MainActivity")
@@ -40,6 +52,8 @@ def test_spurious_crash_kills_the_foreground_app():
     device.click_widget("btn_next")  # would navigate on a healthy device
     assert not device.app_alive
     assert device.crash_count == crashes + 1
+    assert _recorded_faults(device) == [
+        (device.steps, {"fault": "spurious-crash", "widget": "btn_next"})]
     assert any("FATAL EXCEPTION (injected)" in str(e)
                for e in device.logcat.entries())
 
@@ -48,7 +62,7 @@ def test_clean_plan_clicks_behave_normally():
     device = _launched_device(FaultPlan(profile="custom", seed=1))
     device.click_widget("btn_next")
     assert device.current_activity_name().endswith("SecondActivity")
-    assert device.injector.injected == {}
+    assert device.events.events() == []
 
 
 def test_make_device_picks_the_right_class():
