@@ -47,7 +47,7 @@ PINNED_KINDS = frozenset((
     "run.start", "run.end", "state.discovered", "widget.clicked",
     "case.decision", "reflection.switch", "forced.start",
     "input.generated", "transition", "fault.injected", "retry",
-    "quarantine", "crash.recovery",
+    "retry.end", "quarantine", "crash.recovery",
 ))
 
 
