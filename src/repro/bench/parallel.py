@@ -212,7 +212,8 @@ def _sweep_thread(keyed: List[Tuple[str, Any]], fn: Callable[[Any], Any],
                   workers: int) -> Dict[str, SweepOutcome]:
     if workers == 1:
         # A one-worker pool only adds a thread handoff per item: about
-        # 5% of the 217-app market pass, measured on a 2-vCPU VM.
+        # 3% of the 217-app market pass (median of 60 alternating pairs
+        # on a 2-vCPU VM; the quartiles span -5% to +10%).
         return {package: _run_item(fn, package, item)
                 for package, item in keyed}
     with ThreadPoolExecutor(max_workers=workers) as pool:

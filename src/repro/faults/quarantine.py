@@ -10,7 +10,7 @@ goes to the rest of the interface instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 
 class WidgetQuarantine:
@@ -45,9 +45,6 @@ class WidgetQuarantine:
 
     def blocked(self, widget_id: str) -> bool:
         return widget_id in self._blocked
-
-    def blocked_ids(self) -> List[str]:
-        return sorted(self._blocked)
 
     def strikes(self, widget_id: str) -> int:
         return self._strikes.get(widget_id, 0)

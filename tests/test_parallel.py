@@ -116,6 +116,25 @@ def test_explore_many_empty_plan_list():
     assert explore_many([]) == {}
 
 
+def test_one_worker_thread_sweep_runs_on_the_calling_thread():
+    """A one-worker pool would only add a thread handoff per item, so a
+    one-worker thread sweep calls ``fn`` on the calling thread; with two
+    workers, pool threads run the items."""
+    caller = threading.get_ident()
+
+    def thread_of(item):
+        return threading.get_ident()
+
+    def threads(workers):
+        run = sweep(range(4), thread_of, key=str, max_workers=workers,
+                    backend="thread")
+        assert run.meta == {"backend": "thread", "workers": workers}
+        return {outcome.result for outcome in run.outcomes.values()}
+
+    assert threads(1) == {caller}
+    assert caller not in threads(2)
+
+
 def test_default_worker_count(monkeypatch):
     from repro.bench.parallel import _default_workers
 
