@@ -12,8 +12,8 @@ from scipy import stats
 from repro import Device, FragDroid
 from repro.apk import build_apk
 from repro.baselines import Monkey
-from repro.core.artifacts import coverage_curve
 from repro.corpus import build_table1_app
+from repro.obs.timeline import coverage_timeline
 
 PACKAGE = "com.advancedprocessmanager"
 CHECKPOINTS = (0.25, 0.5, 0.75, 1.0)
@@ -23,13 +23,13 @@ MONKEY_SEEDS = range(8)
 def _measure():
     result = FragDroid(Device()).explore(build_apk(build_table1_app(PACKAGE)))
     budget = result.stats.events
-    curve = coverage_curve(result)
+    curve = coverage_timeline(result.events)
 
     def fragdroid_at(step_limit):
         best = (0, 0)
-        for step, activities, fragments in curve:
-            if step <= step_limit:
-                best = (activities, fragments)
+        for point in curve:
+            if point.step <= step_limit:
+                best = (point.activities, point.fragments)
         return best
 
     rows = []

@@ -1,16 +1,16 @@
 """Persist a run's artifacts to disk.
 
 A FragDroid run produces inspectable artifacts — the generated Robotium
-test programs, the AFTM (JSON and Graphviz), the structured report, the
-trace and the run record (``events.jsonl``) it is rendered from.
-:func:`save_artifacts` lays them out the way the paper's tooling would
-leave them next to an Ant build.  Every saved run carries its record
-and ``manifest.json``, so ``repro explain`` and ``repro dashboard``
-answer in full for any of them; a traced run (``FragDroidConfig.tracer``)
-adds ``spans.jsonl`` and ``metrics.prom``.  ``report.html`` is the
-dashboard's run page, rendered from the same report, record and spans
-the directory holds, so it is byte for byte what ``repro dashboard
-DIR`` renders.
+test programs, the AFTM, the structured report, the trace and the run
+record (``events.jsonl``) it is rendered from.  :func:`save_artifacts`
+lays them out the way the paper's tooling would leave them next to an
+Ant build.  The directory is committed by its marker
+(:data:`~repro.obs.dashboard.MANIFEST`): removed before the first
+write, written atomically after the last, so a save cut short leaves a
+directory :func:`~repro.obs.dashboard.load_run` refuses rather than
+a mix of two runs.  ``report.html`` is the dashboard's run page,
+rendered from the same report, record and spans the directory holds,
+so it is byte for byte what ``repro dashboard DIR`` renders.
 """
 
 from __future__ import annotations
@@ -20,10 +20,16 @@ import pathlib
 from typing import List, Union
 
 from repro.core.explorer import ExplorationResult
-from repro.core.report import aftm_to_json, result_to_dict
-from repro.obs import prometheus_text, run_manifest
-from repro.obs.dashboard import RunData, render_dashboard
-from repro.obs.timeline import coverage_timeline
+from repro.core.report import result_to_dict
+from repro.errors import StoreError
+from repro.obs import prometheus_text
+from repro.obs.dashboard import (
+    MANIFEST,
+    RunData,
+    manifest_files,
+    render_dashboard,
+)
+from repro.store import atomic_write
 
 
 def save_artifacts(result: ExplorationResult,
@@ -33,15 +39,14 @@ def save_artifacts(result: ExplorationResult,
 
     Layout::
 
-        <dir>/report.json          structured run report
+        <dir>/report.json          structured run report (with the AFTM)
         <dir>/report.html          the run page `repro dashboard DIR` renders
-        <dir>/aftm.json            the final AFTM
-        <dir>/aftm.dot             Graphviz rendering
+        <dir>/aftm.dot             Graphviz rendering of the AFTM
         <dir>/trace.log            the exploration trace
         <dir>/coverage.txt         the human-readable summary
         <dir>/testcases/*.java     every generated Robotium program
         <dir>/events.jsonl         the run record, one event per line
-        <dir>/manifest.json        the run manifest
+        <dir>/manifest.json        the commit marker, written last
 
     with ``replay_scripts=True``, additionally::
 
@@ -52,10 +57,17 @@ def save_artifacts(result: ExplorationResult,
         <dir>/spans.jsonl          the finished spans
         <dir>/metrics.prom         Prometheus text exposition
 
-    Returns the written paths.
+    A save over an earlier one replaces it: the files the old marker
+    listed that this save does not write are removed, and files no
+    marker listed are left alone.  Returns the written paths.
     """
     base = pathlib.Path(directory)
     base.mkdir(parents=True, exist_ok=True)
+    try:
+        previous = manifest_files(base)
+    except StoreError:
+        previous = []
+    (base / MANIFEST).unlink(missing_ok=True)
     written: List[pathlib.Path] = []
 
     def _write(relative: str, content: str) -> None:
@@ -68,7 +80,6 @@ def save_artifacts(result: ExplorationResult,
     _write("report.json", json.dumps(report, indent=2, sort_keys=True))
     _write("report.html", render_dashboard(RunData(
         path=base, report=report, events=result.events, spans=result.spans)))
-    _write("aftm.json", aftm_to_json(result.aftm))
     _write("aftm.dot", result.aftm.to_dot())
     _write("trace.log", result.trace_text())
     _write("coverage.txt", result.coverage_report())
@@ -92,17 +103,10 @@ def save_artifacts(result: ExplorationResult,
         ))
     if result.metrics:
         _write("metrics.prom", prometheus_text(result.metrics))
-    _write("manifest.json", json.dumps(
-        run_manifest(result, files=[str(p.relative_to(base))
-                                    for p in written]),
-        indent=2, sort_keys=True,
-    ) + "\n")
-    return written
-
-
-def coverage_curve(result: ExplorationResult) -> List[tuple]:
-    """Discovery progress over the run: ``(step, activities, fragments)``
-    sampled at every new visit — the projection of the run record's
-    :func:`~repro.obs.timeline.coverage_timeline`."""
-    return [(point.step, point.activities, point.fragments)
-            for point in coverage_timeline(result.events)]
+    files = sorted(path.relative_to(base).as_posix() for path in written)
+    for stale in sorted(set(previous) - set(files)):
+        if (base / stale).is_file():
+            (base / stale).unlink()
+    atomic_write(base / MANIFEST,
+                 json.dumps({"files": files}, indent=2) + "\n")
+    return written + [base / MANIFEST]

@@ -12,8 +12,11 @@ import json
 from typing import Dict, List
 
 from repro.core.explorer import ExplorationResult
+from repro.errors import ReproError, StoreError
 from repro.obs import Span, aggregate_spans
 from repro.static.aftm import AFTM, Node, NodeKind, activity_node, fragment_node
+from repro.store import check_shape
+from repro.types import InvocationSource
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +49,22 @@ def aftm_to_json(aftm: AFTM) -> str:
     return json.dumps(aftm_to_dict(aftm), indent=2, sort_keys=True)
 
 
-def _node_from(name: str, kind: str) -> Node:
-    if kind == NodeKind.ACTIVITY.value:
-        return activity_node(name)
-    return fragment_node(name)
+_NODE_KINDS = frozenset(kind.value for kind in NodeKind)
+
+#: What :func:`aftm_to_dict` writes (see :func:`repro.store.check_shape`).
+_AFTM_SHAPE = {
+    "package": str, "?entry": (str, type(None)), "?activities": [str],
+    "?fragments": [str], "?visited": [str],
+    "?edges": [{"src": str, "src_kind": _NODE_KINDS, "dst": str,
+                "dst_kind": _NODE_KINDS, "kind": str,
+                "host": (str, type(None)), "trigger": str}],
+}
 
 
-def aftm_from_json(text: str) -> AFTM:
-    data = json.loads(text)
+def aftm_from_dict(data, where: str = "aftm") -> AFTM:
+    """The AFTM :func:`aftm_to_dict` wrote.  Raises :class:`StoreError`
+    for any other value, naming where in it the damage is."""
+    check_shape(data, _AFTM_SHAPE, where)
     aftm = AFTM(data["package"])
     if data.get("entry"):
         aftm.set_entry(activity_node(data["entry"]))
@@ -61,13 +72,14 @@ def aftm_from_json(text: str) -> AFTM:
         aftm.add_node(activity_node(name))
     for name in data.get("fragments", ()):
         aftm.add_node(fragment_node(name))
-    for edge in data.get("edges", ()):
-        aftm.add_transition(
-            _node_from(edge["src"], edge["src_kind"]),
-            _node_from(edge["dst"], edge["dst_kind"]),
-            host=edge.get("host"),
-            trigger=edge.get("trigger", "static"),
-        )
+    for index, edge in enumerate(data.get("edges", ())):
+        try:
+            aftm.add_transition(
+                Node(NodeKind(edge["src_kind"]), edge["src"]),
+                Node(NodeKind(edge["dst_kind"]), edge["dst"]),
+                host=edge["host"], trigger=edge["trigger"])
+        except ReproError as exc:  # an edge no AFTM holds (F -> A)
+            raise StoreError(f"{where}.edges[{index}]: {exc}") from exc
     visited = set(data.get("visited", ()))
     for node in list(aftm.iter_nodes()):
         if node.name in visited:
@@ -136,6 +148,36 @@ def result_to_dict(result: ExplorationResult) -> Dict:
 
 def result_to_json(result: ExplorationResult) -> str:
     return json.dumps(result_to_dict(result), indent=2, sort_keys=True)
+
+
+_RATE_SHAPE = {"visited": [str], "sum": int, "rate": float}
+
+#: What :func:`result_to_dict` writes and the run-directory readers read.
+_REPORT_SHAPE = {
+    "package": str,
+    "coverage": {"activities": _RATE_SHAPE, "fragments": _RATE_SHAPE,
+                 "fragments_in_visited_activities": {"visited": int,
+                                                     "sum": int}},
+    "stats": {str: int},
+    "api_invocations": [{
+        "api": str, "component": str, "step": int,
+        "source": frozenset(source.value for source in InvocationSource),
+    }],
+    "aftm": dict,
+    "?timing": [{"span": str, "count": int, **{
+        key: float for key in ("total_s", "mean_ms", "p50_ms", "p90_ms",
+                               "p99_ms", "max_ms")}}],
+    "?degradation": {"?faults": {str: int}, "?total_faults": int,
+                     "?backoff_s": float, "?quarantined": [str]},
+}
+
+
+def check_report(data, where: str = "report") -> Dict:
+    """``data``, if it is a report :func:`result_to_dict` could have
+    written; else :class:`StoreError` naming where the damage is."""
+    check_shape(data, _REPORT_SHAPE, where)
+    aftm_from_dict(data["aftm"], f"{where}.aftm")
+    return data
 
 
 # ---------------------------------------------------------------------------

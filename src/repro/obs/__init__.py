@@ -26,9 +26,9 @@ The analysis half replays a recorded run offline:
   detection, time-to-50%/90% discovery statistics;
 * ``repro.obs.flame`` — span-tree reconstruction, self-time, critical
   path, collapsed-stack flamegraph output;
-* ``repro.obs.export`` — Prometheus text exposition and the run
-  manifest JSON;
-* ``repro.obs.dashboard`` — the self-contained HTML run dashboard;
+* ``repro.obs.export`` — Prometheus text exposition;
+* ``repro.obs.dashboard`` — the run-directory loader and the
+  self-contained HTML run dashboard;
 * ``repro.obs.registry`` / ``repro.obs.diff`` / ``repro.obs.regress``
   — the longitudinal layer: persistent content-addressed run records,
   structured run-to-run diffs, and the deterministic regression gate
@@ -88,7 +88,7 @@ from repro.obs.events import (
     NullEventLog,
     event_census,
 )
-from repro.obs.export import prometheus_text, run_manifest
+from repro.obs.export import prometheus_text
 from repro.obs.flame import (
     FlameNode,
     build_trees,
@@ -209,7 +209,6 @@ __all__ = [
     "render_service_dashboard",
     "render_service_section",
     "render_trend_section",
-    "run_manifest",
     "self_times",
     "service_rows",
     "stalls",

@@ -602,24 +602,20 @@ def explain_run_dir(run,
     """Explain a saved run directory (``explore --save DIR``): its path,
     or the :class:`~repro.obs.dashboard.RunData` ``load_run`` read.
 
-    Works from ``report.json`` + ``aftm.json`` + ``events.jsonl``; the
-    sensitive-API universe is not part of the saved report, so run-dir
-    explanations cover activities and fragments (in-memory paths cover
-    APIs too).
+    Works from the report (its ``aftm`` included) and the run record;
+    the sensitive-API universe is not part of the saved report, so
+    run-dir explanations cover activities and fragments (in-memory
+    paths cover APIs too).
     """
-    from repro.core.report import aftm_from_json
+    from repro.core.report import aftm_from_dict
 
     if not isinstance(run, RunData):
         run = load_run(run)
-    report = run.report
-    aftm = aftm_from_json((run.path / "aftm.json").read_text(
-        encoding="utf-8"))
-    package = str(report.get("package", aftm.package))
-    coverage = report.get("coverage") or {}
-    visited_activities = list(
-        (coverage.get("activities") or {}).get("visited") or ())
-    visited_fragments = list(
-        (coverage.get("fragments") or {}).get("visited") or ())
+    aftm = aftm_from_dict(run.report["aftm"])
+    package = run.report["package"]
+    coverage = run.report["coverage"]
+    visited_activities = coverage["activities"]["visited"]
+    visited_fragments = coverage["fragments"]["visited"]
     misses = classify_app(
         package=package,
         aftm=aftm,

@@ -24,11 +24,12 @@ data ends, text in ink tokens — never in series color).
 from __future__ import annotations
 
 import html
-import json
 import pathlib
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.errors import StoreError
 from repro.obs.events import ITEM_FAILED, ITEM_START, Event
 from repro.obs.flame import critical_path
 from repro.obs.sinks import read_events, read_spans
@@ -41,6 +42,7 @@ from repro.obs.timeline import (
     stalls,
 )
 from repro.obs.tracer import Span
+from repro.store import check_shape, read_document
 
 PathLike = Union[str, pathlib.Path]
 
@@ -69,36 +71,70 @@ class RunData:
                 for inv in self.report.get("api_invocations", [])]
 
 
-def load_run(directory: PathLike) -> RunData:
-    """Load one run directory (``explore --save`` layout): the one
-    reader of that layout, for the dashboard, ``repro show`` and
-    ``repro explain DIR``.
+#: A run directory's commit marker, ``{"files": [...]}``, listing every
+#: file of the run; ``save_artifacts`` removes it first, writes it last.
+MANIFEST = "manifest.json"
 
-    ``report.json`` is required; ``events.jsonl`` and ``spans.jsonl``
-    are picked up when present.
-    """
+
+def manifest_files(directory: PathLike) -> List[str]:
+    """The files a run directory's commit marker lists.  Raises
+    :class:`StoreError` when the marker is missing or malformed."""
+    path = pathlib.Path(directory) / MANIFEST
+    try:
+        files = check_shape(read_document(path), {"files": [str]},
+                            "manifest")["files"]
+    except FileNotFoundError:
+        raise StoreError(f"{path.parent}: not a committed run directory "
+                         f"(no {MANIFEST})") from None
+    except StoreError as exc:
+        raise StoreError(f"{path}: {exc}") from exc
+    for name in files:
+        parts = pathlib.PurePosixPath(name).parts
+        if not parts or parts[0] == "/" or ".." in parts:
+            raise StoreError(f"{path}: {name!r} is not a path inside the "
+                             "run directory")
+    return files
+
+
+def load_run(directory: PathLike) -> RunData:
+    """Load one run directory (``explore --save`` layout): the one code
+    that decides what a run directory is.  Raises :class:`StoreError`
+    when its :data:`MANIFEST` is missing or malformed, a file it lists
+    is missing, or ``report.json`` is not a report.  ``events.jsonl``
+    and ``spans.jsonl`` are read when the marker lists them."""
+    from repro.core.report import check_report
+
     base = pathlib.Path(directory)
-    report_path = base / "report.json"
-    if not report_path.exists():
-        raise FileNotFoundError(
-            f"{base}: not a run directory (no report.json)"
-        )
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-    events: List[Event] = []
-    spans: List[Span] = []
-    if (base / "events.jsonl").exists():
-        events = read_events(base / "events.jsonl")
-    if (base / "spans.jsonl").exists():
-        spans = read_spans(base / "spans.jsonl")
+    files = manifest_files(base)
+    missing = [name for name in dict.fromkeys(["report.json", *files])
+               if not (base / name).is_file()]
+    if missing:
+        raise StoreError(f"{base}: damaged run directory: "
+                         f"{', '.join(missing)} missing")
+    try:
+        report = check_report(read_document(base / "report.json"))
+    except StoreError as exc:
+        raise StoreError(f"{base / 'report.json'}: {exc}") from exc
+    events = (read_events(base / "events.jsonl")
+              if "events.jsonl" in files else [])
+    spans = (read_spans(base / "spans.jsonl")
+             if "spans.jsonl" in files else [])
     return RunData(path=base, report=report, events=events, spans=spans)
 
 
 def load_fleet(directory: PathLike) -> List[RunData]:
     """Every run directory directly under ``directory``, sorted by
-    package (the ``repro batch`` output layout)."""
-    base = pathlib.Path(directory)
-    runs = [load_run(child) for child in sorted(base.iterdir())
-            if child.is_dir() and (child / "report.json").exists()]
+    package (the ``repro batch`` output layout).  A subdirectory
+    :func:`load_run` refuses is skipped with a ``RuntimeWarning``."""
+    runs = []
+    for child in sorted(pathlib.Path(directory).iterdir()):
+        if not child.is_dir():
+            continue
+        try:
+            runs.append(load_run(child))
+        except StoreError as exc:
+            warnings.warn(f"skipping an uncommitted run: {exc}",
+                          RuntimeWarning, stacklevel=2)
     return sorted(runs, key=lambda run: run.package)
 
 
@@ -1046,8 +1082,9 @@ def render_service_dashboard(jobs: Sequence,
 def render_dashboard_dir(directory: PathLike,
                          history: Optional[Sequence] = None,
                          explanations: Optional[Sequence] = None) -> str:
-    """Dispatch: a single run directory renders the run page; a
-    directory of run directories renders the fleet page.  ``history``
+    """Dispatch: a run directory :func:`load_run` reads renders the run
+    page; else a directory of them renders the fleet page, and one with
+    none raises the run's :class:`StoreError`.  ``history``
     (run-registry records, oldest first) adds the trend section to
     either page; ``explanations`` (stored coverage explanations, see
     :func:`load_explanations`) adds the miss-cause section."""
@@ -1058,16 +1095,12 @@ def render_dashboard_dir(directory: PathLike,
             "`explore --save` run directory (with report.json) or a "
             "directory of them"
         )
-    if (base / "report.json").exists():
-        return render_dashboard(load_run(base), history=history,
-                                explanations=explanations)
-    runs = load_fleet(base)
-    if not runs:
-        raise FileNotFoundError(
-            f"{base}: no report.json here or in any subdirectory — "
-            "point `repro dashboard` at an `explore --save` run "
-            "directory or a `repro batch` output directory"
-        )
+    try:
+        runs = [load_run(base)]
+    except StoreError:
+        runs = load_fleet(base)
+        if not runs:
+            raise
     if len(runs) == 1:
         return render_dashboard(runs[0], history=history,
                                 explanations=explanations)

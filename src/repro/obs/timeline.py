@@ -7,8 +7,7 @@ run back into those dynamics offline:
 
 * :func:`coverage_timeline` — the discovery curve, one checkpoint per
   ``state.discovered`` event, tracking activities, fragments,
-  fragments-in-visited-activities and sensitive-API invocations
-  (``repro.core.artifacts.coverage_curve`` is its projection).  The
+  fragments-in-visited-activities and sensitive-API invocations.  The
   record does not restate API invocations: callers pass their steps,
   from ``ExplorationResult.api_invocations`` or ``report.json``;
 * :func:`stalls` — plateau detection via events-since-last-discovery;
@@ -70,9 +69,8 @@ def coverage_timeline(events: Iterable[Event],
     """The discovery curve of a recorded run.
 
     Checkpoints are exactly the ``state.discovered`` events (plus the
-    origin); the ``(step, activities, fragments)`` projection of this
-    curve is ``repro.core.artifacts.coverage_curve``.  ``api_steps``
-    are the device steps of the run's sensitive-API invocations.
+    origin).  ``api_steps`` are the device steps of the run's
+    sensitive-API invocations.
     """
     api_steps = sorted(api_steps)
     points: List[CoveragePoint] = [CoveragePoint(0, 0, 0, 0, 0)]

@@ -6,7 +6,8 @@ per entry.  :class:`DocumentStore` alone decides how such a directory
 is written (atomically), listed (skipping dotfiles and, with a warning,
 unreadable documents), resolved (exact key or unique prefix) and read
 (a JSON object, else :class:`~repro.errors.StoreError`).  Each stored
-type keeps its own serialization and schema constant.
+type keeps its own serialization and schema constant;
+:func:`check_shape` holds a document to the shape its writer wrote.
 """
 
 from __future__ import annotations
@@ -83,13 +84,48 @@ def read_document(path: os.PathLike) -> Dict:
     return data
 
 
+def check_shape(value, shape, where: str):
+    """``value``, if it has ``shape``; else :class:`StoreError` naming
+    ``where``, the path to the damage (``report.stats.crashes``).
+
+    A shape is a type or tuple of types (``float``: a finite number), a
+    ``frozenset`` of allowed strings, ``[shape]`` (a list of it),
+    ``{str: shape}`` (an object of it) or ``{key: shape, ...}`` (an
+    object with each key; a key written ``"?key"`` may be absent).
+    """
+    if isinstance(shape, list):
+        ok = isinstance(value, list)
+        for index, item in enumerate(value if ok else ()):
+            check_shape(item, shape[0], f"{where}[{index}]")
+    elif isinstance(shape, dict):
+        ok = isinstance(value, dict)
+        if ok and str in shape:
+            for key, item in value.items():
+                check_shape(item, shape[str], f"{where}.{key}")
+        elif ok:
+            for key, item_shape in shape.items():
+                name = key.lstrip("?")
+                if name in value:
+                    check_shape(value[name], item_shape, f"{where}.{name}")
+                elif name == key:
+                    raise StoreError(f"{where} lacks {name!r}")
+    elif isinstance(shape, frozenset):
+        ok = isinstance(value, str) and value in shape
+    elif shape is float:
+        ok = isinstance(value, (int, float)) and -1e308 < value < 1e308
+    else:
+        ok = isinstance(value, shape)
+    if not ok:
+        raise StoreError(f"{where}: unexpected {type(value).__name__} "
+                         f"{value!r:.40}")
+    return value
+
+
 def check_schema(data, expected: int, kind: str) -> int:
     """The schema of ``data``, a parsed ``kind`` document.  Raises
     :class:`StoreError` unless it is a JSON object of schema
     ``expected``."""
-    if not isinstance(data, dict):
-        raise StoreError(f"{kind} is a {type(data).__name__}, not a JSON "
-                         "object")
+    check_shape(data, dict, kind)
     try:
         schema = int(data.get("schema", -1))
     except (TypeError, ValueError, OverflowError):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
 import time
 from typing import Callable
 
 import pytest
 
+import repro
 from repro.adb import Adb
 from repro.android import Device
 from repro.apk import (
@@ -29,6 +32,16 @@ from repro.apk import (
 from repro.apk.appspec import FragmentFactory
 from repro.robotium import Solo
 from repro.types import WidgetKind
+
+#: Makes ``repro`` importable in child interpreters however the suite
+#: itself found it.
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(repro.__file__).resolve().parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+           if p]),
+)
 
 
 def wait_until(condition: Callable[[], bool], timeout_s: float = 5.0,

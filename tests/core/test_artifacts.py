@@ -6,9 +6,10 @@ import pytest
 
 from repro import Device, FragDroid
 from repro.apk import build_apk
-from repro.core.artifacts import coverage_curve, save_artifacts
-from repro.core.report import aftm_from_json
+from repro.core.artifacts import save_artifacts
+from repro.core.report import aftm_from_dict
 from repro.corpus import demo_aftm_example
+from repro.obs.timeline import coverage_timeline
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +21,6 @@ def test_save_artifacts_layout(result, tmp_path):
     written = save_artifacts(result, tmp_path)
     names = {p.relative_to(tmp_path).as_posix() for p in written}
     assert "report.json" in names
-    assert "aftm.json" in names
     assert "aftm.dot" in names
     assert "trace.log" in names
     assert "coverage.txt" in names
@@ -32,7 +32,7 @@ def test_saved_report_parses(result, tmp_path):
     save_artifacts(result, tmp_path)
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["package"] == "com.example.aftm"
-    restored = aftm_from_json((tmp_path / "aftm.json").read_text())
+    restored = aftm_from_dict(data["aftm"])
     assert restored.is_complete()
 
 
@@ -44,12 +44,13 @@ def test_saved_testcases_are_java(result, tmp_path):
 
 
 def test_coverage_curve_monotonic(result):
-    curve = coverage_curve(result)
-    assert curve[0] == (0, 0, 0)
-    steps = [point[0] for point in curve]
+    curve = coverage_timeline(result.events)
+    assert (curve[0].step, curve[0].activities, curve[0].fragments) == \
+        (0, 0, 0)
+    steps = [point.step for point in curve]
     assert steps == sorted(steps)
-    activities = [point[1] for point in curve]
-    fragments = [point[2] for point in curve]
+    activities = [point.activities for point in curve]
+    fragments = [point.fragments for point in curve]
     assert activities == sorted(activities)
     assert fragments == sorted(fragments)
     assert activities[-1] == len(result.visited_activities)
@@ -61,8 +62,9 @@ def test_save_artifacts_writes_the_run_record(result, tmp_path):
     names = {p.relative_to(tmp_path).as_posix() for p in written}
     assert {"events.jsonl", "manifest.json"} <= names
     assert "spans.jsonl" not in names  # the run was not traced
+    # The commit marker lists every other file of the run.
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["flight_recorder"]["events"] == len(result.events)
+    assert manifest == {"files": sorted(names - {"manifest.json"})}
 
 
 def test_saved_default_run_answers_like_an_event_logged_one(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from repro import Device, FragDroid
 from repro.apk import build_apk
 from repro.core.report import (
-    aftm_from_json,
+    aftm_from_dict,
     aftm_to_dict,
     aftm_to_json,
     result_to_dict,
@@ -32,7 +32,7 @@ def make_model():
 
 def test_aftm_json_round_trip():
     model = make_model()
-    restored = aftm_from_json(aftm_to_json(model))
+    restored = aftm_from_dict(json.loads(aftm_to_json(model)))
     assert restored.package == model.package
     assert restored.entry == model.entry
     assert restored.nodes == model.nodes
@@ -54,7 +54,7 @@ def test_aftm_dict_shape():
 
 
 def test_restored_model_continues_evolving():
-    restored = aftm_from_json(aftm_to_json(make_model()))
+    restored = aftm_from_dict(json.loads(aftm_to_json(make_model())))
     assert restored.add_transition(
         activity_node("com.s.A1"), fragment_node("com.s.F2"),
         host="com.s.A1", trigger="tab",
@@ -82,5 +82,5 @@ def test_result_report_shape(run_result):
 def test_result_json_is_valid(run_result):
     parsed = json.loads(result_to_json(run_result))
     assert parsed["aftm"]["package"] == "com.example.aftm"
-    restored = aftm_from_json(json.dumps(parsed["aftm"]))
+    restored = aftm_from_dict(parsed["aftm"])
     assert restored.is_complete()

@@ -44,12 +44,12 @@ def test_snapshot_dead_is_not_alive():
 
 
 def test_coverage_curve_no_visits():
-    from repro.core.artifacts import coverage_curve
     from repro.core.explorer import ExplorationResult, ExplorationStats
+    from repro.obs.timeline import CoveragePoint, coverage_timeline
 
     empty = ExplorationResult(
         package="com.u", info=None, aftm=None,  # type: ignore[arg-type]
         visited_activities=set(), visited_fragments=set(),
         api_invocations=[], test_cases=[], stats=ExplorationStats(),
     )
-    assert coverage_curve(empty) == [(0, 0, 0)]
+    assert coverage_timeline(empty.events) == [CoveragePoint(0, 0, 0, 0, 0)]

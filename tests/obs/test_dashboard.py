@@ -1,5 +1,6 @@
 """The HTML run dashboard: single-run and fleet rendering."""
 
+import json
 from html.parser import HTMLParser
 
 import pytest
@@ -8,6 +9,7 @@ from repro import Device, FragDroid, FragDroidConfig
 from repro.apk import build_apk
 from repro.core.artifacts import save_artifacts
 from repro.corpus import build_table1_app, table1_packages
+from repro.errors import StoreError
 from repro.obs import (
     EventLog,
     Tracer,
@@ -90,8 +92,11 @@ def test_dashboard_without_event_log_degrades_gracefully(tmp_path):
     run_dir = tmp_path / "plain"
     save_artifacts(result, run_dir)
     # Run directories saved before every run kept its record lack the
-    # file.
+    # file, and their manifest does not list it.
     (run_dir / "events.jsonl").unlink()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["files"].remove("events.jsonl")
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
     html_text = render_dashboard_dir(run_dir)
     _assert_well_formed(html_text)
     assert "No run record (events.jsonl)" in html_text
@@ -154,6 +159,8 @@ def test_fleet_rows_carry_failures():
 
 def test_dashboard_dir_rejects_non_run_directories(tmp_path):
     with pytest.raises(FileNotFoundError):
+        render_dashboard_dir(tmp_path / "absent")
+    with pytest.raises(StoreError, match="no manifest.json"):
         render_dashboard_dir(tmp_path)
 
 

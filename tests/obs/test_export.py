@@ -1,11 +1,6 @@
-"""Prometheus exposition and the run manifest."""
+"""Prometheus exposition."""
 
-import json
-
-from repro import Device, FragDroid, FragDroidConfig
-from repro.apk import build_apk
-from repro.corpus import demo_tabbed_app
-from repro.obs import EventLog, Metrics, Tracer, prometheus_text, run_manifest
+from repro.obs import Metrics, prometheus_text
 
 
 def test_prometheus_text_counters_and_histograms():
@@ -74,31 +69,3 @@ def test_prometheus_text_accepts_snapshots_and_prefix():
     assert prometheus_text(snapshot, prefix="fd") == \
         "# TYPE fd_clicks_total counter\nfd_clicks_total 1\n"
     assert prometheus_text(Metrics()) == ""
-
-
-def test_run_manifest_summarises_an_instrumented_run():
-    config = FragDroidConfig(tracer=Tracer(), event_log=EventLog())
-    result = FragDroid(Device(), config).explore(build_apk(demo_tabbed_app()))
-    manifest = run_manifest(result, files=["report.json", "events.jsonl"])
-    # Must be JSON-clean as written to manifest.json.
-    manifest = json.loads(json.dumps(manifest))
-    assert manifest["package"] == result.package
-    assert manifest["coverage"]["activities"]["visited"] == \
-        len(result.visited_activities)
-    assert manifest["flight_recorder"]["events"] == len(result.events)
-    assert manifest["flight_recorder"]["spans"] == len(result.spans)
-    assert manifest["flight_recorder"]["event_census"]["run.start"] == 1
-    assert "activities_t50" in manifest["discovery"]
-    assert manifest["files"] == ["events.jsonl", "report.json"]
-    assert "degradation" not in manifest  # fault-free run
-
-
-def test_run_manifest_without_events_skips_discovery_section():
-    result = FragDroid(Device()).explore(build_apk(demo_tabbed_app()))
-    # A default run keeps its record too; an empty event list (a run
-    # directory without events.jsonl) has no discovery section.
-    assert run_manifest(result)["flight_recorder"]["events"] == \
-        len(result.events) > 0
-    manifest = run_manifest(result, events=[])
-    assert manifest["flight_recorder"]["events"] == 0
-    assert "discovery" not in manifest

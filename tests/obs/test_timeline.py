@@ -2,7 +2,6 @@
 
 from repro import Device, FragDroid, FragDroidConfig
 from repro.apk import build_apk
-from repro.core.artifacts import coverage_curve
 from repro.corpus import build_table1_app, table1_packages
 from repro.obs import (
     EventLog,
@@ -153,4 +152,4 @@ def test_event_curve_matches_trace_curve_on_a_real_run():
         1 for e in visits if e.detail.startswith("activity "))
     logged = FragDroid(Device(), FragDroidConfig(event_log=EventLog())
                        ).explore(apk)
-    assert coverage_curve(logged) == coverage_curve(result)
+    assert coverage_timeline(logged.events) == points

@@ -3,7 +3,6 @@ the stores built on it (run registry, job journal, explanations, static
 cache)."""
 
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.errors import ReproError
 from repro.obs.attribution import (
     EXPLANATION_SCHEMA,
@@ -33,16 +31,8 @@ from repro.store import (
     default_dir,
     read_document,
 )
+from tests.conftest import CHILD_ENV
 
-#: Makes ``repro`` importable in child interpreters however the suite
-#: itself found it.
-_CHILD_ENV = dict(
-    os.environ,
-    PYTHONPATH=os.pathsep.join(
-        [str(pathlib.Path(repro.__file__).resolve().parents[1])]
-        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
-           if p]),
-)
 
 #: A writer killed between writing its temp file and renaming it.
 _CRASHING_WRITER = """
@@ -165,7 +155,7 @@ def test_crash_before_rename_leaves_the_old_document(tmp_path):
     store.put("other", _doc(version=0))
     crashed = subprocess.run(
         _child(_CRASHING_WRITER, tmp_path, "doc", _doc(version=2)),
-        env=_CHILD_ENV, capture_output=True, text=True, timeout=60)
+        env=CHILD_ENV, capture_output=True, text=True, timeout=60)
     assert crashed.returncode == 17, crashed.stderr
     # The temp file holds the whole new document, yet no reader sees it.
     [debris] = _debris(tmp_path)
@@ -195,7 +185,7 @@ def test_crash_debris_is_invisible_to_each_store(tmp_path):
                            (cache.directory, "b" * 64)):
         crashed = subprocess.run(
             _child(_CRASHING_WRITER, directory, key, _doc(torn=True)),
-            env=_CHILD_ENV, capture_output=True, text=True, timeout=60)
+            env=CHILD_ENV, capture_output=True, text=True, timeout=60)
         assert crashed.returncode == 17, crashed.stderr
         assert len(_debris(directory)) == 1
     with warnings.catch_warnings():
@@ -210,7 +200,7 @@ def test_crash_debris_is_invisible_to_each_store(tmp_path):
 def test_concurrent_writers_leave_exactly_one_written_document(tmp_path):
     documents = [_doc(writer=i, pad="x" * (i * 997)) for i in range(4)]
     children = [subprocess.Popen(_child(_LOOPING_WRITER, tmp_path, "same",
-                                        text, 25), env=_CHILD_ENV)
+                                        text, 25), env=CHILD_ENV)
                 for text in documents]
     assert [child.wait(timeout=120) for child in children] == [0] * 4
     assert (tmp_path / "same.json").read_text() in documents
