@@ -1084,7 +1084,9 @@ def render_dashboard_dir(directory: PathLike,
                          explanations: Optional[Sequence] = None) -> str:
     """Dispatch: a run directory :func:`load_run` reads renders the run
     page; else a directory of them renders the fleet page, and one with
-    none raises the run's :class:`StoreError`.  ``history``
+    none raises the run's :class:`StoreError`.  A directory holding its
+    own ``manifest.json`` or ``report.json`` is a (damaged) run, never a
+    fleet: its error is raised as is.  ``history``
     (run-registry records, oldest first) adds the trend section to
     either page; ``explanations`` (stored coverage explanations, see
     :func:`load_explanations`) adds the miss-cause section."""
@@ -1098,6 +1100,8 @@ def render_dashboard_dir(directory: PathLike,
     try:
         runs = [load_run(base)]
     except StoreError:
+        if (base / MANIFEST).exists() or (base / "report.json").exists():
+            raise
         runs = load_fleet(base)
         if not runs:
             raise

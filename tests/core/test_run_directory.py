@@ -206,6 +206,7 @@ def test_the_saved_report_carries_every_section(saved):
     assert {"timing", "degradation", "metrics"} <= set(report)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_uncommitted_copy_exits_2_without_a_traceback(saved, tmp_path):
     copy = tmp_path / "copy"
     shutil.copytree(saved, copy)
@@ -222,6 +223,7 @@ def test_an_uncommitted_copy_exits_2_without_a_traceback(saved, tmp_path):
         assert load_fleet(tmp_path) == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_report_that_is_not_an_object_is_refused_by_each_command(
         saved, tmp_path):
     copy = tmp_path / "copy"
