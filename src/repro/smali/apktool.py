@@ -31,7 +31,7 @@ from repro.apk.package import ApkPackage
 from repro.apk.resources import ResourceTable
 from repro.errors import PackedApkError
 from repro.smali.assemble import parse_class_header
-from repro.smali.model import INVOKE_OPCODES, ParseOnRead, SmaliClass
+from repro.smali.model import ParseOnRead, SmaliClass
 
 
 class _ClassIndex:
@@ -67,22 +67,6 @@ class _ClassIndex:
         return [cls for _, cls in matches]
 
 
-def _instantiated_in(cls: SmaliClass) -> set:
-    """Operands this class creates or type-tests: ``new-instance`` /
-    ``instance-of`` operands plus receivers of ``newInstance()`` calls."""
-    instantiated: set = set()
-    for method in cls.methods:
-        for instruction in method.instructions:
-            opcode = instruction.opcode
-            if opcode in ("new-instance", "instance-of"):
-                instantiated.add(instruction.args[-1])
-            elif opcode in INVOKE_OPCODES:
-                ref = instruction.method
-                if ref.name == "newInstance":
-                    instantiated.add(ref.cls)
-    return instantiated
-
-
 class _ReferenceIndex:
     """Reverse-reference and instantiation structures for one ``classes``
     list snapshot.
@@ -90,32 +74,32 @@ class _ReferenceIndex:
     Section IV-B.2's effective-fragment fixed point asks, per fragment
     per round, "who references this class?" and "does that referrer
     actually instantiate it?".  Answering by rescanning every class made
-    the loop O(rounds × fragments × classes).  This index walks the
-    class list once: ``owners_by_target`` maps each referenced class to
-    its referring outer classes (original list order, first-seen dedup,
-    self-references excluded — exactly what the per-target scan
-    produced), and ``instantiated_by_id`` records, per class object, the
-    operands of ``new-instance``/``instance-of`` plus the receivers of
-    ``newInstance()`` calls."""
+    the loop O(rounds × fragments × classes).  This index walks each
+    class once (:meth:`~repro.smali.model.SmaliClass.uses`) and keeps,
+    per class object, its reference list (Algorithm 2 reads it again)
+    and the classes it creates or type-tests.  ``owners_by_target`` maps
+    each referenced class to its referring outer classes (original list
+    order, first-seen dedup, self-references excluded — exactly what the
+    per-target scan produced)."""
 
-    __slots__ = ("size", "owners_by_target", "instantiated_by_id",
+    __slots__ = ("size", "owners_by_target", "uses_by_id",
                  "unit_instantiations")
 
     def __init__(self, classes: List[SmaliClass]) -> None:
         self.size = len(classes)
         owners_by_target: Dict[str, List[str]] = {}
-        instantiated_by_id: Dict[int, set] = {}
+        uses_by_id: Dict[int, Tuple[List[str], FrozenSet[str]]] = {}
         for cls in classes:
             owner = cls.outer_name or cls.name
-            for target in cls.referenced_classes():
+            uses = uses_by_id[id(cls)] = cls.uses()
+            for target in uses[0]:
                 bucket = owners_by_target.get(target)
                 if bucket is None:
                     owners_by_target[target] = bucket = []
                 if owner != target and owner not in bucket:
                     bucket.append(owner)
-            instantiated_by_id[id(cls)] = _instantiated_in(cls)
         self.owners_by_target = owners_by_target
-        self.instantiated_by_id = instantiated_by_id
+        self.uses_by_id = uses_by_id
         # Per-referrer union of the class itself plus its inner classes,
         # filled lazily by DecodedApk.instantiated_by.
         self.unit_instantiations: Dict[str, FrozenSet[str]] = {}
@@ -176,6 +160,11 @@ class DecodedApk:
         statement of ``target`` — first-seen order, self excluded."""
         return list(self._ref_index().owners_by_target.get(target, ()))
 
+    def uses_of(self, cls: SmaliClass) -> Tuple[List[str], FrozenSet[str]]:
+        """``cls.uses()``, from the one walk the reference index made."""
+        known = self._ref_index().uses_by_id.get(id(cls))
+        return known if known is not None else cls.uses()
+
     def instantiated_by(self, referrer: str) -> FrozenSet[str]:
         """The classes ``referrer`` (or one of its inner classes) creates
         or type-tests: ``new T()``, ``T.newInstance()`` or ``instanceof``."""
@@ -187,12 +176,8 @@ class DecodedApk:
                 else []
             )
             members.extend(self.inner_classes_of(referrer))
-            created: set = set()
-            for cls in members:
-                known = index.instantiated_by_id.get(id(cls))
-                created |= known if known is not None \
-                    else _instantiated_in(cls)
-            unit = index.unit_instantiations[referrer] = frozenset(created)
+            unit = index.unit_instantiations[referrer] = frozenset().union(
+                *(self.uses_of(cls)[1] for cls in members))
         return unit
 
     def instantiates(self, referrer: str, target: str) -> bool:

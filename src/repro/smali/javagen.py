@@ -12,15 +12,101 @@ loaded via ``Class.forName(decode(...))`` decompiles to
 ``new Intent(this, FragmentRouter.resolveTarget())`` — a line no regex
 can resolve to a class name, which is exactly how runtime-computed
 navigation escapes static analysis.
+
+Every line Algorithm 1 or the trigger pass can match holds one of
+:data:`NEEDLES`, so :meth:`JavaDecompiler.greppable_unit` keeps only
+those lines (plus each class header), byte-identical and in the order
+the full render has them.  It still tracks every register, but a value
+or statement is text built on first read: each one carries a flag
+saying whether its text holds a needle, set from its parts without
+joining them, so a statement without a needle is never rendered.  The
+flag is exact because no needle can straddle a value and the text
+around it: every value is bounded by characters no needle contains
+(``(``, ``)``, ``,``, ``!``, space, quote) or followed by ``.``, which
+only begins a needle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.smali.model import Instruction, MethodRef, SmaliClass, SmaliMethod
+from repro.smali.model import (
+    INVOKE_OPCODES,
+    Instruction,
+    MethodRef,
+    SmaliClass,
+    SmaliMethod,
+)
+
+#: The substrings every Algorithm 1 and trigger pattern contains:
+#: ``new Intent``, ``new F1()``, ``.newInstance`` hold "new",
+#: ``.setClass``/``.setAction``/``.setOnClickListener`` hold ".set".
+NEEDLES = ("new", ".set", "instanceof")
 
 _FRAGMENT_MANAGER_GETTERS = ("getFragmentManager", "getSupportFragmentManager")
+_INDENT = "        "
+
+
+def has_needle(text: str) -> bool:
+    """Does ``text`` hold one of :data:`NEEDLES`?"""
+    return "new" in text or ".set" in text or "instanceof" in text
+
+
+@lru_cache(maxsize=4096)
+def _member_needle(name: str) -> bool:
+    """Does ``.name`` hold a needle?"""
+    return name.startswith("set") or has_needle(name)
+
+
+# A value or a statement is a list ``[parts, needle, created]``, the
+# cheapest object CPython builds:
+# * ``parts`` is its Java text, or a tuple of strings, values and
+#   argument tuples (joined with ", ") that :func:`_text` joins into that
+#   text on first read;
+# * ``needle`` says whether the text holds one of NEEDLES, set from the
+#   parts without joining them;
+# * ``created`` is the class a register's pending ``new-instance``
+#   creates, else None.
+_Value = list
+
+
+def _text(value: _Value) -> str:
+    parts = value[0]
+    if parts.__class__ is not str:
+        parts = value[0] = "".join([
+            part if part.__class__ is str
+            else _text(part) if part.__class__ is list
+            else ", ".join(map(_text, part))
+            for part in parts])
+    return parts
+
+
+def _const(text: str) -> _Value:
+    return [text, has_needle(text), None]
+
+
+def _any_needle(values: Tuple[_Value, ...]) -> bool:
+    for value in values:
+        if value[1]:
+            return True
+    return False
+
+
+_THIS = _const("this")
+_RESULT = _const("result")
+_THIS0 = _const("this$0")
+_LOCAL = _const("local")
+_LOCAL_INTENT = _const("localIntent")
+_LOCAL_TRANSACTION = _const("localTransaction")
+_ELSE = _const("} else {")
+_END = _const("}")
+_COMMIT = _const("localTransaction.commit();")
+_BEGIN = _const("FragmentTransaction localTransaction = "
+                "localManager.beginTransaction();")
+_MANAGER_CALLS = {name: (_const(f"{name}()"),
+                         _const(f"FragmentManager localManager = {name}();"))
+                  for name in _FRAGMENT_MANAGER_GETTERS}
 
 
 class JavaDecompiler:
@@ -29,22 +115,7 @@ class JavaDecompiler:
     def decompile_class(self, cls: SmaliClass) -> str:
         """Render one class (inner classes are rendered separately; use
         :meth:`decompile_unit` to merge them as jd-core does)."""
-        lines: List[str] = []
-        package, _, simple = cls.name.rpartition(".")
-        if package and not cls.is_inner:
-            lines.append(f"package {package};")
-            lines.append("")
-        implements = (
-            " implements " + ", ".join(cls.interfaces) if cls.interfaces else ""
-        )
-        lines.append(
-            f"public class {simple.replace('$', '_')} "
-            f"extends {cls.super_name}{implements} {{"
-        )
-        for method in cls.methods:
-            lines.extend(f"    {line}" for line in self._method_lines(method))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(self._class_lines(cls, greppable=False)) + "\n"
 
     def decompile_unit(self, outer: SmaliClass,
                        inners: List[SmaliClass]) -> str:
@@ -55,163 +126,243 @@ class JavaDecompiler:
             parts.append(self.decompile_class(inner))
         return "\n".join(parts)
 
+    def greppable_unit(self, outer: SmaliClass,
+                       inners: List[SmaliClass]) -> str:
+        """The lines of :meth:`decompile_unit` that hold a needle, plus
+        each ``public class`` header, in the same order."""
+        lines = self._class_lines(outer, greppable=True)
+        for inner in sorted(inners, key=lambda c: c.name):
+            lines.extend(self._class_lines(inner, greppable=True))
+        return "\n".join(lines) + "\n"
+
     # -- statement generation -------------------------------------------------
 
-    def _method_lines(self, method: SmaliMethod) -> List[str]:
-        params = ", ".join(
-            f"{ptype} p{index + 1}" for index, ptype in enumerate(method.params)
+    def _class_lines(self, cls: SmaliClass, greppable: bool) -> List[str]:
+        lines: List[str] = []
+        package, _, simple = cls.name.rpartition(".")
+        if package and not cls.is_inner:
+            line = f"package {package};"
+            if not greppable:
+                lines += [line, ""]
+            elif has_needle(line):
+                lines.append(line)
+        implements = (
+            " implements " + ", ".join(cls.interfaces) if cls.interfaces else ""
         )
-        flags = "public static" if method.static else "public"
-        name = "ctor" if method.name == "<init>" else method.name
-        lines = [f"{flags} {method.ret} {name}({params}) {{"]
-        state = _RegisterState()
-        for instruction in method.instructions:
-            statement = self._step(instruction, state)
-            if statement:
-                lines.append(f"    {statement}")
-        lines.append("}")
+        lines.append(
+            f"public class {simple.replace('$', '_')} "
+            f"extends {cls.super_name}{implements} {{"
+        )
+        for method in cls.methods:
+            if not greppable or _header_needle(method):
+                lines.append(f"    {_method_header(method)}")
+            state = _RegisterState()
+            for instruction in method.instructions:
+                step = _STEPS.get(instruction.opcode)
+                if step is None:
+                    continue
+                statement = step(state, instruction.args)
+                if statement is None:
+                    continue
+                if not greppable:
+                    lines.append(_INDENT + _text(statement))
+                elif statement[1]:
+                    text = _INDENT + _text(statement)
+                    if text.isprintable():
+                        lines.append(text)
+                    else:  # a string literal broke the statement's line
+                        lines.extend(line for line in text.splitlines()
+                                     if has_needle(line))
+            if not greppable:
+                lines.append("    }")
+        if not greppable:
+            lines.append("}")
         return lines
 
-    def _step(self, instruction: Instruction,
-              state: "_RegisterState") -> Optional[str]:
-        op = instruction.opcode
-        args = instruction.args
-        if op == "const-string":
-            reg, literal = args
-            state.set(str(reg), _Value("string", str(literal)))
-            return None
-        if op == "const-class":
-            reg, cls_name = args
-            state.set(str(reg), _Value("class", str(cls_name)))
-            return None
-        if op in ("const", "const/4"):
-            reg, number = args
-            state.set(str(reg), _Value("int", str(int(number))))  # type: ignore[arg-type]
-            return None
-        if op == "new-instance":
-            reg, cls_name = args
-            state.set(str(reg), _Value("new", str(cls_name)))
-            return None
-        if op == "move-result-object" or op == "move-result":
-            (reg,) = args
-            state.set(str(reg), state.pending or _Value("expr", "result"))
-            state.pending = None
-            return None
-        if op == "check-cast":
-            reg, cls_name = args
-            state.set(str(reg), _Value("expr", f"(({cls_name})local)"))
-            return None
-        if op == "iget-object":
-            reg = str(args[0])
-            state.set(reg, _Value("expr", "this$0"))
-            return None
-        if op in ("if-eqz", "if-nez"):
-            # The branch jumps to the else-label, so the fall-through is
-            # the taken 'if' body: if-eqz guards the truthy path.
-            reg, _label = args
-            negation = "" if op == "if-eqz" else "!"
-            return f"if ({negation}{self._render(state, str(reg))}) {{"
-        if op == "goto":
-            return None  # structural; rendered via the labels
-        if op == "label":
-            (name,) = args
-            if str(name).startswith("cond_fail"):
-                return "} else {"
-            if str(name).startswith("cond_end"):
-                return "}"
-            return None
-        if instruction.is_invoke:
-            return self._invoke_statement(instruction, state)
-        return None
 
-    def _invoke_statement(self, instruction: Instruction,
-                          state: "_RegisterState") -> Optional[str]:
-        ref = instruction.method
-        regs = [a for a in instruction.args[:-1] if isinstance(a, str)]
+# -- one step per opcode: update the registers, return the statement ---------
 
-        # Constructor calls merge with the pending new-instance.
-        if ref.name == "<init>":
-            receiver = regs[0] if regs else None
-            value = state.get(receiver) if receiver else None
-            if value is not None and value.kind == "new":
-                rendered_args = ", ".join(
-                    self._render(state, reg) for reg in regs[1:]
-                )
-                expression = f"new {value.text}({rendered_args})"
-                if value.text == "android.content.Intent":
-                    state.set(receiver, _Value("expr", "localIntent"))  # type: ignore[arg-type]
-                    return f"Intent localIntent = {expression};"
-                state.set(receiver, _Value("expr", expression))  # type: ignore[arg-type]
-                return f"{value.text} local = {expression};"
-            return None
-
-        rendered_args = ", ".join(self._render(state, reg) for reg in regs[1:])
-        receiver_text = self._render(state, regs[0]) if regs else ref.cls
-
-        if ref.name in _FRAGMENT_MANAGER_GETTERS:
-            state.pending = _Value("expr", f"{ref.name}()")
-            return f"FragmentManager localManager = {ref.name}();"
-        if ref.name == "beginTransaction":
-            state.pending = _Value("expr", "localTransaction")
-            return ("FragmentTransaction localTransaction = "
-                    "localManager.beginTransaction();")
-        if ref.name in ("replace", "add") and "FragmentTransaction" in ref.cls:
-            return f"localTransaction.{ref.name}({rendered_args});"
-        if ref.name == "commit" and "FragmentTransaction" in ref.cls:
-            return "localTransaction.commit();"
-        if ref.name == "newInstance":
-            call = f"{ref.cls}.newInstance({rendered_args})"
-            state.pending = _Value("expr", call)
-            # Static factory: all registers are arguments.
-            all_args = ", ".join(self._render(state, reg) for reg in regs)
-            return f"{ref.cls} localFragment = {ref.cls}.newInstance({all_args});"
-        if ref.name == "startActivity":
-            return f"startActivity({rendered_args});"
-        if ref.name == "setContentView":
-            return f"setContentView({rendered_args});"
-        if ref.name in ("setClass", "setAction"):
-            return f"localIntent.{ref.name}({rendered_args});"
-        if instruction.opcode == "invoke-static":
-            all_args = ", ".join(self._render(state, reg) for reg in regs)
-            call = f"{ref.cls}.{ref.name}({all_args})"
-            state.pending = _Value("expr", call)
-            return f"{call};"
-        if instruction.opcode == "invoke-super":
-            return f"super.{ref.name}({rendered_args});"
-
-        call = f"{receiver_text}.{ref.name}({rendered_args})"
-        state.pending = _Value("expr", call)
-        return f"{call};"
-
-    def _render(self, state: "_RegisterState", reg: str) -> str:
-        value = state.get(reg)
-        if value is None:
-            return "this" if reg.startswith("p") else reg
-        if value.kind == "string":
-            escaped = value.text.replace('"', '\\"')
-            return f'"{escaped}"'
-        if value.kind == "class":
-            return f"{value.text}.class"
-        if value.kind == "new":
-            return f"new {value.text}()"
-        return value.text
+def _move_result(state: "_RegisterState", args: tuple) -> None:
+    state.regs[args[0]] = state.pending or _RESULT
+    state.pending = None
 
 
-class _Value:
-    __slots__ = ("kind", "text")
+def _const_string(state: "_RegisterState", args: tuple) -> None:
+    reg, literal = args
+    literal = str(literal)
+    state.regs[reg] = ['"' + literal.replace('"', '\\"') + '"',
+                       has_needle(literal), None]
 
-    def __init__(self, kind: str, text: str) -> None:
-        self.kind = kind
-        self.text = text
+
+def _const_class(state: "_RegisterState", args: tuple) -> None:
+    reg, cls_name = args
+    state.regs[reg] = [f"{cls_name}.class", has_needle(str(cls_name)), None]
+
+
+def _const_int(state: "_RegisterState", args: tuple) -> None:
+    reg, number = args
+    state.regs[reg] = [str(int(number)), False, None]
+
+
+def _new_instance(state: "_RegisterState", args: tuple) -> None:
+    reg, cls_name = args
+    state.regs[reg] = [("new ", cls_name, "()"), True, str(cls_name)]
+
+
+def _check_cast(state: "_RegisterState", args: tuple) -> None:
+    reg, cls_name = args
+    state.regs[reg] = _const(f"(({cls_name})local)")
+
+
+def _instance_of(state: "_RegisterState", args: tuple) -> _Value:
+    dest, src, cls_name = args
+    value = state.value(str(src))
+    state.regs[dest] = _LOCAL
+    return [("boolean local = ", value, " instanceof ", cls_name, ";"),
+            True, None]
+
+
+def _iget_object(state: "_RegisterState", args: tuple) -> None:
+    state.regs[args[0]] = _THIS0
+
+
+def _branch(head: str):
+    # The branch jumps to the else-label, so the fall-through is the
+    # taken 'if' body: if-eqz guards the truthy path.
+    def step(state: "_RegisterState", args: tuple) -> _Value:
+        value = state.value(str(args[0]))
+        return [(head, value, ") {"), value[1], None]
+    return step
+
+
+def _label(state: "_RegisterState", args: tuple) -> Optional[_Value]:
+    name = str(args[0])
+    if name.startswith("cond_fail"):
+        return _ELSE
+    if name.startswith("cond_end"):
+        return _END
+    return None  # goto is structural, rendered via the labels
+
+
+def _invoke(state: "_RegisterState", args: tuple,
+            static: bool = False, super_: bool = False) -> Optional[_Value]:
+    ref: MethodRef = args[-1]
+    regs: Tuple[str, ...] = args[:-1]
+    name = ref.name
+
+    # Constructor calls merge with the pending new-instance.
+    if name == "<init>":
+        receiver = regs[0] if regs else None
+        value = state.regs.get(receiver)
+        created = value[2] if value is not None else None
+        if created is None:
+            return None
+        expression = [("new ", created, "(", state.values(regs[1:]), ")"),
+                      True, None]
+        if created == "android.content.Intent":
+            state.regs[receiver] = _LOCAL_INTENT
+            return [("Intent localIntent = ", expression, ";"), True, None]
+        state.regs[receiver] = expression
+        return [(created, " local = ", expression, ";"), True, None]
+
+    if name in _MANAGER_CALLS:
+        state.pending, statement = _MANAGER_CALLS[name]
+        return statement
+    if name == "beginTransaction":
+        state.pending = _LOCAL_TRANSACTION
+        return _BEGIN
+    cls = ref.cls
+    values = state.values(regs[1:])
+    if "FragmentTransaction" in cls:
+        if name in ("replace", "add"):
+            return [("localTransaction.", name, "(", values, ");"),
+                    _any_needle(values), None]
+        if name == "commit":
+            return _COMMIT
+    if name == "newInstance":
+        state.pending = [(cls, ".newInstance(", values, ")"), True, None]
+        # Static factory: all registers are arguments.
+        return [(cls, " localFragment = ", cls, ".newInstance(",
+                 state.values(regs), ");"), True, None]
+    if name in ("startActivity", "setContentView"):
+        return [(name, "(", values, ");"), _any_needle(values), None]
+    if name in ("setClass", "setAction"):
+        return [("localIntent.", name, "(", values, ");"), True, None]
+    if static:
+        values = state.values(regs)
+        needle = (has_needle(cls) or _member_needle(name)
+                  or _any_needle(values))
+        call = state.pending = [(cls, ".", name, "(", values, ")"), needle,
+                                None]
+        return [(call, ";"), needle, None]
+    if super_:
+        return [("super.", name, "(", values, ");"),
+                _member_needle(name) or _any_needle(values), None]
+
+    receiver = state.value(regs[0]) if regs else _const(cls)
+    needle = receiver[1] or _member_needle(name) or _any_needle(values)
+    call = state.pending = [(receiver, ".", name, "(", values, ")"), needle,
+                            None]
+    return [(call, ";"), needle, None]
+
+
+_STEPS = {
+    "invoke-virtual": _invoke,
+    "invoke-direct": _invoke,
+    "invoke-interface": _invoke,
+    "invoke-static": lambda state, args: _invoke(state, args, static=True),
+    "invoke-super": lambda state, args: _invoke(state, args, super_=True),
+    "move-result-object": _move_result,
+    "move-result": _move_result,
+    "const-string": _const_string,
+    "const-class": _const_class,
+    "const": _const_int,
+    "const/4": _const_int,
+    "new-instance": _new_instance,
+    "check-cast": _check_cast,
+    "instance-of": _instance_of,
+    "iget-object": _iget_object,
+    "if-eqz": _branch("if ("),
+    "if-nez": _branch("if (!"),
+    "label": _label,
+}
+
+
+def _method_header(method: SmaliMethod) -> str:
+    params = ", ".join(
+        f"{ptype} p{index + 1}" for index, ptype in enumerate(method.params)
+    )
+    flags = "public static" if method.static else "public"
+    name = "ctor" if method.name == "<init>" else method.name
+    return f"{flags} {method.ret} {name}({params}) {{"
+
+
+def _header_needle(method: SmaliMethod) -> bool:
+    """Does the method's header line hold a needle?  Its names are
+    bounded by spaces and ``(``, so none can straddle them."""
+    return (method.name != "<init>" and has_needle(method.name)
+            or has_needle(method.ret)
+            or any(has_needle(ptype) for ptype in method.params))
 
 
 class _RegisterState:
+    """The registers of one method body, and the value the last call
+    left for a ``move-result``."""
+
+    __slots__ = ("regs", "pending")
+
     def __init__(self) -> None:
-        self._regs: Dict[str, _Value] = {}
+        self.regs: Dict[object, _Value] = {}
         self.pending: Optional[_Value] = None
 
-    def set(self, reg: str, value: _Value) -> None:
-        self._regs[reg] = value
+    def value(self, reg: str) -> _Value:
+        return self.regs.get(reg) or _unset(reg)
 
-    def get(self, reg: str) -> Optional[_Value]:
-        return self._regs.get(reg)
+    def values(self, regs: Tuple[str, ...]) -> Tuple[_Value, ...]:
+        get = self.regs.get
+        return tuple([get(reg) or _unset(reg) for reg in regs])
+
+
+def _unset(reg: str) -> _Value:
+    """A register nothing wrote: a parameter renders as ``this``."""
+    return _THIS if reg.startswith("p") else _const(reg)

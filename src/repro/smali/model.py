@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import SmaliError
 
@@ -297,27 +297,38 @@ class SmaliClass:
         """Every class this class mentions (supers, news, invoke targets,
         const-class operands, field types) — the ``getUsedClass`` of
         Algorithm 2."""
-        seen: List[str] = []
+        return self.uses()[0]
 
-        def _add(name: str) -> None:
-            if name not in seen and name != self.name:
-                seen.append(name)
-
-        _add(self.super_name)
-        for iface in self.interfaces:
-            _add(iface)
-        for fld in self.fields:
-            _add(fld.type)
+    def uses(self) -> Tuple[List[str], FrozenSet[str]]:
+        """One walk over the class: :meth:`referenced_classes` (first-seen
+        order, self excluded), and the classes it creates or type-tests —
+        ``new-instance``/``instance-of`` operands plus receivers of
+        ``newInstance()`` calls."""
+        seen: Dict[str, None] = dict.fromkeys(
+            [self.super_name, *self.interfaces,
+             *(fld.type for fld in self.fields)])
+        created = set()
         for method in self.methods:
             for instruction in method.instructions:
-                if instruction.opcode in ("new-instance", "const-class",
-                                          "check-cast", "instance-of"):
+                opcode = instruction.opcode
+                if opcode in _CLASS_OPERAND_OPCODES:
                     operand = instruction.args[-1]
                     if isinstance(operand, str):
-                        _add(operand)
-                elif instruction.is_invoke:
-                    _add(instruction.method.cls)
-        return seen
+                        seen[operand] = None
+                    if opcode in _CREATING_OPCODES:
+                        created.add(operand)
+                elif opcode in INVOKE_OPCODES:
+                    ref = instruction.args[-1]
+                    seen[ref.cls] = None  # type: ignore[union-attr]
+                    if ref.name == "newInstance":  # type: ignore[union-attr]
+                        created.add(ref.cls)  # type: ignore[union-attr]
+        seen.pop(self.name, None)
+        return list(seen), frozenset(created)
+
+
+_CLASS_OPERAND_OPCODES = frozenset(
+    {"new-instance", "const-class", "check-cast", "instance-of"})
+_CREATING_OPCODES = frozenset({"new-instance", "instance-of"})
 
 
 class ParseOnRead:

@@ -170,11 +170,11 @@ def static_info_from_dict(data: Dict,
         input_dep=input_dep,
         uses_manager=dict(data.get("uses_manager", {})),
         support_library=dict(data.get("support_library", {})),
-        static_api_map={k: list(v)
-                        for k, v in data.get("static_api_map", {}).items()},
-        view_components_json=data.get("view_components_json", "[]"),
         decoded=None,
     )
+    info.static_api_map = {k: list(v)
+                           for k, v in data.get("static_api_map", {}).items()}
+    info.view_components_json = data.get("view_components_json", "[]")
     if source is not None:
         del info.decoded
         # Text only, as a StaticInfo ships it across a process boundary.

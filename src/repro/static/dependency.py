@@ -28,7 +28,8 @@ def activity_fragment_dependency(
             all_classes.append(decoded.class_by_name(activity))
         all_classes.extend(decoded.inner_classes_of(activity))
         for cls in all_classes:
-            for used in cls.referenced_classes():
+            # The reference list effective_fragments already walked for.
+            for used in decoded.uses_of(cls)[0]:
                 if used in dependent:
                     continue
                 chain = super_chain(decoded, used)

@@ -1,7 +1,9 @@
 """Transition-edge extraction (paper Algorithm 1).
 
 Works on the decompiled Java units (``A0.java`` / ``F0.java``, outer class
-merged with its inner listener classes), exactly as the paper describes:
+merged with its inner listener classes), exactly as the paper describes.
+A unit holds only the lines a pattern below can match — those holding a
+:data:`_PREFILTER` needle — in the line forms of the full render:
 
 * ``new Intent(ctx, A1.class)`` / ``setClass(..., A1.class)`` → ``A0 → A1``;
 * ``new Intent("action")`` / ``setAction("action")`` → resolve the action
@@ -21,7 +23,7 @@ import re
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.smali.apktool import DecodedApk
-from repro.smali.javagen import JavaDecompiler
+from repro.smali.javagen import NEEDLES, JavaDecompiler
 from repro.static.aftm import AFTM, Node, activity_node, fragment_node
 
 # The context argument may itself be a call chain (`getActivity()` from
@@ -47,19 +49,23 @@ _RE_INSTANCEOF = re.compile(r"instanceof\s+([\w.$]+)")
 # A line can only match one of the patterns above if it contains one of
 # these substrings: every pattern embeds a literal "new" (``new Intent``,
 # ``new F1()``, ``.newInstance``), ".set" (``.setClass``/``.setAction``)
-# or "instanceof".  Substring scans are C-speed; the regexes are not.
-_PREFILTER = ("new", ".set", "instanceof")
+# or "instanceof".  The decompiled unit holds only such lines.
+_PREFILTER = NEEDLES
+
+_DECOMPILER = JavaDecompiler()
 
 
-def decompiled_unit(decoded: DecodedApk, decompiler: JavaDecompiler,
-                    class_name: str) -> str:
-    """The ``.java`` file for a top-level class: itself plus inner classes.
+def decompiled_unit(decoded: DecodedApk, class_name: str) -> str:
+    """What Algorithm 1 greps of the ``.java`` file for a top-level
+    class (itself plus inner classes): each class header and every line
+    holding a :data:`_PREFILTER` needle, as
+    :meth:`~repro.smali.javagen.JavaDecompiler.greppable_unit` keeps
+    them.
 
-    Memoized per decoded APK (``JavaDecompiler`` is stateless, so the
-    text depends only on the class list): activities and fragments that
-    share inner classes — and repeated Algorithm 1/2/3 passes over the
-    same component — never re-decompile.  The memo is invalidated when
-    the class list changes size, mirroring the ``_ClassIndex`` policy.
+    Memoized per decoded APK (the text depends only on the class list):
+    Algorithm 1 and the trigger pass read one unit per component.  The
+    memo is invalidated when the class list changes size, mirroring the
+    ``_ClassIndex`` policy.
     """
     size = len(decoded.classes)
     cache = decoded.__dict__.get("_unit_cache")
@@ -71,7 +77,7 @@ def decompiled_unit(decoded: DecodedApk, decompiler: JavaDecompiler,
     if unit is None:
         outer = decoded.class_by_name(class_name)
         inners = decoded.inner_classes_of(class_name)
-        unit = decompiler.decompile_unit(outer, inners)
+        unit = _DECOMPILER.greppable_unit(outer, inners)
         units[class_name] = unit
     return unit
 
@@ -87,21 +93,20 @@ def build_aftm(
     launcher = decoded.manifest.launcher_activity
     if launcher is not None and launcher.name in activities:
         aftm.set_entry(activity_node(launcher.name))
-    decompiler = JavaDecompiler()
     activity_set = set(activities)
     fragment_set = set(fragments)
 
     for activity in activities:
         if not decoded.has_class(activity):
             continue
-        unit = decompiled_unit(decoded, decompiler, activity)
+        unit = decompiled_unit(decoded, activity)
         _edges_from_activity(
             aftm, decoded, activity, unit, activity_set, fragment_set
         )
     for fragment in fragments:
         if not decoded.has_class(fragment):
             continue
-        unit = decompiled_unit(decoded, decompiler, fragment)
+        unit = decompiled_unit(decoded, fragment)
         _edges_from_fragment(
             aftm, decoded, fragment, unit, fragment_set, activity_set, hosts
         )
@@ -122,8 +127,6 @@ def _edges_from_activity(
 ) -> None:
     package = decoded.package
     for line in unit.splitlines():
-        if not _may_match(line):
-            continue
         has_intentish = "Intent" in line or ".set" in line
         if has_intentish:
             for match in _iter_matches((_RE_INTENT_CLASS, _RE_SET_CLASS), line):
@@ -197,11 +200,6 @@ def _edges_from_fragment(
 
 # -- helpers -------------------------------------------------------------------------
 
-def _may_match(line: str) -> bool:
-    """Cheap substring prefilter: False means no pattern can match."""
-    return "new" in line or ".set" in line or "instanceof" in line
-
-
 def _iter_matches(patterns: Tuple[re.Pattern, ...], line: str) -> Iterable[str]:
     for pattern in patterns:
         for match in pattern.finditer(line):
@@ -210,16 +208,15 @@ def _iter_matches(patterns: Tuple[re.Pattern, ...], line: str) -> Iterable[str]:
 
 def _fragment_statements(line: str, package: str,
                          fragments: Set[str]) -> Iterable[str]:
-    if "new" not in line and "instanceof" not in line:
-        return
     for match in _RE_NEW_FRAGMENT.finditer(line):
         name = _qualify(match.group(1), package)
         if name in fragments:
             yield name
-    for match in _RE_NEW_INSTANCE.finditer(line):
-        name = _qualify(match.group(1), package)
-        if name in fragments:
-            yield name
+    if ".newInstance(" in line:
+        for match in _RE_NEW_INSTANCE.finditer(line):
+            name = _qualify(match.group(1), package)
+            if name in fragments:
+                yield name
     for match in _RE_INSTANCEOF.finditer(line):
         name = _qualify(match.group(1), package)
         if name in fragments:

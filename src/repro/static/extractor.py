@@ -12,6 +12,9 @@ Given an APK, produce everything the evolutionary phase needs:
   by Case 1 and by the reflection template),
 * a static sensitive-API scan (which component code contains which
   hooked invokes) used for cross-checking the dynamic results.
+
+The view-components JSON and the sensitive-API scan are report-only:
+they are computed from the decoded APK when first read.
 """
 
 from __future__ import annotations
@@ -59,8 +62,10 @@ class StaticInfo:
     input_dep: InputDependency
     uses_manager: Dict[str, bool]
     support_library: Dict[str, bool]
-    static_api_map: Dict[str, List[str]]  # component class -> api names
-    view_components_json: str
+    # Report-only fields, computed from ``decoded`` on first read (see
+    # below); a model read back from a cache entry carries both.
+    static_api_map: Dict[str, List[str]] = field(init=False)  # component class -> api names
+    view_components_json: str = field(init=False)
     # The decoded APK is carried for downstream static passes (call
     # graph, lint, attribution); absent when the model was deserialized
     # from JSON without its APK.
@@ -88,9 +93,15 @@ class StaticInfo:
 
 
 # An unpickled info decodes the shipped source on first read of
-# ``decoded``.
+# ``decoded``; the report-only fields scan ``decoded`` on first read, so
+# a process sweep never ships them unless its worker read them.
 StaticInfo.decoded = ParseOnRead(  # type: ignore[assignment]
     "decoded", lambda info: Apktool().decode(info._decoded_source))
+StaticInfo.static_api_map = ParseOnRead(  # type: ignore[assignment]
+    "static_api_map", lambda info: _scan_sensitive_invokes(info.decoded))
+StaticInfo.view_components_json = ParseOnRead(  # type: ignore[assignment]
+    "view_components_json",
+    lambda info: _view_components_json(info.decoded))
 
 
 def extract_static_info(apk: ApkPackage,
@@ -103,7 +114,8 @@ def extract_static_info(apk: ApkPackage,
     ``input_values`` plays the analyst's role for the input-dependency
     file: widget resource-IDs mapped to correct values, filled in advance
     (Section V-C).  ``tracer`` records one span per phase (decode,
-    Algorithms 1–3, input dependency, sensitive scan).
+    Algorithms 1–3, input dependency).  The sensitive scan and the
+    view-components JSON run on first read of their fields.
 
     ``cache`` memoizes the whole phase by the APK's content digest
     (``repro.static.cache``): a hit skips decode and Algorithms 1–3 and
@@ -169,8 +181,6 @@ def extract_static_info(apk: ApkPackage,
             activity: support_library_activity(decoded, activity)
             for activity in effective_activity_names
         }
-        with tracer.span("static.sensitive_scan", app=apk.package):
-            static_api_map = _scan_sensitive_invokes(decoded)
         root.set_attribute("activities", len(effective_activity_names))
         root.set_attribute("fragments", len(effective_fragment_names))
         info = StaticInfo(
@@ -184,8 +194,6 @@ def extract_static_info(apk: ApkPackage,
             input_dep=input_dep,
             uses_manager=uses_manager,
             support_library=support,
-            static_api_map=static_api_map,
-            view_components_json=_view_components_json(decoded),
             decoded=decoded,
         )
     if cache is not None and not apk.packed:

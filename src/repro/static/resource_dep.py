@@ -82,12 +82,12 @@ def _ids_referenced_by(decoded: DecodedApk, class_name: str) -> Set[int]:
     return values
 
 
-def _layouts_referenced_by(decoded: DecodedApk, class_name: str) -> Set[str]:
-    """Layout names a component inflates (``setContentView``/``inflate``
-    consts that are layout-type resources)."""
+def _layouts_among(decoded: DecodedApk, values: Set[int]) -> Set[str]:
+    """The layout-type resources among a component's ``const`` operands:
+    the layouts it inflates (``setContentView``/``inflate``)."""
     names: Set[str] = set()
     resources = decoded.resources
-    for value in _ids_referenced_by(decoded, class_name):
+    for value in values:
         try:
             rtype, name = resources.reverse(value)
         except Exception:
@@ -106,10 +106,12 @@ def extract_resource_dependency(
     Fragments; non-interactive widgets never declared in code are ruled
     out by the ``l ∈ a`` layout check."""
     model = ResourceDependency()
-    activity_layouts = {a: _layouts_referenced_by(decoded, a) for a in activities}
-    fragment_layouts = {f: _layouts_referenced_by(decoded, f) for f in fragments}
     activity_ids = {a: _ids_referenced_by(decoded, a) for a in activities}
     fragment_ids = {f: _ids_referenced_by(decoded, f) for f in fragments}
+    activity_layouts = {a: _layouts_among(decoded, activity_ids[a])
+                        for a in activities}
+    fragment_layouts = {f: _layouts_among(decoded, fragment_ids[f])
+                        for f in fragments}
     # Layout -> the components inflating it, each list in the order of
     # ``activities``/``fragments``: scanning these finds the same first
     # match as scanning every component per widget.

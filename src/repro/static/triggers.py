@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.apk.resources import ResourceError
 from repro.smali.apktool import DecodedApk
-from repro.smali.javagen import JavaDecompiler
 from repro.static.edges import (
     _RE_INTENT_CLASS,
     _RE_NEW_FRAGMENT,
@@ -110,20 +109,19 @@ def extract_trigger_map(decoded: DecodedApk,
     """
     activity_set = set(activities)
     fragment_set = set(fragments)
-    decompiler = JavaDecompiler()
     bindings: List[TriggerBinding] = []
     for component in sorted(activity_set | fragment_set):
         bindings.extend(_component_bindings(
-            decoded, decompiler, component, activity_set, fragment_set))
+            decoded, component, activity_set, fragment_set))
     return TriggerMap(bindings)
 
 
-def _component_bindings(decoded: DecodedApk, decompiler: JavaDecompiler,
-                        component: str, activity_set: Set[str],
+def _component_bindings(decoded: DecodedApk, component: str,
+                        activity_set: Set[str],
                         fragment_set: Set[str]) -> List[TriggerBinding]:
     if not decoded.has_class(component):
         return []
-    unit = decompiled_unit(decoded, decompiler, component)
+    unit = decompiled_unit(decoded, component)
     return _scan_unit(decoded, component, unit, activity_set, fragment_set)
 
 
@@ -140,7 +138,6 @@ class LazyTriggerMap:
     def __init__(self, decoded: DecodedApk, activities: List[str],
                  fragments: List[str]) -> None:
         self._decoded = decoded
-        self._decompiler = JavaDecompiler()
         self._activity_set = set(activities)
         self._fragment_set = set(fragments)
         self._by_source: Dict[str, TriggerMap] = {}
@@ -149,8 +146,8 @@ class LazyTriggerMap:
         cached = self._by_source.get(source)
         if cached is None:
             cached = TriggerMap(_component_bindings(
-                self._decoded, self._decompiler, source,
-                self._activity_set, self._fragment_set))
+                self._decoded, source, self._activity_set,
+                self._fragment_set))
             self._by_source[source] = cached
         return cached
 
@@ -283,10 +280,10 @@ def _targets_in(section: str, package: str, activities: Set[str],
                 fragments: Set[str], component: str) -> Tuple[str, ...]:
     targets: List[str] = []
     for line in section.splitlines():
-        if "new" not in line and ".set" not in line:
-            continue
         for pattern in (_RE_INTENT_CLASS, _RE_SET_CLASS,
                         _RE_NEW_INSTANCE, _RE_NEW_FRAGMENT):
+            if pattern is _RE_NEW_INSTANCE and ".newInstance(" not in line:
+                continue
             for match in pattern.finditer(line):
                 name = match.group(1)
                 qualified = name if "." in name else f"{package}.{name}"

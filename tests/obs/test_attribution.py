@@ -122,6 +122,24 @@ def test_explanations_are_byte_identical_across_backends():
         == TABLE1_EXPLANATION_SHA256
 
 
+def test_report_only_static_fields_are_computed_where_they_are_read():
+    """A process worker never reads an outcome's sensitive scan or
+    view-components JSON, so neither crosses back with its StaticInfo;
+    the parent computes each on first read, equal to the thread
+    backend's, and explains the sweep byte for byte alike."""
+    threaded = explore_many(max_workers=2, backend="thread")
+    processed = explore_many(max_workers=2, backend="process")
+    fields = {"static_api_map", "view_components_json"}
+    for package, outcome in processed.items():
+        info = outcome.unwrap().info
+        assert not fields & set(info.__dict__), package
+        expected = threaded[package].unwrap().info
+        for name in sorted(fields):
+            assert getattr(info, name) == getattr(expected, name), package
+    assert explain_outcomes(processed).to_json() == \
+        explain_outcomes(threaded).to_json()
+
+
 #: sha256 of the event-logged Table-I sweep's explanation JSON, as it
 #: was before default runs kept a run record: the record must not move
 #: a single verdict of a logged run.

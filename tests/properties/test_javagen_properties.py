@@ -7,24 +7,40 @@ from repro.smali.javagen import JavaDecompiler
 from repro.smali.model import Instruction, MethodRef, SmaliClass, SmaliMethod
 
 _identifiers = st.from_regex(r"[a-z][a-z0-9]{0,6}", fullmatch=True)
-_class_names = st.builds(
-    lambda a, b: f"com.{a}.{b.capitalize()}", _identifiers, _identifiers
+# Names and literals holding the greppable substrings ("new", ".set",
+# "instanceof") exercise the decompiler's needle flags.
+_needle_words = st.sampled_from(["news", "renew", "instanceofx", "newx"])
+_outer_names = st.one_of(
+    st.builds(lambda a, b: f"com.{a}.{b.capitalize()}",
+              _identifiers, _identifiers),
+    st.builds(lambda a, b: f"com.{a}.{b}",
+              _needle_words, _identifiers.map(str.capitalize)),
+)
+_class_names = st.one_of(
+    _outer_names,
+    st.builds(lambda a, b: f"com.{a}.Main$1{b}",
+              _identifiers, st.sampled_from(["", "Renew"])),
+)
+_literals = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["new", "x.setY", "instanceof", 'say "new"',
+                     "line\nnew", "com.a.F1"]),
 )
 _registers = st.from_regex(r"[vp][0-9]", fullmatch=True)
 _types = st.sampled_from(
     ["void", "int", "boolean", "java.lang.String", "android.view.View",
-     "android.content.Intent"]
+     "android.content.Intent", "com.news.Item"]
 )
 
 
 @st.composite
 def any_instruction(draw):
-    choice = draw(st.integers(0, 11))
+    choice = draw(st.integers(0, 12))
     if choice == 0:
         return Instruction("nop")
     if choice == 1:
         return Instruction("const-string",
-                           (draw(_registers), draw(st.text(max_size=12))))
+                           (draw(_registers), draw(_literals)))
     if choice == 2:
         return Instruction("const-class",
                            (draw(_registers), draw(_class_names)))
@@ -52,19 +68,25 @@ def any_instruction(draw):
             "iget-object",
             (draw(_registers), "p0", "com.x.Y->this$0:Lcom/x/Z;"),
         )
+    if choice == 11:
+        return Instruction("instance-of", (draw(_registers),
+                                           draw(_registers),
+                                           draw(_class_names)))
     ref = MethodRef(
         draw(_class_names),
         draw(st.sampled_from(
             ["<init>", "startActivity", "newInstance", "beginTransaction",
              "replace", "commit", "getFragmentManager", "setContentView",
-             "setAction", "randomMethod"]
+             "setAction", "setClass", "setOnClickListener", "findViewById",
+             "renewal", "randomMethod"]
         )),
         tuple(draw(st.lists(_types.filter(lambda t: t != "void"),
                             max_size=3))),
         draw(_types),
     )
     opcode = draw(st.sampled_from(
-        ["invoke-virtual", "invoke-static", "invoke-direct", "invoke-super"]
+        ["invoke-virtual", "invoke-static", "invoke-direct", "invoke-super",
+         "invoke-interface"]
     ))
     regs = tuple(draw(st.lists(_registers, max_size=3, unique=True)))
     return Instruction(opcode, regs + (ref,))
@@ -72,9 +94,14 @@ def any_instruction(draw):
 
 @st.composite
 def arbitrary_classes(draw):
-    cls = SmaliClass(name=draw(_class_names), super_name=draw(_class_names))
+    cls = SmaliClass(name=draw(_outer_names), super_name=draw(_class_names))
     for index in range(draw(st.integers(1, 3))):
-        method = SmaliMethod(name=f"m{index}")
+        method = SmaliMethod(
+            name=draw(st.sampled_from(["m", "onNewIntent", "newsFeed",
+                                       "setUp"])) + str(index),
+            params=draw(st.lists(_types.filter(lambda t: t != "void"),
+                                 max_size=2)),
+            ret=draw(_types))
         method.instructions = draw(st.lists(any_instruction(), max_size=12))
         method.instructions.append(Instruction("return-void"))
         cls.methods.append(method)

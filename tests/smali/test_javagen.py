@@ -1,6 +1,6 @@
 """jd-core equivalent: the decompiled Java must contain exactly the
 line shapes Algorithm 1 greps — and must NOT leak statically-invisible
-targets."""
+targets, neither in the full render nor in the unit Algorithm 1 greps."""
 
 import pytest
 
@@ -20,9 +20,16 @@ from repro.smali.javagen import JavaDecompiler
 from repro.static.edges import decompiled_unit
 
 
+def decoded_for(spec):
+    return Apktool().decode(build_apk(spec))
+
+
 def unit_for(spec, class_name):
-    decoded = Apktool().decode(build_apk(spec))
-    return decompiled_unit(decoded, JavaDecompiler(), class_name)
+    """The full render: every statement, needle-bearing or not."""
+    decoded = decoded_for(spec)
+    return JavaDecompiler().decompile_unit(
+        decoded.class_by_name(class_name),
+        decoded.inner_classes_of(class_name))
 
 
 def two_activity_spec(action):
@@ -54,23 +61,24 @@ def test_action_intent_line_shape():
 
 
 def test_dynamic_target_does_not_leak_class_name():
-    unit = unit_for(
-        two_activity_spec(StartActivity("SecondActivity", dynamic=True)),
-        "com.jd.MainActivity",
-    )
+    spec = two_activity_spec(StartActivity("SecondActivity", dynamic=True))
+    unit = unit_for(spec, "com.jd.MainActivity")
     assert "SecondActivity.class" not in unit
     assert "resolveTarget" in unit
+    greppable = decompiled_unit(decoded_for(spec), "com.jd.MainActivity")
+    assert "SecondActivity.class" not in greppable
+    assert "resolveTarget" in greppable  # inside `new Intent(this$0, …)`
 
 
 def test_dynamic_action_does_not_leak_action_string():
-    unit = unit_for(
-        two_activity_spec(
-            StartActivityByAction("com.jd.action.GO", dynamic=True)
-        ),
-        "com.jd.MainActivity",
-    )
+    spec = two_activity_spec(
+        StartActivityByAction("com.jd.action.GO", dynamic=True))
+    unit = unit_for(spec, "com.jd.MainActivity")
     assert '"com.jd.action.GO"' not in unit
     assert "ActionCodec.decode" in unit
+    greppable = decompiled_unit(decoded_for(spec), "com.jd.MainActivity")
+    assert '"com.jd.action.GO"' not in greppable
+    assert "new android.content.Intent(" in greppable
 
 
 def fragment_spec(factory, managed=True):

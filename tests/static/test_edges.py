@@ -12,8 +12,16 @@ from repro.apk import (
     WidgetSpec,
     build_apk,
 )
+from repro.smali.apktool import Apktool
+from repro.smali.model import SmaliMethod
 from repro.static import extract_static_info
 from repro.static.aftm import EdgeKind, activity_node, fragment_node
+from repro.static.edges import build_aftm
+from repro.static.effective import (
+    declared_activities,
+    effective_fragments,
+    fragment_hosts,
+)
 
 
 def aftm_for(spec):
@@ -136,3 +144,28 @@ def test_f_to_f_requires_shared_host():
 def test_self_edges_never_added(demo_apk):
     aftm = extract_static_info(demo_apk).aftm
     assert all(e.src != e.dst for e in aftm.edges)
+
+
+def test_an_instanceof_only_reference_yields_the_edge():
+    """A fragment its activity only type-tests counts as created there
+    (effective, hosted), so Algorithm 1 must see its ``instanceof`` line
+    too: ``boolean local = p1 instanceof F1;`` gives ``A0 → F1``."""
+    spec = AppSpec(
+        package="com.typed",
+        activities=[ActivitySpec(name="MainActivity", launcher=True)],
+        fragments=[FragmentSpec(name="TypedFragment")],
+    )
+    decoded = Apktool().decode(build_apk(spec))
+    check = decoded.class_by_name("com.typed.MainActivity").add_method(
+        SmaliMethod(name="isTyped", params=["android.app.Fragment"],
+                    ret="boolean"))
+    check.emit("instance-of", "v0", "p1", "com.typed.TypedFragment")
+    check.emit("return-object", "v0")
+    activities = declared_activities(decoded)
+    fragments = effective_fragments(decoded, activities)
+    assert fragments == ["com.typed.TypedFragment"]
+    hosts = fragment_hosts(decoded, activities, fragments)
+    aftm = build_aftm(decoded, activities, fragments, hosts)
+    assert [(e.src, e.dst, e.kind) for e in aftm.edges] == [
+        (activity_node("com.typed.MainActivity"),
+         fragment_node("com.typed.TypedFragment"), EdgeKind.E2)]

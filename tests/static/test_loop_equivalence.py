@@ -9,7 +9,7 @@ what the per-pair and per-widget scans did, in the same order.
 """
 
 import re
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,11 +27,22 @@ from repro.static.effective import (
 from repro.static.resource_dep import (
     ResourceBinding,
     _ids_referenced_by,
-    _layouts_referenced_by,
     extract_resource_dependency,
 )
 
 _REFERENCE_NEW_INSTANCE = re.compile(r"([\w.$]+)\.newInstance\(")
+
+
+def _layouts_referenced_by(decoded: DecodedApk, class_name: str) -> Set[str]:
+    names: Set[str] = set()
+    for value in _ids_referenced_by(decoded, class_name):
+        try:
+            rtype, name = decoded.resources.reverse(value)
+        except Exception:
+            continue
+        if rtype == "layout":
+            names.add(name)
+    return names
 
 
 def reference_fragment_hosts(decoded: DecodedApk, activities: List[str],
