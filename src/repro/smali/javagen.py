@@ -153,26 +153,25 @@ class JavaDecompiler:
             f"public class {simple.replace('$', '_')} "
             f"extends {cls.super_name}{implements} {{"
         )
+        step_of = _STEPS.get
         for method in cls.methods:
             if not greppable or _header_needle(method):
                 lines.append(f"    {_method_header(method)}")
             state = _RegisterState()
             for instruction in method.instructions:
-                step = _STEPS.get(instruction.opcode)
+                step = step_of(instruction.opcode)
                 if step is None:
                     continue
                 statement = step(state, instruction.args)
-                if statement is None:
+                if statement is None or greppable and not statement[1]:
                     continue
-                if not greppable:
-                    lines.append(_INDENT + _text(statement))
-                elif statement[1]:
-                    text = _INDENT + _text(statement)
-                    if text.isprintable():
-                        lines.append(text)
-                    else:  # a string literal broke the statement's line
-                        lines.extend(line for line in text.splitlines()
-                                     if has_needle(line))
+                text = _INDENT + _text(statement)
+                if greppable and not text.isprintable():
+                    # A string literal broke the statement's line.
+                    lines.extend(line for line in text.splitlines()
+                                 if has_needle(line))
+                else:
+                    lines.append(text)
             if not greppable:
                 lines.append("    }")
         if not greppable:

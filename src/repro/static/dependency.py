@@ -21,6 +21,9 @@ def activity_fragment_dependency(
 ) -> Dict[str, List[str]]:
     """Algorithm 2: map each Activity to the Fragment classes it uses."""
     dependency: Dict[str, List[str]] = {}
+    # Whether a used class is a Fragment depends on that class alone, so
+    # each is decided once for all activities.
+    is_fragment: Dict[str, bool] = {}
     for activity in activities:
         dependent: List[str] = []
         all_classes = []
@@ -32,22 +35,16 @@ def activity_fragment_dependency(
             for used in decoded.uses_of(cls)[0]:
                 if used in dependent:
                     continue
-                chain = super_chain(decoded, used)
-                terminal = chain[-1] if chain else None
-                in_chain = any(base in chain for base in FRAGMENT_BASES)
-                direct = used not in dependent and _is_fragment_base_direct(
-                    decoded, used
-                )
-                if in_chain or direct or terminal in FRAGMENT_BASES:
+                verdict = is_fragment.get(used)
+                if verdict is None:
+                    # Its inheritance chain reaches a Fragment base.
+                    chain = super_chain(decoded, used)
+                    verdict = is_fragment[used] = any(
+                        base in chain for base in FRAGMENT_BASES)
+                if verdict:
                     dependent.append(used)
         dependency[activity] = sorted(dependent)
     return dependency
-
-
-def _is_fragment_base_direct(decoded: DecodedApk, class_name: str) -> bool:
-    if not decoded.has_class(class_name):
-        return False
-    return decoded.class_by_name(class_name).super_name in FRAGMENT_BASES
 
 
 def uses_fragment_manager(decoded: DecodedApk, activity: str) -> bool:
