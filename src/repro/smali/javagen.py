@@ -29,15 +29,9 @@ only begins a needle.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.smali.model import (
-    INVOKE_OPCODES,
-    Instruction,
-    MethodRef,
-    SmaliClass,
-    SmaliMethod,
-)
+from repro.smali.model import MethodRef, SmaliClass, SmaliMethod
 
 #: The substrings every Algorithm 1 and trigger pattern contains:
 #: ``new Intent``, ``new F1()``, ``.newInstance`` hold "new",
@@ -188,14 +182,13 @@ def _move_result(state: "_RegisterState", args: tuple) -> None:
 
 def _const_string(state: "_RegisterState", args: tuple) -> None:
     reg, literal = args
-    literal = str(literal)
-    state.regs[reg] = ['"' + literal.replace('"', '\\"') + '"',
-                       has_needle(literal), None]
+    escaped = str(literal).replace('"', '\\"')
+    state.regs[reg] = _const(f'"{escaped}"')
 
 
 def _const_class(state: "_RegisterState", args: tuple) -> None:
     reg, cls_name = args
-    state.regs[reg] = [f"{cls_name}.class", has_needle(str(cls_name)), None]
+    state.regs[reg] = _const(f"{cls_name}.class")
 
 
 def _const_int(state: "_RegisterState", args: tuple) -> None:
