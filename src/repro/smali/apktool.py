@@ -45,7 +45,7 @@ class _ClassIndex:
     sorted name list (O(log n) prefix ranges for ``Name$...``
     companions, yielded back in original list order)."""
 
-    __slots__ = ("size", "by_name", "sorted_names")
+    __slots__ = ("size", "by_name", "sorted_names", "prefixed")
 
     def __init__(self, classes: List[SmaliClass]) -> None:
         self.size = len(classes)
@@ -54,8 +54,17 @@ class _ClassIndex:
             by_name.setdefault(cls.name, []).append((position, cls))
         self.by_name = by_name
         self.sorted_names = sorted(by_name)
+        # prefix -> its matches: Algorithms 1-3 each ask for the inner
+        # classes of the same components.
+        self.prefixed: Dict[str, List[SmaliClass]] = {}
 
     def prefix_matches(self, prefix: str) -> List[SmaliClass]:
+        matches = self.prefixed.get(prefix)
+        if matches is None:
+            matches = self.prefixed[prefix] = self._prefix_scan(prefix)
+        return list(matches)
+
+    def _prefix_scan(self, prefix: str) -> List[SmaliClass]:
         names = self.sorted_names
         start = bisect_left(names, prefix)
         matches: List[Tuple[int, SmaliClass]] = []

@@ -126,26 +126,27 @@ def _edges_from_activity(
     fragments: Set[str],
 ) -> None:
     package = decoded.package
+    # Each target once, in first-match order: a repeated match would
+    # only find the edge already added.  The flag marks fragments.
+    targets: Dict[Tuple[str, bool], None] = {}
     for line in unit.splitlines():
-        has_intentish = "Intent" in line or ".set" in line
-        if has_intentish:
+        if "Intent" in line or ".set" in line:
             for match in _iter_matches((_RE_INTENT_CLASS, _RE_SET_CLASS), line):
                 target = _qualify(match, package)
                 if target in activities and target != activity:
-                    aftm.add_transition(
-                        activity_node(activity), activity_node(target)
-                    )
+                    targets[target, False] = None
             for match in _iter_matches((_RE_INTENT_ACTION, _RE_SET_ACTION), line):
                 for decl in decoded.manifest.resolve_action(match):
                     if decl.name in activities and decl.name != activity:
-                        aftm.add_transition(
-                            activity_node(activity), activity_node(decl.name)
-                        )
+                        targets[decl.name, False] = None
         for match in _fragment_statements(line, package, fragments):
-            aftm.add_transition(
-                activity_node(activity), fragment_node(match),
-                host=activity,
-            )
+            targets[match, True] = None
+    source = activity_node(activity)
+    for target, is_fragment in targets:
+        if is_fragment:
+            aftm.add_transition(source, fragment_node(target), host=activity)
+        else:
+            aftm.add_transition(source, activity_node(target))
 
 
 # -- function GetEdgeFtoF ----------------------------------------------------------
