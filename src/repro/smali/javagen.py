@@ -23,12 +23,13 @@ joining them, so a statement without a needle is never rendered.  The
 flag is exact because no needle can straddle a value and the text
 around it: every value is bounded by characters no needle contains
 (``(``, ``)``, ``,``, ``!``, space, quote) or followed by ``.``, which
-only begins a needle.
+only begins a needle.  Each statement is one line: a decoded string
+literal holds no line break, because the smali lexer splits its text on
+the same characters.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.smali.model import MethodRef, SmaliClass, SmaliMethod
@@ -47,7 +48,6 @@ def has_needle(text: str) -> bool:
     return "new" in text or ".set" in text or "instanceof" in text
 
 
-@lru_cache(maxsize=4096)
 def _member_needle(name: str) -> bool:
     """Does ``.name`` hold a needle?"""
     return name.startswith("set") or has_needle(name)
@@ -149,23 +149,17 @@ class JavaDecompiler:
         )
         step_of = _STEPS.get
         for method in cls.methods:
-            if not greppable or _header_needle(method):
-                lines.append(f"    {_method_header(method)}")
+            header = f"    {_method_header(method)}"
+            if not greppable or has_needle(header):
+                lines.append(header)
             state = _RegisterState()
             for instruction in method.instructions:
                 step = step_of(instruction.opcode)
                 if step is None:
                     continue
                 statement = step(state, instruction.args)
-                if statement is None or greppable and not statement[1]:
-                    continue
-                text = _INDENT + _text(statement)
-                if greppable and not text.isprintable():
-                    # A string literal broke the statement's line.
-                    lines.extend(line for line in text.splitlines()
-                                 if has_needle(line))
-                else:
-                    lines.append(text)
+                if statement is not None and (statement[1] or not greppable):
+                    lines.append(_INDENT + _text(statement))
             if not greppable:
                 lines.append("    }")
         if not greppable:
@@ -327,14 +321,6 @@ def _method_header(method: SmaliMethod) -> str:
     flags = "public static" if method.static else "public"
     name = "ctor" if method.name == "<init>" else method.name
     return f"{flags} {method.ret} {name}({params}) {{"
-
-
-def _header_needle(method: SmaliMethod) -> bool:
-    """Does the method's header line hold a needle?  Its names are
-    bounded by spaces and ``(``, so none can straddle them."""
-    return (method.name != "<init>" and has_needle(method.name)
-            or has_needle(method.ret)
-            or any(has_needle(ptype) for ptype in method.params))
 
 
 class _RegisterState:
