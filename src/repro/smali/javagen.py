@@ -32,14 +32,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.smali.model import MethodRef, SmaliClass, SmaliMethod
+from repro.smali.model import (
+    INVOKE_OPCODES,
+    MethodRef,
+    SmaliClass,
+    SmaliMethod,
+)
 
 #: The substrings every Algorithm 1 and trigger pattern contains:
 #: ``new Intent``, ``new F1()``, ``.newInstance`` hold "new",
 #: ``.setClass``/``.setAction``/``.setOnClickListener`` hold ".set".
 NEEDLES = ("new", ".set", "instanceof")
 
-_FRAGMENT_MANAGER_GETTERS = ("getFragmentManager", "getSupportFragmentManager")
 _INDENT = "        "
 
 
@@ -100,7 +104,8 @@ _BEGIN = _const("FragmentTransaction localTransaction = "
                 "localManager.beginTransaction();")
 _MANAGER_CALLS = {name: (_const(f"{name}()"),
                          _const(f"FragmentManager localManager = {name}();"))
-                  for name in _FRAGMENT_MANAGER_GETTERS}
+                  for name in ("getFragmentManager",
+                               "getSupportFragmentManager")}
 
 
 class JavaDecompiler:
@@ -147,17 +152,13 @@ class JavaDecompiler:
             f"public class {simple.replace('$', '_')} "
             f"extends {cls.super_name}{implements} {{"
         )
-        step_of = _STEPS.get
         for method in cls.methods:
             header = f"    {_method_header(method)}"
             if not greppable or has_needle(header):
                 lines.append(header)
             state = _RegisterState()
             for instruction in method.instructions:
-                step = step_of(instruction.opcode)
-                if step is None:
-                    continue
-                statement = step(state, instruction.args)
+                statement = _step(state, instruction.opcode, instruction.args)
                 if statement is not None and (statement[1] or not greppable):
                     lines.append(_INDENT + _text(statement))
             if not greppable:
@@ -167,71 +168,51 @@ class JavaDecompiler:
         return lines
 
 
-# -- one step per opcode: update the registers, return the statement ---------
-
-def _move_result(state: "_RegisterState", args: tuple) -> None:
-    state.regs[args[0]] = state.pending or _RESULT
-    state.pending = None
-
-
-def _const_string(state: "_RegisterState", args: tuple) -> None:
-    reg, literal = args
-    escaped = str(literal).replace('"', '\\"')
-    state.regs[reg] = _const(f'"{escaped}"')
-
-
-def _const_class(state: "_RegisterState", args: tuple) -> None:
-    reg, cls_name = args
-    state.regs[reg] = _const(f"{cls_name}.class")
-
-
-def _const_int(state: "_RegisterState", args: tuple) -> None:
-    reg, number = args
-    state.regs[reg] = [str(int(number)), False, None]
-
-
-def _new_instance(state: "_RegisterState", args: tuple) -> None:
-    reg, cls_name = args
-    state.regs[reg] = [("new ", cls_name, "()"), True, str(cls_name)]
-
-
-def _check_cast(state: "_RegisterState", args: tuple) -> None:
-    reg, cls_name = args
-    state.regs[reg] = _const(f"(({cls_name})local)")
-
-
-def _instance_of(state: "_RegisterState", args: tuple) -> _Value:
-    dest, src, cls_name = args
-    value = state.value(str(src))
-    state.regs[dest] = _LOCAL
-    return [("boolean local = ", value, " instanceof ", cls_name, ";"),
-            True, None]
-
-
-def _iget_object(state: "_RegisterState", args: tuple) -> None:
-    state.regs[args[0]] = _THIS0
-
-
-def _branch(head: str):
-    # The branch jumps to the else-label, so the fall-through is the
-    # taken 'if' body: if-eqz guards the truthy path.
-    def step(state: "_RegisterState", args: tuple) -> _Value:
+def _step(state: "_RegisterState", op: str,
+          args: tuple) -> Optional[_Value]:
+    """Update the registers for one instruction; return its statement."""
+    regs = state.regs
+    if op in INVOKE_OPCODES:
+        return _invoke(state, op, args)
+    if op == "move-result-object" or op == "move-result":
+        regs[args[0]] = state.pending or _RESULT
+        state.pending = None
+    elif op == "const-string":
+        escaped = str(args[1]).replace('"', '\\"')
+        regs[args[0]] = _const(f'"{escaped}"')
+    elif op == "const-class":
+        regs[args[0]] = _const(f"{args[1]}.class")
+    elif op in ("const", "const/4"):
+        regs[args[0]] = [str(int(args[1])), False, None]
+    elif op == "new-instance":
+        regs[args[0]] = [("new ", args[1], "()"), True, str(args[1])]
+    elif op == "check-cast":
+        regs[args[0]] = _const(f"(({args[1]})local)")
+    elif op == "instance-of":
+        dest, src, cls_name = args
+        value = state.value(str(src))
+        regs[dest] = _LOCAL
+        return [("boolean local = ", value, " instanceof ", cls_name, ";"),
+                True, None]
+    elif op == "iget-object":
+        regs[args[0]] = _THIS0
+    elif op in ("if-eqz", "if-nez"):
+        # The branch jumps to the else-label, so the fall-through is the
+        # taken 'if' body: if-eqz guards the truthy path.
         value = state.value(str(args[0]))
+        head = "if (" if op == "if-eqz" else "if (!"
         return [(head, value, ") {"), value[1], None]
-    return step
-
-
-def _label(state: "_RegisterState", args: tuple) -> Optional[_Value]:
-    name = str(args[0])
-    if name.startswith("cond_fail"):
-        return _ELSE
-    if name.startswith("cond_end"):
-        return _END
+    elif op == "label":
+        name = str(args[0])
+        if name.startswith("cond_fail"):
+            return _ELSE
+        if name.startswith("cond_end"):
+            return _END
     return None  # goto is structural, rendered via the labels
 
 
-def _invoke(state: "_RegisterState", args: tuple,
-            static: bool = False, super_: bool = False) -> Optional[_Value]:
+def _invoke(state: "_RegisterState", op: str,
+            args: tuple) -> Optional[_Value]:
     ref: MethodRef = args[-1]
     regs: Tuple[str, ...] = args[:-1]
     name = ref.name
@@ -274,14 +255,14 @@ def _invoke(state: "_RegisterState", args: tuple,
         return [(name, "(", values, ");"), _any_needle(values), None]
     if name in ("setClass", "setAction"):
         return [("localIntent.", name, "(", values, ");"), True, None]
-    if static:
+    if op == "invoke-static":
         values = state.values(regs)
         needle = (has_needle(cls) or _member_needle(name)
                   or _any_needle(values))
         call = state.pending = [(cls, ".", name, "(", values, ")"), needle,
                                 None]
         return [(call, ";"), needle, None]
-    if super_:
+    if op == "invoke-super":
         return [("super.", name, "(", values, ");"),
                 _member_needle(name) or _any_needle(values), None]
 
@@ -290,28 +271,6 @@ def _invoke(state: "_RegisterState", args: tuple,
     call = state.pending = [(receiver, ".", name, "(", values, ")"), needle,
                             None]
     return [(call, ";"), needle, None]
-
-
-_STEPS = {
-    "invoke-virtual": _invoke,
-    "invoke-direct": _invoke,
-    "invoke-interface": _invoke,
-    "invoke-static": lambda state, args: _invoke(state, args, static=True),
-    "invoke-super": lambda state, args: _invoke(state, args, super_=True),
-    "move-result-object": _move_result,
-    "move-result": _move_result,
-    "const-string": _const_string,
-    "const-class": _const_class,
-    "const": _const_int,
-    "const/4": _const_int,
-    "new-instance": _new_instance,
-    "check-cast": _check_cast,
-    "instance-of": _instance_of,
-    "iget-object": _iget_object,
-    "if-eqz": _branch("if ("),
-    "if-nez": _branch("if (!"),
-    "label": _label,
-}
 
 
 def _method_header(method: SmaliMethod) -> str:
