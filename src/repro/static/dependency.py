@@ -31,7 +31,7 @@ def activity_fragment_dependency(
             all_classes.append(decoded.class_by_name(activity))
         all_classes.extend(decoded.inner_classes_of(activity))
         for cls in all_classes:
-            # The reference list effective_fragments already walked for.
+            # The reference list the reference index already holds.
             for used in decoded.uses_of(cls)[0]:
                 if used in dependent:
                     continue

@@ -44,6 +44,10 @@ _RE_NEW_FRAGMENT = re.compile(r"new\s+([\w.$]+)\(\s*\)")
 # returns the same matches as without it.
 _RE_NEW_INSTANCE = re.compile(r"(?<![\w.$])([\w.$]+)\.newInstance\(")
 _RE_INSTANCEOF = re.compile(r"instanceof\s+([\w.$]+)")
+# Besides its needle, a class-target pattern needs ".class" in the line
+# and an action pattern a string literal.
+_CLASS_PATTERNS = (_RE_INTENT_CLASS, _RE_SET_CLASS)
+_ACTION_PATTERNS = (_RE_INTENT_ACTION, _RE_SET_ACTION)
 
 
 # A line can only match one of the patterns above if it contains one of
@@ -130,12 +134,13 @@ def _edges_from_activity(
     # only find the edge already added.  The flag marks fragments.
     targets: Dict[Tuple[str, bool], None] = {}
     for line in unit.splitlines():
-        if "Intent" in line or ".set" in line:
-            for match in _iter_matches((_RE_INTENT_CLASS, _RE_SET_CLASS), line):
+        if ".class" in line:
+            for match in _iter_matches(_CLASS_PATTERNS, line):
                 target = _qualify(match, package)
                 if target in activities and target != activity:
                     targets[target, False] = None
-            for match in _iter_matches((_RE_INTENT_ACTION, _RE_SET_ACTION), line):
+        if '"' in line:
+            for match in _iter_matches(_ACTION_PATTERNS, line):
                 for decl in decoded.manifest.resolve_action(match):
                     if decl.name in activities and decl.name != activity:
                         targets[decl.name, False] = None
@@ -176,13 +181,13 @@ def _edges_from_fragment(
     # preserving the historical per-pass match (and edge append) order.
     lines = unit.splitlines()
     for line in lines:
-        if "Intent" not in line and ".set" not in line:
-            continue
-        for match in _iter_matches((_RE_INTENT_CLASS, _RE_SET_CLASS), line):
-            _add_host_edges(_qualify(match, package))
-        for match in _iter_matches((_RE_INTENT_ACTION, _RE_SET_ACTION), line):
-            for decl in decoded.manifest.resolve_action(match):
-                _add_host_edges(decl.name)
+        if ".class" in line:
+            for match in _iter_matches(_CLASS_PATTERNS, line):
+                _add_host_edges(_qualify(match, package))
+        if '"' in line:
+            for match in _iter_matches(_ACTION_PATTERNS, line):
+                for decl in decoded.manifest.resolve_action(match):
+                    _add_host_edges(decl.name)
     for line in lines:
         for target in _fragment_statements(line, _package_of(fragment), fragments):
             if target == fragment:
@@ -218,10 +223,11 @@ def _fragment_statements(line: str, package: str,
             name = _qualify(match.group(1), package)
             if name in fragments:
                 yield name
-    for match in _RE_INSTANCEOF.finditer(line):
-        name = _qualify(match.group(1), package)
-        if name in fragments:
-            yield name
+    if "instanceof" in line:
+        for match in _RE_INSTANCEOF.finditer(line):
+            name = _qualify(match.group(1), package)
+            if name in fragments:
+                yield name
 
 
 def _qualify(name: str, package: str) -> str:

@@ -64,7 +64,8 @@ class StaticInfo:
     support_library: Dict[str, bool]
     # Report-only fields, computed from ``decoded`` on first read (see
     # below); a model read back from a cache entry carries both.
-    static_api_map: Dict[str, List[str]] = field(init=False)  # component class -> api names
+    # static_api_map: component class -> api names.
+    static_api_map: Dict[str, List[str]] = field(init=False)
     view_components_json: str = field(init=False)
     # The decoded APK is carried for downstream static passes (call
     # graph, lint, attribution); absent when the model was deserialized
