@@ -155,9 +155,8 @@ class AFTM:
                 raise ReproError(
                     f"host activity required for inner edge {src} -> {dst}"
                 )
-        transition = Transition(src, dst, kind, host=host, trigger=trigger)
-        self.add_node(src)
-        self.add_node(dst)
+        # Look the edge up before building anything: a repeated match
+        # (most static ones) changes nothing unless it upgrades.
         existing = self._find_edge(src, dst, host)
         if existing is not None:
             if existing.trigger in ("static", "reflection") and trigger not in (
@@ -167,6 +166,9 @@ class AFTM:
                 self._remove_edge(existing)
             else:
                 return False
+        transition = Transition(src, dst, kind, host=host, trigger=trigger)
+        self.add_node(src)
+        self.add_node(dst)
         self._edges.add(transition)
         self._out[src].append(transition)
         return True

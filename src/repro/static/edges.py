@@ -3,7 +3,8 @@
 Works on the decompiled Java units (``A0.java`` / ``F0.java``, outer class
 merged with its inner listener classes), exactly as the paper describes.
 A unit holds only the lines a pattern below can match — those holding a
-:data:`_PREFILTER` needle — in the line forms of the full render:
+:data:`~repro.smali.javagen.NEEDLES` needle — in the line forms of the
+full render:
 
 * ``new Intent(ctx, A1.class)`` / ``setClass(..., A1.class)`` → ``A0 → A1``;
 * ``new Intent("action")`` / ``setAction("action")`` → resolve the action
@@ -23,7 +24,7 @@ import re
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.smali.apktool import DecodedApk
-from repro.smali.javagen import NEEDLES, JavaDecompiler
+from repro.smali.javagen import JavaDecompiler
 from repro.static.aftm import AFTM, Node, activity_node, fragment_node
 
 # The context argument may itself be a call chain (`getActivity()` from
@@ -49,20 +50,13 @@ _RE_INSTANCEOF = re.compile(r"instanceof\s+([\w.$]+)")
 _CLASS_PATTERNS = (_RE_INTENT_CLASS, _RE_SET_CLASS)
 _ACTION_PATTERNS = (_RE_INTENT_ACTION, _RE_SET_ACTION)
 
-
-# A line can only match one of the patterns above if it contains one of
-# these substrings: every pattern embeds a literal "new" (``new Intent``,
-# ``new F1()``, ``.newInstance``), ".set" (``.setClass``/``.setAction``)
-# or "instanceof".  The decompiled unit holds only such lines.
-_PREFILTER = NEEDLES
-
 _DECOMPILER = JavaDecompiler()
 
 
 def decompiled_unit(decoded: DecodedApk, class_name: str) -> str:
     """What Algorithm 1 greps of the ``.java`` file for a top-level
     class (itself plus inner classes): each class header and every line
-    holding a :data:`_PREFILTER` needle, as
+    holding a :data:`~repro.smali.javagen.NEEDLES` needle, as
     :meth:`~repro.smali.javagen.JavaDecompiler.greppable_unit` keeps
     them.
 
@@ -130,28 +124,20 @@ def _edges_from_activity(
     fragments: Set[str],
 ) -> None:
     package = decoded.package
-    # Each target once, in first-match order: a repeated match would
-    # only find the edge already added.  The flag marks fragments.
-    targets: Dict[Tuple[str, bool], None] = {}
+    source = activity_node(activity)
     for line in unit.splitlines():
         if ".class" in line:
             for match in _iter_matches(_CLASS_PATTERNS, line):
                 target = _qualify(match, package)
                 if target in activities and target != activity:
-                    targets[target, False] = None
+                    aftm.add_transition(source, activity_node(target))
         if '"' in line:
             for match in _iter_matches(_ACTION_PATTERNS, line):
                 for decl in decoded.manifest.resolve_action(match):
                     if decl.name in activities and decl.name != activity:
-                        targets[decl.name, False] = None
+                        aftm.add_transition(source, activity_node(decl.name))
         for match in _fragment_statements(line, package, fragments):
-            targets[match, True] = None
-    source = activity_node(activity)
-    for target, is_fragment in targets:
-        if is_fragment:
-            aftm.add_transition(source, fragment_node(target), host=activity)
-        else:
-            aftm.add_transition(source, activity_node(target))
+            aftm.add_transition(source, fragment_node(match), host=activity)
 
 
 # -- function GetEdgeFtoF ----------------------------------------------------------

@@ -3,7 +3,8 @@ class the assembler round-trips."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.smali.javagen import JavaDecompiler
+from repro.smali.javagen import NEEDLES, JavaDecompiler, has_needle
+from repro.smali.javagen import _member_needle
 from repro.smali.model import Instruction, MethodRef, SmaliClass, SmaliMethod
 
 _identifiers = st.from_regex(r"[a-z][a-z0-9]{0,6}", fullmatch=True)
@@ -21,15 +22,9 @@ _class_names = st.one_of(
     st.builds(lambda a, b: f"com.{a}.Main$1{b}",
               _identifiers, st.sampled_from(["", "Renew"])),
 )
-# A literal the assembler round-trips holds no line break: the lexer
-# splits its text on the characters str.splitlines does.
-_literals = st.one_of(
-    st.text(st.characters(blacklist_characters="\n\r\x0b\x0c\x1c\x1d"
-                                               "\x1e\x85\u2028\u2029"),
-            max_size=12),
-    st.sampled_from(["new", "x.setY", "instanceof", 'say "new"',
-                     "com.a.F1"]),
-)
+needle_literals = st.sampled_from(["new", "x.setY", "instanceof",
+                                   'say "new"', "com.a.F1"])
+any_literals = st.one_of(st.text(max_size=12), needle_literals)
 _registers = st.from_regex(r"[vp][0-9]", fullmatch=True)
 _types = st.sampled_from(
     ["void", "int", "boolean", "java.lang.String", "android.view.View",
@@ -38,13 +33,13 @@ _types = st.sampled_from(
 
 
 @st.composite
-def any_instruction(draw):
+def any_instruction(draw, literals=any_literals):
     choice = draw(st.integers(0, 12))
     if choice == 0:
         return Instruction("nop")
     if choice == 1:
         return Instruction("const-string",
-                           (draw(_registers), draw(_literals)))
+                           (draw(_registers), draw(literals)))
     if choice == 2:
         return Instruction("const-class",
                            (draw(_registers), draw(_class_names)))
@@ -97,7 +92,8 @@ def any_instruction(draw):
 
 
 @st.composite
-def arbitrary_classes(draw):
+def arbitrary_classes(draw, literals=any_literals):
+    """A class of 1-3 methods; ``literals`` draws const-string text."""
     cls = SmaliClass(name=draw(_outer_names), super_name=draw(_class_names))
     for index in range(draw(st.integers(1, 3))):
         method = SmaliMethod(
@@ -106,7 +102,8 @@ def arbitrary_classes(draw):
             params=draw(st.lists(_types.filter(lambda t: t != "void"),
                                  max_size=2)),
             ret=draw(_types))
-        method.instructions = draw(st.lists(any_instruction(), max_size=12))
+        method.instructions = draw(st.lists(any_instruction(literals),
+                                           max_size=12))
         method.instructions.append(Instruction("return-void"))
         cls.methods.append(method)
     return cls
@@ -128,3 +125,11 @@ def test_decompile_unit_with_self_as_inner(cls):
     inner.methods[0].instructions.append(Instruction("return-void"))
     unit = JavaDecompiler().decompile_unit(cls, [inner])
     assert "class" in unit
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(any_literals, _needle_words, _identifiers,
+                 st.sampled_from(["setClass", "set", ".se", "newInstance"])))
+def test_needle_flags_agree_with_needles(text):
+    assert has_needle(text) == any(needle in text for needle in NEEDLES)
+    assert _member_needle(text) == has_needle("." + text)
