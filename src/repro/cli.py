@@ -114,9 +114,23 @@ def _static_cache(args: argparse.Namespace):
 
 def _jsonl_sink(path: str, what: str):
     """A JSONL sink writing ``path``; exits with a message if it cannot
-    be opened."""
+    be opened.  When ``path`` is a file the commit marker of its run
+    directory lists, the marker goes first, as in ``save_artifacts``:
+    the sink rewrites a committed file, so the directory stops being a
+    committed run until a ``--save`` commits it again."""
+    from repro.errors import StoreError
     from repro.obs import JsonlSink
+    from repro.obs.dashboard import MANIFEST, manifest_files
 
+    target = pathlib.Path(path)
+    try:
+        if target.name in manifest_files(target.parent):
+            (target.parent / MANIFEST).unlink(missing_ok=True)
+    except StoreError:
+        pass  # no readable marker: nothing there is committed
+    except OSError as exc:
+        raise SystemExit(f"cannot uncommit the run holding {what} file "
+                         f"{path!r}: {exc}") from exc
     try:
         return JsonlSink(path)
     except OSError as exc:

@@ -234,6 +234,15 @@ class EventLog:
         with self._lock:
             self._events.clear()
 
+    def drop(self, **stamp: object) -> None:
+        """Forget the kept events whose attributes carry ``stamp``
+        (``repro serve`` drops a finished job's, ``job=<id>``).  Sinks
+        already have them; only ``events()`` stops returning them."""
+        stamp_items = stamp.items()
+        with self._lock:
+            self._events = [event for event in self._events
+                            if not stamp_items <= event.attributes.items()]
+
     def close(self) -> None:
         """Close every sink that supports closing (flushes files)."""
         for sink in self.sinks:

@@ -369,6 +369,15 @@ class Tracer:
             self._by_trace.clear()
         self.metrics.clear()
 
+    def drop_trace(self, trace_id: int) -> None:
+        """Forget the finished spans of one trace (``repro serve``
+        drops a finished job's).  Sinks already have them; only
+        ``finished_spans`` and ``spans_in_trace`` stop returning them."""
+        with self._lock:
+            if self._by_trace.pop(trace_id, None) is not None:
+                self._finished = [span for span in self._finished
+                                  if span.trace_id != trace_id]
+
     def close(self) -> None:
         """Close every sink that supports closing (flushes files), and
         stop tracemalloc if this tracer was the one to start it."""

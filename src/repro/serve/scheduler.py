@@ -34,6 +34,10 @@ around the rounds:
   :class:`~repro.obs.registry.RunRegistry`, its ``meta`` carrying the
   job id and the degradation account (deaths, re-admissions,
   quarantines), exactly once even across restarts.
+* **Release** — every path into a terminal state (``_finish``, the
+  crash path of :meth:`Scheduler.run_forever`) publishes the terminal
+  ``job.state`` event and then calls ``on_terminal(job)``; the service
+  passes the hook that moves the job's events and spans out of memory.
 """
 
 from __future__ import annotations
@@ -71,6 +75,10 @@ from repro.serve.jobs import (
 )
 from repro.serve.journal import JobJournal
 from repro.static.cache import StaticCache
+
+#: How long an idle scheduler waits for work before it looks at its
+#: stop event again; a submit (or the service's stop) wakes it sooner.
+IDLE_WAIT_S = 1.0
 
 #: Fault kinds the scheduler re-admits: the app did not fail, its
 #: execution vehicle did.
@@ -127,6 +135,8 @@ class Scheduler:
     — the default :class:`~repro.faults.SimulatedClock` makes recovery
     immediate and deterministic; pass :class:`WallClock` to actually
     wait.  ``wall`` is the watchdog's monotonic time source.
+    ``on_terminal`` runs once per job, after its terminal ``job.state``
+    event has reached every sink.
     """
 
     def __init__(
@@ -142,6 +152,7 @@ class Scheduler:
         tracer: Tracer = NULL_TRACER,
         event_log: EventLog = NULL_EVENT_LOG,
         wall: Callable[[], float] = time.monotonic,
+        on_terminal: Optional[Callable[[Job], None]] = None,
     ) -> None:
         if max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, "
@@ -158,6 +169,7 @@ class Scheduler:
         self.tracer = tracer
         self.event_log = event_log
         self.wall = wall
+        self.on_terminal = on_terminal or (lambda job: None)
         self.static_cache = StaticCache()
         # Live sweep outcomes per running job, so the terminal record
         # can be explained (per-target miss causes) before the results
@@ -171,20 +183,20 @@ class Scheduler:
 
     # -- the service loop ----------------------------------------------------
 
-    def run_forever(self, stop: threading.Event,
-                    poll_s: float = 0.05) -> None:
-        """Drain the queue until ``stop`` is set.  A job whose run
-        raises (a scheduler bug, a full disk) is marked failed — one
-        broken job never takes the service down."""
+    def run_forever(self, stop: threading.Event) -> None:
+        """Drain the queue until ``stop`` is set, waiting on the queue
+        while it is idle.  A job whose run raises (a scheduler bug, a
+        full disk) is marked failed — one broken job never takes the
+        service down."""
         while not stop.is_set():
-            job = self.queue.next_job()
+            job = self.queue.next_job(timeout=IDLE_WAIT_S)
             if job is None:
-                stop.wait(poll_s)
                 continue
             try:
                 self.run_job(job)
             except Exception as exc:  # noqa: BLE001 - service supervisor
                 self.tracer.inc("serve.job.crashed")
+                self._live_outcomes.pop(job.job_id, None)
                 job.state = FAILED
                 job.error = f"scheduler failure: {exc!r}"
                 job.finished = round(time.time(), 3)
@@ -192,6 +204,9 @@ class Scheduler:
                     self.journal.write(job)
                 except OSError:
                     pass
+                self.event_log.emit(JOB_STATE, job=job.job_id,
+                                    state=job.state, error=job.error)
+                self.on_terminal(job)
 
     # -- one job -------------------------------------------------------------
 
@@ -420,6 +435,7 @@ class Scheduler:
         self.journal.write(job)
         self._emit_state(job)
         self.tracer.inc(f"serve.jobs.{state}")
+        self.on_terminal(job)
         return job
 
     def _record_run(self, job: Job, state: str) -> str:

@@ -170,6 +170,30 @@ def test_a_resave_replaces_what_the_earlier_save_wrote(tmp_path):
     assert code == 0 and "items by p90 self time" in out
 
 
+@pytest.mark.parametrize("flag,name", [("--events-jsonl", "events.jsonl"),
+                                       ("--trace-jsonl", "spans.jsonl")])
+def test_a_sink_into_a_committed_run_uncommits_it(tmp_path, flag, name):
+    """A sink rewriting a file the marker lists removes the marker
+    first: the directory is refused, never read as one run's report
+    with another run's record."""
+    run_dir = tmp_path / "run"
+    code, _ = _cli("explore", "demo:tabs", "--save", run_dir,
+                   "--trace-jsonl", tmp_path / "spans.jsonl")
+    assert code == 0 and name in manifest_files(run_dir)
+    code, _ = _cli("explore", "demo:drawer", flag, run_dir / name)
+    assert code == 0
+    with pytest.raises(StoreError, match="no manifest.json"):
+        load_run(run_dir)
+    code, out = _cli("dashboard", run_dir, "-o", tmp_path / "d.html")
+    assert code != 0, out
+    # A sink the marker does not list leaves the run committed.
+    code, _ = _cli("explore", "demo:tabs", "--save", run_dir)
+    assert code == 0
+    code, _ = _cli("explore", "demo:drawer", flag, run_dir / "other.jsonl")
+    assert code == 0
+    load_run(run_dir)
+
+
 def test_a_manifest_naming_outside_paths_is_refused_and_never_followed(
         tmp_path):
     outside = tmp_path / "outside.txt"

@@ -51,6 +51,18 @@ def test_census_counts_by_kind():
                                           WIDGET_CLICKED: 1}
 
 
+def test_drop_forgets_the_events_carrying_a_stamp():
+    sink = InMemorySink()
+    log = EventLog(sinks=[sink])
+    log.bind(job="j1").emit(STATE_DISCOVERED, name="A")
+    log.bind(job="j2").emit(STATE_DISCOVERED, name="B")
+    log.emit(WIDGET_CLICKED, widget="w")
+    log.bind(job="j1").emit(WIDGET_CLICKED, widget="x")
+    log.drop(job="j1")
+    assert [e.seq for e in log.events()] == [2, 3]
+    assert len(sink.spans) == 4  # sinks keep what they were sent
+
+
 def test_bound_view_stamps_and_keeps_only_its_own_events():
     sink = InMemorySink()
     log = EventLog(sinks=[sink])

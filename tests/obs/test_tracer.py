@@ -101,6 +101,22 @@ def test_clear_resets_spans_and_metrics():
     assert tracer.spans_in_trace(1) == []
 
 
+def test_drop_trace_forgets_one_trace_and_keeps_the_rest():
+    sink = InMemorySink()
+    tracer = Tracer(sinks=[sink])
+    for _ in range(3):
+        with tracer.span("root"):
+            with tracer.span("child"):
+                pass
+    dropped = tracer.finished_spans()[1].trace_id
+    tracer.drop_trace(dropped)
+    tracer.drop_trace(dropped)  # a second drop is a no-op
+    assert tracer.spans_in_trace(dropped) == []
+    kept = [s for s in sink.spans if s.trace_id != dropped]
+    assert tracer.finished_spans() == kept and len(kept) == 4
+    assert len(sink.spans) == 6  # sinks keep what they were sent
+
+
 def test_spans_in_trace_equals_a_scan_of_every_span():
     """The per-trace index answers what a scan of the finished spans
     would, over interleaved traces, explicit traces, retrospective spans

@@ -18,6 +18,7 @@ from repro.obs import EventLog, Tracer
 from repro.obs.attribution import ExplanationStore
 from repro.obs.events import JOB_STATE
 from repro.obs.registry import RunRegistry
+from repro.serve import scheduler as scheduler_module
 from repro.serve import (
     CANCELLED,
     DONE,
@@ -27,6 +28,7 @@ from repro.serve import (
     JobQueue,
     Scheduler,
 )
+from tests.conftest import wait_until
 
 ALPHA = "com.serve.demo.alpha"
 BETA = "com.serve.demo.beta"
@@ -391,6 +393,58 @@ def test_a_crashing_job_never_kills_the_service(tmp_path):
     assert job.state == FAILED
     assert "scheduler failure" in job.error
     assert scheduler.tracer.metrics.counter("serve.job.crashed") == 1
+    assert not thread.is_alive()
+
+
+def test_the_crash_path_emits_the_terminal_state_and_releases(tmp_path):
+    def broken_sweep(plans, config=None, max_workers=None, backend=None):
+        raise RuntimeError("scheduler bug")
+
+    released = []
+    scheduler = make_scheduler(tmp_path, sweep_fn=broken_sweep,
+                               on_terminal=released.append)
+    job = submit_demo_job(scheduler)
+    stop = threading.Event()
+    thread = threading.Thread(target=scheduler.run_forever, args=(stop,),
+                              daemon=True)
+    thread.start()
+    try:
+        assert wait_until(lambda: released == [job], timeout_s=30.0)
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+    states = [event.attributes["state"]
+              for event in scheduler.event_log.events()
+              if event.kind == JOB_STATE]
+    assert states == ["running", FAILED]
+
+
+def test_a_submit_wakes_an_idle_scheduler(tmp_path, monkeypatch):
+    """With the idle wait stretched to 30 s, only the submit's wake
+    can start the job inside the 10 s window."""
+    monkeypatch.setattr(scheduler_module, "IDLE_WAIT_S", 30.0)
+    swept = threading.Event()
+
+    def sweep(plans, **kwargs):
+        swept.set()
+        return explore_many(plans, **kwargs)
+
+    scheduler = make_scheduler(tmp_path, sweep_fn=sweep)
+    stop = threading.Event()
+    thread = threading.Thread(target=scheduler.run_forever, args=(stop,),
+                              daemon=True)
+    thread.start()
+    try:
+        # Idle first: the scheduler is waiting on the empty queue.
+        assert not swept.wait(0.2)
+        submitter = threading.Thread(target=submit_demo_job,
+                                     args=(scheduler,), daemon=True)
+        submitter.start()
+        assert swept.wait(10.0)
+    finally:
+        stop.set()
+        scheduler.queue.wake()
+        thread.join(timeout=10.0)
     assert not thread.is_alive()
 
 
