@@ -190,7 +190,8 @@ def test_serve_telemetry_overhead(tmp_path, save_result,
     noop_seconds = run_jobs(NULL_TRACER, NULL_EVENT_LOG, "noop")
 
     tracer = Tracer()
-    log = EventLog(sinks=[EventBroker(metrics=tracer.metrics)])
+    log = EventLog(sinks=[EventBroker(tmp_path / "spill",
+                                       metrics=tracer.metrics)])
     run_jobs(tracer, log, "telemetry")
 
     spans = len(tracer.finished_spans())
