@@ -242,6 +242,70 @@ def test_sse_stream_replays_the_backlog_of_a_finished_job(server, client):
     assert wait_until(lambda: server.broker.subscriber_count() == 0)
 
 
+def _resumed_stream(server, job_id, last_event_id):
+    """The whole SSE response to a resume from ``last_event_id``, read
+    until the service closes it; a stream still open after 5 s of
+    quiet raises ``socket.timeout`` (heartbeats come every 15 s)."""
+    import http.client
+    from urllib.parse import urlparse
+
+    url = urlparse(server.url)
+    connection = http.client.HTTPConnection(url.hostname, url.port,
+                                            timeout=5.0)
+    try:
+        connection.request("GET", f"/jobs/{job_id}/events",
+                           headers={"Last-Event-ID": str(last_event_id)})
+        response = connection.getresponse()
+        assert response.status == 200
+        return response.read().decode("utf-8")
+    finally:
+        connection.close()
+
+
+def _assert_resumes_past_the_end_are_ended(server, client, job_id):
+    last_seq = client.logs(job_id)[-1]["seq"]
+    for last_event_id in (last_seq, last_seq + 1, last_seq + 1000):
+        body = _resumed_stream(server, job_id, last_event_id)
+        assert body == "event: end\ndata: {}\n\n", last_event_id
+    assert wait_until(lambda: server.broker.subscriber_count() == 0)
+
+
+def test_sse_resume_at_or_past_a_done_jobs_end_gets_end(server, client):
+    job_id = client.submit([ALPHA], max_events=200)["job_id"]
+    assert client.wait(job_id, timeout_s=60.0)["state"] == "done"
+    _assert_resumes_past_the_end_are_ended(server, client, job_id)
+    # A resume before the end still replays the rest, then ends.
+    events = client.logs(job_id)
+    body = _resumed_stream(server, job_id, events[-2]["seq"])
+    assert body.startswith(f"id: {events[-1]['seq']}\n")
+    assert body.endswith("event: end\ndata: {}\n\n")
+
+
+def test_sse_resume_past_a_job_cancelled_while_queued_gets_end(tmp_path):
+    gate = threading.Event()
+
+    def held_sweep(plans, config=None, max_workers=None, backend=None):
+        gate.wait(30.0)
+        return explore_many(plans, config=config, max_workers=1,
+                            backend="thread")
+
+    server = ReproServer(journal_dir=tmp_path / "journal",
+                         registry_dir=tmp_path / "runs", port=0,
+                         sweep_fn=held_sweep)
+    server.start()
+    try:
+        client = ServeClient(server.url, timeout_s=10.0)
+        running = client.submit([ALPHA], max_events=200)
+        assert wait_until(
+            lambda: client.job(running["job_id"])["state"] == "running")
+        queued = client.submit([BETA], max_events=200)["job_id"]
+        assert client.cancel(queued)["state"] == "cancelled"
+        _assert_resumes_past_the_end_are_ended(server, client, queued)
+    finally:
+        gate.set()
+        server.stop(timeout=2.0)
+
+
 def test_sse_stream_resumes_after_the_service_drops_a_slow_reader(
         tmp_path, monkeypatch):
     """The service closes a stream that overflows its buffer; the
