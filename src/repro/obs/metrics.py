@@ -27,7 +27,11 @@ def percentile(values: Sequence[float], q: float) -> float:
     """
     if not values:
         return 0.0
-    ordered = sorted(values)
+    return _nearest_rank(sorted(values), q)
+
+
+def _nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of values already sorted (and not empty)."""
     if q <= 0.0:
         return float(ordered[0])
     rank = min(len(ordered), max(1, math.ceil(q * len(ordered))))
@@ -63,7 +67,9 @@ class HistogramStats:
         }
 
 
-def _stats_of(values: Sequence[float]) -> HistogramStats:
+def _stats_of(values: Sequence[float],
+              ordered: Sequence[float]) -> HistogramStats:
+    """The stats of ``values``; ``ordered`` is ``sorted(values)``."""
     if not values:
         return HistogramStats(count=0, total=0.0, minimum=0.0, maximum=0.0)
     return HistogramStats(
@@ -71,9 +77,9 @@ def _stats_of(values: Sequence[float]) -> HistogramStats:
         total=float(sum(values)),
         minimum=float(min(values)),
         maximum=float(max(values)),
-        p50=percentile(values, 0.50),
-        p90=percentile(values, 0.90),
-        p99=percentile(values, 0.99),
+        p50=_nearest_rank(ordered, 0.50),
+        p90=_nearest_rank(ordered, 0.90),
+        p99=_nearest_rank(ordered, 0.99),
     )
 
 
@@ -86,6 +92,9 @@ class Metrics:
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
         self._histograms: Dict[str, List[float]] = {}
+        # Per histogram, its first len(...) observations sorted: a read
+        # sorts only what was observed since and merges it in.
+        self._sorted: Dict[str, List[float]] = {}
 
     # -- recording ---------------------------------------------------------
 
@@ -145,24 +154,49 @@ class Metrics:
                     for name, values in self._histograms.items()}
 
     def histogram_stats(self, name: str) -> HistogramStats:
-        return _stats_of(self.histogram(name))
+        with self._lock:
+            values = list(self._histograms.get(name, ()))
+            ordered = self._ordered(name, values)
+        return _stats_of(values, ordered)
 
     def snapshot(self) -> Dict[str, Dict]:
         """A JSON-ready copy of everything recorded so far."""
         with self._lock:
-            histograms = {name: list(values)
+            histograms = {name: (list(values), self._ordered(name, values))
                           for name, values in self._histograms.items()}
             counters = dict(self._counters)
         return {
             "counters": counters,
-            "histograms": {name: _stats_of(values).to_dict()
-                           for name, values in histograms.items()},
+            "histograms": {name: _stats_of(values, ordered).to_dict()
+                           for name, (values, ordered)
+                           in histograms.items()},
         }
+
+    def _ordered(self, name: str, values: List[float]) -> List[float]:
+        """``sorted(values)``, the histogram's observations, from the
+        sorted prefix kept since the last read.  Called under the lock.
+
+        Sorting is stable, so merging the newly sorted tail into the
+        kept prefix picks the same sample at every rank as sorting the
+        whole history.  A NaN has no place in an order, so a history
+        holding one is sorted whole on every read and never kept.
+        """
+        kept = self._sorted.get(name, [])
+        fresh = values[len(kept):]
+        if not fresh:
+            return kept
+        if any(value != value for value in fresh):  # NaN
+            return sorted(values)
+        ordered = kept + sorted(fresh)
+        ordered.sort()  # two sorted runs: a linear merge
+        self._sorted[name] = ordered
+        return ordered
 
     def clear(self) -> None:
         with self._lock:
             self._counters.clear()
             self._histograms.clear()
+            self._sorted.clear()
 
     def render(self) -> str:
         """The counters and histogram aggregates as a text table."""
