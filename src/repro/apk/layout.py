@@ -86,13 +86,14 @@ class Layout:
                 f'    <FrameLayout android:id="@+id/{container}" />'
             )
         for element in self.elements:
-            tag = _KIND_TO_TAG[element.kind]
-            attrs = [f'android:id="@+id/{element.widget_id}"']
-            if element.text:
-                attrs.append(f'android:text="{element.text}"')
-            attrs.append(f'android:clickable="{str(element.clickable).lower()}"')
-            attrs.append(f'repro:kind="{element.kind.name}"')
-            lines.append(f'    <{tag} {" ".join(attrs)} />')
+            kind = element.kind
+            text = (f' android:text="{element.text}"' if element.text
+                    else "")
+            lines.append(
+                f'    <{_KIND_TO_TAG[kind]} '
+                f'android:id="@+id/{element.widget_id}"{text} '
+                f'android:clickable="{str(element.clickable).lower()}" '
+                f'repro:kind="{kind.name}" />')
         lines.append("</LinearLayout>")
         return "\n".join(lines)
 

@@ -44,8 +44,9 @@ class ResourceTable:
         if rtype not in _TYPE_CODES:
             raise ResourceError(f"unknown resource type: {rtype!r}")
         key = (rtype, name)
-        if key in self._entries:
-            return self._entries[key]
+        known = self._entries.get(key)
+        if known is not None:
+            return known
         index = self._counters.get(rtype, 0) + 1
         if index > 0xFFFF:
             raise ResourceError(f"resource type {rtype!r} overflow")
@@ -87,10 +88,9 @@ class ResourceTable:
     def to_public_xml(self) -> str:
         """Render the table in the ``public.xml`` format apktool emits."""
         lines = ['<?xml version="1.0" encoding="utf-8"?>', "<resources>"]
-        for rtype, name, rid in self.entries():
-            lines.append(
-                f'    <public type="{rtype}" name="{name}" id="{rid.hex}" />'
-            )
+        lines.extend([
+            f'    <public type="{rtype}" name="{name}" id="{rid.hex}" />'
+            for (rtype, name), rid in sorted(self._entries.items())])
         lines.append("</resources>")
         return "\n".join(lines)
 

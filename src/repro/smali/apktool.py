@@ -30,7 +30,7 @@ from repro.apk.manifest import Manifest
 from repro.apk.package import ApkPackage
 from repro.apk.resources import ResourceTable
 from repro.errors import PackedApkError
-from repro.smali.assemble import parse_class_header
+from repro.smali.assemble import ParseTables, parse_class_header
 from repro.smali.model import ParseOnRead, SmaliClass
 
 
@@ -204,10 +204,13 @@ class Apktool:
             raise PackedApkError(
                 f"{apk.package}: DEX is packed/encrypted; cannot decode"
             )
+        # One set of interning tables for the whole decode: the lazily
+        # parsed method bodies use it, and it is freed with the classes.
+        tables = ParseTables()
         decoded = DecodedApk.__new__(DecodedApk)
         decoded.__dict__.update(
             package=apk.package,
-            classes=[parse_class_header(text)
+            classes=[parse_class_header(text, tables)
                      for _, text in sorted(apk.smali_files.items())],
             source=replace(apk, _spec=None),
         )
