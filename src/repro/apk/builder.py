@@ -12,7 +12,7 @@ fragments attached without a FragmentManager).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.apk.appspec import (
     Action,
@@ -34,7 +34,6 @@ from repro.apk.appspec import (
     SubmitForm,
     ToggleWidget,
     WidgetSpec,
-    SUPPORT_ACTIVITY_BASE,
 )
 from repro.apk.layout import Layout, LayoutElement
 from repro.apk.manifest import (
@@ -46,15 +45,23 @@ from repro.apk.manifest import (
 )
 from repro.apk.package import ApkPackage
 from repro.apk.resources import ResourceTable
-from repro.smali.assemble import print_class
-from repro.smali.model import (
-    MethodRef,
-    SmaliClass,
-    SmaliField,
-    SmaliMethod,
-    new_descriptor_table,
-    new_emission_table,
+from repro.smali.assemble import (
+    METHOD_END,
+    bare_line,
+    branch_line,
+    class_header,
+    class_operand_line,
+    class_text,
+    const_line,
+    const_string_line,
+    field_access_line,
+    goto_line,
+    invoke_line,
+    label_line,
+    method_open,
+    register_line,
 )
+from repro.smali.model import MethodRef, jvm_type, method_descriptor
 
 _VIEW = "android.view.View"
 _INTENT = "android.content.Intent"
@@ -63,6 +70,126 @@ _FRAGMENT_MANAGER = "android.app.FragmentManager"
 _SUPPORT_FRAGMENT_MANAGER = "android.support.v4.app.FragmentManager"
 _FRAGMENT_TRANSACTION = "android.app.FragmentTransaction"
 _SUPPORT_FRAGMENT_TRANSACTION = "android.support.v4.app.FragmentTransaction"
+
+
+def _platform_ref(cls: str, name: str, params: Tuple[str, ...] = (),
+                  ret: str = "void") -> str:
+    return MethodRef(cls, name, params, ret).descriptor()
+
+
+# The platform's descriptors and references, rendered once at import.
+# An app's own are rendered from its class descriptors, each converted
+# once per build.
+_OBJECT_T = jvm_type("java.lang.Object")
+_STRING_T = jvm_type("java.lang.String")
+_CLASS_T = jvm_type("java.lang.Class")
+_BUNDLE_T = jvm_type("android.os.Bundle")
+_VIEW_T = jvm_type(_VIEW)
+_INTENT_T = jvm_type(_INTENT)
+_LISTENER_T = jvm_type(_LISTENER)
+_ACTIVITY_T = jvm_type("android.app.Activity")
+_FRAGMENT_T = jvm_type("android.app.Fragment")
+_ON_CREATE_VIEW_PARAMS = "".join(map(jvm_type, (
+    "android.view.LayoutInflater", "android.view.ViewGroup",
+    "android.os.Bundle")))
+
+_RETURN_VOID = bare_line("return-void")
+_NOP = bare_line("nop")
+_MOVE_V0, _MOVE_V1, _MOVE_V2, _MOVE_V3 = (
+    register_line("move-result-object", f"v{index}") for index in range(4))
+_NEW_INTENT = class_operand_line("new-instance", "v0", _INTENT_T)
+_GET_EXTRAS = invoke_line("invoke-virtual", "v0", _platform_ref(
+    _INTENT, "getExtras", (), "android.os.Bundle"))
+_INFLATE = invoke_line("invoke-virtual", "p1, v0, p2", _platform_ref(
+    "android.view.LayoutInflater", "inflate",
+    ("int", "android.view.ViewGroup"), _VIEW))
+_NEW_LINEAR_LAYOUT = class_operand_line(
+    "new-instance", "v1", jvm_type("android.widget.LinearLayout"))
+_INIT_LINEAR_LAYOUT = invoke_line("invoke-direct", "v1, p0", _platform_ref(
+    "android.widget.LinearLayout", "<init>", ("java.lang.Object",)))
+_FIND_VIEW_IN_VIEW = invoke_line("invoke-virtual", "v1, v2", _platform_ref(
+    _VIEW, "findViewById", ("int",), _VIEW))
+_NEW_BUTTON = class_operand_line(
+    "new-instance", "v3", jvm_type("android.widget.Button"))
+_SET_ON_CLICK = invoke_line("invoke-virtual", "v3, v4", _platform_ref(
+    _VIEW, "setOnClickListener", (_LISTENER,)))
+_OBJECT_INIT = invoke_line("invoke-direct", "p0", _platform_ref(
+    "java.lang.Object", "<init>"))
+_OPEN_DRAWER = (
+    const_line("const/4", "v0", 3),  # GravityCompat.START
+    invoke_line("invoke-virtual", "v5, v0", _platform_ref(
+        "android.support.v4.widget.DrawerLayout", "openDrawer", ("int",))))
+_DIALOG = "android.app.AlertDialog$Builder"
+_NEW_DIALOG = (
+    class_operand_line("new-instance", "v0", jvm_type(_DIALOG)),
+    invoke_line("invoke-direct", "v0, v5", _platform_ref(
+        _DIALOG, "<init>", ("android.content.Context",))))
+_SHOW_DIALOG = (
+    invoke_line("invoke-virtual", "v0, v1", _platform_ref(
+        _DIALOG, "setMessage", ("java.lang.String",), _DIALOG)),
+    invoke_line("invoke-virtual", "v0", _platform_ref(
+        _DIALOG, "show", (), "android.app.AlertDialog")))
+_SHOW_POPUP = (
+    class_operand_line("new-instance", "v0",
+                       jvm_type("android.widget.PopupMenu")),
+    invoke_line("invoke-direct", "v0, v5", _platform_ref(
+        "android.widget.PopupMenu", "<init>", ("android.content.Context",))),
+    invoke_line("invoke-virtual", "v0", _platform_ref(
+        "android.widget.PopupMenu", "show")))
+_NEW_RUNTIME_EXCEPTION = class_operand_line(
+    "new-instance", "v0", jvm_type("java.lang.RuntimeException"))
+_INIT_RUNTIME_EXCEPTION = invoke_line("invoke-direct", "v0, v1", _platform_ref(
+    "java.lang.RuntimeException", "<init>", ("java.lang.String",)))
+_DISPATCH_UNCAUGHT = invoke_line("invoke-static", "v0", _platform_ref(
+    "java.lang.Thread", "dispatchUncaughtException",
+    ("java.lang.RuntimeException",)))
+_FINISH_ACTIVITY = invoke_line("invoke-virtual", "v5", _platform_ref(
+    "android.app.Activity", "finish"))
+_SET_CHECKED = (
+    const_line("const/4", "v1", 1),
+    invoke_line("invoke-virtual", "v0, v1", _platform_ref(
+        "android.widget.CompoundButton", "setChecked", ("boolean",))))
+_GET_FORM_TEXT = (
+    class_operand_line("check-cast", "v0",
+                       jvm_type("android.widget.EditText")),
+    invoke_line("invoke-virtual", "v0", _platform_ref(
+        "android.widget.EditText", "getText", (), "java.lang.CharSequence")))
+_INIT_INTENT_FOR_ACTION = invoke_line("invoke-direct", "v0, v1", _platform_ref(
+    _INTENT, "<init>", ("java.lang.String",)))
+_INIT_INTENT_FOR_CLASS = _platform_ref(
+    _INTENT, "<init>", ("android.content.Context", "java.lang.Class"))
+_GET_SYSTEM_SERVICE = invoke_line("invoke-virtual", "p0, v0", _platform_ref(
+    "android.content.Context", "getSystemService", ("java.lang.String",),
+    "java.lang.Object"))
+_CLASS_FOR_NAME = invoke_line("invoke-static", "v0", _platform_ref(
+    "java.lang.Class", "forName", ("java.lang.String",), "java.lang.Class"))
+_RETURN_V1 = register_line("return-object", "v1")
+
+
+class _FragmentApi(NamedTuple):
+    """The FragmentManager flavour an activity's transactions use."""
+
+    getter: str
+    manager: str  # descriptor
+    transaction: str  # descriptor
+    begin: str  # the ``beginTransaction`` line
+
+
+def _fragment_api(getter: str, manager: str, transaction: str) -> _FragmentApi:
+    return _FragmentApi(
+        getter, jvm_type(manager), jvm_type(transaction),
+        invoke_line("invoke-virtual", "v0", _platform_ref(
+            manager, "beginTransaction", (), transaction)))
+
+
+_FRAGMENT_APIS = {
+    False: _fragment_api("getFragmentManager", _FRAGMENT_MANAGER,
+                         _FRAGMENT_TRANSACTION),
+    True: _fragment_api("getSupportFragmentManager",
+                        _SUPPORT_FRAGMENT_MANAGER,
+                        _SUPPORT_FRAGMENT_TRANSACTION),
+}
+_TRANSACTION_PARAMS = "I" + _FRAGMENT_T
 
 
 def mangle(name: str) -> str:
@@ -82,19 +209,35 @@ def build_apk(spec: AppSpec) -> ApkPackage:
     return builder.build()
 
 
+class _Owner(NamedTuple):
+    """The activity or fragment whose code, listeners included, is being
+    lowered."""
+
+    name: str  # java dotted
+    type: str  # its descriptor
+    spec: Union[ActivitySpec, FragmentSpec]
+
+    @property
+    def is_activity(self) -> bool:
+        return isinstance(self.spec, ActivitySpec)
+
+
 class _Builder:
     def __init__(self, spec: AppSpec) -> None:
         self.spec = spec
         self.resources = ResourceTable(spec.package)
-        self.classes: List[SmaliClass] = []
+        # File name → the smali lines of each finished class, in the
+        # order the decoder reads them back.
+        self.classes: Dict[str, List[str]] = {}
         self.layouts: Dict[str, Layout] = {}
         self._needs_router = False
         # Inner-class numbering per outer class (Owner$1, Owner$2, ...).
         self._listener_seq: Dict[str, int] = {}
-        # This build's interning tables: the instructions and type
-        # descriptors that name the app are kept here, freed with it.
-        self._emitted = new_emission_table()
-        self._descriptors = new_descriptor_table()
+        self._branch_seq = 0
+        self._router = jvm_type(f"{spec.package}.FragmentRouter")
+        self._decode_action = method_descriptor(
+            jvm_type(f"{spec.package}.ActionCodec"), "decode",
+            _STRING_T, _STRING_T)
 
     # -- top level ----------------------------------------------------------
 
@@ -106,9 +249,9 @@ class _Builder:
         for fragment in self.spec.fragments:
             self._compile_fragment(fragment)
         if self._needs_router:
-            self.classes.append(self._router_class())
-        smali_files = {c.file_name: print_class(c, self._descriptors)
-                       for c in self.classes}
+            self._add_class(self._router, self._router_class())
+        smali_files = {name: class_text(lines)
+                       for name, lines in self.classes.items()}
         layout_files = {
             f"res/layout/{name}.xml": layout.to_xml()
             for name, layout in sorted(self.layouts.items())
@@ -123,10 +266,9 @@ class _Builder:
             _spec=self.spec,
         )
 
-    def _add_method(self, cls: SmaliClass, name: str, **fields) -> SmaliMethod:
-        """A new method of ``cls`` that interns into this build's table."""
-        return cls.add_method(
-            SmaliMethod(name, emission_table=self._emitted, **fields))
+    def _add_class(self, descriptor: str, lines: List[str]) -> None:
+        """File a finished class under the path apktool would write."""
+        self.classes[_smali_path(descriptor)] = lines
 
     # -- resources & layouts -------------------------------------------------
 
@@ -187,207 +329,152 @@ class _Builder:
 
     def _compile_activity(self, activity: ActivitySpec) -> None:
         qualified = self.spec.qualify(activity.name)
-        cls = SmaliClass(
-            name=qualified,
-            super_name=activity.base_class,
-            source=f"{activity.name}.java",
-        )
-        on_create = self._add_method(cls, "onCreate",
-                                     params=["android.os.Bundle"])
-        on_create.emit(
-            "invoke-super", "p0", "p1",
-            MethodRef(activity.base_class, "onCreate", ("android.os.Bundle",)),
-        )
+        owner = _Owner(qualified, jvm_type(qualified), activity)
+        base = jvm_type(activity.base_class)
+        lines = class_header(owner.type, base, f"{activity.name}.java")
+        lines += method_open("onCreate", _BUNDLE_T, "V")
+        lines.append(invoke_line("invoke-super", "p0, p1", method_descriptor(
+            base, "onCreate", _BUNDLE_T)))
         layout_id = self.resources.lookup("layout", activity.layout_name)
-        on_create.emit("const", "v0", layout_id.value)
-        on_create.emit(
-            "invoke-virtual", "p0", "v0",
-            MethodRef(qualified, "setContentView", ("int",)),
-        )
+        lines.append(const_line("const", "v0", layout_id.value))
+        lines.append(invoke_line("invoke-virtual", "p0, v0", method_descriptor(
+            owner.type, "setContentView", "I")))
         if activity.requires_intent_extras:
-            on_create.emit(
-                "invoke-virtual", "p0",
-                MethodRef(qualified, "getIntent", (), _INTENT),
-            )
-            on_create.emit("move-result-object", "v0")
-            on_create.emit(
-                "invoke-virtual", "v0",
-                MethodRef(_INTENT, "getExtras", (), "android.os.Bundle"),
-            )
+            lines.append(invoke_line("invoke-virtual", "p0", method_descriptor(
+                owner.type, "getIntent", "", _INTENT_T)))
+            lines.append(_MOVE_V0)
+            lines.append(_GET_EXTRAS)
         for api in activity.api_calls:
-            self._emit_api_call(on_create, api)
+            self._emit_api_call(lines, api)
         if activity.initial_fragment:
             fragment = self.spec.fragment(activity.initial_fragment)
             self._emit_fragment_transaction(
-                on_create, host_cls=qualified, host_spec=activity,
+                lines, host=owner.type, host_spec=activity,
                 fragment=fragment,
                 container_id=activity.container_id or "fragment_container",
                 mode="replace", self_reg="p0",
             )
         for container, fragment_name in activity.panes:
             self._emit_fragment_transaction(
-                on_create, host_cls=qualified, host_spec=activity,
+                lines, host=owner.type, host_spec=activity,
                 fragment=self.spec.fragment(fragment_name),
                 container_id=container, mode="add", self_reg="p0",
             )
         listeners = self._emit_listener_registrations(
-            cls, on_create, activity.all_widgets(), owner_is_activity=True,
-            owner_spec=activity,
-        )
+            lines, owner, activity.all_widgets())
         if activity.crashes_on_launch:
-            self._emit_crash(on_create, "crash in onCreate")
-        on_create.emit("return-void")
-        self.classes.append(cls)
-        self.classes.extend(listeners)
+            self._emit_crash(lines, "crash in onCreate")
+        lines += (_RETURN_VOID, METHOD_END)
+        self._add_class(owner.type, lines)
+        for listener in listeners:
+            self._add_class(*listener)
 
     # -- fragments -----------------------------------------------------------
 
     def _compile_fragment(self, fragment: FragmentSpec) -> None:
         qualified = self.spec.qualify(fragment.name)
+        owner = _Owner(qualified, jvm_type(qualified), fragment)
         # Emit the intermediate inheritance hops first, innermost last.
-        super_name = fragment.base_class
+        super_type = jvm_type(fragment.base_class)
         for base in fragment.intermediate_bases:
-            base_qualified = self.spec.qualify(base)
-            if all(c.name != base_qualified for c in self.classes):
-                intermediate = SmaliClass(
-                    name=base_qualified, super_name=super_name,
-                    source=f"{base}.java",
-                )
-                ctor = self._add_method(intermediate, "<init>")
-                ctor.emit("invoke-direct", "p0", MethodRef(super_name, "<init>"))
-                ctor.emit("return-void")
-                self.classes.append(intermediate)
-            super_name = base_qualified
-        cls = SmaliClass(
-            name=qualified, super_name=super_name,
-            source=f"{fragment.name}.java",
-        )
-        ctor = self._add_method(cls, "<init>")
-        ctor.emit("invoke-direct", "p0", MethodRef(super_name, "<init>"))
-        ctor.emit("return-void")
+            base_type = jvm_type(self.spec.qualify(base))
+            if _smali_path(base_type) not in self.classes:
+                intermediate = class_header(base_type, super_type,
+                                            f"{base}.java")
+                intermediate += method_open("<init>", "", "V")
+                intermediate += (
+                    invoke_line("invoke-direct", "p0", method_descriptor(
+                        super_type, "<init>")),
+                    _RETURN_VOID, METHOD_END)
+                self._add_class(base_type, intermediate)
+            super_type = base_type
+        lines = class_header(owner.type, super_type, f"{fragment.name}.java")
+        lines += method_open("<init>", "", "V")
+        lines += (
+            invoke_line("invoke-direct", "p0", method_descriptor(
+                super_type, "<init>")),
+            _RETURN_VOID, METHOD_END)
         if fragment.factory is FragmentFactory.NEW_INSTANCE:
-            params = ["java.lang.String"] if fragment.requires_args else []
-            factory = self._add_method(cls, "newInstance", params=params,
-                                       ret=qualified, static=True)
-            factory.emit("new-instance", "v0", qualified)
-            factory.emit("invoke-direct", "v0", MethodRef(qualified, "<init>"))
-            factory.emit("return-object", "v0")
-        on_create_view = self._add_method(
-            cls, "onCreateView",
-            params=["android.view.LayoutInflater", "android.view.ViewGroup",
-                    "android.os.Bundle"],
-            ret=_VIEW,
-        )
+            params = _STRING_T if fragment.requires_args else ""
+            lines += method_open("newInstance", params, owner.type,
+                                 static=True)
+            lines += (
+                class_operand_line("new-instance", "v0", owner.type),
+                invoke_line("invoke-direct", "v0", method_descriptor(
+                    owner.type, "<init>")),
+                register_line("return-object", "v0"), METHOD_END)
+        lines += method_open("onCreateView", _ON_CREATE_VIEW_PARAMS, _VIEW_T)
         if fragment.managed:
             layout_id = self.resources.lookup("layout", fragment.layout_name)
-            on_create_view.emit("const", "v0", layout_id.value)
-            on_create_view.emit(
-                "invoke-virtual", "p1", "v0", "p2",
-                MethodRef("android.view.LayoutInflater", "inflate",
-                          ("int", "android.view.ViewGroup"), _VIEW),
-            )
-            on_create_view.emit("move-result-object", "v1")
+            lines += (const_line("const", "v0", layout_id.value), _INFLATE,
+                      _MOVE_V1)
         else:
             # Programmatic view construction: no layout resource involved.
-            on_create_view.emit("new-instance", "v1", "android.widget.LinearLayout")
-            on_create_view.emit(
-                "invoke-direct", "v1", "p0",
-                MethodRef("android.widget.LinearLayout", "<init>",
-                          ("java.lang.Object",)),
-            )
+            lines += (_NEW_LINEAR_LAYOUT, _INIT_LINEAR_LAYOUT)
         for api in fragment.api_calls:
-            self._emit_api_call(on_create_view, api)
+            self._emit_api_call(lines, api)
         listeners = self._emit_listener_registrations(
-            cls, on_create_view, fragment.widgets, owner_is_activity=False,
-            owner_spec=fragment,
-        )
-        on_create_view.emit("return-object", "v1")
-        self.classes.append(cls)
-        self.classes.extend(listeners)
+            lines, owner, fragment.widgets)
+        lines += (_RETURN_V1, METHOD_END)
+        self._add_class(owner.type, lines)
+        for listener in listeners:
+            self._add_class(*listener)
 
     # -- listeners -----------------------------------------------------------
 
     def _emit_listener_registrations(
-        self,
-        owner: SmaliClass,
-        method: SmaliMethod,
-        widgets: List[WidgetSpec],
-        owner_is_activity: bool,
-        owner_spec: object,
-    ) -> List[SmaliClass]:
+        self, lines: List[str], owner: _Owner, widgets: List[WidgetSpec],
+    ) -> List[Tuple[str, List[str]]]:
         """findViewById + setOnClickListener for every handled widget,
-        producing one ``Owner$N`` listener class per handler."""
-        listeners: List[SmaliClass] = []
+        producing one ``Owner$N`` listener class per handler, as its
+        descriptor and lines."""
+        listeners: List[Tuple[str, List[str]]] = []
         for widget in widgets:
             if widget.on_click is None:
                 continue
-            listener_name = self._next_listener_name(owner.name)
+            listener, listener_type = self._next_listener(owner)
             rid = self.resources.get("id", widget.id)
             if rid is not None:
-                method.emit("const", "v2", rid.value)
-                if owner_is_activity:
-                    method.emit(
-                        "invoke-virtual", "p0", "v2",
-                        MethodRef(owner.name, "findViewById", ("int",), _VIEW),
-                    )
+                lines.append(const_line("const", "v2", rid.value))
+                if owner.is_activity:
+                    lines.append(invoke_line(
+                        "invoke-virtual", "p0, v2", method_descriptor(
+                            owner.type, "findViewById", "I", _VIEW_T)))
                 else:
-                    method.emit(
-                        "invoke-virtual", "v1", "v2",
-                        MethodRef(_VIEW, "findViewById", ("int",), _VIEW),
-                    )
-                method.emit("move-result-object", "v3")
+                    lines.append(_FIND_VIEW_IN_VIEW)
+                lines.append(_MOVE_V3)
             else:
-                method.emit("new-instance", "v3", "android.widget.Button")
-            method.emit("new-instance", "v4", listener_name)
-            method.emit(
-                "invoke-direct", "v4", "p0",
-                MethodRef(listener_name, "<init>", (owner.name,)),
-            )
-            method.emit(
-                "invoke-virtual", "v3", "v4",
-                MethodRef(_VIEW, "setOnClickListener", (_LISTENER,)),
-            )
-            listeners.append(
-                self._listener_class(
-                    listener_name, owner, widget.on_click,
-                    owner_is_activity, owner_spec,
-                )
-            )
+                lines.append(_NEW_BUTTON)
+            lines += (
+                class_operand_line("new-instance", "v4", listener_type),
+                invoke_line("invoke-direct", "v4, p0", method_descriptor(
+                    listener_type, "<init>", owner.type)),
+                _SET_ON_CLICK)
+            listeners.append((listener_type, self._listener_class(
+                listener, listener_type, widget.on_click, owner)))
         return listeners
 
-    def _next_listener_name(self, owner_name: str) -> str:
-        seq = self._listener_seq.get(owner_name, 0) + 1
-        self._listener_seq[owner_name] = seq
-        return f"{owner_name}${seq}"
+    def _next_listener(self, owner: _Owner) -> Tuple[str, str]:
+        """The next ``Owner$N`` listener's name and descriptor."""
+        seq = self._listener_seq.get(owner.name, 0) + 1
+        self._listener_seq[owner.name] = seq
+        return f"{owner.name}${seq}", f"{owner.type[:-1]}${seq};"
 
-    def _listener_class(
-        self,
-        name: str,
-        owner: SmaliClass,
-        action: Action,
-        owner_is_activity: bool,
-        owner_spec: object,
-    ) -> SmaliClass:
-        cls = SmaliClass(
-            name=name,
-            super_name="java.lang.Object",
-            interfaces=[_LISTENER],
-            source=f"{owner.simple_name}.java",
-        )
-        cls.fields.append(SmaliField(name="this$0", type=owner.name))
-        ctor = self._add_method(cls, "<init>", params=[owner.name])
-        ctor.emit("iput-object", "p1", "p0",
-                  f"{name}->this$0:{owner.name}")
-        ctor.emit("invoke-direct", "p0", MethodRef("java.lang.Object", "<init>"))
-        ctor.emit("return-void")
-        on_click = self._add_method(cls, "onClick", params=[_VIEW])
-        on_click.emit("iget-object", "v5", "p0",
-                      f"{name}->this$0:{owner.name}")
-        self._lower_action(
-            on_click, action, outer_cls=owner.name,
-            outer_is_activity=owner_is_activity, owner_spec=owner_spec,
-        )
-        on_click.emit("return-void")
+    def _listener_class(self, name: str, type_: str, action: Action,
+                        owner: _Owner) -> List[str]:
+        simple_owner = owner.name.rsplit(".", 1)[-1]
+        lines = class_header(type_, _OBJECT_T, f"{simple_owner}.java",
+                             (_LISTENER_T,), (("this$0", owner.type, False),))
+        # The field reference spells its classes as java names, not
+        # descriptors; the analysis never reads past the opcode.
+        outer_field = f"{name}->this$0:{owner.name}"
+        lines += method_open("<init>", owner.type, "V")
+        lines += (field_access_line("iput-object", "p1", "p0", outer_field),
+                  _OBJECT_INIT, _RETURN_VOID, METHOD_END)
+        lines += method_open("onClick", _VIEW_T, "V")
+        lines.append(field_access_line("iget-object", "v5", "p0", outer_field))
+        self._lower_action(lines, action, owner)
+        lines += (_RETURN_VOID, METHOD_END)
         # Menu items and dialog buttons carry their own handlers — each
         # becomes a further inner class (OnMenuItemClickListener /
         # DialogInterface.OnClickListener in real code).  Without this,
@@ -395,234 +482,153 @@ class _Builder:
         # statically; with it, Algorithm 1 finds the edge while the
         # dynamic phase (which dismisses popups) still cannot fire it.
         for nested in _nested_handler_actions(action):
-            nested_name = self._next_listener_name(owner.name)
-            self.classes.append(
-                self._listener_class(
-                    nested_name, owner, nested, owner_is_activity, owner_spec
-                )
-            )
-        return cls
+            nested_name, nested_type = self._next_listener(owner)
+            self._add_class(nested_type, self._listener_class(
+                nested_name, nested_type, nested, owner))
+        return lines
 
     # -- action lowering -------------------------------------------------------
 
-    def _lower_action(
-        self,
-        method: SmaliMethod,
-        action: Action,
-        outer_cls: str,
-        outer_is_activity: bool,
-        owner_spec: object,
-    ) -> None:
+    def _lower_action(self, lines: List[str], action: Action,
+                      owner: _Owner) -> None:
+        outer = owner.type
         if isinstance(action, Noop):
-            method.emit("nop")
+            lines.append(_NOP)
         elif isinstance(action, Chain):
             for child in action.actions:
-                self._lower_action(method, child, outer_cls,
-                                   outer_is_activity, owner_spec)
+                self._lower_action(lines, child, owner)
         elif isinstance(action, StartActivity):
-            self._emit_start_activity(method, action, outer_cls,
-                                      outer_is_activity)
+            self._emit_start_activity(lines, action, owner)
         elif isinstance(action, StartActivityByAction):
-            self._emit_start_by_action(method, action, outer_cls,
-                                       outer_is_activity)
+            self._emit_start_by_action(lines, action, owner)
         elif isinstance(action, ShowFragment):
             fragment = self.spec.fragment(action.fragment)
-            host_spec = self._host_activity_spec(owner_spec, outer_is_activity)
+            host_spec = self._host_activity_spec(owner)
             self._emit_fragment_transaction(
-                method, host_cls=self._host_cls(outer_cls, outer_is_activity,
-                                                host_spec),
+                lines, host=self._host_type(owner, host_spec),
                 host_spec=host_spec, fragment=fragment,
                 container_id=action.container_id, mode=action.mode,
-                self_reg="v5", via_get_activity=not outer_is_activity,
+                self_reg="v5", via_get_activity=not owner.is_activity,
                 add_to_back_stack=action.add_to_back_stack,
             )
         elif isinstance(action, OpenDrawer):
-            method.emit("const/4", "v0", 3)  # GravityCompat.START
-            method.emit(
-                "invoke-virtual", "v5", "v0",
-                MethodRef("android.support.v4.widget.DrawerLayout",
-                          "openDrawer", ("int",)),
-            )
+            lines += _OPEN_DRAWER
         elif isinstance(action, ShowDialog):
-            method.emit("new-instance", "v0", "android.app.AlertDialog$Builder")
-            method.emit(
-                "invoke-direct", "v0", "v5",
-                MethodRef("android.app.AlertDialog$Builder", "<init>",
-                          ("android.content.Context",)),
-            )
-            method.emit("const-string", "v1", action.message)
-            method.emit(
-                "invoke-virtual", "v0", "v1",
-                MethodRef("android.app.AlertDialog$Builder", "setMessage",
-                          ("java.lang.String",),
-                          "android.app.AlertDialog$Builder"),
-            )
-            method.emit(
-                "invoke-virtual", "v0",
-                MethodRef("android.app.AlertDialog$Builder", "show", (),
-                          "android.app.AlertDialog"),
-            )
+            lines += _NEW_DIALOG
+            lines.append(const_string_line("v1", action.message))
+            lines += _SHOW_DIALOG
         elif isinstance(action, ShowPopupMenu):
-            method.emit("new-instance", "v0", "android.widget.PopupMenu")
-            method.emit(
-                "invoke-direct", "v0", "v5",
-                MethodRef("android.widget.PopupMenu", "<init>",
-                          ("android.content.Context",)),
-            )
-            method.emit(
-                "invoke-virtual", "v0",
-                MethodRef("android.widget.PopupMenu", "show"),
-            )
+            lines += _SHOW_POPUP
         elif isinstance(action, InvokeApi):
-            self._emit_api_call(method, action.api)
+            self._emit_api_call(lines, action.api)
         elif isinstance(action, Crash):
-            method.emit("new-instance", "v0", "java.lang.RuntimeException")
-            method.emit("const-string", "v1", action.reason)
-            method.emit(
-                "invoke-direct", "v0", "v1",
-                MethodRef("java.lang.RuntimeException", "<init>",
-                          ("java.lang.String",)),
-            )
-            method.emit(
-                "invoke-static", "v0",
-                MethodRef("java.lang.Thread", "dispatchUncaughtException",
-                          ("java.lang.RuntimeException",)),
-            )
+            self._emit_crash(lines, action.reason)
+            lines.append(_DISPATCH_UNCAUGHT)
         elif isinstance(action, FinishActivity):
-            if outer_is_activity:
-                method.emit("invoke-virtual", "v5",
-                            MethodRef(outer_cls, "finish"))
+            if owner.is_activity:
+                lines.append(invoke_line("invoke-virtual", "v5",
+                                         method_descriptor(outer, "finish")))
             else:
-                self._emit_get_activity(method, outer_cls, "v5", "v5")
-                method.emit("invoke-virtual", "v5",
-                            MethodRef("android.app.Activity", "finish"))
+                self._emit_get_activity(lines, outer, "v5", "v5")
+                lines.append(_FINISH_ACTIVITY)
         elif isinstance(action, ToggleWidget):
             rid = self.resources.get("id", action.widget_id)
             if rid is not None:
-                method.emit("const", "v0", rid.value)
-                method.emit(
-                    "invoke-virtual", "v5", "v0",
-                    MethodRef(outer_cls, "findViewById", ("int",), _VIEW),
-                )
-                method.emit("move-result-object", "v0")
-            method.emit("const/4", "v1", 1)
-            method.emit(
-                "invoke-virtual", "v0", "v1",
-                MethodRef("android.widget.CompoundButton", "setChecked",
-                          ("boolean",)),
-            )
+                self._emit_find_view(lines, outer, rid.value)
+            lines += _SET_CHECKED
         elif isinstance(action, SubmitForm):
             for field_id in action.field_ids():
                 rid = self.resources.get("id", field_id)
                 if rid is not None:
-                    method.emit("const", "v0", rid.value)
-                    method.emit(
-                        "invoke-virtual", "v5", "v0",
-                        MethodRef(outer_cls, "findViewById", ("int",), _VIEW),
-                    )
-                    method.emit("move-result-object", "v0")
-                    method.emit("check-cast", "v0", "android.widget.EditText")
-                    method.emit(
-                        "invoke-virtual", "v0",
-                        MethodRef("android.widget.EditText", "getText", (),
-                                  "java.lang.CharSequence"),
-                    )
+                    self._emit_find_view(lines, outer, rid.value)
+                    lines += _GET_FORM_TEXT
             # Real conditional lowering; Algorithm 1's line scan is
             # flow-insensitive, so edges in both branches are found.
-            seq = self._branch_seq = getattr(self, "_branch_seq", 0) + 1
-            fail_label = f"cond_fail_{seq}"
-            end_label = f"cond_end_{seq}"
-            method.emit(
-                "invoke-virtual", "v5",
-                MethodRef(outer_cls, "validateForm", (), "boolean"),
-            )
-            method.emit("move-result", "v0")
-            method.emit("if-eqz", "v0", fail_label)
-            self._lower_action(method, action.on_success, outer_cls,
-                               outer_is_activity, owner_spec)
-            method.emit("goto", end_label)
-            method.emit("label", fail_label)
-            self._lower_action(method, action.on_failure, outer_cls,
-                               outer_is_activity, owner_spec)
-            method.emit("label", end_label)
+            self._branch_seq += 1
+            fail_label = f"cond_fail_{self._branch_seq}"
+            end_label = f"cond_end_{self._branch_seq}"
+            lines += (
+                invoke_line("invoke-virtual", "v5", method_descriptor(
+                    outer, "validateForm", "", "Z")),
+                register_line("move-result", "v0"),
+                branch_line("if-eqz", "v0", fail_label))
+            self._lower_action(lines, action.on_success, owner)
+            lines += (goto_line(end_label), label_line(fail_label))
+            self._lower_action(lines, action.on_failure, owner)
+            lines.append(label_line(end_label))
         else:
             raise TypeError(f"unhandled action type: {type(action).__name__}")
 
-    def _emit_start_activity(
-        self, method: SmaliMethod, action: StartActivity,
-        outer_cls: str, outer_is_activity: bool,
-    ) -> None:
-        context_reg = "v5"
-        if not outer_is_activity:
-            self._emit_get_activity(method, outer_cls, "v5", "v6")
-            context_reg = "v6"
-        method.emit("new-instance", "v0", _INTENT)
+    def _emit_find_view(self, lines: List[str], outer: str, rid: int) -> None:
+        """``v0 = outer.findViewById(rid)``, called on ``v5``."""
+        lines += (
+            const_line("const", "v0", rid),
+            invoke_line("invoke-virtual", "v5, v0", method_descriptor(
+                outer, "findViewById", "I", _VIEW_T)),
+            _MOVE_V0)
+
+    def _emit_start_activity(self, lines: List[str], action: StartActivity,
+                             owner: _Owner) -> None:
+        context_reg = self._emit_context(lines, owner)
+        lines.append(_NEW_INTENT)
         if action.dynamic:
-            target_owner = outer_cls if outer_is_activity else "android.app.Activity"
             # Class resolved at runtime: helper method + Class.forName on a
             # mangled literal, so no const-class reaches the analyzer.
-            helper = self._ensure_resolver(target_owner)
-            method.emit("invoke-static",
-                        MethodRef(helper, "resolveTarget", (),
-                                  "java.lang.Class"))
-            method.emit("move-result-object", "v1")
+            lines += (
+                invoke_line("invoke-static", "", method_descriptor(
+                    self._ensure_resolver(), "resolveTarget", "", _CLASS_T)),
+                _MOVE_V1)
         else:
-            method.emit("const-class", "v1", self.spec.qualify(action.target))
-        method.emit(
-            "invoke-direct", "v0", context_reg, "v1",
-            MethodRef(_INTENT, "<init>",
-                      ("android.content.Context", "java.lang.Class")),
-        )
-        method.emit(
-            "invoke-virtual", context_reg, "v0",
-            MethodRef(outer_cls if outer_is_activity else "android.app.Activity",
-                      "startActivity", (_INTENT,)),
-        )
+            lines.append(class_operand_line(
+                "const-class", "v1",
+                jvm_type(self.spec.qualify(action.target))))
+        lines.append(invoke_line("invoke-direct", f"v0, {context_reg}, v1",
+                                 _INIT_INTENT_FOR_CLASS))
+        self._emit_start(lines, owner, context_reg)
 
-    def _emit_start_by_action(
-        self, method: SmaliMethod, action: StartActivityByAction,
-        outer_cls: str, outer_is_activity: bool,
-    ) -> None:
-        context_reg = "v5"
-        if not outer_is_activity:
-            self._emit_get_activity(method, outer_cls, "v5", "v6")
-            context_reg = "v6"
-        method.emit("new-instance", "v0", _INTENT)
+    def _emit_start_by_action(self, lines: List[str],
+                              action: StartActivityByAction,
+                              owner: _Owner) -> None:
+        context_reg = self._emit_context(lines, owner)
+        lines.append(_NEW_INTENT)
         if action.dynamic:
-            method.emit("const-string", "v1", mangle(action.action))
-            method.emit(
-                "invoke-static", "v1",
-                MethodRef(f"{self.spec.package}.ActionCodec", "decode",
-                          ("java.lang.String",), "java.lang.String"),
-            )
-            method.emit("move-result-object", "v1")
+            lines += (
+                const_string_line("v1", mangle(action.action)),
+                invoke_line("invoke-static", "v1", self._decode_action),
+                _MOVE_V1)
             self._needs_router = True
         else:
-            method.emit("const-string", "v1", action.action)
-        method.emit(
-            "invoke-direct", "v0", "v1",
-            MethodRef(_INTENT, "<init>", ("java.lang.String",)),
-        )
-        method.emit(
-            "invoke-virtual", context_reg, "v0",
-            MethodRef(outer_cls if outer_is_activity else "android.app.Activity",
-                      "startActivity", (_INTENT,)),
-        )
+            lines.append(const_string_line("v1", action.action))
+        lines.append(_INIT_INTENT_FOR_ACTION)
+        self._emit_start(lines, owner, context_reg)
 
-    def _emit_get_activity(self, method: SmaliMethod, outer_cls: str,
+    def _emit_context(self, lines: List[str], owner: _Owner) -> str:
+        """The register holding the Context that starts an activity."""
+        if owner.is_activity:
+            return "v5"
+        self._emit_get_activity(lines, owner.type, "v5", "v6")
+        return "v6"
+
+    def _emit_start(self, lines: List[str], owner: _Owner,
+                    context_reg: str) -> None:
+        starter = owner.type if owner.is_activity else _ACTIVITY_T
+        lines.append(invoke_line(
+            "invoke-virtual", f"{context_reg}, v0", method_descriptor(
+                starter, "startActivity", _INTENT_T)))
+
+    def _emit_get_activity(self, lines: List[str], outer: str,
                            src_reg: str, dest_reg: str) -> None:
-        method.emit(
-            "invoke-virtual", src_reg,
-            MethodRef(outer_cls, "getActivity", (), "android.app.Activity"),
-        )
-        method.emit("move-result-object", dest_reg)
+        lines += (
+            invoke_line("invoke-virtual", src_reg, method_descriptor(
+                outer, "getActivity", "", _ACTIVITY_T)),
+            register_line("move-result-object", dest_reg))
 
     # -- fragment transactions -------------------------------------------------
 
     def _emit_fragment_transaction(
         self,
-        method: SmaliMethod,
-        host_cls: str,
+        lines: List[str],
+        host: str,
         host_spec: Optional[ActivitySpec],
         fragment: FragmentSpec,
         container_id: str,
@@ -631,183 +637,138 @@ class _Builder:
         via_get_activity: bool = False,
         add_to_back_stack: bool = False,
     ) -> None:
+        """A transaction showing ``fragment``, run against the activity
+        whose descriptor is ``host``."""
         qualified_fragment = self.spec.qualify(fragment.name)
+        fragment_type = jvm_type(qualified_fragment)
         host_reg = self_reg
         if via_get_activity:
-            self._emit_get_activity(method, host_cls, self_reg, "v6")
+            self._emit_get_activity(lines, host, self_reg, "v6")
             host_reg = "v6"
         if not fragment.managed:
             # Attached straight into the view hierarchy (no manager): the
             # `new F()` is still statically visible, but there is no
             # FragmentTransaction to grep or to reflect on at runtime.
-            method.emit("new-instance", "v2", qualified_fragment)
-            method.emit("invoke-direct", "v2",
-                        MethodRef(qualified_fragment, "<init>"))
-            method.emit(
-                "invoke-virtual", host_reg, "v2",
-                MethodRef(host_cls, "attachDirect", (qualified_fragment,)),
-            )
+            lines += (
+                class_operand_line("new-instance", "v2", fragment_type),
+                invoke_line("invoke-direct", "v2", method_descriptor(
+                    fragment_type, "<init>")),
+                invoke_line("invoke-virtual", f"{host_reg}, v2",
+                            method_descriptor(host, "attachDirect",
+                                              fragment_type)))
             return
-        support = host_spec is not None and host_spec.uses_support_library
-        manager_cls = _SUPPORT_FRAGMENT_MANAGER if support else _FRAGMENT_MANAGER
-        transaction_cls = (_SUPPORT_FRAGMENT_TRANSACTION if support
-                           else _FRAGMENT_TRANSACTION)
-        getter = "getSupportFragmentManager" if support else "getFragmentManager"
-        method.emit(
-            "invoke-virtual", host_reg,
-            MethodRef(host_cls, getter, (), manager_cls),
-        )
-        method.emit("move-result-object", "v0")
-        method.emit(
-            "invoke-virtual", "v0",
-            MethodRef(manager_cls, "beginTransaction", (), transaction_cls),
-        )
-        method.emit("move-result-object", "v1")
+        api = _FRAGMENT_APIS[host_spec is not None
+                             and host_spec.uses_support_library]
+        lines += (
+            invoke_line("invoke-virtual", host_reg, method_descriptor(
+                host, api.getter, "", api.manager)),
+            _MOVE_V0, api.begin, _MOVE_V1)
         if fragment.factory is FragmentFactory.NEW:
-            method.emit("new-instance", "v2", qualified_fragment)
-            method.emit("invoke-direct", "v2",
-                        MethodRef(qualified_fragment, "<init>"))
+            lines += (
+                class_operand_line("new-instance", "v2", fragment_type),
+                invoke_line("invoke-direct", "v2", method_descriptor(
+                    fragment_type, "<init>")))
         elif fragment.factory is FragmentFactory.NEW_INSTANCE:
             if fragment.requires_args:
-                method.emit("const-string", "v3", "arg")
-                method.emit(
-                    "invoke-static", "v3",
-                    MethodRef(qualified_fragment, "newInstance",
-                              ("java.lang.String",), qualified_fragment),
-                )
+                lines += (
+                    const_string_line("v3", "arg"),
+                    invoke_line("invoke-static", "v3", method_descriptor(
+                        fragment_type, "newInstance", _STRING_T,
+                        fragment_type)))
             else:
-                method.emit(
-                    "invoke-static",
-                    MethodRef(qualified_fragment, "newInstance", (),
-                              qualified_fragment),
-                )
-            method.emit("move-result-object", "v2")
+                lines.append(invoke_line(
+                    "invoke-static", "", method_descriptor(
+                        fragment_type, "newInstance", "", fragment_type)))
+            lines.append(_MOVE_V2)
         else:  # CUSTOM: routed through a string the analyzer cannot read.
             self._needs_router = True
-            method.emit("const-string", "v3", mangle(qualified_fragment))
-            method.emit(
-                "invoke-static", "v3",
-                MethodRef(f"{self.spec.package}.FragmentRouter", "route",
-                          ("java.lang.String",), "android.app.Fragment"),
-            )
-            method.emit("move-result-object", "v2")
+            lines += (
+                const_string_line("v3", mangle(qualified_fragment)),
+                invoke_line("invoke-static", "v3", method_descriptor(
+                    self._router, "route", _STRING_T, _FRAGMENT_T)),
+                _MOVE_V2)
         rid = self.resources.define("id", container_id)
-        method.emit("const", "v3", rid.value)
-        method.emit(
-            "invoke-virtual", "v1", "v3", "v2",
-            MethodRef(transaction_cls, mode,
-                      ("int", "android.app.Fragment"), transaction_cls),
-        )
+        transaction = api.transaction
+        lines += (
+            const_line("const", "v3", rid.value),
+            invoke_line("invoke-virtual", "v1, v3, v2", method_descriptor(
+                transaction, mode, _TRANSACTION_PARAMS, transaction)))
         if add_to_back_stack:
-            method.emit("const-string", "v4", "tx")
-            method.emit(
-                "invoke-virtual", "v1", "v4",
-                MethodRef(transaction_cls, "addToBackStack",
-                          ("java.lang.String",), transaction_cls),
-            )
-        method.emit(
-            "invoke-virtual", "v1",
-            MethodRef(transaction_cls, "commit", (), "int"),
-        )
+            lines += (
+                const_string_line("v4", "tx"),
+                invoke_line("invoke-virtual", "v1, v4", method_descriptor(
+                    transaction, "addToBackStack", _STRING_T, transaction)))
+        lines.append(invoke_line("invoke-virtual", "v1", method_descriptor(
+            transaction, "commit", "", "I")))
 
     # -- misc helpers ------------------------------------------------------------
 
-    def _emit_api_call(self, method: SmaliMethod, api: str) -> None:
+    def _emit_api_call(self, lines: List[str], api: str) -> None:
         # Imported here: the static package sits above the smali layer
         # this compiler feeds, so a module-level import would be cyclic.
         from repro.static.sensitive import method_for_api
 
         ref = method_for_api(api)
-        method.emit("const-string", "v0", ref.cls.rsplit(".", 1)[-1].lower())
-        method.emit(
-            "invoke-virtual", "p0", "v0",
-            MethodRef("android.content.Context", "getSystemService",
-                      ("java.lang.String",), "java.lang.Object"),
-        )
-        method.emit("move-result-object", "v1")
-        method.emit("check-cast", "v1", ref.cls)
+        lines += (
+            const_string_line("v0", ref.cls.rsplit(".", 1)[-1].lower()),
+            _GET_SYSTEM_SERVICE, _MOVE_V1,
+            class_operand_line("check-cast", "v1", jvm_type(ref.cls)))
         regs = ["v1"]
         for index, param in enumerate(ref.params):
             reg = f"v{index + 2}"
             if param == "java.lang.String":
-                method.emit("const-string", reg, "value")
+                lines.append(const_string_line(reg, "value"))
             else:
-                method.emit("const/4", reg, 0)
+                lines.append(const_line("const/4", reg, 0))
             regs.append(reg)
-        method.emit("invoke-virtual", *regs, ref)
+        lines.append(invoke_line("invoke-virtual", ", ".join(regs),
+                                 ref.descriptor()))
 
-    def _ensure_resolver(self, owner: str) -> str:
-        """A static ``resolveTarget()`` helper doing Class.forName on a
-        mangled literal — the statically-opaque navigation idiom."""
+    def _ensure_resolver(self) -> str:
+        """The class of the static ``resolveTarget()`` helper doing
+        Class.forName on a mangled literal — the statically-opaque
+        navigation idiom."""
         self._needs_router = True
-        return f"{self.spec.package}.FragmentRouter"
+        return self._router
 
-    def _router_class(self) -> SmaliClass:
-        cls = SmaliClass(
-            name=f"{self.spec.package}.FragmentRouter",
-            super_name="java.lang.Object",
-            source="FragmentRouter.java",
-        )
-        route = self._add_method(cls, "route", params=["java.lang.String"],
-                                 ret="android.app.Fragment", static=True)
-        route.emit(
-            "invoke-static", "p0",
-            MethodRef(f"{self.spec.package}.ActionCodec", "decode",
-                      ("java.lang.String",), "java.lang.String"),
-        )
-        route.emit("move-result-object", "v0")
-        route.emit(
-            "invoke-static", "v0",
-            MethodRef("java.lang.Class", "forName", ("java.lang.String",),
-                      "java.lang.Class"),
-        )
-        route.emit("move-result-object", "v1")
-        route.emit("return-object", "v1")
-        resolve = self._add_method(cls, "resolveTarget", params=[],
-                                   ret="java.lang.Class", static=True)
-        resolve.emit("const-string", "v0", "gerat.devloser")
-        resolve.emit(
-            "invoke-static", "v0",
-            MethodRef("java.lang.Class", "forName", ("java.lang.String",),
-                      "java.lang.Class"),
-        )
-        resolve.emit("move-result-object", "v1")
-        resolve.emit("return-object", "v1")
-        decode = self._add_method(cls, "decode", params=["java.lang.String"],
-                                  ret="java.lang.String", static=True)
-        decode.emit("return-object", "p0")
-        return cls
+    def _router_class(self) -> List[str]:
+        lines = class_header(self._router, _OBJECT_T, "FragmentRouter.java")
+        lines += method_open("route", _STRING_T, _FRAGMENT_T, static=True)
+        lines += (invoke_line("invoke-static", "p0", self._decode_action),
+                  _MOVE_V0, _CLASS_FOR_NAME, _MOVE_V1, _RETURN_V1, METHOD_END)
+        lines += method_open("resolveTarget", "", _CLASS_T, static=True)
+        lines += (const_string_line("v0", "gerat.devloser"),
+                  _CLASS_FOR_NAME, _MOVE_V1, _RETURN_V1, METHOD_END)
+        lines += method_open("decode", _STRING_T, _STRING_T, static=True)
+        lines += (register_line("return-object", "p0"), METHOD_END)
+        return lines
 
-    def _host_activity_spec(self, owner_spec: object,
-                            owner_is_activity: bool) -> Optional[ActivitySpec]:
-        if owner_is_activity and isinstance(owner_spec, ActivitySpec):
-            return owner_spec
-        if isinstance(owner_spec, FragmentSpec):
-            # A fragment's transaction runs against whichever activity
-            # hosts it; for code generation we pick the first declared host.
-            for activity in self.spec.activities:
-                if owner_spec.name in activity.hosted_fragments:
-                    return activity
+    def _host_activity_spec(self, owner: _Owner) -> Optional[ActivitySpec]:
+        if isinstance(owner.spec, ActivitySpec):
+            return owner.spec
+        # A fragment's transaction runs against whichever activity hosts
+        # it; for code generation we pick the first declared host.
+        for activity in self.spec.activities:
+            if owner.spec.name in activity.hosted_fragments:
+                return activity
         return None
 
-    def _host_cls(self, outer_cls: str, outer_is_activity: bool,
-                  host_spec: Optional[ActivitySpec]) -> str:
-        if outer_is_activity:
-            return outer_cls
+    def _host_type(self, owner: _Owner,
+                   host_spec: Optional[ActivitySpec]) -> str:
+        if owner.is_activity:
+            return owner.type
         if host_spec is not None:
-            return self.spec.qualify(host_spec.name)
-        return "android.app.Activity"
+            return jvm_type(self.spec.qualify(host_spec.name))
+        return _ACTIVITY_T
 
-    def _emit_crash(self, method: Optional[SmaliMethod], reason: str) -> None:
-        if method is None:
-            return
-        method.emit("new-instance", "v0", "java.lang.RuntimeException")
-        method.emit("const-string", "v1", reason)
-        method.emit(
-            "invoke-direct", "v0", "v1",
-            MethodRef("java.lang.RuntimeException", "<init>",
-                      ("java.lang.String",)),
-        )
+    def _emit_crash(self, lines: List[str], reason: str) -> None:
+        lines += (_NEW_RUNTIME_EXCEPTION, const_string_line("v1", reason),
+                  _INIT_RUNTIME_EXCEPTION)
+
+
+def _smali_path(descriptor: str) -> str:
+    """``Lcom/foo/Bar;`` → ``com/foo/Bar.smali``."""
+    return descriptor[1:-1] + ".smali"
 
 
 def _nested_handler_actions(action: Action) -> List[Action]:

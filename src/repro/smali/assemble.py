@@ -4,6 +4,8 @@
 baksmali text format; ``parse_class`` reads it back.  The static pipeline
 operates on the *text* (as the paper's does on Apktool output), so the
 round trip is load-bearing, and is covered by property-based tests.
+Both ``print_class`` and the APK builder write lines through this
+module's line formatters, so only this module knows the line format.
 
 A class is read in two parts by one parser: the header (the lines
 before the first ``.method``) and the body.  ``parse_class`` reads both;
@@ -22,7 +24,7 @@ to the pre-dispatch implementation.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SmaliError
 from repro.smali.model import (
@@ -31,135 +33,193 @@ from repro.smali.model import (
     SmaliClass,
     SmaliField,
     SmaliMethod,
-    TypeTable,
     _split_descriptors,
     is_platform_type,
-    java_name,
     jvm_type,
     names_no_app,
     new_name_table,
 )
 
-# A type converter: ``jvm_type`` or an owner's table lookup.
-_Jvm = Callable[[str], str]
 # A ``.method`` line read: name, params, return type, static.
 _HeaderParts = Tuple[str, Tuple[str, ...], str, bool]
+
+# ---------------------------------------------------------------------------
+# Line formatters
+#
+# The one place that knows the smali line format.  Operands arrive
+# already rendered: registers as text (an invoke's as one ", "-joined
+# list), types and references as descriptors.  ``print_class`` renders a
+# class through them, and ``repro.apk.builder`` writes its classes
+# through them without making the model's objects.
+
+
+def class_header(descriptor: str, super_descriptor: str,
+                 source: Optional[str] = None,
+                 interfaces: Iterable[str] = (),
+                 fields: Iterable[Tuple[str, str, bool]] = ()) -> List[str]:
+    """The lines before a class's first method; ``fields`` are
+    ``(name, type descriptor, static)``."""
+    lines = [f".class public {descriptor}", f".super {super_descriptor}"]
+    if source:
+        lines.append(f'.source "{source}"')
+    lines.extend([f".implements {iface}" for iface in interfaces])
+    lines.extend([
+        f".field public static {name}:{type_}" if static
+        else f".field public {name}:{type_}"
+        for name, type_, static in fields])
+    return lines
+
+
+def method_open(name: str, params: str, ret: str, static: bool = False,
+                registers: int = 8) -> Tuple[str, str, str]:
+    """The blank separator line, the ``.method`` line and the
+    ``.registers`` line that open a method; ``params`` is the
+    concatenated parameter descriptors."""
+    flags = "public static" if static else "public"
+    return ("", f".method {flags} {name}({params}){ret}",
+            f"    .registers {registers}")
+
+
+METHOD_END = ".end method"
+
+
+def class_text(lines: List[str]) -> str:
+    """A class's ``.smali`` file from its lines."""
+    return "\n".join(lines) + "\n"
+
+
+def bare_line(op: str) -> str:
+    return f"    {op}"
+
+
+def label_line(name: str) -> str:
+    return f"    :{name}"
+
+
+def goto_line(name: str) -> str:
+    return f"    goto :{name}"
+
+
+def branch_line(op: str, reg: str, name: str) -> str:
+    return f"    {op} {reg}, :{name}"
+
+
+def const_string_line(reg: str, literal: str) -> str:
+    escaped = literal.replace("\\", "\\\\").replace('"', '\\"')
+    return f'    const-string {reg}, "{escaped}"'
+
+
+def class_operand_line(op: str, reg: str, descriptor: str) -> str:
+    """``const-class``, ``new-instance`` or ``check-cast``."""
+    return f"    {op} {reg}, {descriptor}"
+
+
+def instance_of_line(dest: str, src: str, descriptor: str) -> str:
+    return f"    instance-of {dest}, {src}, {descriptor}"
+
+
+def const_line(op: str, reg: str, value: int) -> str:
+    return f"    {op} {reg}, {value:#x}"
+
+
+def register_line(op: str, reg: str) -> str:
+    """``move-result``, ``move-result-object`` or ``return-object``."""
+    return f"    {op} {reg}"
+
+
+def field_access_line(op: str, reg: str, obj: str, ref: str) -> str:
+    return f"    {op} {reg}, {obj}, {ref}"
+
+
+def invoke_line(op: str, regs: str, ref: str) -> str:
+    return f"    {op} {{{regs}}}, {ref}"
+
 
 # ---------------------------------------------------------------------------
 # Printing
 
 
-def print_class(cls: SmaliClass,
-                descriptors: Optional[TypeTable] = None) -> str:
-    """Render a class to smali text.
-
-    ``descriptors`` is the type table of the build printing the class
-    (:func:`~repro.smali.model.new_descriptor_table`); without one, each
-    app type is converted where it appears.
-    """
-    jvm = jvm_type if descriptors is None else descriptors.__getitem__
-    lines: List[str] = [f".class public {jvm(cls.name)}"]
-    lines.append(f".super {jvm(cls.super_name)}")
-    if cls.source:
-        lines.append(f'.source "{cls.source}"')
-    for iface in cls.interfaces:
-        lines.append(f".implements {jvm(iface)}")
-    for fld in cls.fields:
-        prefix = ".field public static" if fld.static else ".field public"
-        lines.append(f"{prefix} {fld.name}:{jvm(fld.type)}")
+def print_class(cls: SmaliClass) -> str:
+    """Render a class to smali text."""
+    lines = class_header(
+        jvm_type(cls.name), jvm_type(cls.super_name), cls.source,
+        map(jvm_type, cls.interfaces),
+        [(fld.name, jvm_type(fld.type), fld.static) for fld in cls.fields])
     for method in cls.methods:
-        lines.append("")
-        lines.extend(_print_method(method, jvm))
-    return "\n".join(lines) + "\n"
+        lines.extend(method_open(
+            method.name, "".join(map(jvm_type, method.params)),
+            jvm_type(method.ret), method.static, method.registers))
+        lines.extend(map(_print_line, method.instructions))
+        lines.append(METHOD_END)
+    return class_text(lines)
 
 
-def _print_method(method: SmaliMethod, jvm: _Jvm) -> List[str]:
-    params = "".join(map(jvm, method.params))
-    flags = "public static" if method.static else "public"
-    lines = [
-        f".method {flags} {method.name}({params}){jvm(method.ret)}",
-        f"    .registers {method.registers}",
-    ]
-    # Interned instructions are shared across methods (and, when they
-    # name nothing of an app, across apps), so the rendered line is
-    # memoized per instance.
-    lines.extend([
-        instruction.__dict__.get("_line") or _print_line(instruction, jvm)
-        for instruction in method.instructions])
-    lines.append(".end method")
-    return lines
-
-
-def _print_line(instruction: Instruction, jvm: _Jvm) -> str:
+def _print_line(instruction: Instruction) -> str:
     printer = _INSTRUCTION_PRINTERS.get(instruction.opcode)
     if printer is None:
         raise SmaliError(f"cannot print opcode {instruction.opcode!r}")
-    line = instruction.__dict__["_line"] = "    " + printer(
-        instruction.opcode, instruction.args, jvm)
-    return line
+    return printer(instruction.opcode, instruction.args)
 
 
 _Args = Tuple[object, ...]
 
 
-def _print_bare(op: str, args: _Args, jvm: _Jvm) -> str:
-    return op
+def _print_bare(op: str, args: _Args) -> str:
+    return bare_line(op)
 
 
-def _print_label(op: str, args: _Args, jvm: _Jvm) -> str:
+def _print_label(op: str, args: _Args) -> str:
     (name,) = args
-    return f":{name}"
+    return label_line(str(name))
 
 
-def _print_goto(op: str, args: _Args, jvm: _Jvm) -> str:
+def _print_goto(op: str, args: _Args) -> str:
     (name,) = args
-    return f"goto :{name}"
+    return goto_line(str(name))
 
 
-def _print_branch(op: str, args: _Args, jvm: _Jvm) -> str:
+def _print_branch(op: str, args: _Args) -> str:
     reg, name = args
-    return f"{op} {reg}, :{name}"
+    return branch_line(op, str(reg), str(name))
 
 
-def _print_const_string(op: str, args: _Args, jvm: _Jvm) -> str:
+def _print_const_string(op: str, args: _Args) -> str:
     reg, literal = args
-    escaped = str(literal).replace("\\", "\\\\").replace('"', '\\"')
-    return f'{op} {reg}, "{escaped}"'
+    return const_string_line(str(reg), str(literal))
 
 
-def _print_reg_class(op: str, args: _Args, jvm: _Jvm) -> str:
+def _print_reg_class(op: str, args: _Args) -> str:
     reg, cls_name = args
-    return f"{op} {reg}, {jvm(str(cls_name))}"
+    return class_operand_line(op, str(reg), jvm_type(str(cls_name)))
 
 
-def _print_instance_of(op: str, args: _Args, jvm: _Jvm) -> str:
+def _print_instance_of(op: str, args: _Args) -> str:
     dest, src, cls_name = args
-    return f"{op} {dest}, {src}, {jvm(str(cls_name))}"
+    return instance_of_line(str(dest), str(src), jvm_type(str(cls_name)))
 
 
-def _print_const(op: str, args: _Args, jvm: _Jvm) -> str:
+def _print_const(op: str, args: _Args) -> str:
     reg, value = args
-    return f"{op} {reg}, {int(value):#x}"
+    return const_line(op, str(reg), int(value))  # type: ignore[call-overload]
 
 
-def _print_unary(op: str, args: _Args, jvm: _Jvm) -> str:
+def _print_unary(op: str, args: _Args) -> str:
     (reg,) = args
-    return f"{op} {reg}"
+    return register_line(op, str(reg))
 
 
-def _print_field_access(op: str, args: _Args, jvm: _Jvm) -> str:
+def _print_field_access(op: str, args: _Args) -> str:
     reg, obj, ref = args
-    return f"{op} {reg}, {obj}, {ref}"
+    return field_access_line(op, str(reg), str(obj), str(ref))
 
 
-def _print_invoke(op: str, args: _Args, jvm: _Jvm) -> str:
+def _print_invoke(op: str, args: _Args) -> str:
     *regs, ref = args
     assert isinstance(ref, MethodRef)
-    reg_list = ", ".join(map(str, regs))
-    return f"{op} {{{reg_list}}}, {ref.descriptor(jvm)}"
+    return invoke_line(op, ", ".join(map(str, regs)), ref.descriptor())
 
 
-_INSTRUCTION_PRINTERS: Dict[str, Callable[[str, _Args, _Jvm], str]] = {
+_INSTRUCTION_PRINTERS: Dict[str, Callable[[str, _Args], str]] = {
     "return-void": _print_bare,
     "nop": _print_bare,
     "label": _print_label,

@@ -76,7 +76,7 @@ _PLATFORM_DESCRIPTORS = tuple(
 # that name nothing of a single app (:func:`names_no_app`), so its size
 # is set by the platform's vocabulary, not by the apps a process has
 # built or decoded.  An app's own entries live in tables owned by its
-# build or decode and are freed with it.
+# decode and are freed with it; a build keeps none.
 _JVM_TYPES: Dict[str, str] = dict(_PRIMITIVES)
 _JAVA_NAMES: Dict[str, str] = dict(_PRIMITIVES_REV)
 
@@ -121,12 +121,12 @@ def java_name(descriptor: str) -> str:
 
 
 class TypeTable(dict):
-    """The type spellings one build or one decoded APK has converted.
+    """The type spellings one decoded APK has converted.
 
     It starts as a copy of a process-wide table, which holds platform
     types only, so a lookup is one probe; a miss converts with
-    ``convert`` (:func:`jvm_type` or :func:`java_name`, which file a
-    platform type process-wide) and keeps the app's own types here until
+    ``convert`` (:func:`java_name`, which files a platform type
+    process-wide) and keeps the app's own types here until
     the owner is freed.  A malformed spelling raises and is never kept.
     """
 
@@ -142,11 +142,6 @@ class TypeTable(dict):
         return converted
 
 
-def new_descriptor_table() -> TypeTable:
-    """An owner's ``java name → descriptor`` table."""
-    return TypeTable(_JVM_TYPES, jvm_type)
-
-
 def new_name_table() -> TypeTable:
     """An owner's ``descriptor → java name`` table."""
     return TypeTable(_JAVA_NAMES, java_name)
@@ -159,21 +154,29 @@ class _MethodRefFields(NamedTuple):
     ret: str = "void"
 
 
+def method_descriptor(owner: str, name: str, params: str = "",
+                      ret: str = "V") -> str:
+    """``owner->name(params)ret`` from the owner's, the concatenated
+    parameters' and the return type's descriptors."""
+    return f"{owner}->{name}({params}){ret}"
+
+
 class MethodRef(_MethodRefFields):
     """A method reference ``Lcls;->name(params)ret`` (java dotted names).
 
-    A named tuple: ``SmaliMethod.emit`` hashes and compares the ref of
-    every invoke it interns, and a tuple does both in C.
+    A named tuple: decoding compares and hashes refs, and a tuple does
+    both in C.
     """
 
-    def descriptor(self, jvm: Callable[[str], str] = jvm_type) -> str:
-        """``Lcls;->name(params)ret``; ``jvm`` converts each type."""
+    def descriptor(self) -> str:
+        """``Lcls;->name(params)ret``."""
         # Memoized per instance: refs are immutable, so the rendered text
         # can never go stale.
         cached = self.__dict__.get("_descriptor")
         if cached is None:
-            params = "".join(map(jvm, self.params))
-            cached = f"{jvm(self.cls)}->{self.name}({params}){jvm(self.ret)}"
+            cached = method_descriptor(
+                jvm_type(self.cls), self.name,
+                "".join(map(jvm_type, self.params)), jvm_type(self.ret))
             self.__dict__["_descriptor"] = cached
         return cached
 
@@ -312,32 +315,6 @@ def names_no_app(opcode: str, args: Tuple[object, ...]) -> bool:
     return True
 
 
-# (opcode, args) → the shared instruction.
-EmissionTable = Dict[Tuple[str, Tuple[object, ...]], Instruction]
-
-# The process-wide emission table: instructions that name nothing of an
-# app.
-_EMITTED: EmissionTable = {}
-
-
-def new_emission_table() -> EmissionTable:
-    """A build's own emission table, to pass as ``emission_table`` to
-    each method it compiles.  It starts as a copy of the process-wide
-    table, so ``emit`` finds a shared instruction with one lookup, and it
-    keeps the build's app-naming instructions until the build is freed."""
-    return _EMITTED.copy()
-
-
-def _intern_emitted(table: EmissionTable,
-                    key: Tuple[str, Tuple[object, ...]]) -> Instruction:
-    instruction = Instruction(*key)
-    if names_no_app(*key):
-        instruction = _EMITTED.setdefault(key, instruction)
-    if table is not _EMITTED:
-        table[key] = instruction
-    return instruction
-
-
 @dataclass
 class SmaliField:
     name: str
@@ -355,28 +332,9 @@ class SmaliMethod:
     static: bool = False
     registers: int = 8
     instructions: List[Instruction] = field(default_factory=list)
-    #: Where ``emit`` interns: a build's own table
-    #: (:func:`new_emission_table`), or, when None, the process-wide one,
-    #: which keeps only instructions naming nothing of an app.
-    emission_table: Optional[EmissionTable] = field(
-        default=None, repr=False, compare=False)
 
-    def emit(self, opcode: str, *args: object) -> Instruction:
-        # Interned: Instruction is frozen, so equal (opcode, operands)
-        # shapes share one object and the printer renders it once.
-        key = (opcode, args)
-        table = self.emission_table
-        if table is None:
-            table = _EMITTED
-        try:
-            instruction = table.get(key)
-        except TypeError:  # unhashable operand — build a one-off
-            instruction = Instruction(opcode, args)
-        else:
-            if instruction is None:
-                instruction = _intern_emitted(table, key)
-        self.instructions.append(instruction)
-        return instruction
+    def emit(self, opcode: str, *args: object) -> None:
+        self.instructions.append(Instruction(opcode, args))
 
     def invokes(self) -> List[MethodRef]:
         return [i.method for i in self.instructions if i.is_invoke]

@@ -53,7 +53,7 @@ from repro.static.aftm import AFTM, Node, NodeKind
 from repro.static.extractor import StaticInfo
 from repro.static.input_dep import InputDependency
 from repro.static.resource_dep import ResourceBinding, ResourceDependency
-from repro.store import DocumentStore, default_dir
+from repro.store import DocumentStore, check_shape, default_dir
 
 #: Bump whenever the serialized shape below changes; entries written by
 #: other schema versions read as misses instead of mis-deserializing.
@@ -142,6 +142,19 @@ def static_info_to_dict(info: StaticInfo) -> Dict:
                            for k, v in info.static_api_map.items()},
         "view_components_json": info.view_components_json,
     }
+
+
+#: What :func:`static_info_to_dict` writes besides the AFTM, which
+#: :func:`_aftm_from_dict` checks as it reads it (see
+#: :func:`repro.store.check_shape`).
+_STATIC_INFO_SHAPE = {
+    "package": str, "aftm": dict, "?activities": [str],
+    "?fragments": [str], "?fragment_hosts": {str: [str]},
+    "?dependency": {str: [str]}, "?resource_dep": [list],
+    "?input_widgets": [str], "?uses_manager": {str: bool},
+    "?support_library": {str: bool}, "?static_api_map": {str: [str]},
+    "?view_components_json": str,
+}
 
 
 def static_info_from_dict(data: Dict,
@@ -350,12 +363,14 @@ class StaticCache:
             payload = self._disk.read(digest)
             if payload.get("schema") != CACHE_SCHEMA:
                 return None
-            data = payload["static_info"]
+            data = check_shape(payload["static_info"], _STATIC_INFO_SHAPE,
+                               "static_info")
             # Round-trip the hydration now: a structurally corrupt entry
             # must read as a miss, not explode mid-sweep.
             static_info_from_dict(data)
             return data
         except (ValueError, KeyError, TypeError, IndexError):
+            # StoreError, a shape check's refusal, is a ValueError.
             return None
 
     def _disk_put(self, digest: str, data: Dict) -> None:

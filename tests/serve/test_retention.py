@@ -67,9 +67,17 @@ def served(tmp_path_factory):
     special job ids)."""
     tmp = tmp_path_factory.mktemp("retention")
     gate = threading.Event()
+    # A watched job's sweep waits until its id is in ``watched``: a job
+    # that ends at once could otherwise reach capture_then_release
+    # first.  Each gate stays open, so later runs of its app pass.
+    first_app = TABLE1_PLANS[0].package
+    until_watched = {first_app: threading.Event(),
+                     CRASHING: threading.Event()}
 
     def sweep(plans, **kwargs):
         packages = {plan.package for plan in plans}
+        for package in packages & until_watched.keys():
+            until_watched[package].wait(60.0)
         if CRASHING in packages:
             raise RuntimeError("scripted scheduler failure")
         if HELD in packages:
@@ -98,9 +106,13 @@ def served(tmp_path_factory):
         client.wait(job_id, timeout_s=120.0, poll_s=0.01)
         return job_id
 
+    def watch(job_id, app):
+        watched.add(job_id)
+        until_watched[app].set()
+
     try:
-        first = client.submit([TABLE1_PLANS[0].package])["job_id"]
-        watched.add(first)
+        first = client.submit([first_app])["job_id"]
+        watch(first, first_app)
         client.wait(first, timeout_s=120.0, poll_s=0.01)
         for plan in TABLE1_PLANS[1:]:
             run([plan.package])
@@ -115,7 +127,7 @@ def served(tmp_path_factory):
         assert client.wait(held, timeout_s=120.0)["state"] == "done"
 
         crashed = client.submit([CRASHING])["job_id"]
-        watched.add(crashed)
+        watch(crashed, CRASHING)
         crashed_job = client.wait(crashed, timeout_s=120.0, poll_s=0.01)
         assert crashed_job["state"] == "failed"
         assert "scheduler failure" in crashed_job["error"]
@@ -138,6 +150,8 @@ def served(tmp_path_factory):
             "first": first, "queued": queued, "crashed": crashed}
     finally:
         gate.set()
+        for opened in until_watched.values():
+            opened.set()
         server.stop(timeout=5.0)
 
 

@@ -2,11 +2,12 @@
 
 Process-wide interning tables keep only entries that name nothing of a
 single app (platform types, registers, labels, resource-id integers);
-an app's own entries live in tables owned by its build or decode and
-are freed with it.  So the memory the toolchain retains is set by the
-platform's vocabulary, not by how many apps a process has seen.
+an app's own entries live in tables owned by its decode and are freed
+with it, and a build writes its text without any table.  So the memory
+the toolchain retains is set by the platform's vocabulary, not by how
+many apps a process has seen.
 
-Both checks run over distinct packages, through the usage study's
+The check runs over distinct packages, through the usage study's
 build-and-classify path and the full ``extract_static_info`` path:
 between a checkpoint after 150 apps and one after 450 more, the traced
 heap may grow by less than 2 KB per app and no process-wide table (any
@@ -17,18 +18,8 @@ module-level dict or ``lru_cache`` of the smali modules) by more than
 import gc
 import tracemalloc
 
-from repro.apk import (
-    ActivitySpec,
-    AppSpec,
-    FragmentSpec,
-    ShowFragment,
-    StartActivity,
-    WidgetSpec,
-)
-from repro.apk.appspec import FragmentFactory
-from repro.apk.builder import _Builder, build_apk
+from repro.apk.builder import build_apk
 from repro.bench.runner import _classify_market_app
-from repro.corpus import TABLE1_PLANS, build_table1_app
 from repro.corpus.synth import AppPlan, build_app
 from repro.smali import apktool, assemble, model
 from repro.static.extractor import extract_static_info
@@ -97,37 +88,3 @@ def test_retention_is_bounded_by_the_platform_vocabulary():
              for name, size in tables_at_last.items()
              if size - tables_at_first.get(name, 0) > 100}
     assert grown == {}
-
-
-# Routed navigation: the build adds its FragmentRouter class.
-_ROUTED = AppSpec(
-    package="com.bounded.routed",
-    activities=[
-        ActivitySpec(
-            name="MainActivity", launcher=True,
-            hosted_fragments=["NewsFragment"],
-            widgets=[
-                WidgetSpec(id="go", on_click=StartActivity(
-                    "SecondActivity", dynamic=True)),
-                WidgetSpec(id="news", on_click=ShowFragment(
-                    "NewsFragment", "fragment_container")),
-            ],
-        ),
-        ActivitySpec(name="SecondActivity"),
-    ],
-    fragments=[FragmentSpec(name="NewsFragment",
-                            factory=FragmentFactory.CUSTOM)],
-)
-
-
-def test_every_method_a_build_compiles_interns_into_the_build():
-    # A method left on the process-wide table would still build the same
-    # bytes, but would re-make its app-naming instructions on every emit.
-    specs = [build_table1_app(plan.package) for plan in TABLE1_PLANS]
-    for spec in [*specs, _ROUTED]:
-        builder = _Builder(spec)
-        builder.build()
-        methods = [m for cls in builder.classes for m in cls.methods]
-        assert methods
-        assert all(m.emission_table is builder._emitted for m in methods)
-    assert builder._needs_router

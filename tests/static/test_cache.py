@@ -284,6 +284,23 @@ def test_structurally_broken_entry_reads_as_miss(cache):
     assert fresh.lookup(apk.digest()) is None
 
 
+@pytest.mark.parametrize("field, damage", [
+    ("static_api_map", []),
+    ("view_components_json", 7),
+])
+def test_an_entry_with_a_damaged_field_counts_as_a_miss(cache, field, damage):
+    apk = _demo_apk()
+    extract_static_info(apk, cache=cache)
+    entry = cache._entry_path(apk.digest())
+    payload = json.loads(entry.read_text(encoding="utf-8"))
+    payload["static_info"][field] = damage
+    entry.write_text(json.dumps(payload), encoding="utf-8")
+    fresh = StaticCache(directory=cache.directory)
+    info = extract_static_info(_demo_apk(), cache=fresh)
+    assert fresh.hits == 0 and fresh.misses == 1
+    assert info.decoded is not None
+
+
 def test_other_schema_reads_as_miss(cache):
     apk = _demo_apk()
     extract_static_info(apk, cache=cache)
