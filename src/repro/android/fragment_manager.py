@@ -115,9 +115,6 @@ class FragmentManager:
             out.extend(self._containers[container])
         return out
 
-    def in_container(self, container_id: str) -> List["FragmentInstance"]:
-        return list(self._containers.get(container_id, ()))
-
     def find_by_class(self, class_name: str) -> Optional["FragmentInstance"]:
         for fragment in self.fragments():
             if fragment.class_name == class_name:

@@ -145,6 +145,11 @@ class UsageStudyResult:
         )
 
 
+#: What :func:`_classify_market_app` can answer; any other cached note
+#: is a miss, classified again.
+_STUDY_CLASSES = frozenset({"packed", "fragments", "plain"})
+
+
 def _classify_market_app(app) -> str:
     """One usage-study datapoint: "packed", "fragments" or "plain"."""
     try:
@@ -185,7 +190,8 @@ def run_usage_study(count: int = 217, seed: int = 2018,
     if cache is not None:
         digests = digest_many(app.build() for app in market)
         notes = cache.load_notes("usage-study")
-        statuses = [notes.get(d) for d in digests]
+        statuses = [note if note in _STUDY_CLASSES else None
+                    for note in map(notes.get, digests)]
         misses = statuses.count(None)
         cache.count_lookups(hits=len(market) - misses, misses=misses)
     pending = [i for i, status in enumerate(statuses) if status is None]

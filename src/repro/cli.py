@@ -59,7 +59,7 @@ from repro.bench import (
     run_usage_study,
 )
 from repro.bench.parallel import BACKENDS, sweep
-from repro.core.report import aftm_to_json, result_to_json
+from repro.core.report import result_to_json
 from repro.core.sensitive_analysis import build_api_report
 from repro.faults import FAULT_PROFILES, make_device
 from repro.corpus import (
@@ -70,6 +70,7 @@ from repro.corpus import (
     table1_packages,
 )
 from repro.static import extract_static_info
+from repro.static.aftm import aftm_to_json
 
 DEMOS: Dict[str, Callable[[], AppSpec]] = {
     "demo:tabs": demo_tabbed_app,

@@ -131,9 +131,3 @@ class FragDroidConfig:
     def faults_enabled(self) -> bool:
         """Whether this run injects faults (and runs resiliently)."""
         return self.fault_plan is not None and self.fault_plan.enabled
-
-    @classmethod
-    def activity_only(cls) -> "FragDroidConfig":
-        """The 'traditional approach' configuration: no fragment-aware
-        mechanisms (used by the baseline comparison)."""
-        return cls(enable_reflection=False)

@@ -89,12 +89,6 @@ class CoverageReport:
         visited = sum(r.activities_visited for r in self.rows)
         return visited / total if total else 0.0
 
-    @property
-    def overall_fragment_rate(self) -> float:
-        total = sum(r.fragments_sum for r in self.rows)
-        visited = sum(r.fragments_visited for r in self.rows)
-        return visited / total if total else 0.0
-
     def full_fiva_apps(self) -> int:
         """Apps whose fragments-in-visited-activities rate is 100%."""
         return sum(1 for r in self.rows if r.fiva_rate == 1.0)

@@ -1,9 +1,8 @@
-"""Serialization of models and run results.
+"""Serialization of run results.
 
-JSON round-trips for the AFTM (so a model extracted in one session can
-seed another — the evolutionary updates compose), and a structured JSON
-report for a whole exploration run (consumed by the CLI and usable by
-downstream tooling).
+A structured JSON report for a whole exploration run (consumed by the
+CLI and usable by downstream tooling).  Its ``aftm`` is the model's one
+JSON form, :func:`repro.static.aftm.aftm_to_dict`.
 """
 
 from __future__ import annotations
@@ -12,79 +11,10 @@ import json
 from typing import Dict, List
 
 from repro.core.explorer import ExplorationResult
-from repro.errors import ReproError, StoreError
 from repro.obs import Span, aggregate_spans
-from repro.static.aftm import AFTM, Node, NodeKind, activity_node, fragment_node
+from repro.static.aftm import aftm_from_dict, aftm_to_dict
 from repro.store import check_shape
 from repro.types import InvocationSource
-
-
-# ---------------------------------------------------------------------------
-# AFTM <-> JSON
-# ---------------------------------------------------------------------------
-
-def aftm_to_dict(aftm: AFTM) -> Dict:
-    return {
-        "package": aftm.package,
-        "entry": aftm.entry.name if aftm.entry else None,
-        "activities": sorted(n.name for n in aftm.activities),
-        "fragments": sorted(n.name for n in aftm.fragments),
-        "visited": sorted(n.name for n in aftm.iter_visited()),
-        "edges": [
-            {
-                "src": edge.src.name,
-                "src_kind": edge.src.kind.value,
-                "dst": edge.dst.name,
-                "dst_kind": edge.dst.kind.value,
-                "kind": edge.kind.name,
-                "host": edge.host,
-                "trigger": edge.trigger,
-            }
-            for edge in sorted(aftm.iter_edges())
-        ],
-    }
-
-
-def aftm_to_json(aftm: AFTM) -> str:
-    return json.dumps(aftm_to_dict(aftm), indent=2, sort_keys=True)
-
-
-_NODE_KINDS = frozenset(kind.value for kind in NodeKind)
-
-#: What :func:`aftm_to_dict` writes (see :func:`repro.store.check_shape`).
-_AFTM_SHAPE = {
-    "package": str, "?entry": (str, type(None)), "?activities": [str],
-    "?fragments": [str], "?visited": [str],
-    "?edges": [{"src": str, "src_kind": _NODE_KINDS, "dst": str,
-                "dst_kind": _NODE_KINDS, "kind": str,
-                "host": (str, type(None)), "trigger": str}],
-}
-
-
-def aftm_from_dict(data, where: str = "aftm") -> AFTM:
-    """The AFTM :func:`aftm_to_dict` wrote.  Raises :class:`StoreError`
-    for any other value, naming where in it the damage is."""
-    check_shape(data, _AFTM_SHAPE, where)
-    aftm = AFTM(data["package"])
-    if data.get("entry"):
-        aftm.set_entry(activity_node(data["entry"]))
-    for name in data.get("activities", ()):
-        aftm.add_node(activity_node(name))
-    for name in data.get("fragments", ()):
-        aftm.add_node(fragment_node(name))
-    for index, edge in enumerate(data.get("edges", ())):
-        try:
-            aftm.add_transition(
-                Node(NodeKind(edge["src_kind"]), edge["src"]),
-                Node(NodeKind(edge["dst_kind"]), edge["dst"]),
-                host=edge["host"], trigger=edge["trigger"])
-        except ReproError as exc:  # an edge no AFTM holds (F -> A)
-            raise StoreError(f"{where}.edges[{index}]: {exc}") from exc
-    visited = set(data.get("visited", ()))
-    for node in list(aftm.iter_nodes()):
-        if node.name in visited:
-            aftm.mark_visited(node)
-    return aftm
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ from repro.obs.events import (
     RUN_END,
     WIDGET_CLICKED,
 )
+from repro.static.aftm import aftm_from_dict
 from repro.store import DocumentStore, check_schema, content_id
 
 #: Bump whenever the explanation shape changes; foreign schemas are
@@ -242,9 +243,6 @@ class CoverageExplanation:
 
     def miss_targets(self) -> List[MissTarget]:
         return [MissTarget.from_dict(t) for t in self.targets]
-
-    def targets_of(self, package: str) -> List[MissTarget]:
-        return [t for t in self.miss_targets() if t.package == package]
 
     def unclassified(self) -> List[MissTarget]:
         return [t for t in self.miss_targets()
@@ -607,8 +605,6 @@ def explain_run_dir(run,
     run-dir explanations cover activities and fragments (in-memory
     paths cover APIs too).
     """
-    from repro.core.report import aftm_from_dict
-
     if not isinstance(run, RunData):
         run = load_run(run)
     aftm = aftm_from_dict(run.report["aftm"])

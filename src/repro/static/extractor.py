@@ -72,14 +72,6 @@ class StaticInfo:
     # from JSON without its APK.
     decoded: Optional[DecodedApk] = field(repr=False, default=None)
 
-    @property
-    def activity_count(self) -> int:
-        return len(self.activities)
-
-    @property
-    def fragment_count(self) -> int:
-        return len(self.fragments)
-
     def __getstate__(self) -> Dict[str, object]:
         # Across a process boundary the decoded APK travels as the text
         # it was decoded from (see StaticInfo.decoded); the trigger-map memo

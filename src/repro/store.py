@@ -6,8 +6,10 @@ per entry.  :class:`DocumentStore` alone decides how such a directory
 is written (atomically), listed (skipping dotfiles and, with a warning,
 unreadable documents), resolved (exact key or unique prefix) and read
 (a JSON object, else :class:`~repro.errors.StoreError`).  Each stored
-type keeps its own serialization and schema constant;
-:func:`check_shape` holds a document to the shape its writer wrote.
+type keeps its own schema constant (the AFTM's one JSON form,
+:func:`repro.static.aftm.aftm_to_dict`, is shared by reports and cache
+entries); :func:`check_shape` holds a document to the shape its writer
+wrote.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ import pytest
 from repro import Device, FragDroid
 from repro.apk import build_apk
 from repro.core.artifacts import save_artifacts
-from repro.core.report import aftm_from_dict
 from repro.corpus import demo_aftm_example
 from repro.obs.timeline import coverage_timeline
+from repro.static.aftm import aftm_from_dict
 
 
 @pytest.fixture(scope="module")

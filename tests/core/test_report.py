@@ -6,15 +6,16 @@ import pytest
 
 from repro import Device, FragDroid
 from repro.apk import build_apk
-from repro.core.report import (
+from repro.core.report import result_to_dict, result_to_json
+from repro.corpus import demo_aftm_example
+from repro.static.aftm import (
+    AFTM,
+    activity_node,
     aftm_from_dict,
     aftm_to_dict,
     aftm_to_json,
-    result_to_dict,
-    result_to_json,
+    fragment_node,
 )
-from repro.corpus import demo_aftm_example
-from repro.static.aftm import AFTM, activity_node, fragment_node
 
 
 def make_model():

@@ -24,7 +24,6 @@ from repro import Device, FragDroid, FragDroidConfig
 from repro.apk import build_apk
 from repro.cli import main
 from repro.core.artifacts import save_artifacts
-from repro.core.report import aftm_from_dict
 from repro.corpus import build_table1_app, demo_drawer_app
 from repro.errors import ReproError, StoreError
 from repro.faults import make_device
@@ -36,6 +35,7 @@ from repro.obs import (
     render_dashboard_dir,
 )
 from repro.obs.dashboard import manifest_files
+from repro.static.aftm import aftm_from_dict
 from tests.conftest import CHILD_ENV
 
 #: Explores demo:tabs once, then saves it over and over into

@@ -1,5 +1,9 @@
 """The usage study over a shared StaticCache (batched digests + notes)."""
 
+import json
+
+import pytest
+
 from repro.bench.runner import run_usage_study
 from repro.static.cache import StaticCache
 
@@ -41,3 +45,31 @@ def test_disjoint_corpora_share_nothing(tmp_path):
     run_usage_study(count=20, seed=8, cache=cache)
     stats = cache.stats()
     assert stats["misses"] == 40  # different seeds, different digests
+
+
+def _damage_notes(directory, note):
+    path = directory / "notes-usage-study.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["notes"] = {digest: note for digest in payload["notes"]}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+@pytest.mark.parametrize("note", [7, None, "bogus"])
+def test_damaged_notes_are_misses_classified_again(tmp_path, note):
+    """A notes document of the wrong shape reads as no notes, and a
+    note no classification writes is a miss: either way the next run
+    classifies again and tallies what a run without a cache does."""
+    directory = tmp_path / "cache"
+    expected = run_usage_study(count=40, seed=2018)
+    assert run_usage_study(count=40, seed=2018,
+                           cache=StaticCache(directory)) == expected
+    _damage_notes(directory, note)
+    damaged = StaticCache(directory)
+    assert run_usage_study(count=40, seed=2018, cache=damaged) == expected
+    assert (damaged.hits, damaged.misses) == (0, 40)
+    stats = damaged.stats()
+    assert (stats["lifetime_hits"], stats["lifetime_misses"]) == (0, 80)
+    # The reclassified notes replaced the damaged ones.
+    healed = StaticCache(directory)
+    assert run_usage_study(count=40, seed=2018, cache=healed) == expected
+    assert (healed.hits, healed.misses) == (40, 0)
