@@ -80,8 +80,7 @@ class FragDroidConfig:
     # Content-addressed memoization of the static phase
     # (repro.static.cache).  None (the default) analyzes every APK from
     # scratch; a StaticCache skips decode + Algorithms 1–3 on digest
-    # hits.  A cache-served run carries the APK's decoded model like a
-    # fresh one, so it explains the same.
+    # hits.  A cache-served run explains byte for byte like a fresh one.
     static_cache: Optional["StaticCache"] = field(default=None, repr=False,
                                                   compare=False)
     # Longitudinal run registry (repro.obs.registry).  None (the

@@ -27,7 +27,7 @@ around the rounds:
   scheduler's memory-only :class:`~repro.static.cache.StaticCache`, so
   an app the service has analysed skips decode and Algorithms 1–3 (by
   APK digest; its LRU bound exceeds the apps the default resolver
-  admits).  A hit carries the decoded APK, so rows, records and
+  admits).  A hit shares its miss's decoded APK, so rows, records and
   explanations match a fresh run's.
 * **Registry hand-off** — a terminal ``done``/``failed`` job lands as
   one content-addressed record in the
@@ -36,14 +36,16 @@ around the rounds:
   quarantines), exactly once even across restarts.
 * **Release** — every path into a terminal state (``_finish``, the
   crash path of :meth:`Scheduler.run_forever`) publishes the terminal
-  ``job.state`` event and then calls ``on_terminal(job)``; the service
-  passes the hook that moves the job's events and spans out of memory.
+  ``job.state`` event before the job reads terminal, and then calls
+  ``on_terminal(job)``; the service passes the hook that moves the
+  job's events and spans out of memory.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import FragDroidConfig
@@ -197,15 +199,10 @@ class Scheduler:
             except Exception as exc:  # noqa: BLE001 - service supervisor
                 self.tracer.inc("serve.job.crashed")
                 self._live_outcomes.pop(job.job_id, None)
-                job.state = FAILED
-                job.error = f"scheduler failure: {exc!r}"
-                job.finished = round(time.time(), 3)
-                try:
-                    self.journal.write(job)
-                except OSError:
-                    pass
-                self.event_log.emit(JOB_STATE, job=job.job_id,
-                                    state=job.state, error=job.error)
+                self._publish_terminal(
+                    job, self.event_log.bind(job=job.job_id), FAILED,
+                    f"scheduler failure: {exc!r}", round(time.time(), 3),
+                    journal_errors=OSError)
                 self.on_terminal(job)
 
     # -- one job -------------------------------------------------------------
@@ -248,7 +245,7 @@ class Scheduler:
         self.tracer.observe("serve.job.start_s",
                             max(0.0, job.started - job.created))
         self.journal.write(job)
-        self._emit_state(job)
+        self._events(job).emit(JOB_STATE, state=job.state, error=job.error)
         deadline = self.wall() + job.time_budget_s
 
         # Re-seed the circuit breaker from journaled attempts, so a
@@ -428,12 +425,9 @@ class Scheduler:
             # The run record and explanation exist before any reader
             # can see the terminal state, so run_id lands first.
             job.run_id = self._record_run(job, state)
-        job.error = error
-        job.finished = finished
-        job.state = state
         self._live_outcomes.pop(job.job_id, None)
-        self.journal.write(job)
-        self._emit_state(job)
+        self._publish_terminal(job, self._events(job), state, error,
+                               finished)
         self.tracer.inc(f"serve.jobs.{state}")
         self.on_terminal(job)
         return job
@@ -483,5 +477,19 @@ class Scheduler:
         except Exception:  # noqa: BLE001 - post-hoc analysis only
             self.tracer.inc("serve.explanation.failed")
 
-    def _emit_state(self, job: Job) -> None:
-        self._events(job).emit(JOB_STATE, state=job.state, error=job.error)
+    def _publish_terminal(self, job: Job, events: EventLog, state: str,
+                          error: str, finished: float,
+                          journal_errors=()) -> None:
+        """Journal ``job``'s terminal snapshot (skipping a write that
+        raises ``journal_errors``), file its terminal ``job.state``
+        event, and only then set the shared job's state: a reader that
+        sees it terminal finds that event in its history."""
+        try:
+            self.journal.write(replace(job, state=state, error=error,
+                                       finished=finished))
+        except journal_errors:
+            pass
+        events.emit(JOB_STATE, state=state, error=error)
+        job.error = error
+        job.finished = finished
+        job.state = state

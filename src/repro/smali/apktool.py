@@ -128,8 +128,8 @@ class DecodedApk:
     layouts: Dict[str, Layout] = field(default_factory=dict)
     resources: ResourceTable = None  # type: ignore[assignment]
     # The text artifacts this was decoded from, as a package without a
-    # runtime spec: what a StaticInfo ships across a process boundary
-    # in place of the decoded object graph.
+    # runtime spec: the ``source`` a StaticInfo keeps in place of the
+    # decoded object graph.
     source: Optional[ApkPackage] = field(default=None, compare=False,
                                          repr=False)
 

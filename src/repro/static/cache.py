@@ -162,15 +162,19 @@ def static_info_from_dict(data,
         input_dep=input_dep,
         uses_manager=dict(data["uses_manager"]),
         support_library=dict(data["support_library"]),
-        decoded=None,
+        source=source,
     )
     info.static_api_map = {k: list(v)
                            for k, v in data["static_api_map"].items()}
     info.view_components_json = data["view_components_json"]
-    if source is not None:
-        del info.decoded
-        # Text only, as a StaticInfo ships it across a process boundary.
-        info._decoded_source = replace(source, _spec=None)
+    return info
+
+
+def _seeded(info: StaticInfo, decoded: Optional[DecodedApk]) -> StaticInfo:
+    """``info``, sharing ``decoded`` (if any): the one place a
+    :class:`StaticInfo` is handed a model, not decoding its ``source``."""
+    if decoded is not None:
+        info.__dict__["decoded"] = decoded
     return info
 
 
@@ -228,17 +232,19 @@ class StaticCache:
                source: Optional[ApkPackage] = None) -> Optional[StaticInfo]:
         """The rehydrated model for a digest, or ``None`` on a miss.
 
-        Its ``decoded`` is the APK the miss decoded while the memory
-        tier holds it, and otherwise decodes ``source`` on first read.
+        While the memory tier holds the APK the miss decoded, the model
+        shares it as its ``decoded`` and its text as its ``source``;
+        otherwise its ``source`` is ``source``'s text, decoded on the
+        first read of ``decoded``.
         """
+        if source is not None:
+            source = replace(source, _spec=None)
         entry = self._memory_get(digest)
         if entry is not None:
             data, decoded = entry
-            if decoded is None:
-                info = static_info_from_dict(data, source)
-            else:
-                info = static_info_from_dict(data)
-                info.decoded = decoded
+            if decoded is not None:
+                source = decoded.source
+            info = _seeded(static_info_from_dict(data, source), decoded)
         elif self._disk is not None:
             info = self._disk_get(digest, source)
         else:
@@ -251,11 +257,12 @@ class StaticCache:
         self._bump_disk_stats("misses" if info is None else "hits")
         return info
 
-    def store(self, digest: str, info: StaticInfo) -> None:
+    def store(self, digest: str, info: StaticInfo,
+              decoded: DecodedApk) -> None:
         """Serialize a freshly extracted model under its digest, beside
-        its decoded APK."""
-        data = static_info_to_dict(info)
-        self._memory_put(digest, (data, info.decoded))
+        the APK it decoded, which ``info`` then shares like a hit."""
+        data = static_info_to_dict(_seeded(info, decoded))
+        self._memory_put(digest, (data, decoded))
         if self._disk is not None:
             self._disk_put(digest, data)
         with self._lock:

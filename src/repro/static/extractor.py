@@ -62,34 +62,34 @@ class StaticInfo:
     input_dep: InputDependency
     uses_manager: Dict[str, bool]
     support_library: Dict[str, bool]
+    # The APK's text artifacts (no runtime spec); None if read from JSON.
+    source: Optional[ApkPackage] = field(default=None, repr=False,
+                                         compare=False)
     # Report-only fields, computed from ``decoded`` on first read (see
     # below); a model read back from a cache entry carries both.
     # static_api_map: component class -> api names.
     static_api_map: Dict[str, List[str]] = field(init=False)
     view_components_json: str = field(init=False)
-    # The decoded APK is carried for downstream static passes (call
-    # graph, lint, attribution); absent when the model was deserialized
-    # from JSON without its APK.
-    decoded: Optional[DecodedApk] = field(repr=False, default=None)
+    # For the call graph, lint and attribution: decoded from ``source``
+    # on first read, unless the static cache's memory tier seeds it.
+    decoded: Optional[DecodedApk] = field(init=False, repr=False,
+                                          compare=False)
 
     def __getstate__(self) -> Dict[str, object]:
-        # Across a process boundary the decoded APK travels as the text
-        # it was decoded from (see StaticInfo.decoded); the trigger-map memo
-        # is rebuilt on demand.
+        # Only the text crosses a process boundary; ``decoded`` and the
+        # trigger-map memo are rebuilt from it on demand.
         state = dict(self.__dict__)
+        state.pop("decoded", None)
         state.pop("_trigger_map_cache", None)
-        source = getattr(state.get("decoded"), "source", None)
-        if source is not None:
-            del state["decoded"]
-            state["_decoded_source"] = source
         return state
 
 
-# An unpickled info decodes the shipped source on first read of
-# ``decoded``; the report-only fields scan ``decoded`` on first read, so
-# a process sweep never ships them unless its worker read them.
+# ``decoded`` decodes ``source`` on first read; the report-only fields
+# scan ``decoded`` on first read, so a process sweep never ships them
+# unless its worker read them.
 StaticInfo.decoded = ParseOnRead(  # type: ignore[assignment]
-    "decoded", lambda info: Apktool().decode(info._decoded_source))
+    "decoded", lambda info: (Apktool().decode(info.source)
+                             if info.source is not None else None))
 StaticInfo.static_api_map = ParseOnRead(  # type: ignore[assignment]
     "static_api_map", lambda info: _scan_sensitive_invokes(info.decoded))
 StaticInfo.view_components_json = ParseOnRead(  # type: ignore[assignment]
@@ -114,9 +114,10 @@ def extract_static_info(apk: ApkPackage,
     (``repro.static.cache``): a hit skips decode and Algorithms 1–3 and
     returns a fresh model whose ``decoded`` is the APK's decoded model,
     shared from the miss or decoded from ``apk`` on first read; packed
-    APKs are never cached.  ``static.cache.{hit,miss,store}`` counters
-    land on the tracer.  ``digest``, when given, is ``apk.digest()``
-    computed by the caller; the cache keys on it without hashing again.
+    APKs are never cached; uncached, the decoded model dies on return.
+    ``static.cache.{hit,miss,store}`` counters land on the tracer.
+    ``digest``, when given, is ``apk.digest()`` computed by the caller;
+    the cache keys on it without hashing again.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     if cache is not None and not apk.packed:
@@ -187,13 +188,13 @@ def extract_static_info(apk: ApkPackage,
             input_dep=input_dep,
             uses_manager=uses_manager,
             support_library=support,
-            decoded=decoded,
+            source=decoded.source,
         )
     if cache is not None and not apk.packed:
         # Serialized immediately, so later in-place AFTM mutation by the
         # dynamic phase never leaks into the stored entry; analyst
         # values are stripped by the serializer and re-applied per hit.
-        cache.store(digest, info)
+        cache.store(digest, info, decoded)
         tracer.inc("static.cache.store")
     return info
 

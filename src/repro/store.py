@@ -90,7 +90,8 @@ def check_shape(value, shape, where: str):
     """``value``, if it has ``shape``; else :class:`StoreError` naming
     ``where``, the path to the damage (``report.stats.crashes``).
 
-    A shape is a type or tuple of types (``float``: a finite number), a
+    A shape is a type or tuple of types (``float``: a finite number; a
+    number shape refuses ``true``/``false`` unless it names ``bool``), a
     ``frozenset`` of allowed strings, ``[shape]`` (a list of it),
     ``{str: shape}`` (an object of it) or ``{key: shape, ...}`` (an
     object with each key; a key written ``"?key"`` may be absent).
@@ -113,6 +114,8 @@ def check_shape(value, shape, where: str):
                     raise StoreError(f"{where} lacks {name!r}")
     elif isinstance(shape, frozenset):
         ok = isinstance(value, str) and value in shape
+    elif isinstance(value, bool):
+        ok = shape is bool or (isinstance(shape, tuple) and bool in shape)
     elif shape is float:
         ok = isinstance(value, (int, float)) and -1e308 < value < 1e308
     else:
@@ -124,19 +127,16 @@ def check_shape(value, shape, where: str):
 
 
 def check_schema(data, expected: int, kind: str) -> int:
-    """The schema of ``data``, a parsed ``kind`` document.  Raises
-    :class:`StoreError` unless it is a JSON object of schema
-    ``expected``."""
+    """``expected``, the schema of ``data``, a parsed ``kind`` document.
+    Raises :class:`StoreError` unless it is a JSON object whose
+    ``schema`` is the integer ``expected`` (not ``"2"``, ``2.0`` or
+    ``true``)."""
     check_shape(data, dict, kind)
-    try:
-        schema = int(data.get("schema", -1))
-    except (TypeError, ValueError, OverflowError):
-        schema = None
-    if schema != expected:
+    schema = data.get("schema")
+    if type(schema) is not int or schema != expected:
         raise StoreError(f"unsupported {kind.replace(' ', '-')} schema "
-                         f"{data.get('schema', -1)!r} "
-                         f"(this build reads {expected})")
-    return schema
+                         f"{schema!r} (this build reads {expected})")
+    return expected
 
 
 class DocumentStore:

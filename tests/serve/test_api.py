@@ -9,6 +9,7 @@ from repro.obs.registry import RunRegistry
 from repro.obs.sinks import InMemorySink
 from repro.serve import JobLimits, ReproServer, ServeClient, ServeClientError
 from tests.conftest import wait_until
+from tests.serve.test_scheduler import WatchedJob
 
 ALPHA = "com.serve.demo.alpha"
 BETA = "com.serve.demo.beta"
@@ -279,6 +280,43 @@ def test_sse_resume_at_or_past_a_done_jobs_end_gets_end(server, client):
     body = _resumed_stream(server, job_id, events[-2]["seq"])
     assert body.startswith(f"id: {events[-1]['seq']}\n")
     assert body.endswith("event: end\ndata: {}\n\n")
+
+
+def test_a_job_reads_done_only_once_its_terminal_event_is_filed(tmp_path):
+    """The moment the queue's job turns done, the broker's history of
+    it already ends with the terminal ``job.state`` event, so a client
+    that polls ``done`` and then reads ``/logs`` always finds it."""
+    gate = threading.Event()
+
+    def held_sweep(plans, config=None, max_workers=None, backend=None):
+        gate.wait(30.0)
+        return explore_many(plans, config=config, max_workers=1,
+                            backend="thread")
+
+    server = ReproServer(journal_dir=tmp_path / "journal",
+                         registry_dir=tmp_path / "runs", port=0,
+                         sweep_fn=held_sweep)
+    server.start()
+    try:
+        client = ServeClient(server.url, timeout_s=10.0)
+        job_id = client.submit([ALPHA], max_events=200)["job_id"]
+        assert wait_until(lambda: client.job(job_id)["state"] == "running")
+        seen = []
+
+        def watch(state):
+            last = server.broker.history(job_id)[-1].event
+            seen.append((state, last.kind, last.attributes.get("state")))
+
+        job = server.queue.get(job_id)
+        job.__class__ = WatchedJob
+        job.watch = watch
+        gate.set()
+        assert client.wait(job_id, timeout_s=60.0)["state"] == "done"
+        assert seen == [("done", "job.state", "done")]
+        assert client.logs(job_id)[-1]["attributes"]["state"] == "done"
+    finally:
+        gate.set()
+        server.stop(timeout=2.0)
 
 
 def test_sse_resume_past_a_job_cancelled_while_queued_gets_end(tmp_path):

@@ -7,6 +7,7 @@ transiently killed worker costs nothing but a re-admission, and the
 surviving apps' rows match a fault-free run exactly.
 """
 
+import itertools
 import threading
 
 import pytest
@@ -396,6 +397,37 @@ def test_a_crashing_job_never_kills_the_service(tmp_path):
     assert not thread.is_alive()
 
 
+class WatchedJob(Job):
+    """A job that calls its ``watch(state)`` as its shared state turns
+    terminal, before the assignment lands (a journal snapshot made
+    with ``dataclasses.replace`` has no watch)."""
+
+    def __setattr__(self, name, value):
+        watch = self.__dict__.get("watch")
+        if watch is not None and name == "state" \
+                and value in (DONE, FAILED, CANCELLED):
+            watch(value)
+        super().__setattr__(name, value)
+
+
+def watch_terminal_order(scheduler, job):
+    """What the journal and the event log hold the moment ``job``'s
+    state turns terminal: ``(new state, journaled state, states of the
+    job.state events filed so far)``."""
+    seen = []
+
+    def watch(state):
+        filed = [event.attributes["state"]
+                 for event in scheduler.event_log.events()
+                 if event.kind == JOB_STATE
+                 and event.attributes.get("job") == job.job_id]
+        seen.append((state, scheduler.journal.load(job.job_id).state,
+                     filed))
+
+    job.watch = watch
+    return seen
+
+
 def test_the_crash_path_emits_the_terminal_state_and_releases(tmp_path):
     def broken_sweep(plans, config=None, max_workers=None, backend=None):
         raise RuntimeError("scheduler bug")
@@ -403,7 +435,9 @@ def test_the_crash_path_emits_the_terminal_state_and_releases(tmp_path):
     released = []
     scheduler = make_scheduler(tmp_path, sweep_fn=broken_sweep,
                                on_terminal=released.append)
-    job = submit_demo_job(scheduler)
+    job = WatchedJob(apps=list(DEMO_APPS), max_events=200)
+    scheduler.queue.submit(job)
+    seen = watch_terminal_order(scheduler, job)
     stop = threading.Event()
     thread = threading.Thread(target=scheduler.run_forever, args=(stop,),
                               daemon=True)
@@ -417,6 +451,31 @@ def test_the_crash_path_emits_the_terminal_state_and_releases(tmp_path):
               for event in scheduler.event_log.events()
               if event.kind == JOB_STATE]
     assert states == ["running", FAILED]
+    # The event was filed, and the journal written, before the job
+    # read failed.
+    assert seen == [(FAILED, FAILED, ["running", FAILED])]
+
+
+@pytest.mark.parametrize("end", [DONE, FAILED, CANCELLED])
+def test_a_finished_job_turns_terminal_after_its_event_is_filed(
+        tmp_path, end):
+    job = WatchedJob(apps=[ALPHA], max_events=200, time_budget_s=5.0)
+
+    def cancelled(plans, **kwargs):
+        job.cancel_requested = True  # a client cancel lands mid-round
+        return {plan.package: SweepOutcome(
+            package=plan.package, error=WorkerDiedError("died"),
+            fault_kind="worker-died") for plan in plans}
+
+    ticks = itertools.count(0.0, 100.0)  # every round overruns the budget
+    scheduler = make_scheduler(tmp_path, **{
+        DONE: {}, FAILED: {"wall": lambda: next(ticks)},
+        CANCELLED: {"sweep_fn": cancelled}}[end])
+    scheduler.queue.submit(job)
+    seen = watch_terminal_order(scheduler, job)
+    scheduler.run_job(job)
+    assert job.state == end
+    assert seen == [(end, end, ["running", end])]
 
 
 def test_a_submit_wakes_an_idle_scheduler(tmp_path, monkeypatch):

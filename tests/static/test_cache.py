@@ -339,12 +339,17 @@ def _schema_1_labelled_current(payload):
     _set("activities", 5),
     _set("uses_manager", "yes"),
     _set("resource_dep", [["btn", 1, "A", None]]),
+    _set("resource_dep", [{"widget_id": "btn", "resource_value": True,
+                           "activity": "A", "fragment": None}]),
     _schema_1,
     _schema_1_labelled_current,
+    lambda payload: payload.update(schema=str(CACHE_SCHEMA)),
+    lambda payload: payload.update(schema=CACHE_SCHEMA + 0.5),
 ], ids=["api-map-list", "view-components-number", "aftm-number",
         "one-element-edge", "unknown-node-kind", "activities-number",
-        "uses-manager-text", "resource-row-list", "schema-1",
-        "schema-1-form-as-current"])
+        "uses-manager-text", "resource-row-list", "resource-value-bool",
+        "schema-1", "schema-1-form-as-current", "schema-text",
+        "schema-fraction"])
 def test_an_entry_with_a_damaged_field_counts_as_a_miss(cache, damage):
     apk = _demo_apk()
     extract_static_info(apk, cache=cache)

@@ -1,8 +1,8 @@
 """What a StaticInfo carries across the process-sweep boundary.
 
-A worker ships the APK text its ``decoded`` model came from, not the
-decoded object graph; the receiving process decodes that text on the
-first read of ``.decoded``.  The round trip must give back an equal
+A worker ships the info's ``source`` (the APK text), never the decoded
+object graph; the receiving process decodes that text on the first
+read of ``.decoded``.  The round trip must give back an equal
 model, carry nothing of the runtime spec, leave the parent's sweep
 decode-free and explain a process sweep exactly like a thread sweep.
 """
@@ -43,7 +43,7 @@ def test_a_pickled_info_decodes_back_to_an_equal_model(plan):
     assert copy.decoded == info.decoded
     assert copy.decoded.source is not None
     # The decode shares the shipped text; it holds no second copy.
-    shipped = copy.__dict__["_decoded_source"]
+    shipped = copy.source
     for artifact in ("smali_files", "layout_files", "manifest_xml",
                      "public_xml"):
         assert getattr(copy.decoded.source, artifact) is getattr(
@@ -66,7 +66,7 @@ def test_the_trigger_map_memo_stays_behind():
 
 def test_an_info_without_a_decoded_model_stays_without_one():
     info = _info(TABLE1_PLANS[0])
-    info.decoded = None
+    info.source = None
     copy = pickle.loads(pickle.dumps(info))
     assert copy.decoded is None
     assert trigger_map_of(copy) is None

@@ -27,6 +27,8 @@ from repro.static.cache import CACHE_SCHEMA, StaticCache
 from repro.store import (
     DocumentStore,
     StoreError,
+    check_schema,
+    check_shape,
     content_id,
     default_dir,
     read_document,
@@ -133,6 +135,30 @@ def test_documents_skip_unreadable_with_warning(tmp_path):
     assert parsed == [1]
     assert sorted(name for name, _ in store.skipped) == [
         "foreign.json", "scalar.json", "torn.json"]
+
+
+@pytest.mark.parametrize("value,shape", [
+    (True, int), (False, int), (True, float), (False, (int, type(None))),
+    ([1, True], [int]), ({"hits": True}, {str: int}),
+])
+def test_number_shapes_refuse_booleans(value, shape):
+    with pytest.raises(StoreError, match="unexpected bool"):
+        check_shape(value, shape, "doc")
+
+
+@pytest.mark.parametrize("value,shape", [
+    (True, bool), (False, (int, bool)), (0, int), (2.5, float), (3, float),
+])
+def test_shapes_that_name_bool_or_numbers_accept_them(value, shape):
+    assert check_shape(value, shape, "doc") is value
+
+
+@pytest.mark.parametrize("schema,expected", [
+    ("2", 2), (2.0, 2), (2.9, 2), (True, 1), (None, 2), ([2], 2)])
+def test_check_schema_accepts_only_the_integer_itself(schema, expected):
+    with pytest.raises(StoreError, match="unsupported doc schema"):
+        check_schema({"schema": schema}, expected, "doc")
+    assert check_schema({"schema": expected}, expected, "doc") == expected
 
 
 def test_default_dir_and_content_id(monkeypatch, tmp_path):
@@ -314,6 +340,39 @@ def test_foreign_schema_is_skipped_by_each_store(tmp_path, name):
     with pytest.raises(ValueError, match="schema"):
         store.load("f" * 16)
     assert store.load(key[:6]).to_dict() == listed[0].to_dict()
+
+
+def _loose_schemas(schema):
+    """Values an integer cast once read as ``schema``."""
+    return [str(schema), float(schema), schema + 0.5] + (
+        [True] if schema == 1 else [])
+
+
+@pytest.mark.parametrize("name", sorted(PORTED))
+def test_a_loose_schema_is_skipped_by_each_store(tmp_path, name):
+    make, save, schema, listing = PORTED[name]
+    store = make(tmp_path)
+    key = save(store)
+    loose = _loose_schemas(schema)
+    for index, value in enumerate(loose):
+        foreign = store.read(key)
+        foreign["schema"] = value
+        store.put(f"f{index}" * 8, json.dumps(foreign))
+    with pytest.warns(RuntimeWarning, match="skipping unreadable"):
+        listed = listing(store)
+    assert len(listed) == 1
+    assert len(store.skipped) == len(loose)
+    for index in range(len(loose)):
+        with pytest.raises(StoreError, match="schema"):
+            store.load(f"f{index}" * 8)
+
+
+def test_cache_stats_with_a_boolean_tally_read_as_no_tallies(tmp_path):
+    (tmp_path / "stats.json").write_text('{"hits": true, "misses": 2}',
+                                         encoding="utf-8")
+    assert StaticCache.persistent_stats(tmp_path) == {}
+    StaticCache(directory=tmp_path).count_lookups(hits=1)
+    assert StaticCache.persistent_stats(tmp_path) == {"hits": 1}
 
 
 @pytest.mark.parametrize("content", ["[]", "1", '"x"', "null"])
