@@ -20,9 +20,13 @@ class ApiMonitor:
 
     def __init__(self) -> None:
         self._invocations: List[ApiInvocation] = []
+        # One ComponentName per component: the invocations share it, so
+        # a pickled result carries each component once.
+        self._components: Dict[ComponentName, ComponentName] = {}
 
     def record(self, api: str, component: ComponentName,
                source: InvocationSource, step: int) -> None:
+        component = self._components.setdefault(component, component)
         self._invocations.append(ApiInvocation(api, component, source, step))
 
     @property
@@ -44,6 +48,7 @@ class ApiMonitor:
 
     def clear(self) -> None:
         self._invocations.clear()
+        self._components.clear()
 
     def __len__(self) -> int:
         return len(self._invocations)

@@ -13,11 +13,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apk.appspec import AppSpec
+
+
+#: The text artifacts a pickled package ships as one deflated blob.
+_TEXT_FIELDS = ("manifest_xml", "smali_files", "layout_files", "public_xml")
 
 
 @dataclass
@@ -36,11 +41,33 @@ class ApkPackage:
     def __getstate__(self) -> Dict[str, object]:
         # A text-only package (no runtime spec) pickles without the
         # ``_spec`` key, so nothing of the spec crosses a process
-        # boundary with it; the class default restores ``None``.
-        state = dict(self.__dict__)
+        # boundary with it; the class default restores ``None``.  The
+        # four text artifacts cross as one deflated JSON blob; a copy
+        # nobody read ships the blob it arrived with, and one that was
+        # read (its fields may have been set since) deflates anew.
+        state = {name: value for name, value in self.__dict__.items()
+                 if name not in _TEXT_FIELDS}
         if state.get("_spec") is None:
             state.pop("_spec", None)
+        if "_deflated" not in state or any(
+                name in self.__dict__ for name in _TEXT_FIELDS):
+            text = json.dumps([getattr(self, name) for name in _TEXT_FIELDS],
+                              separators=(",", ":"))
+            state["_deflated"] = zlib.compress(text.encode("utf-8"), 1)
         return state
+
+    def __getattr__(self, name: str) -> object:
+        # Runs only for a missing attribute: on an unpickled package,
+        # the first read of any text artifact inflates all four.  The
+        # blob stays (a few KB), so threads that race here may each
+        # inflate, and the first store wins.
+        state = self.__dict__
+        if name not in _TEXT_FIELDS or "_deflated" not in state:
+            raise AttributeError(name)
+        text = json.loads(zlib.decompress(state["_deflated"]))
+        for field_name, value in zip(_TEXT_FIELDS, text):
+            state.setdefault(field_name, value)
+        return state[name]
 
     @property
     def apk_name(self) -> str:

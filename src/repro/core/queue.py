@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Iterable, List, Optional, Set, Tuple
 
 from repro.static.aftm import Node
+from repro.types import Positional
 
 
 class OpKind(str, enum.Enum):
@@ -28,8 +29,8 @@ class OpKind(str, enum.Enum):
     TAP = "tap"                  # tap at recorded coordinates
 
 
-@dataclass(frozen=True)
-class Operation:
+@dataclass(frozen=True, slots=True)
+class Operation(Positional):
     """One concrete UI event: a step of a test case or a replay script."""
 
     kind: OpKind

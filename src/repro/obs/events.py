@@ -33,6 +33,8 @@ from collections import Counter
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional
 
+from repro.types import Positional
+
 # -- typed event kinds -------------------------------------------------------
 #
 # Every emit names one of these; consumers switch on them.
@@ -92,8 +94,9 @@ ALL_EVENT_KINDS = (
 EVENT_KINDS = frozenset(ALL_EVENT_KINDS)
 
 
-class Event:
-    """One line of the flight record."""
+class Event(Positional):
+    """One line of the flight record (it pickles by position: a run
+    record crosses the process-sweep boundary with every result)."""
 
     __slots__ = ("seq", "kind", "step", "app", "wall", "attributes")
 
@@ -106,13 +109,6 @@ class Event:
         self.app = app
         self.wall = wall
         self.attributes = dict(attributes) if attributes else {}
-
-    def __reduce__(self):
-        # Positional state: a run record crosses the process-sweep
-        # boundary with every result, and this pickles and unpickles in
-        # under half the time of the generic slots protocol.
-        return (Event, (self.seq, self.kind, self.step, self.app, self.wall,
-                        self.attributes))
 
     def to_dict(self) -> Dict[str, object]:
         return {

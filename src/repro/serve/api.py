@@ -253,15 +253,11 @@ class ReproServer:
         return job
 
     def cancel(self, job_id: str) -> Job:
-        """Cancel a job: a queued one ends here (terminal event, then
-        release), a running one at its scheduler's next round."""
-        return self.queue.cancel(job_id, on_cancelled=self._end_cancelled)
-
-    def _end_cancelled(self, job: Job) -> None:
-        """A job cancelled before it started: its terminal event, then
-        its release."""
-        self._publish_state(job)
-        self.release(job)
+        """Cancel a job: a queued one ends here (journal and terminal
+        event, then state, then release), a running one at its
+        scheduler's next round."""
+        return self.queue.cancel(job_id, publish=self._publish_state,
+                                 on_cancelled=self.release)
 
     def _publish_state(self, job: Job) -> None:
         """Journal the job and emit its ``job.state`` event."""

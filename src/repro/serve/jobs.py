@@ -26,7 +26,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.bench.parallel import BACKENDS
@@ -384,13 +384,16 @@ class JobQueue:
     # -- cancellation --------------------------------------------------------
 
     def cancel(self, job_id: str,
+               publish: Optional[Callable[[Job], None]] = None,
                on_cancelled: Optional[Callable[[Job], None]] = None) -> Job:
         """Cancel a queued job immediately; flag a running one for
-        cooperative cancellation at its next round boundary.
-        ``on_cancelled`` runs, after the queue lock is released, only
-        when this call cancelled a queued job: which case applies is
-        decided under the lock, not read back from a state the
-        scheduler may change meanwhile."""
+        cooperative cancellation at its next round boundary.  Which case
+        applies is decided under the queue lock, not read back from a
+        state the scheduler may change meanwhile.  For a queued job,
+        after the lock is released, ``publish`` gets its terminal
+        snapshot, then the job turns ``cancelled``, then
+        ``on_cancelled`` gets the job: a reader that sees it cancelled
+        finds what ``publish`` recorded."""
         with self._lock:
             try:
                 job = self._jobs[job_id]
@@ -401,20 +404,29 @@ class JobQueue:
                     f"job {job_id} is already {job.state}; cannot cancel")
             queued = job.state != RUNNING
             if queued:
-                job.state = CANCELLED
-                job.finished = round(time.time(), 3)
-                job.error = "cancelled before start"
                 # Free the queue slot now — a cancelled job must not
                 # keep holding the admission bound against new submits.
+                # A queued job already out of the queue is mid-cancel.
                 try:
                     self._pending.remove(job_id)
                 except ValueError:
-                    pass
+                    raise JobStateError(
+                        f"job {job_id} is already being cancelled"
+                    ) from None
             else:
                 job.cancel_requested = True
         self.metrics.inc("serve.cancel_requested")
-        if queued and on_cancelled is not None:
-            on_cancelled(job)
+        if queued:
+            ended = replace(job, state=CANCELLED,
+                            finished=round(time.time(), 3),
+                            error="cancelled before start")
+            if publish is not None:
+                publish(ended)
+            job.error = ended.error
+            job.finished = ended.finished
+            job.state = ended.state
+            if on_cancelled is not None:
+                on_cancelled(job)
         return job
 
     # -- restart recovery ----------------------------------------------------

@@ -31,6 +31,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.errors import ReproError, StoreError
 from repro.store import check_shape
+from repro.types import Positional
 
 
 class NodeKind(str, enum.Enum):
@@ -46,8 +47,8 @@ class EdgeKind(str, enum.Enum):
     E3 = "F->F"
 
 
-@dataclass(frozen=True, order=True)
-class Node:
+@dataclass(frozen=True, order=True, slots=True)
+class Node(Positional):
     """A working Activity or Fragment, identified by its class name."""
 
     kind: NodeKind
@@ -70,8 +71,8 @@ def fragment_node(name: str) -> Node:
     return Node(NodeKind.FRAGMENT, name)
 
 
-@dataclass(frozen=True, order=True)
-class Transition:
+@dataclass(frozen=True, order=True, slots=True)
+class Transition(Positional):
     """One edge of the AFTM.
 
     ``host`` is the Activity that owns an inner edge (the container for

@@ -440,8 +440,9 @@ class StaticCache:
             return {}
 
     def clear(self) -> int:
-        """Drop every entry, note and tally (memory and disk); returns the
-        number of model entries removed."""
+        """Drop every entry, note and tally (memory and disk) and any
+        temp file a crashed writer left; returns the number of model
+        entries removed.  The ``.update.lock`` file stays."""
         with self._lock:
             removed = len(self._memory)
             self._memory.clear()
@@ -450,4 +451,5 @@ class StaticCache:
             for key in self._disk.ids():
                 if self._disk.remove(key) and _is_entry(key):
                     removed += 1
+            self._disk.remove_debris()
         return removed

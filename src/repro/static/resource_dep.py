@@ -16,10 +16,11 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.smali.apktool import DecodedApk
 from repro.smali.model import SmaliClass
+from repro.types import Positional
 
 
-@dataclass(frozen=True)
-class ResourceBinding:
+@dataclass(frozen=True, slots=True)
+class ResourceBinding(Positional):
     """One row of the AFRM model: a widget and its owning component."""
 
     widget_id: str

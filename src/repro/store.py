@@ -45,6 +45,10 @@ def content_id(payload: object) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+#: The name prefix of :func:`atomic_write`'s temp files.
+_TMP_PREFIX = ".tmp-"
+
+
 def atomic_write(path: os.PathLike, text: str) -> None:
     """Replace ``path`` with ``text`` in one step (creating its directory).
 
@@ -54,7 +58,7 @@ def atomic_write(path: os.PathLike, text: str) -> None:
     """
     directory = pathlib.Path(path).parent
     directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(directory), prefix=".tmp-",
+    fd, tmp = tempfile.mkstemp(dir=str(directory), prefix=_TMP_PREFIX,
                                suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -212,6 +216,16 @@ class DocumentStore:
             return True
         except OSError:
             return False
+
+    def remove_debris(self) -> None:
+        """Delete the ``.tmp-*.json`` files crashed writers left.  A
+        write in flight loses its temp file and fails, so only an
+        explicit wipe calls this (it needs no age policy)."""
+        for path in self.directory.glob(f"{_TMP_PREFIX}*.json"):
+            try:
+                path.unlink()
+            except OSError:
+                pass
 
     def documents(self, parse: Callable[[Dict], T]) -> List[T]:
         """``parse`` of every readable document, in key order.

@@ -11,6 +11,22 @@ import enum
 from dataclasses import dataclass
 
 
+class Positional:
+    """Pickle a slotted record as its class and its slot values.
+
+    A record's slots, in order, are its constructor's parameters, so
+    unpickling calls the constructor again (any validation in it runs)
+    and ships no field names.  A process sweep pickles thousands of
+    these with every result.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name)
+                                  for name in self.__slots__])
+
+
 class ComponentKind(enum.Enum):
     """What kind of app component a name refers to."""
 
@@ -18,8 +34,8 @@ class ComponentKind(enum.Enum):
     FRAGMENT = "fragment"
 
 
-@dataclass(frozen=True, order=True)
-class ComponentName:
+@dataclass(frozen=True, order=True, slots=True)
+class ComponentName(Positional):
     """A fully-qualified Android component name, e.g. ``com.app/.MainActivity``.
 
     ``cls`` is always stored fully qualified (``com.app.MainActivity``).
@@ -111,8 +127,8 @@ class InvocationSource(enum.Enum):
     FRAGMENT = "fragment"
 
 
-@dataclass(frozen=True)
-class ApiInvocation:
+@dataclass(frozen=True, slots=True)
+class ApiInvocation(Positional):
     """One observed sensitive-API invocation.
 
     ``component`` is the class that executed the call; ``source`` says

@@ -344,6 +344,47 @@ def test_sse_resume_past_a_job_cancelled_while_queued_gets_end(tmp_path):
         server.stop(timeout=2.0)
 
 
+def test_a_job_cancelled_while_queued_reads_cancelled_only_once_its_event_is_filed(
+        tmp_path):
+    """Cancel-before-start follows the scheduler's terminal order: the
+    moment the queued job turns cancelled, its journal entry reads
+    cancelled and the broker's history of it ends with the terminal
+    ``job.state`` event."""
+    gate = threading.Event()
+
+    def held_sweep(plans, config=None, max_workers=None, backend=None):
+        gate.wait(30.0)
+        return explore_many(plans, config=config, max_workers=1,
+                            backend="thread")
+
+    server = ReproServer(journal_dir=tmp_path / "journal",
+                         registry_dir=tmp_path / "runs", port=0,
+                         sweep_fn=held_sweep)
+    server.start()
+    try:
+        client = ServeClient(server.url, timeout_s=10.0)
+        running = client.submit([ALPHA], max_events=200)
+        assert wait_until(
+            lambda: client.job(running["job_id"])["state"] == "running")
+        queued = client.submit([BETA], max_events=200)["job_id"]
+        seen = []
+
+        def watch(state):
+            last = server.broker.history(queued)[-1].event
+            seen.append((state, server.journal.load(queued).state,
+                         last.kind, last.attributes.get("state")))
+
+        job = server.queue.get(queued)
+        job.__class__ = WatchedJob
+        job.watch = watch
+        assert client.cancel(queued)["state"] == "cancelled"
+        assert seen == [("cancelled", "cancelled", "job.state", "cancelled")]
+        assert client.logs(queued)[-1]["attributes"]["state"] == "cancelled"
+    finally:
+        gate.set()
+        server.stop(timeout=2.0)
+
+
 def test_sse_stream_resumes_after_the_service_drops_a_slow_reader(
         tmp_path, monkeypatch):
     """The service closes a stream that overflows its buffer; the

@@ -123,6 +123,30 @@ def test_next_job_is_fifo_and_skips_cancelled():
     assert queue.next_job() is None
 
 
+def test_a_queued_cancel_publishes_before_the_job_reads_cancelled():
+    queue = JobQueue()
+    job = queue.submit(Job(apps=list(APPS)))
+    order = []
+
+    def publish(ended):
+        # The terminal snapshot, while the shared job is still queued;
+        # a second cancel in this window finds the job mid-cancel.
+        order.append(("publish", ended.state, ended.error, job.state))
+        with pytest.raises(JobStateError):
+            queue.cancel(job.job_id)
+
+    def on_cancelled(cancelled):
+        order.append(("cancelled", cancelled.state, cancelled.finished))
+
+    queue.cancel(job.job_id, publish=publish, on_cancelled=on_cancelled)
+    assert order == [
+        ("publish", CANCELLED, "cancelled before start", ADMITTED),
+        ("cancelled", CANCELLED, job.finished),
+    ]
+    assert job.finished > 0
+    assert queue.depth() == 0
+
+
 def test_cancel_running_is_cooperative():
     queue = JobQueue()
     job = queue.submit(Job(apps=list(APPS)))

@@ -510,6 +510,21 @@ def test_stats_and_clear(tmp_path):
     assert cache.misses == 2 and cache.stores == 2
 
 
+def test_clear_sweeps_crashed_writers_temp_files(tmp_path):
+    cache = StaticCache(directory=tmp_path)
+    extract_static_info(_demo_apk(), cache=cache)
+    # What a writer killed between mkstemp and the rename leaves.
+    debris = tmp_path / ".tmp-crashed.json"
+    debris.write_text('{"schema": ', encoding="utf-8")
+    other = tmp_path / "notes.txt"
+    other.write_text("not the cache's", encoding="utf-8")
+    assert (tmp_path / ".update.lock").exists()
+    assert cache.clear() >= 1
+    assert not debris.exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        ".update.lock", "notes.txt"]
+
+
 def test_rejects_silly_memory_budget():
     with pytest.raises(ValueError):
         StaticCache(memory_entries=0)

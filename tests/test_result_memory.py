@@ -1,4 +1,5 @@
-"""An exploration result keeps its APK's text, not its decoded model.
+"""An exploration result keeps its APK's text, not its decoded model,
+and a process sweep ships it home compact.
 
 The decoded smali is the static phase's working state: without a
 static cache, the model ``extract_static_info`` decodes dies when it
@@ -7,13 +8,14 @@ returns, and a result's ``info.decoded`` is decoded again from
 """
 
 import gc
+import pickle
 import tracemalloc
 import weakref
 
 import pytest
 
 from repro.apk import build_apk
-from repro.bench.parallel import explore_one
+from repro.bench.parallel import explore_many, explore_one
 from repro.corpus import TABLE1_PLANS, build_app
 from repro.corpus.synth import AppPlan
 from repro.smali.apktool import Apktool
@@ -26,6 +28,13 @@ LARGE_APP = AppPlan("com.scale.a200f150", visited_activities=200,
 #: AFTM, records and APK text, but no decoded model (which alone is
 #: over 3 MB of it).
 LARGE_APP_RETAINED_BYTES = 3_500_000
+
+#: What one 15-app Table-I process pass ships home: its outcomes'
+#: pickles, and what they keep alive once unpickled in the parent
+#: (1,552 KB and 3.64 MB before the APK text crossed deflated and the
+#: records pickled by position).
+TABLE1_PICKLED_BYTES = 700_000
+TABLE1_RETAINED_BYTES = 2_500_000
 
 
 @pytest.fixture
@@ -80,3 +89,23 @@ def test_a_large_app_outcome_retains_no_decoded_model():
         tracemalloc.stop()
     assert outcome.ok, outcome.error
     assert retained <= LARGE_APP_RETAINED_BYTES, retained
+
+
+def test_a_table1_process_pass_ships_compact_results():
+    outcomes = explore_many(TABLE1_PLANS, max_workers=2, backend="process")
+    assert all(outcome.ok for outcome in outcomes.values())
+    # What each worker sent: nothing in the parent read these yet.
+    shipped = [pickle.dumps(outcome) for outcome in outcomes.values()]
+    del outcomes
+    assert sum(map(len, shipped)) <= TABLE1_PICKLED_BYTES
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        received = [pickle.loads(data) for data in shipped]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(received) == len(TABLE1_PLANS)
+    assert retained <= TABLE1_RETAINED_BYTES, retained
