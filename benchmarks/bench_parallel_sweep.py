@@ -58,7 +58,7 @@ def _run_all():
     }
 
     serial_s, study_baseline = _timed(lambda: run_usage_study(
-        count=STUDY_COUNT, seed=SEED))
+        count=STUDY_COUNT, seed=SEED, max_workers=1))
     record["usage_study"]["serial_s"] = serial_s
     for backend in ("thread", "process"):
         for workers in WORKER_COUNTS:

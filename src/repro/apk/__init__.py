@@ -32,7 +32,7 @@ from repro.apk.appspec import (
 from repro.apk.builder import build_apk
 from repro.apk.layout import Layout
 from repro.apk.manifest import ActivityDecl, IntentFilter, Manifest
-from repro.apk.package import ApkPackage, digest_many
+from repro.apk.package import ApkPackage
 from repro.apk.resources import ResourceTable
 
 __all__ = [
@@ -63,5 +63,4 @@ __all__ = [
     "ToggleWidget",
     "WidgetSpec",
     "build_apk",
-    "digest_many",
 ]

@@ -15,7 +15,7 @@ import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apk.appspec import AppSpec
@@ -120,15 +120,3 @@ class ApkPackage:
             raise ValueError(f"package {self.package} has no runtime spec")
         return self._spec
 
-
-def digest_many(packages: Iterable[ApkPackage]) -> List[str]:
-    """Batch :meth:`ApkPackage.digest` over a corpus.
-
-    One pass with the hasher and serializer resolved once; each value is
-    byte-identical to calling ``digest()`` on that package (both hash the
-    same canonical payload), so cache keys and committed baselines are
-    unaffected by which entry point computed them.
-    """
-    sha256 = hashlib.sha256
-    return [sha256(package._digest_payload()).hexdigest()
-            for package in packages]

@@ -229,9 +229,10 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                         help="worker count (default min(apps, cpus); "
                              "FRAGDROID_WORKERS overrides)")
     parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="pool backend: thread (default) or process "
-                             "(sidesteps the GIL; FRAGDROID_SWEEP_BACKEND "
-                             "overrides the default)")
+                        help="pool backend: thread or process (sidesteps "
+                             "the GIL); default thread, or process for a "
+                             "multi-worker study; FRAGDROID_SWEEP_BACKEND "
+                             "overrides the default")
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -468,9 +469,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    workers = args.workers if args.workers is not None else 1
     cache = _static_cache(args)
-    result = run_usage_study(max_workers=workers, backend=args.backend,
+    result = run_usage_study(max_workers=args.workers, backend=args.backend,
                              cache=cache)
     print(result.render())
     if cache is not None:

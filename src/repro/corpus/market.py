@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import List
 
-from repro.apk.appspec import AppSpec
 from repro.apk.package import ApkPackage
 from repro.apk.builder import build_apk
 from repro.corpus.synth import AppPlan, build_app
@@ -47,17 +46,35 @@ PACKED_SHARE = 0.04
 
 @dataclass
 class MarketApp:
-    """One market entry: metadata plus its buildable spec."""
+    """One market entry: the plan it builds from, plus whether that
+    plan has Fragments (the flag the study measures, never reads).
 
-    package: str
-    category: str
-    downloads: str
+    The entry holds no spec: :meth:`build` compiles the plan where it
+    runs, so a sweep ships a few hundred bytes per app and each worker
+    builds its own apps.
+    """
+
+    plan: AppPlan
     uses_fragments: bool
-    packed: bool
-    spec: AppSpec
+
+    @property
+    def package(self) -> str:
+        return self.plan.package
+
+    @property
+    def category(self) -> str:
+        return self.plan.category
+
+    @property
+    def downloads(self) -> str:
+        return self.plan.downloads
+
+    @property
+    def packed(self) -> bool:
+        return self.plan.packed
 
     def build(self) -> ApkPackage:
-        return build_apk(self.spec)
+        return build_apk(build_app(self.plan))
 
 
 def _category_sequence(count: int, rng: random.Random) -> List[str]:
@@ -74,7 +91,8 @@ def _category_sequence(count: int, rng: random.Random) -> List[str]:
 
 
 def generate_market(count: int = 217, seed: int = 2018) -> List[MarketApp]:
-    """Deterministically generate the study population."""
+    """Deterministically generate the study population: draw each app's
+    plan from the seed's RNG; nothing is built here."""
     rng = random.Random(seed)
     categories = _category_sequence(count, rng)
     n_fragment_apps = round(count * FRAGMENT_SHARE)
@@ -84,7 +102,6 @@ def generate_market(count: int = 217, seed: int = 2018) -> List[MarketApp]:
     rng.shuffle(fragment_flags)
     apps: List[MarketApp] = []
     for index in range(count):
-        package = f"com.market.app{index:03d}"
         uses_fragments = fragment_flags[index]
         packed = rng.random() < PACKED_SHARE
         downloads = rng.choice(
@@ -92,7 +109,7 @@ def generate_market(count: int = 217, seed: int = 2018) -> List[MarketApp]:
              "50,000,000+"]
         )
         plan = AppPlan(
-            package=package,
+            package=f"com.market.app{index:03d}",
             downloads=downloads,
             category=categories[index],
             visited_activities=rng.randint(2, 6),
@@ -101,17 +118,7 @@ def generate_market(count: int = 217, seed: int = 2018) -> List[MarketApp]:
             visited_fragments=rng.randint(1, 5) if uses_fragments else 0,
             unmanaged_fragments=(1 if uses_fragments and rng.random() < 0.1
                                  else 0),
+            packed=packed,
         )
-        spec = build_app(plan)
-        spec.packed = packed
-        apps.append(
-            MarketApp(
-                package=package,
-                category=categories[index],
-                downloads=downloads,
-                uses_fragments=uses_fragments,
-                packed=packed,
-                spec=spec,
-            )
-        )
+        apps.append(MarketApp(plan, uses_fragments))
     return apps

@@ -436,15 +436,21 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- /jobs/<id>/events (SSE) ---------------------------------------------
 
-    def _sse_send(self, filed: Filed) -> bool:
-        """Write one event's frame; True when it was the job's
+    def _sse_frame(self, frames: List[bytes], filed: Filed) -> bool:
+        """Append one event's frame; True when it was the job's
         terminal ``job.state`` event."""
         event = filed.event
-        self.wfile.write(f"id: {event.seq}\n"
-                         f"event: {event.kind}\n"
-                         f"data: {filed.text}\n\n".encode("utf-8"))
-        self.wfile.flush()
+        frames.append(f"id: {event.seq}\n"
+                      f"event: {event.kind}\n"
+                      f"data: {filed.text}\n\n".encode("utf-8"))
         return is_terminal(event)
+
+    def _sse_write(self, frames: List[bytes]) -> None:
+        """Send the pending frames in one write."""
+        if frames:
+            self.wfile.write(b"".join(frames))
+            self.wfile.flush()
+            frames.clear()
 
     def _stream_events(self, job_id: str) -> None:
         """Serve one job's event stream as Server-Sent Events.
@@ -459,6 +465,10 @@ class _Handler(BaseHTTPRequestHandler):
         notice a dead peer.  A disconnected or too-slow client is
         unsubscribed, its buffer released with it; a slow one closes
         without ``end`` and may resume from the last seq it got.
+
+        Each wakeup sends in one write what is already queued: the
+        backlog, or the live events queued by then, up to the terminal
+        one (with ``end``) or the overflow notice.
         """
         repro = self.server.repro
         job = repro.queue.get(job_id)  # 404 on unknown ids
@@ -473,25 +483,30 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Cache-Control", "no-cache")
             self.send_header("Connection", "close")
             self.end_headers()
+            frames: List[bytes] = []
             # A resume at or past the terminal event ends after the
             # backlog: no live event will come.
             terminal = subscription.ended
             for filed in backlog:
-                terminal = self._sse_send(filed) or terminal
-            while not terminal and not repro.stopping:
+                terminal = self._sse_frame(frames, filed) or terminal
+            overflowed = False
+            while not (terminal or overflowed or repro.stopping):
+                self._sse_write(frames)
                 filed = subscription.get(timeout=repro.heartbeat_s)
                 if filed is None:
-                    self.wfile.write(b": heartbeat\n\n")
-                    self.wfile.flush()
+                    frames.append(b": heartbeat\n\n")
                     continue
-                terminal = self._sse_send(filed)
-                if subscription.overflowed and not terminal:
-                    self.wfile.write(b": overflowed, closing\n\n")
-                    self.wfile.flush()
-                    break
+                while filed is not None:
+                    terminal = self._sse_frame(frames, filed)
+                    overflowed = subscription.overflowed and not terminal
+                    if terminal or overflowed:
+                        break
+                    filed = subscription.get_nowait()
+            if overflowed:
+                frames.append(b": overflowed, closing\n\n")
             if terminal:
-                self.wfile.write(b"event: end\ndata: {}\n\n")
-                self.wfile.flush()
+                frames.append(b"event: end\ndata: {}\n\n")
+            self._sse_write(frames)
         except (BrokenPipeError, ConnectionResetError, OSError):
             pass  # client went away; cleanup below
         finally:

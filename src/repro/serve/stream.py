@@ -115,6 +115,13 @@ class Subscription:
         except queue.Empty:
             return None
 
+    def get_nowait(self) -> Optional[Filed]:
+        """The next event already queued, or None at once."""
+        try:
+            return self._queue.get_nowait()
+        except queue.Empty:
+            return None
+
     def pending(self) -> int:
         return self._queue.qsize()
 

@@ -282,6 +282,40 @@ def test_sse_resume_at_or_past_a_done_jobs_end_gets_end(server, client):
     assert body.endswith("event: end\ndata: {}\n\n")
 
 
+def _per_event_frames(history):
+    """What the stream wrote for ``history`` with one write per event."""
+    return "".join(f"id: {filed.event.seq}\nevent: {filed.event.kind}\n"
+                   f"data: {filed.text}\n\n" for filed in history)
+
+
+def test_sse_streams_of_a_done_job_are_its_frames_in_one_write(
+        server, client, monkeypatch):
+    """The full and the resumed stream of a finished job carry the same
+    bytes as the per-event frames, then ``end``, in one write each."""
+    from repro.serve import api
+
+    writes = []
+    write = api._Handler._sse_write
+
+    def counted(self, frames):
+        if frames:
+            writes.append(len(frames))
+        write(self, frames)
+
+    monkeypatch.setattr(api._Handler, "_sse_write", counted)
+    job_id = client.submit([ALPHA], max_events=200)["job_id"]
+    assert client.wait(job_id, timeout_s=60.0)["state"] == "done"
+    end = "event: end\ndata: {}\n\n"
+    history = server.broker.history(job_id)
+    middle = history[len(history) // 2].event.seq
+    resumed = server.broker.history(job_id, middle)
+    assert _resumed_stream(server, job_id, 0) == (
+        _per_event_frames(history) + end)
+    assert _resumed_stream(server, job_id, middle) == (
+        _per_event_frames(resumed) + end)
+    assert writes == [len(history) + 1, len(resumed) + 1]
+
+
 def test_a_job_reads_done_only_once_its_terminal_event_is_filed(tmp_path):
     """The moment the queue's job turns done, the broker's history of
     it already ends with the terminal ``job.state`` event, so a client

@@ -9,20 +9,12 @@ import json
 
 import pytest
 
-from repro.apk import build_apk, digest_many
 from repro.static.cache import CACHE_SCHEMA, StaticCache
-from tests.conftest import make_demo_spec
 
 
 @pytest.fixture
 def cache(tmp_path):
     return StaticCache(directory=tmp_path / "cache")
-
-
-def test_digest_many_matches_per_package_digest():
-    apks = [build_apk(make_demo_spec(f"com.example.app{i}"))
-            for i in range(5)]
-    assert digest_many(apks) == [apk.digest() for apk in apks]
 
 
 def test_notes_round_trip(cache):
