@@ -689,7 +689,7 @@ def test_leases_under_thread_contention_leak_no_pool():
 def test_usage_study_parallel_matches_serial():
     from repro.bench.runner import run_usage_study
 
-    serial = run_usage_study(count=40)
+    serial = run_usage_study(count=40, max_workers=1)
     assert serial == run_usage_study(count=40, max_workers=4,
                                      backend="thread")
     assert serial == run_usage_study(count=40, max_workers=4,
