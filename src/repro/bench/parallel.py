@@ -41,8 +41,8 @@ batch`` each run many independent apps.  All three go through
 The callers: :func:`explore_many` sweeps app plans through
 :func:`explore_one`.  On the process backend the config itself ships,
 and each live observer crosses by its own pickling rule: a tracer as an
-empty one in the same memory mode, an event log as a null log, a static
-cache as a fresh handle on its directory.  A worker unpickles a fresh
+empty one, an event log as a null log, a static cache as a fresh
+handle on its directory.  A worker unpickles a fresh
 config per app; what its tracer recorded comes home on the app's
 outcome.  The parent folds those spans and counters into its observers
 on join (``Tracer.absorb`` / ``Metrics.merge``), and each result's run
@@ -308,9 +308,8 @@ _IDLE_POOLS_LOCK = threading.Lock()
 
 
 def _worker_start() -> None:
-    # A worker forked while the parent sampled memory would keep
-    # tracing for every later sweep; its own tracer starts (and stops)
-    # tracemalloc per app instead.
+    # A worker forked while the parent ran tracemalloc would keep
+    # tracing (and paying for it) in every later sweep it serves.
     tracemalloc.stop()
 
 
@@ -458,8 +457,6 @@ def _explore_apart(config_bytes: bytes, plan: AppPlan) -> SweepOutcome:
         outcome.spans = config.tracer.finished_spans()
         outcome.counters = config.tracer.metrics.counters()
         outcome.histograms = config.tracer.metrics.raw_histograms()
-        # The worker outlives this app: stop its memory sampling.
-        config.tracer.close()
     return outcome
 
 

@@ -57,7 +57,6 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import StoreError
 from repro.obs.dashboard import RunData, load_run
 from repro.obs.events import (
     ATTRIBUTION_COMPUTED,
@@ -70,7 +69,12 @@ from repro.obs.events import (
     WIDGET_CLICKED,
 )
 from repro.static.aftm import aftm_from_dict
-from repro.store import DocumentStore, check_schema, content_id
+from repro.store import (
+    DocumentStore,
+    check_schema,
+    content_id,
+    shaped_fields,
+)
 
 #: Bump whenever the explanation shape changes; foreign schemas are
 #: rejected on read, mirroring ``RECORD_SCHEMA``.
@@ -117,10 +121,10 @@ _NON_WIDGET_TRIGGERS = ("static", "reflection", "forced-start")
 class MissTarget:
     """One unreached target and why it stayed unreached."""
 
-    package: str
-    kind: str                   # "activity" | "fragment" | "api" | "app"
-    name: str
-    cause: str
+    package: str = ""
+    kind: str = ""              # "activity" | "fragment" | "api" | "app"
+    name: str = ""
+    cause: str = CAUSE_UNCLASSIFIED
     #: The shortest static witness path, entry -> target, as edge dicts
     #: (src/dst/kind/trigger); empty when no path exists.
     witness: List[Dict[str, object]] = field(default_factory=list)
@@ -142,16 +146,7 @@ class MissTarget:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "MissTarget":
-        return cls(
-            package=str(data.get("package", "")),
-            kind=str(data.get("kind", "")),
-            name=str(data.get("name", "")),
-            cause=str(data.get("cause", CAUSE_UNCLASSIFIED)),
-            witness=[dict(e) for e in data.get("witness") or ()],
-            nearest_visited=data.get("nearest_visited"),
-            blocking_widget=data.get("blocking_widget"),
-            evidence=str(data.get("evidence", "")),
-        )
+        return cls(**shaped_fields(data, _MISS_TARGET_SHAPE, "miss target"))
 
     @property
     def simple_name(self) -> str:
@@ -161,6 +156,15 @@ class MissTarget:
         return (self.package,
                 _CAUSE_RANK.get(self.cause, len(CAUSES)),
                 self.kind, self.name)
+
+
+#: What :meth:`MissTarget.to_dict` writes (see
+#: :func:`repro.store.check_shape`).
+_MISS_TARGET_SHAPE = {
+    "?package": str, "?kind": str, "?name": str, "?cause": str,
+    "?witness": [dict], "?nearest_visited": (str, type(None)),
+    "?blocking_widget": (str, type(None)), "?evidence": str,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -219,25 +223,12 @@ class CoverageExplanation:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CoverageExplanation":
-        """The explanation ``data`` holds.  Raises :class:`StoreError`
-        for anything else: a non-object, another schema, a field of the
-        wrong shape."""
-        schema = check_schema(data, EXPLANATION_SCHEMA,
-                              "coverage explanation")
-        try:
-            return cls(
-                label=str(data.get("label", "explanation")),
-                source_run_id=str(data.get("source_run_id", "")),
-                apps=[dict(r) for r in data.get("apps") or ()],
-                targets=[dict(t) for t in data.get("targets") or ()],
-                cause_census=dict(data.get("cause_census") or {}),
-                meta=dict(data.get("meta") or {}),
-                schema=schema,
-                explanation_id=str(data.get("explanation_id", "")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise StoreError(f"malformed coverage explanation: {exc}") \
-                from exc
+        """The explanation ``data`` holds.  Raises
+        :class:`~repro.errors.StoreError` for anything else: a
+        non-object, another schema, a field of the wrong shape."""
+        check_schema(data, EXPLANATION_SCHEMA, "coverage explanation")
+        return cls(**shaped_fields(data, _EXPLANATION_SHAPE,
+                                   "coverage explanation"))
 
     # -- views -------------------------------------------------------------
 
@@ -247,6 +238,14 @@ class CoverageExplanation:
     def unclassified(self) -> List[MissTarget]:
         return [t for t in self.miss_targets()
                 if t.cause == CAUSE_UNCLASSIFIED]
+
+
+#: What :meth:`CoverageExplanation.to_dict` writes.
+_EXPLANATION_SHAPE = {
+    "schema": int, "?label": str, "?source_run_id": str, "?apps": [dict],
+    "?targets": [_MISS_TARGET_SHAPE], "?cause_census": {str: int},
+    "?meta": dict, "?explanation_id": str,
+}
 
 
 # ---------------------------------------------------------------------------

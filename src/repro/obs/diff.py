@@ -4,7 +4,7 @@ This module answers the longitudinal question — "what changed
 *between two runs*" — over the persistent
 :class:`~repro.obs.registry.RunRecord` shape: per-app coverage deltas,
 counter appear/vanish/shift with a tolerance band, per-phase self-time
-and peak-memory deltas, plus the comparability facts (config
+deltas, plus the comparability facts (config
 fingerprint, corpus digest) that say whether the numbers may be
 compared at all.
 
@@ -158,7 +158,6 @@ class RecordDiff:
     counters: List[Delta] = field(default_factory=list)
     apps: List[AppDelta] = field(default_factory=list)
     phase_time: List[Delta] = field(default_factory=list)   # seconds
-    phase_mem: List[Delta] = field(default_factory=list)    # KiB
 
     @property
     def comparable(self) -> bool:
@@ -172,7 +171,6 @@ class RecordDiff:
             "apps": [a for a in self.apps if a.status != STEADY],
             "phase_time": [d for d in self.phase_time
                            if d.status != STEADY],
-            "phase_mem": [d for d in self.phase_mem if d.status != STEADY],
         }
 
     def to_dict(self) -> Dict[str, object]:
@@ -189,7 +187,6 @@ class RecordDiff:
             "counters": [d.to_dict() for d in self.counters],
             "apps": [a.to_dict() for a in self.apps],
             "phase_time": [d.to_dict() for d in self.phase_time],
-            "phase_mem": [d.to_dict() for d in self.phase_mem],
         }
 
     # -- text rendering ----------------------------------------------------
@@ -205,13 +202,11 @@ class RecordDiff:
             self.changed() if changed_only else {
                 "coverage": self.coverage, "counters": self.counters,
                 "apps": self.apps, "phase_time": self.phase_time,
-                "phase_mem": self.phase_mem,
             }
         )
-        units = {"phase_time": " s", "phase_mem": " KiB"}
+        units = {"phase_time": " s"}
         any_change = False
-        for section in ("coverage", "apps", "counters",
-                        "phase_time", "phase_mem"):
+        for section in ("coverage", "apps", "counters", "phase_time"):
             entries = sections[section]
             if not entries:
                 continue
@@ -287,15 +282,6 @@ def diff_records(baseline: RunRecord, candidate: RunRecord,
          for name, stats in baseline.phases.items()},
         {name: stats.get("self_total_s", 0.0)
          for name, stats in candidate.phases.items()},
-        tolerance,
-    )
-    diff.phase_mem = diff_numeric(
-        {name: stats["mem_peak_kb"]
-         for name, stats in baseline.phases.items()
-         if "mem_peak_kb" in stats},
-        {name: stats["mem_peak_kb"]
-         for name, stats in candidate.phases.items()
-         if "mem_peak_kb" in stats},
         tolerance,
     )
     return diff

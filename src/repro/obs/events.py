@@ -33,6 +33,7 @@ from collections import Counter
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional
 
+from repro.store import shaped_fields
 from repro.types import Positional
 
 # -- typed event kinds -------------------------------------------------------
@@ -121,19 +122,22 @@ class Event(Positional):
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Event":
-        return cls(
-            seq=int(data["seq"]),  # type: ignore[arg-type]
-            kind=str(data["kind"]),
-            step=int(data.get("step", 0)),  # type: ignore[arg-type]
-            app=str(data.get("app", "")),
-            wall=float(data.get("wall", 0.0)),  # type: ignore[arg-type]
-            attributes=dict(data.get("attributes") or {}),  # type: ignore[arg-type]
-        )
+    def from_dict(cls, data: Dict[str, object],
+                  where: str = "event") -> "Event":
+        """The event ``data`` holds; else
+        :class:`~repro.errors.StoreError` naming ``where``."""
+        return cls(**shaped_fields(data, _EVENT_SHAPE, where))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Event({self.seq}, {self.kind!r}, step={self.step}, "
                 f"app={self.app!r}, attrs={self.attributes})")
+
+
+#: What :meth:`Event.to_dict` writes (see :func:`repro.store.check_shape`).
+_EVENT_SHAPE = {
+    "seq": int, "kind": str, "?step": int, "?app": str, "?wall": float,
+    "?attributes": dict,
+}
 
 
 class EventLog:

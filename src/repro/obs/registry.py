@@ -18,9 +18,7 @@ need:
 * the **counters and histogram aggregates** of the run's metrics
   registry and the **fault census** of the sweep;
 * per-phase **span self-time percentiles** (p50/p90/p99 over each span
-  name's self time, via :func:`repro.obs.metrics.percentile`) and —
-  when the tracer samples memory (``Tracer(memory=True)``) — the peak
-  **tracemalloc** growth per phase;
+  name's self time, via :func:`repro.obs.metrics.percentile`);
 * per-app **discovery statistics** from the flight-recorder timeline
   (final coverage checkpoint, t50/t90 per series) when the event log
   was enabled.
@@ -49,7 +47,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import StoreError
 from repro.obs.flame import build_trees
 from repro.obs.metrics import percentile
 from repro.obs.timeline import coverage_timeline, discovery_stats
@@ -57,9 +54,11 @@ from repro.store import (
     DocumentStore,
     atomic_write,
     check_schema,
+    check_shape,
     content_id,
     default_dir,
     read_document,
+    shaped_fields,
 )
 
 #: Bump whenever the record shape changes; records written by another
@@ -106,7 +105,7 @@ class RunRecord:
     histograms: Dict[str, Dict] = field(default_factory=dict)
     fault_census: Dict[str, int] = field(default_factory=dict)
     # Span name -> {count, self_total_s, self_p50_ms, self_p90_ms,
-    # self_p99_ms[, mem_peak_kb]}.
+    # self_p99_ms}.
     phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
     # App -> flight-recorder discovery stats (final checkpoint + t50/t90).
     timeline: Dict[str, Dict] = field(default_factory=dict)
@@ -150,37 +149,17 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunRecord":
-        """The record ``data`` holds.  Raises :class:`StoreError` for
-        anything else: a non-object, another schema, a field of the
-        wrong shape."""
-        schema = check_schema(data, RECORD_SCHEMA, "run record")
-        try:
-            return cls(
-                label=str(data.get("label", "run")),
-                config=dict(data.get("config") or {}),
-                corpus_digest=str(data.get("corpus_digest", "")),
-                apps=[dict(r) for r in data.get("apps") or ()],
-                coverage=dict(data.get("coverage") or {}),
-                counters=dict(data.get("counters") or {}),
-                histograms=dict(data.get("histograms") or {}),
-                fault_census=dict(data.get("fault_census") or {}),
-                phases=dict(data.get("phases") or {}),
-                timeline=dict(data.get("timeline") or {}),
-                meta=dict(data.get("meta") or {}),
-                schema=schema,
-                run_id=str(data.get("run_id", "")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise StoreError(f"malformed run record: {exc}") from exc
+        """The record ``data`` holds.  Raises
+        :class:`~repro.errors.StoreError` for anything else: a
+        non-object, another schema, a field of the wrong shape."""
+        check_schema(data, RECORD_SCHEMA, "run record")
+        return cls(**shaped_fields(data, _RECORD_SHAPE, "run record"))
 
     # -- views -------------------------------------------------------------
 
     @property
     def created(self) -> float:
-        try:
-            return float(self.meta.get("created", 0.0))  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return 0.0
+        return self.meta.get("created", 0.0)  # type: ignore[return-value]
 
     def total_phase_time(self) -> float:
         """Total self time across every phase, in seconds."""
@@ -201,6 +180,20 @@ class RunRecord:
             "phase_s": round(self.total_phase_time(), 4),
             "faults": sum(self.fault_census.values()),
         }
+
+
+#: What :meth:`RunRecord.to_dict` writes (see
+#: :func:`repro.store.check_shape`).  A number may be any JSON number:
+#: an ingested bench result can hold an infinite one.
+_NUMBER = (int, float)
+_RECORD_SHAPE = {
+    "schema": int, "?label": str, "?config": dict, "?corpus_digest": str,
+    "?apps": [dict], "?coverage": {str: _NUMBER},
+    "?counters": {str: _NUMBER}, "?histograms": {str: dict},
+    "?fault_census": {str: int}, "?phases": {str: {str: _NUMBER}},
+    "?timeline": {str: dict}, "?meta": {"?created": float},
+    "?run_id": str,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +232,13 @@ def self_time_stats(values: Sequence[float]) -> Dict[str, float]:
 
 
 def phase_stats(spans) -> Dict[str, Dict[str, float]]:
-    """Per-phase (span-name) self-time stats with p50/p90/p99, plus the
-    peak tracemalloc growth when the tracer sampled memory."""
+    """Per-phase (span-name) self-time stats with p50/p90/p99."""
     self_times: Dict[str, List[float]] = {}
-    mem_peaks: Dict[str, List[float]] = {}
     for root in build_trees(list(spans)):
         for node in root.walk():
-            name = node.span.name
-            self_times.setdefault(name, []).append(node.self_time)
-            mem = node.span.attributes.get("mem_peak_kb")
-            if isinstance(mem, (int, float)) and not isinstance(mem, bool):
-                mem_peaks.setdefault(name, []).append(float(mem))
-    stats: Dict[str, Dict[str, float]] = {}
-    for name, values in self_times.items():
-        entry = self_time_stats(values)
-        if name in mem_peaks:
-            entry["mem_peak_kb"] = max(mem_peaks[name])
-        stats[name] = entry
-    return stats
+            self_times.setdefault(node.span.name, []).append(node.self_time)
+    return {name: self_time_stats(values)
+            for name, values in self_times.items()}
 
 
 def coverage_from_rows(rows: Sequence[Dict]) -> Dict[str, float]:
@@ -325,9 +307,9 @@ def capture_run_record(label: str,
 
     ``config`` is duck-typed as a
     :class:`~repro.core.config.FragDroidConfig`: its tracer contributes
-    counters, histogram aggregates and per-phase self-time/memory
-    stats, its event log the per-app discovery timeline — each only
-    when enabled, so an unobserved run still records its coverage.
+    counters, histogram aggregates and per-phase self-time stats, its
+    event log the per-app discovery timeline — each only when enabled,
+    so an unobserved run still records its coverage.
     ``apps`` are per-app rows in the ``sweep_rows`` shape; ``coverage``
     overrides the aggregates derived from them (for runs without
     per-app rows, e.g. the usage study).  ``api_steps`` maps each
@@ -478,12 +460,10 @@ def record_from_bench(path) -> RunRecord:
     applies, so a committed bench baseline and an ingested candidate
     always carry comparable coverage keys."""
     source = pathlib.Path(path)
-    payload = read_document(source)
-    name = str(payload.get("bench", source.stem))
-    data = payload.get("data")
-    if not isinstance(data, dict):
-        raise ValueError(f"{source}: not a bench result file "
-                         "(no 'data' object)")
+    payload = check_shape(read_document(source), _BENCH_RESULT_SHAPE,
+                          f"{source}: bench result")
+    name = payload.get("bench", source.stem)
+    data = payload["data"]
     record = RunRecord(
         label=f"bench:{name}",
         coverage=_flatten_numeric(data),
@@ -495,6 +475,10 @@ def record_from_bench(path) -> RunRecord:
     )
     record.run_id = record.compute_id()
     return record
+
+
+#: What ``benchmarks/conftest.py``'s ``write_result_json`` writes.
+_BENCH_RESULT_SHAPE = {"?bench": str, "data": dict}
 
 
 def _flatten_numeric(data: Dict, prefix: str = "") -> Dict[str, float]:

@@ -18,9 +18,6 @@ What gates, and why:
   machines; absolute timings don't, but "static extraction is 30% of
   the run" does.  Phases below ``min_phase_share`` of the baseline
   total are ignored (tiny denominators make noisy ratios).
-* **memory** — reported as warnings by default (tracemalloc peaks are
-  samples, not exact attribution); set ``max_memory_increase`` to gate
-  on them too.
 * **replay divergence** — absolute, not baseline-relative.  A candidate
   record carrying a ``replay_diverged`` coverage count above
   ``max_replay_divergences`` (default 0) fails outright: a recorded
@@ -47,10 +44,6 @@ DEFAULT_COVERAGE_KEYS = (
     "apis",
 )
 
-#: Memory growth beyond this relative factor is *warned* about even
-#: when the memory gate is off.
-_MEMORY_WARN_INCREASE = 0.5
-
 
 @dataclass(frozen=True)
 class RegressionPolicy:
@@ -59,7 +52,6 @@ class RegressionPolicy:
     max_coverage_drop: float = 0.10
     max_phase_time_increase: float = 0.25
     min_phase_share: float = 0.05
-    max_memory_increase: Optional[float] = None  # None: report, don't gate
     coverage_keys: Tuple[str, ...] = DEFAULT_COVERAGE_KEYS
     require_same_config: bool = True
     require_same_corpus: bool = True
@@ -75,9 +67,6 @@ class RegressionPolicy:
             f"{self.max_phase_time_increase:.0%} "
             f"(phases >= {self.min_phase_share:.0%} of baseline)",
         ]
-        if self.max_memory_increase is not None:
-            parts.append(
-                f"memory increase <= {self.max_memory_increase:.0%}")
         if self.max_replay_divergences == 0:
             parts.append("no replay divergences")
         else:
@@ -90,7 +79,7 @@ class RegressionPolicy:
 class Violation:
     """One threshold breach."""
 
-    kind: str  # "coverage" | "phase_time" | "memory" | "comparability" | "replay"
+    kind: str  # "coverage" | "phase_time" | "comparability" | "replay"
     key: str
     baseline: Optional[float]
     candidate: Optional[float]
@@ -244,25 +233,4 @@ def check_regression(baseline: RunRecord, candidate: RunRecord,
                 detail=(f"share of self time {base_share:.1%} -> "
                         f"{cand_share:.1%} (+{increase:.1%} > "
                         f"{policy.max_phase_time_increase:.0%} allowed)")))
-
-    # -- memory ------------------------------------------------------------
-    for name in sorted(baseline.phases):
-        base_mem = baseline.phases[name].get("mem_peak_kb")
-        cand_mem = candidate.phases.get(name, {}).get("mem_peak_kb")
-        if base_mem is None or cand_mem is None or base_mem <= 0:
-            continue
-        increase = (float(cand_mem) - float(base_mem)) / float(base_mem)
-        if (policy.max_memory_increase is not None
-                and increase > policy.max_memory_increase):
-            report.violations.append(Violation(
-                kind="memory", key=name, baseline=float(base_mem),
-                candidate=float(cand_mem),
-                limit=policy.max_memory_increase,
-                detail=(f"peak {base_mem:g} KiB -> {cand_mem:g} KiB "
-                        f"(+{increase:.1%} > "
-                        f"{policy.max_memory_increase:.0%} allowed)")))
-        elif increase > _MEMORY_WARN_INCREASE:
-            report.warnings.append(
-                f"memory {name}: peak {base_mem:g} KiB -> "
-                f"{cand_mem:g} KiB (+{increase:.1%}; not gated)")
     return report

@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 import pathlib
 import threading
-from typing import IO, Callable, List, Union
+from typing import IO, List, Union
 
-from repro.errors import StoreError
 from repro.obs.events import Event
 from repro.obs.tracer import Span
+from repro.store import read_jsonl
 
 Source = Union[str, pathlib.Path, IO[str]]
 
@@ -77,57 +77,14 @@ class JsonlSink(SpanSink):
                 self._handle.close()
 
 
-def _read_jsonl(source: Source, parse: Callable, what: str) -> List:
-    """Parse a JSONL file of records.  A malformed line raises
-    :class:`~repro.errors.StoreError` naming the file and its 1-based
-    line number, never a raw decoder, key or type error."""
-    if hasattr(source, "read"):
-        name = getattr(source, "name", "<stream>")
-        lines = source.read().splitlines()  # type: ignore[union-attr]
-    else:
-        name = str(source)
-        try:
-            text = pathlib.Path(source).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise StoreError(
-                f"{name}: {what} file is not UTF-8 text: {exc.reason}"
-            ) from exc
-        lines = text.splitlines()
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{name}:{lineno}"
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise StoreError(
-                f"{where}: malformed JSON in {what} file: {exc.msg}"
-            ) from exc
-        if not isinstance(data, dict):
-            raise StoreError(f"{where}: {what} record is not a JSON object")
-        if not isinstance(data.get("attributes") or {}, dict):
-            raise StoreError(f"{where}: {what} attributes are not a JSON "
-                             "object")
-        try:
-            records.append(parse(data))
-        except KeyError as exc:
-            raise StoreError(
-                f"{where}: {what} record lacks {exc.args[0]!r}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise StoreError(
-                f"{where}: malformed {what} record: {exc}") from exc
-    return records
-
-
 def read_spans(source: Source) -> List[Span]:
     """Load the spans back from a JSONL file (the round-trip of
     :class:`JsonlSink` attached to a tracer)."""
-    return _read_jsonl(source, Span.from_dict, "span")
+    return [span for span, _ in read_jsonl(source, Span.from_dict, "span")]
 
 
 def read_events(source: Source) -> List[Event]:
     """Load flight-recorder events back from a JSONL file (the
     round-trip of :class:`JsonlSink` attached to an event log)."""
-    return _read_jsonl(source, Event.from_dict, "event")
+    return [event for event, _ in read_jsonl(source, Event.from_dict,
+                                             "event")]

@@ -26,6 +26,7 @@ from time import perf_counter
 from typing import Dict, Iterable, List, Optional
 
 from repro.obs.metrics import NULL_METRICS, Metrics
+from repro.store import shaped_fields
 
 
 class Span:
@@ -35,8 +36,8 @@ class Span:
                  "start", "duration", "attributes")
 
     def __init__(self, name: str, span_id: int, trace_id: int,
-                 parent_id: Optional[int], depth: int, start: float,
-                 duration: float = 0.0,
+                 parent_id: Optional[int] = None, depth: int = 0,
+                 start: float = 0.0, duration: float = 0.0,
                  attributes: Optional[Dict[str, object]] = None) -> None:
         self.name = name
         self.span_id = span_id
@@ -63,44 +64,42 @@ class Span:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Span":
-        return cls(
-            name=str(data["name"]),
-            span_id=int(data["span_id"]),
-            trace_id=int(data["trace_id"]),
-            parent_id=(None if data.get("parent_id") is None
-                       else int(data["parent_id"])),  # type: ignore[arg-type]
-            depth=int(data.get("depth", 0)),  # type: ignore[arg-type]
-            start=float(data.get("start", 0.0)),  # type: ignore[arg-type]
-            duration=float(data.get("duration", 0.0)),  # type: ignore[arg-type]
-            attributes=dict(data.get("attributes") or {}),  # type: ignore[arg-type]
-        )
+    def from_dict(cls, data: Dict[str, object],
+                  where: str = "span") -> "Span":
+        """The span ``data`` holds; else
+        :class:`~repro.errors.StoreError` naming ``where``."""
+        return cls(**shaped_fields(data, _SPAN_SHAPE, where))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.name!r}, id={self.span_id}, "
                 f"duration={self.duration:.6f}, attrs={self.attributes})")
 
 
+#: What :meth:`Span.to_dict` writes (see :func:`repro.store.check_shape`).
+_SPAN_SHAPE = {
+    "name": str, "span_id": int, "trace_id": int,
+    "?parent_id": (int, type(None)), "?depth": int, "?start": float,
+    "?duration": float, "?attributes": dict,
+}
+
+
 class _ActiveSpan:
     """Context manager binding one Span to the tracer's thread stack."""
 
-    __slots__ = ("_tracer", "_span", "_mem0")
+    __slots__ = ("_tracer", "_span")
 
     def __init__(self, tracer: "Tracer", span: Span) -> None:
         self._tracer = tracer
         self._span = span
-        self._mem0: Optional[int] = None
 
     def __enter__(self) -> Span:
         self._tracer._push(self._span)
-        self._mem0 = self._tracer._mem_enter()
         self._span.start = perf_counter()
         return self._span
 
     def __exit__(self, exc_type, exc, _tb) -> None:
         span = self._span
         span.duration = perf_counter() - span.start
-        self._tracer._mem_exit(span, self._mem0)
         if exc is not None:
             span.attributes.setdefault("error", repr(exc))
         self._tracer._pop(span)
@@ -139,34 +138,14 @@ class _NullSpanContext:
 
 
 class Tracer:
-    """Span factory + finished-span store + metrics front-end.
-
-    ``memory=True`` additionally samples peak traced memory per span
-    through :mod:`tracemalloc`: each finished span carries a
-    ``mem_peak_kb`` attribute — the growth of the interpreter's traced
-    peak over the span's own starting allocation.  The peak is
-    process-global since tracing started, so nested spans can share a
-    peak; treat the values as *samples* of where memory went, not an
-    exact per-phase attribution.  The tracer starts tracemalloc if it
-    is not already running and stops it again on :meth:`close` (only
-    when it was the one to start it).
-    """
+    """Span factory + finished-span store + metrics front-end."""
 
     enabled = True
 
     def __init__(self, sinks: Iterable = (),
-                 metrics: Optional[Metrics] = None,
-                 memory: bool = False) -> None:
+                 metrics: Optional[Metrics] = None) -> None:
         self.sinks = list(sinks)
         self.metrics = metrics if metrics is not None else Metrics()
-        self.memory = memory
-        self._mem_started = False
-        if memory:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._mem_started = True
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._finished: List[Span] = []
@@ -176,10 +155,10 @@ class Tracer:
         self._local = threading.local()
 
     def __reduce__(self):
-        # A tracer crosses a process boundary empty, in the same memory
-        # mode: its sinks and record stay behind.  A process sweep folds
-        # what the far side records back in (``absorb``, Metrics.merge).
-        return (Tracer, ((), None, self.memory))
+        # A tracer crosses a process boundary empty: its sinks and
+        # record stay behind.  A process sweep folds what the far side
+        # records back in (``absorb``, Metrics.merge).
+        return (Tracer, ())
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -260,29 +239,6 @@ class Tracer:
             self._by_trace.setdefault(span.trace_id, []).append(span)
         for sink in self.sinks:
             sink.emit(span)
-
-    # -- peak-memory sampling ----------------------------------------------
-
-    def _mem_enter(self) -> Optional[int]:
-        """Traced bytes at span start, or None when sampling is off."""
-        if not self.memory:
-            return None
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():  # stopped externally mid-run
-            return None
-        return tracemalloc.get_traced_memory()[0]
-
-    def _mem_exit(self, span: Span, mem0: Optional[int]) -> None:
-        if mem0 is None:
-            return
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            return
-        current, peak = tracemalloc.get_traced_memory()
-        span.attributes["mem_peak_kb"] = round(
-            max(0, max(current, peak) - mem0) / 1024.0, 1)
 
     # -- reading -----------------------------------------------------------
 
@@ -379,18 +335,11 @@ class Tracer:
                                   if span.trace_id != trace_id]
 
     def close(self) -> None:
-        """Close every sink that supports closing (flushes files), and
-        stop tracemalloc if this tracer was the one to start it."""
+        """Close every sink that supports closing (flushes files)."""
         for sink in self.sinks:
             close = getattr(sink, "close", None)
             if close is not None:
                 close()
-        if self._mem_started:
-            import tracemalloc
-
-            if tracemalloc.is_tracing():
-                tracemalloc.stop()
-            self._mem_started = False
 
 
 class NullTracer(Tracer):

@@ -38,8 +38,9 @@ from repro.core.queue import (
     text_op,
 )
 from repro.core.testcase import apply_operation
-from repro.errors import ReproError
+from repro.errors import ReproError, StoreError
 from repro.robotium.solo import Solo
+from repro.store import Closed, check_schema, check_shape, parse_json
 
 #: Bump whenever the event shape or kind list changes; scripts written
 #: by another schema are rejected with a named error.
@@ -59,27 +60,6 @@ _KIND_NAMES = {
 _KINDS_BY_NAME = {name: kind for kind, name in _KIND_NAMES.items()}
 EVENT_KINDS = tuple(_KIND_NAMES.values())
 
-#: Per-event fields and the types :meth:`ReplayScript.from_json`
-#: accepts for each (``bool`` is not an ``int`` here).
-_EVENT_FIELDS = {
-    "kind": str,
-    "x": int,
-    "y": int,
-    "widget_id": str,
-    "text": str,
-    "step": int,
-}
-
-
-def _check_field(name: str, value, expected, where: str):
-    """Type-check one script field; bool masquerading as int rejected."""
-    if isinstance(value, bool) or not isinstance(value, expected):
-        raise ReproError(
-            f"replay script field {name!r} {where} must be "
-            f"{expected.__name__}, got {type(value).__name__}"
-        )
-    return value
-
 
 def _event_to_dict(op: Operation, step: int) -> dict:
     """One event as schema-2 JSON: ``widget_id`` is the target slot
@@ -91,6 +71,16 @@ def _event_to_dict(op: Operation, step: int) -> dict:
         "widget_id": "" if op.kind is OpKind.TAP else op.target,
         "text": op.value, "step": step,
     }
+
+
+#: What :meth:`ReplayScript.to_json` writes (see
+#: :func:`repro.store.check_shape`): no other key is allowed.
+_SCRIPT_SHAPE = Closed({
+    "schema": int, "package": str,
+    "events": [Closed({"kind": frozenset(EVENT_KINDS), "?x": int,
+                       "?y": int, "?widget_id": str, "?text": str,
+                       "?step": int})],
+})
 
 
 def _event_from_dict(fields: dict) -> Operation:
@@ -131,73 +121,26 @@ class ReplayScript:
             },
             indent=2,
         )
+
     @classmethod
     def from_json(cls, text: str) -> "ReplayScript":
         """Parse and *validate* a script file.
 
         Every malformation — bad JSON, a missing or foreign ``schema``,
-        a missing/mistyped field, an unknown key — raises
-        :class:`ReproError` naming the offending field, never a bare
-        ``KeyError``/``TypeError``.
+        a missing/mistyped field, an unknown key, an empty ``package``
+        — raises :class:`~repro.errors.StoreError` naming the offending
+        field, never a bare ``KeyError``/``TypeError``.
         """
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ReproError(f"replay script is not valid JSON: {exc}") \
-                from None
-        if not isinstance(data, dict):
-            raise ReproError("replay script must be a JSON object, got "
-                             f"{type(data).__name__}")
-        unknown = sorted(set(data) - {"schema", "package", "events"})
-        if unknown:
-            raise ReproError(
-                f"replay script has unknown field(s): {', '.join(unknown)}")
-        if "schema" not in data:
-            raise ReproError("replay script is missing the 'schema' field "
-                             f"(this build reads schema {SCRIPT_SCHEMA})")
-        schema = data["schema"]
-        if schema != SCRIPT_SCHEMA:
-            raise ReproError(
-                f"unsupported replay-script schema {schema!r} "
-                f"(this build reads {SCRIPT_SCHEMA})")
-        if "package" not in data:
-            raise ReproError("replay script is missing the 'package' field")
-        package = _check_field("package", data["package"], str, "")
-        if not package:
-            raise ReproError("replay script field 'package' must be a "
-                             "non-empty string")
-        if "events" not in data:
-            raise ReproError("replay script is missing the 'events' field")
-        raw_events = data["events"]
-        if not isinstance(raw_events, list):
-            raise ReproError("replay script field 'events' must be a list, "
-                             f"got {type(raw_events).__name__}")
-        events: List[Operation] = []
-        steps: List[int] = []
-        for index, entry in enumerate(raw_events):
-            where = f"in events[{index}]"
-            if not isinstance(entry, dict):
-                raise ReproError(f"replay script event {where} must be an "
-                                 f"object, got {type(entry).__name__}")
-            bad = sorted(set(entry) - set(_EVENT_FIELDS))
-            if bad:
-                raise ReproError(f"replay script event {where} has unknown "
-                                 f"field(s): {', '.join(bad)}")
-            if "kind" not in entry:
-                raise ReproError(
-                    f"replay script event {where} is missing 'kind'")
-            fields = {
-                name: _check_field(name, entry[name], expected, where)
-                for name, expected in _EVENT_FIELDS.items()
-                if name in entry
-            }
-            if fields["kind"] not in EVENT_KINDS:
-                raise ReproError(
-                    f"replay script event {where} has unknown kind "
-                    f"{fields['kind']!r} (known: {', '.join(EVENT_KINDS)})")
-            events.append(_event_from_dict(fields))
-            steps.append(fields.get("step", 0))
-        return cls(package=package, events=events, steps=steps)
+        data = parse_json(text, "replay script")
+        check_schema(data, SCRIPT_SCHEMA, "replay script")
+        check_shape(data, _SCRIPT_SHAPE, "replay script")
+        if not data["package"]:
+            raise StoreError("replay script.package: expected a non-empty "
+                             "str, found ''")
+        events = data["events"]
+        return cls(package=data["package"],
+                   events=[_event_from_dict(event) for event in events],
+                   steps=[event.get("step", 0) for event in events])
 
 
 class Recorder:

@@ -35,11 +35,10 @@ from repro.errors import (
     JobBudgetError,
     JobStateError,
     QueueFullError,
-    StoreError,
     UnknownJobError,
 )
 from repro.obs.metrics import NULL_METRICS, Metrics
-from repro.store import check_schema
+from repro.store import check_schema, shaped_fields
 
 #: Bump whenever the journaled job shape changes; journal entries
 #: written by another schema version are skipped, never mis-parsed.
@@ -196,41 +195,29 @@ class Job:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Job":
-        """The job ``data`` holds.  Raises :class:`StoreError` for
-        anything else: a non-object, another schema, an unknown state,
-        a field of the wrong shape."""
-        schema = check_schema(data, JOB_SCHEMA, "job")
-        state = str(data.get("state", SUBMITTED))
-        if state not in JOB_STATES:
-            raise StoreError(f"unknown job state {state!r}")
-        try:
-            return cls(
-                apps=[str(a) for a in data.get("apps") or ()],
-                job_id=str(data.get("job_id", "")) or new_job_id(),
-                state=state,
-                max_events=int(data.get("max_events", 2000)),
-                time_budget_s=float(data.get("time_budget_s", 300.0)),
-                backend=str(data.get("backend", "thread")),
-                workers=(int(data["workers"])
-                         if data.get("workers") is not None else None),
-                fault_profile=str(data.get("fault_profile", "none")),
-                fault_seed=int(data.get("fault_seed", 0)),
-                created=float(data.get("created", 0.0)),
-                started=float(data.get("started", 0.0)),
-                finished=float(data.get("finished", 0.0)),
-                completed={str(package): dict(row) for package, row
-                           in (data.get("completed") or {}).items()},
-                attempts={str(package): int(count) for package, count
-                          in (data.get("attempts") or {}).items()},
-                quarantined=[str(a) for a in data.get("quarantined") or ()],
-                error=str(data.get("error", "")),
-                cancel_requested=bool(data.get("cancel_requested", False)),
-                run_id=str(data.get("run_id", "")),
-                trace_id=int(data.get("trace_id", 0)),
-                schema=schema,
-            )
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise StoreError(f"malformed job: {exc}") from exc
+        """The job ``data`` holds.  Raises
+        :class:`~repro.errors.StoreError` for anything else: a
+        non-object, another schema, a field of the wrong shape.  An
+        absent ``created`` reads 0.0 and an absent or empty ``job_id``
+        a fresh id."""
+        check_schema(data, JOB_SCHEMA, "job")
+        fields = {"apps": [], "created": 0.0,
+                  **shaped_fields(data, _JOB_SHAPE, "job")}
+        if not fields.get("job_id"):
+            fields["job_id"] = new_job_id()
+        return cls(**fields)
+
+
+#: What :meth:`Job.to_dict` writes (see :func:`repro.store.check_shape`).
+_JOB_SHAPE = {
+    "schema": int, "?job_id": str, "?state": frozenset(JOB_STATES),
+    "?apps": [str], "?max_events": int, "?time_budget_s": float,
+    "?backend": str, "?workers": (int, type(None)), "?fault_profile": str,
+    "?fault_seed": int, "?created": float, "?started": float,
+    "?finished": float, "?completed": {str: dict}, "?attempts": {str: int},
+    "?quarantined": [str], "?error": str, "?cancel_requested": bool,
+    "?run_id": str, "?trace_id": int,
+}
 
 
 # ---------------------------------------------------------------------------

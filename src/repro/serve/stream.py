@@ -42,7 +42,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.obs.events import JOB_STATE, Event
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.serve.jobs import TERMINAL_STATES
-from repro.store import atomic_write
+from repro.store import atomic_write, read_jsonl
 
 #: Per-subscriber buffer bound; ~a few screens of events.  A client
 #: further behind than this is not following live anymore.
@@ -74,10 +74,6 @@ class Filed(NamedTuple):
     @classmethod
     def encode(cls, event: Event) -> "Filed":
         return cls(event, json.dumps(event.to_dict(), sort_keys=True))
-
-    @classmethod
-    def decode(cls, text: str) -> "Filed":
-        return cls(Event.from_dict(json.loads(text)), text)
 
 
 class Subscription:
@@ -235,11 +231,14 @@ class EventBroker:
                 if filed.event.seq > after]
 
     def _spill_file(self, job_id: str) -> List[Filed]:
+        """The released job's events, each with its line's text; a
+        damaged line raises :class:`~repro.errors.StoreError`."""
         try:
-            text = self.spill_path(job_id).read_text(encoding="utf-8")
+            filed = read_jsonl(self.spill_path(job_id), Event.from_dict,
+                               "event")
         except FileNotFoundError:
             return []
-        return [Filed.decode(line) for line in text.split("\n") if line]
+        return [Filed(*pair) for pair in filed]
 
     # -- subscriber lifecycle ------------------------------------------------
 

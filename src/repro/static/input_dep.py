@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.smali.apktool import DecodedApk
+from repro.store import check_shape, parse_json
 from repro.types import WidgetKind
 
 INPUT_WIDGET_KINDS = (WidgetKind.EDIT_TEXT, WidgetKind.CHECK_BOX,
@@ -60,11 +61,19 @@ class InputDependency:
 
     @classmethod
     def from_json(cls, text: str) -> "InputDependency":
-        data = json.loads(text)
-        dep = cls(package=data["package"])
-        dep.known_widgets = list(data.get("input_widgets", []))
-        dep.values = dict(data.get("values", {}))
-        return dep
+        """The input file ``text`` holds; else
+        :class:`~repro.errors.StoreError` naming the damage."""
+        data = check_shape(parse_json(text, "input file"), _INPUT_FILE_SHAPE,
+                           "input file")
+        return cls(package=data["package"],
+                   values=data.get("values", {}),
+                   known_widgets=data.get("input_widgets", []))
+
+
+#: What :meth:`InputDependency.to_json` writes (see
+#: :func:`repro.store.check_shape`).
+_INPUT_FILE_SHAPE = {"package": str, "?input_widgets": [str],
+                     "?values": {str: str}}
 
 
 def extract_input_dependency(decoded: DecodedApk) -> InputDependency:

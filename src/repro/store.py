@@ -90,15 +90,21 @@ def read_document(path: os.PathLike) -> Dict:
     return data
 
 
+class Closed(dict):
+    """An object shape that also refuses every key it does not name."""
+
+
 def check_shape(value, shape, where: str):
     """``value``, if it has ``shape``; else :class:`StoreError` naming
-    ``where``, the path to the damage (``report.stats.crashes``).
+    ``where``, the path to the damage (``report.stats.crashes``), the
+    shape expected there and the value found.
 
     A shape is a type or tuple of types (``float``: a finite number; a
     number shape refuses ``true``/``false`` unless it names ``bool``), a
     ``frozenset`` of allowed strings, ``[shape]`` (a list of it),
     ``{str: shape}`` (an object of it) or ``{key: shape, ...}`` (an
-    object with each key; a key written ``"?key"`` may be absent).
+    object with each key; a key written ``"?key"`` may be absent, and a
+    :class:`Closed` one allows no other key).
     """
     if isinstance(shape, list):
         ok = isinstance(value, list)
@@ -116,6 +122,12 @@ def check_shape(value, shape, where: str):
                     check_shape(value[name], item_shape, f"{where}.{name}")
                 elif name == key:
                     raise StoreError(f"{where} lacks {name!r}")
+            if isinstance(shape, Closed):
+                unknown = sorted(set(value)
+                                 - {key.lstrip("?") for key in shape})
+                if unknown:
+                    raise StoreError(f"{where} has unknown key(s): "
+                                     f"{', '.join(unknown)}")
     elif isinstance(shape, frozenset):
         ok = isinstance(value, str) and value in shape
     elif isinstance(value, bool):
@@ -125,9 +137,69 @@ def check_shape(value, shape, where: str):
     else:
         ok = isinstance(value, shape)
     if not ok:
-        raise StoreError(f"{where}: unexpected {type(value).__name__} "
-                         f"{value!r:.40}")
+        raise StoreError(f"{where}: expected {_describe(shape)}, found "
+                         f"{type(value).__name__} {value!r:.40}")
     return value
+
+
+def _describe(shape) -> str:
+    """``shape`` in a message: ``int``, ``str or null``, ``list``..."""
+    if isinstance(shape, tuple):
+        return " or ".join(_describe(item) for item in shape)
+    if isinstance(shape, frozenset):
+        return "one of " + ", ".join(sorted(shape))
+    if isinstance(shape, list) or shape is list:
+        return "list"
+    if isinstance(shape, dict) or shape is dict:
+        return "object"
+    return "null" if shape is type(None) else shape.__name__
+
+
+def shaped_fields(data, shape, where: str) -> Dict:
+    """The fields of the object ``data`` holds, once it has ``shape``:
+    each key ``shape`` names that ``data`` has, by its bare name."""
+    check_shape(data, shape, where)
+    names = (key.lstrip("?") for key in shape)
+    return {name: data[name] for name in names if name in data}
+
+
+def parse_json(text: str, what: str):
+    """The JSON value ``text`` holds; else :class:`StoreError` saying
+    ``what`` is not valid JSON."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise StoreError(f"{what} is not valid JSON: {exc}") from None
+
+
+def read_jsonl(source, parse: Callable[[object, str], T],
+               what: str) -> List[Tuple[T, str]]:
+    """``(parse(record, where), line)`` for each non-blank line of a
+    JSONL file of ``what`` records (a path or an open stream).  A line
+    that is not JSON raises :class:`StoreError` naming ``<file>:<line
+    number>``, and ``parse`` names the same ``where`` in its own."""
+    if hasattr(source, "read"):
+        name = getattr(source, "name", "<stream>")
+        text = source.read()
+    else:
+        name = str(source)
+        try:
+            text = pathlib.Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"{name}: {what} file is not UTF-8 text: "
+                             f"{exc.reason}") from exc
+    records = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        at = f"{name}:{lineno}"
+        try:
+            data = json.loads(line)
+        except ValueError as exc:
+            raise StoreError(f"{at}: malformed JSON in {what} file: {exc}") \
+                from exc
+        records.append((parse(data, f"{at}: {what}"), line))
+    return records
 
 
 def check_schema(data, expected: int, kind: str) -> int:
@@ -136,7 +208,10 @@ def check_schema(data, expected: int, kind: str) -> int:
     ``schema`` is the integer ``expected`` (not ``"2"``, ``2.0`` or
     ``true``)."""
     check_shape(data, dict, kind)
-    schema = data.get("schema")
+    if "schema" not in data:
+        raise StoreError(f"{kind} lacks 'schema' (this build reads "
+                         f"{expected})")
+    schema = data["schema"]
     if type(schema) is not int or schema != expected:
         raise StoreError(f"unsupported {kind.replace(' ', '-')} schema "
                          f"{schema!r} (this build reads {expected})")

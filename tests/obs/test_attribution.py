@@ -249,7 +249,7 @@ def test_explain_cli_reports_a_malformed_stored_explanation(tmp_path,
     assert main(["explain", "abc123", "--dir", str(tmp_path)]) == 2
     out = capsys.readouterr().out
     assert "cannot load explanation 'abc123'" in out
-    assert "malformed coverage explanation" in out
+    assert "coverage explanation.apps: expected list" in out
 
 
 # -- the store ---------------------------------------------------------------

@@ -73,8 +73,11 @@ def test_from_dict_rejects_foreign_schema():
     {"schema": RECORD_SCHEMA, "apps": ["row"]},
     {"schema": RECORD_SCHEMA, "config": 7},
     {"schema": RECORD_SCHEMA, "meta": "created"},
+    {"schema": RECORD_SCHEMA, "coverage": [["apis", 3]]},
+    {"schema": RECORD_SCHEMA, "label": 7},
 ], ids=["null", "list", "schema-text", "schema-inf", "apps-number",
-        "apps-row-text", "config-number", "meta-text"])
+        "apps-row-text", "config-number", "meta-text", "coverage-pairs",
+        "label-number"])
 def test_from_dict_rejects_malformed_records_with_store_error(data):
     with pytest.raises(StoreError):
         RunRecord.from_dict(data)
@@ -347,5 +350,5 @@ def test_ingest_bench_flattens_numeric_leaves(tmp_path):
 def test_ingest_bench_rejects_non_bench_files(tmp_path):
     bad = tmp_path / "other.json"
     bad.write_text(json.dumps({"numbers": [1, 2]}), encoding="utf-8")
-    with pytest.raises(ValueError, match="not a bench result"):
+    with pytest.raises(ValueError, match="bench result lacks 'data'"):
         RunRegistry(tmp_path / "runs").ingest_bench(bad)

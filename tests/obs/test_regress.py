@@ -108,25 +108,6 @@ def test_comparability_gates_unless_relaxed():
     assert len(report.warnings) == 2
 
 
-def test_memory_warns_by_default_and_gates_on_request():
-    base = baseline_record()
-    base.phases["static"]["mem_peak_kb"] = 100.0
-    cand = baseline_record()
-    cand.phases["static"]["mem_peak_kb"] = 190.0  # +90%
-    report = check_regression(base, cand)
-    assert report.ok  # warn-only by default
-    assert any("memory static" in w for w in report.warnings)
-    gated = check_regression(base, cand,
-                             RegressionPolicy(max_memory_increase=0.5))
-    assert not gated.ok
-    assert gated.violations[0].kind == "memory"
-    # Under the gate's limit: neither violation nor warning.
-    cand.phases["static"]["mem_peak_kb"] = 120.0
-    report = check_regression(base, cand,
-                              RegressionPolicy(max_memory_increase=0.5))
-    assert report.ok and report.warnings == []
-
-
 def test_report_is_json_ready():
     base = baseline_record()
     cand = baseline_record()

@@ -61,8 +61,7 @@ def make_pair():
         coverage={"mean_activity_rate": 0.8, "apis": 8.0},
         counters={"sweep.apps": 2.0, "faults.injected": 3.0},
         phases={"explore": {"count": 2, "self_total_s": 2.0},
-                "static": {"count": 2, "self_total_s": 1.0,
-                           "mem_peak_kb": 100.0}},
+                "static": {"count": 2, "self_total_s": 1.0}},
     )
     candidate = record(
         config={"max_events": 8000},
@@ -75,8 +74,7 @@ def make_pair():
         coverage={"mean_activity_rate": 0.6, "apis": 8.0},
         counters={"sweep.apps": 2.0, "retries": 1.0},
         phases={"explore": {"count": 2, "self_total_s": 2.0},
-                "static": {"count": 2, "self_total_s": 1.4,
-                           "mem_peak_kb": 180.0}},
+                "static": {"count": 2, "self_total_s": 1.4}},
     )
     return baseline, candidate
 
@@ -94,8 +92,6 @@ def test_diff_records_sections_and_statuses():
     assert {a.package: a.status for a in changed["apps"]} == {
         "app.gone": VANISHED, "app.new": APPEARED, "app.one": SHIFTED}
     assert [d.key for d in changed["phase_time"]] == ["static"]
-    assert [(d.key, d.rel) for d in changed["phase_mem"]] == [
-        ("static", 0.8)]
 
 
 def test_diff_flags_incomparable_config_and_corpus():
@@ -116,7 +112,7 @@ def test_identical_records_render_as_no_changes():
     baseline, _ = make_pair()
     diff = diff_records(baseline, baseline)
     assert diff.changed() == {"coverage": [], "counters": [], "apps": [],
-                              "phase_time": [], "phase_mem": []}
+                              "phase_time": []}
     assert "no changes outside tolerance" in diff.render_text()
 
 

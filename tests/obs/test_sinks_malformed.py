@@ -31,10 +31,12 @@ def _write(tmp_path, *lines: str):
 @pytest.mark.parametrize("line, reason", [
     (json.dumps({k: v for k, v in EVENT.items() if k != "seq"}),
      "lacks 'seq'"),
-    (json.dumps([EVENT]), "not a JSON object"),
+    (json.dumps([EVENT]), "event: expected object, found list"),
     (json.dumps({**EVENT, "attributes": [1]}), "attributes"),
-    (json.dumps({**EVENT, "step": "x"}), "malformed event record"),
-    (json.dumps({**EVENT, "seq": None}), "malformed event record"),
+    (json.dumps({**EVENT, "step": "x"}),
+     "event.step: expected int, found str"),
+    (json.dumps({**EVENT, "seq": None}),
+     "event.seq: expected int, found NoneType"),
     ("{not json", "malformed JSON in event file"),
 ])
 def test_malformed_event_line_names_file_and_line(tmp_path, line, reason):
@@ -50,7 +52,7 @@ def test_malformed_event_line_names_file_and_line(tmp_path, line, reason):
 
 def test_malformed_span_line_is_a_store_error(tmp_path):
     path = _write(tmp_path, json.dumps({**SPAN, "span_id": {}}))
-    with pytest.raises(StoreError, match=":1: malformed span record"):
+    with pytest.raises(StoreError, match=":1: span.span_id: expected int"):
         read_spans(path)
 
 

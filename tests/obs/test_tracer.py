@@ -169,14 +169,14 @@ def test_subtree_is_one_root_and_its_descendants_in_recording_order():
     assert len(tracer.spans_in_trace(7)) == 7
 
 
-def test_a_tracer_pickles_empty_in_its_memory_mode():
+def test_a_tracer_pickles_empty():
     import pickle
 
     tracer = Tracer(sinks=[InMemorySink()])
     with tracer.span("kept.here"):
         tracer.inc("kept.here")
     copy = pickle.loads(pickle.dumps(tracer))
-    assert type(copy) is Tracer and copy.enabled and not copy.memory
+    assert type(copy) is Tracer and copy.enabled
     assert copy.sinks == [] and copy.finished_spans() == []
     assert copy.metrics.counters() == {}
     assert type(pickle.loads(pickle.dumps(NULL_TRACER))) is NullTracer

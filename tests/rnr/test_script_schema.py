@@ -37,7 +37,7 @@ def test_invalid_json_is_a_named_error():
 
 
 def test_non_object_rejected():
-    with pytest.raises(ReproError, match="JSON object"):
+    with pytest.raises(ReproError, match="replay script: expected object"):
         ReplayScript.from_json("[1, 2]")
 
 
@@ -72,21 +72,22 @@ def test_missing_package_named():
 def test_empty_package_rejected():
     payload = valid_payload()
     payload["package"] = ""
-    with pytest.raises(ReproError, match="'package'"):
+    with pytest.raises(ReproError,
+                       match=r"script\.package: expected a non-empty str"):
         loads(payload)
 
 
 def test_mistyped_package_named():
     payload = valid_payload()
     payload["package"] = 7
-    with pytest.raises(ReproError, match="'package'.*str"):
+    with pytest.raises(ReproError, match=r"script\.package: expected str"):
         loads(payload)
 
 
 def test_events_must_be_a_list():
     payload = valid_payload()
     payload["events"] = {}
-    with pytest.raises(ReproError, match="'events'.*list"):
+    with pytest.raises(ReproError, match=r"script\.events: expected list"):
         loads(payload)
 
 
@@ -121,14 +122,15 @@ def test_unknown_kind_named():
 def test_mistyped_step_named():
     payload = valid_payload()
     payload["events"][0]["step"] = "zero"
-    with pytest.raises(ReproError, match=r"'step'.*events\[0\].*int"):
+    with pytest.raises(ReproError, match=r"events\[0\]\.step: expected int"):
         loads(payload)
 
 
 def test_bool_step_is_not_an_int():
     payload = valid_payload()
     payload["events"][0]["step"] = True
-    with pytest.raises(ReproError, match="'step'"):
+    with pytest.raises(ReproError,
+                       match=r"events\[0\]\.step: expected int, found bool"):
         loads(payload)
 
 

@@ -2,6 +2,9 @@
 
 import threading
 
+import pytest
+
+from repro.errors import StoreError
 from repro.obs.events import Event, EventLog
 from repro.obs.metrics import Metrics
 from repro.serve import EventBroker, Subscription, event_matches
@@ -118,6 +121,18 @@ def test_release_spills_the_history_and_later_reads_serve_the_file(
     assert [(f.event.seq, f.text) for f in backlog] == \
         [(2, before[1]), (3, before[2])]
     assert broker.history("never-seen") == []
+
+
+def test_a_damaged_spill_line_is_a_store_error_naming_its_line(tmp_path):
+    broker = EventBroker(tmp_path)
+    for seq in (1, 2):
+        broker.emit(_event(seq, job="j1"))
+    broker.release("j1")
+    path = tmp_path / "j1.events.jsonl"
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(f"{first}\n{second[:-5]}\n", encoding="utf-8")
+    with pytest.raises(StoreError, match=r"j1\.events\.jsonl:2: malformed"):
+        broker.history("j1")
 
 
 def test_a_failed_spill_keeps_the_history_in_memory(tmp_path):

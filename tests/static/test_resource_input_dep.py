@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import StoreError
 from repro.smali.apktool import Apktool
 from repro.static.extractor import extract_static_info
 from repro.static.input_dep import (
@@ -86,6 +87,17 @@ def test_json_round_trip():
     assert parsed.package == "com.x"
     assert parsed.known_widgets == ["a", "b"]
     assert parsed.value_for("a") == "val"
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("{}", "input file lacks 'package'"),
+    ("nope", "input file is not valid JSON"),
+    ('{"package": "com.x", "values": {"a": 1}}',
+     r"input file\.values\.a: expected str"),
+])
+def test_a_damaged_input_file_is_a_store_error(text, reason):
+    with pytest.raises(StoreError, match=reason):
+        InputDependency.from_json(text)
 
 
 def test_view_components_json(info):

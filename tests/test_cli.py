@@ -461,7 +461,8 @@ def test_regress_against_record_files(capsys, tmp_path):
                         "--candidate", str(cand_file),
                         "--dir", str(tmp_path / "runs"))
     assert code == 2
-    assert "cannot load baseline" in out and "malformed run record" in out
+    assert "cannot load baseline" in out
+    assert "run record.apps: expected list" in out
 
 
 def test_regress_runs_the_sweep_when_no_candidate_named(capsys, tmp_path):

@@ -142,7 +142,7 @@ def test_documents_skip_unreadable_with_warning(tmp_path):
     ([1, True], [int]), ({"hits": True}, {str: int}),
 ])
 def test_number_shapes_refuse_booleans(value, shape):
-    with pytest.raises(StoreError, match="unexpected bool"):
+    with pytest.raises(StoreError, match="found bool"):
         check_shape(value, shape, "doc")
 
 

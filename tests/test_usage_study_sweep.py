@@ -43,6 +43,9 @@ def _counted_builds(monkeypatch):
 
 @pytest.mark.parametrize("warm", [False, True])
 def test_a_cached_study_builds_each_app_once(tmp_path, monkeypatch, warm):
+    # One worker runs inline, where the patched build_app is counted,
+    # unless the environment names a backend.
+    monkeypatch.delenv("FRAGDROID_SWEEP_BACKEND", raising=False)
     cache = StaticCache(directory=tmp_path / "cache")
     if warm:
         run_usage_study(count=40, seed=7, max_workers=1, cache=cache)
