@@ -670,10 +670,10 @@ def cmd_runs(args: argparse.Namespace) -> int:
 def _print_self_times(phases: Dict[str, Dict], top: int, unit: str) -> None:
     """The ``top`` entries of ``phases`` (the ``RunRecord.phases``
     shape) by p90 self time."""
+    from repro.obs.flame import ranked_phases
+
     total = sum(stats.get("self_total_s", 0.0) for stats in phases.values())
-    ranked = sorted(phases.items(),
-                    key=lambda item: item[1].get("self_p90_ms", 0.0),
-                    reverse=True)[:top]
+    ranked = ranked_phases(phases)[:top]
     print(f"top {len(ranked)} {unit}s by p90 self time; "
           f"total self time {total:.3f}s")
     print(f"{'count':>7} {'self_s':>8} {'share':>7} {'p50_ms':>8} "
@@ -692,7 +692,7 @@ def _item_self_times(events) -> Dict[str, Dict[str, float]]:
     is the gap between its ``item.start`` wall and the next one; the
     last is closed by ``run.end``."""
     from repro.obs.events import ITEM_START, RUN_END
-    from repro.obs.registry import self_time_stats
+    from repro.obs.flame import self_time_stats
 
     marks = [e for e in events if e.kind in (ITEM_START, RUN_END)]
     times: Dict[str, List[float]] = {}
@@ -753,7 +753,7 @@ def cmd_show(args: argparse.Namespace) -> int:
         render_explanation,
     )
     from repro.obs.attribution import explain_run_dir
-    from repro.obs.registry import phase_stats
+    from repro.obs.flame import phase_stats
 
     if args.ref and pathlib.Path(args.ref).is_dir():
         try:

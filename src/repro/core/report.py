@@ -11,7 +11,6 @@ import json
 from typing import Dict, List
 
 from repro.core.explorer import ExplorationResult
-from repro.obs import Span, aggregate_spans
 from repro.static.aftm import aftm_from_dict, aftm_to_dict
 from repro.store import check_shape
 from repro.types import InvocationSource
@@ -63,10 +62,9 @@ def result_to_dict(result: ExplorationResult) -> Dict:
         "api_invocations": invocations,
         "aftm": aftm_to_dict(result.aftm),
     }
-    # Observability extras appear only when the run was traced, so the
-    # default (no-op tracer) report stays byte-identical.
-    if result.spans:
-        report["timing"] = timing_to_dict(result.spans)
+    # Metrics appear only when the run was traced, so the default
+    # (no-op tracer) report stays byte-identical.  A traced run's time
+    # is in its spans (``spans.jsonl``), not in the report.
     if result.metrics:
         report["metrics"] = result.metrics
     # Likewise the degradation section exists only for fault-injected
@@ -94,9 +92,6 @@ _REPORT_SHAPE = {
         "source": frozenset(source.value for source in InvocationSource),
     }],
     "aftm": dict,
-    "?timing": [{"span": str, "count": int, **{
-        key: float for key in ("total_s", "mean_ms", "p50_ms", "p90_ms",
-                               "p99_ms", "max_ms")}}],
     "?degradation": {"?faults": {str: int}, "?total_faults": int,
                      "?backoff_s": float, "?quarantined": [str]},
 }
@@ -108,24 +103,3 @@ def check_report(data, where: str = "report") -> Dict:
     check_shape(data, _REPORT_SHAPE, where)
     aftm_from_dict(data["aftm"], f"{where}.aftm")
     return data
-
-
-# ---------------------------------------------------------------------------
-# Timing (repro.obs)
-# ---------------------------------------------------------------------------
-
-def timing_to_dict(spans: List[Span]) -> List[Dict]:
-    """Per-phase aggregates of a traced run, slowest phase first."""
-    return [
-        {
-            "span": stat.name,
-            "count": stat.count,
-            "total_s": round(stat.total, 6),
-            "mean_ms": round(stat.mean * 1000, 3),
-            "p50_ms": round(stat.p50 * 1000, 3),
-            "p90_ms": round(stat.p90 * 1000, 3),
-            "p99_ms": round(stat.p99 * 1000, 3),
-            "max_ms": round(stat.maximum * 1000, 3),
-        }
-        for stat in aggregate_spans(spans)
-    ]

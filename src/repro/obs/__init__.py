@@ -21,11 +21,11 @@ The subsystem's recording half travels through ``FragDroidConfig``:
 
 The analysis half replays a recorded run offline:
 
-* ``repro.obs.summary`` — per-span aggregate tables;
 * ``repro.obs.timeline`` — coverage-over-time curves, stall/plateau
   detection, time-to-50%/90% discovery statistics;
-* ``repro.obs.flame`` — span-tree reconstruction, self-time, critical
-  path, collapsed-stack flamegraph output;
+* ``repro.obs.flame`` — span-tree reconstruction, the per-phase
+  self-time stats every timing view reads, critical path,
+  collapsed-stack flamegraph output;
 * ``repro.obs.export`` — Prometheus text exposition;
 * ``repro.obs.dashboard`` — the run-directory loader and the
   self-contained HTML run dashboard;
@@ -94,7 +94,7 @@ from repro.obs.flame import (
     build_trees,
     collapsed_stacks,
     critical_path,
-    self_times,
+    phase_stats,
 )
 from repro.obs.metrics import (
     NULL_METRICS,
@@ -124,7 +124,6 @@ from repro.obs.sinks import (
     read_events,
     read_spans,
 )
-from repro.obs.summary import SpanStat, aggregate_spans
 from repro.obs.timeline import (
     CoveragePoint,
     Stall,
@@ -169,11 +168,9 @@ __all__ = [
     "SERVE_EVENT_KINDS",
     "Span",
     "SpanSink",
-    "SpanStat",
     "Stall",
     "Tracer",
     "Violation",
-    "aggregate_spans",
     "build_trees",
     "capture_run_record",
     "check_regression",
@@ -197,6 +194,7 @@ __all__ = [
     "load_run",
     "newly_unreached",
     "percentile",
+    "phase_stats",
     "prometheus_text",
     "queue_depth_series",
     "read_events",
@@ -209,7 +207,6 @@ __all__ = [
     "render_service_dashboard",
     "render_service_section",
     "render_trend_section",
-    "self_times",
     "service_rows",
     "stalls",
     "time_to_fraction",

@@ -21,9 +21,9 @@ def percentile(values: Sequence[float], q: float) -> float:
     here), 0.0 for an empty sequence.  Nearest-rank (no interpolation)
     keeps the result an actual observed value, which is what a latency
     or self-time percentile should report.  This is the *single*
-    quantile definition every consumer shares — span summaries
-    (:mod:`repro.obs.summary` re-exports it), histogram snapshots and
-    the Prometheus exposition all agree on what "p90" means.
+    quantile definition every consumer shares — per-phase self-time
+    stats (:func:`repro.obs.flame.phase_stats`), histogram snapshots
+    and the Prometheus exposition all agree on what "p90" means.
     """
     if not values:
         return 0.0

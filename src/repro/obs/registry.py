@@ -18,7 +18,7 @@ need:
 * the **counters and histogram aggregates** of the run's metrics
   registry and the **fault census** of the sweep;
 * per-phase **span self-time percentiles** (p50/p90/p99 over each span
-  name's self time, via :func:`repro.obs.metrics.percentile`);
+  name's self time, :func:`repro.obs.flame.phase_stats`);
 * per-app **discovery statistics** from the flight-recorder timeline
   (final coverage checkpoint, t50/t90 per series) when the event log
   was enabled.
@@ -47,8 +47,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.flame import build_trees
-from repro.obs.metrics import percentile
+from repro.obs.flame import phase_stats
 from repro.obs.timeline import coverage_timeline, discovery_stats
 from repro.store import (
     DocumentStore,
@@ -217,28 +216,6 @@ def config_fingerprint(config) -> Dict[str, object]:
         fingerprint["input_values_digest"] = content_id(
             sorted(values.items()))
     return fingerprint
-
-
-def self_time_stats(values: Sequence[float]) -> Dict[str, float]:
-    """Count, total and p50/p90/p99 of one phase's self times (seconds
-    in, milliseconds out for the percentiles)."""
-    return {
-        "count": len(values),
-        "self_total_s": round(sum(values), 6),
-        "self_p50_ms": round(percentile(values, 0.50) * 1000, 3),
-        "self_p90_ms": round(percentile(values, 0.90) * 1000, 3),
-        "self_p99_ms": round(percentile(values, 0.99) * 1000, 3),
-    }
-
-
-def phase_stats(spans) -> Dict[str, Dict[str, float]]:
-    """Per-phase (span-name) self-time stats with p50/p90/p99."""
-    self_times: Dict[str, List[float]] = {}
-    for root in build_trees(list(spans)):
-        for node in root.walk():
-            self_times.setdefault(node.span.name, []).append(node.self_time)
-    return {name: self_time_stats(values)
-            for name, values in self_times.items()}
 
 
 def coverage_from_rows(rows: Sequence[Dict]) -> Dict[str, float]:

@@ -1,7 +1,9 @@
 """Deterministic regression gate over two run records.
 
-``check_regression(baseline, candidate, policy)`` is a pure function:
-no clocks, no randomness, no filesystem — the same record pair under
+``check_regression(baseline, candidate, policy)`` judges the two
+records' :class:`~repro.obs.diff.RecordDiff`: its comparability notes,
+coverage deltas and per-phase self times.  It is a pure function: no
+clocks, no randomness, no filesystem — the same record pair under
 the same policy always yields the same verdict, whichever sweep
 backend (threads or processes) produced the candidate.  That is the
 property that makes ``repro regress`` usable as a CI exit code.
@@ -33,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.diff import diff_records
 from repro.obs.registry import RunRecord
 
 #: Coverage keys gated by default (all relative-drop checks).
@@ -144,72 +147,57 @@ class RegressionReport:
         return "\n".join(lines)
 
 
-def _phase_shares(record: RunRecord) -> Dict[str, float]:
-    total = record.total_phase_time()
-    if total <= 0:
-        return {}
-    return {
-        name: stats.get("self_total_s", 0.0) / total
-        for name, stats in record.phases.items()
-    }
-
-
 def check_regression(baseline: RunRecord, candidate: RunRecord,
                      policy: Optional[RegressionPolicy] = None,
                      ) -> RegressionReport:
-    """Compare a candidate run against a baseline under a policy."""
+    """Compare a candidate run against a baseline under a policy: judge
+    their :func:`~repro.obs.diff.diff_records` diff."""
     policy = policy or RegressionPolicy()
-    report = RegressionReport(
-        baseline_id=baseline.run_id or baseline.compute_id(),
-        candidate_id=candidate.run_id or candidate.compute_id(),
-        policy=policy,
-    )
+    diff = diff_records(baseline, candidate)
+    report = RegressionReport(baseline_id=diff.baseline_id,
+                              candidate_id=diff.candidate_id,
+                              policy=policy)
 
     # -- comparability -----------------------------------------------------
-    if baseline.config != candidate.config:
-        changed = sorted(
-            key for key in set(baseline.config) | set(candidate.config)
-            if baseline.config.get(key) != candidate.config.get(key)
-        )
-        detail = "config fingerprints differ: " + ", ".join(changed)
-        if policy.require_same_config:
+    # The diff notes each failed check, the config first.
+    notes = iter(diff.notes)
+    for key, same, required in (
+            ("config", diff.same_config, policy.require_same_config),
+            ("corpus", diff.same_corpus, policy.require_same_corpus)):
+        if same:
+            continue
+        detail = next(notes)
+        if required:
             report.violations.append(Violation(
-                kind="comparability", key="config", baseline=None,
-                candidate=None, limit=0.0, detail=detail))
-        else:
-            report.warnings.append(detail)
-    if (baseline.corpus_digest and candidate.corpus_digest
-            and baseline.corpus_digest != candidate.corpus_digest):
-        detail = (f"corpus digests differ: {baseline.corpus_digest[:12]} "
-                  f"vs {candidate.corpus_digest[:12]}")
-        if policy.require_same_corpus:
-            report.violations.append(Violation(
-                kind="comparability", key="corpus", baseline=None,
+                kind="comparability", key=key, baseline=None,
                 candidate=None, limit=0.0, detail=detail))
         else:
             report.warnings.append(detail)
 
     # -- coverage ----------------------------------------------------------
+    coverage = {d.key: d for d in diff.coverage}
     for key in policy.coverage_keys:
-        base = baseline.coverage.get(key)
+        delta = coverage.get(key)
+        base = delta.before if delta else None
         if base is None or base <= 0:
             continue  # nothing to regress from
-        cand = float(candidate.coverage.get(key, 0.0) or 0.0)
+        cand = delta.after or 0.0
         drop = (base - cand) / base
         if drop > policy.max_coverage_drop:
             report.violations.append(Violation(
-                kind="coverage", key=key, baseline=float(base),
+                kind="coverage", key=key, baseline=base,
                 candidate=cand, limit=policy.max_coverage_drop,
                 detail=(f"{base:g} -> {cand:g} "
                         f"(-{drop:.1%} > {policy.max_coverage_drop:.0%} "
                         f"allowed)")))
 
     # -- replay divergence (absolute gate, not baseline-relative) ----------
-    diverged = candidate.coverage.get("replay_diverged")
+    replay = coverage.get("replay_diverged")
+    diverged = replay.after if replay else None
     if diverged is not None and diverged > policy.max_replay_divergences:
         report.violations.append(Violation(
             kind="replay", key="replay_diverged", baseline=None,
-            candidate=float(diverged),
+            candidate=diverged,
             limit=float(policy.max_replay_divergences),
             detail=(f"{diverged:g} replayed script"
                     f"{'s' if diverged != 1 else ''} diverged "
@@ -217,17 +205,22 @@ def check_regression(baseline: RunRecord, candidate: RunRecord,
                     "recorded suite no longer applies to this app")))
 
     # -- phase time (shares of total self time) ----------------------------
-    base_shares = _phase_shares(baseline)
-    cand_shares = _phase_shares(candidate)
-    for name in sorted(base_shares):
-        base_share = base_shares[name]
+    # Each record sums its own phases, so a share does not depend on
+    # the order the diff lists them in.
+    base_total = baseline.total_phase_time()
+    cand_total = candidate.total_phase_time()
+    for delta in diff.phase_time:
+        if delta.before is None or base_total <= 0:
+            continue
+        base_share = delta.before / base_total
         if base_share < policy.min_phase_share:
             continue
-        cand_share = cand_shares.get(name, 0.0)
+        cand_share = ((delta.after or 0.0) / cand_total
+                      if cand_total > 0 else 0.0)
         increase = (cand_share - base_share) / base_share
         if increase > policy.max_phase_time_increase:
             report.violations.append(Violation(
-                kind="phase_time", key=name, baseline=base_share,
+                kind="phase_time", key=delta.key, baseline=base_share,
                 candidate=cand_share,
                 limit=policy.max_phase_time_increase,
                 detail=(f"share of self time {base_share:.1%} -> "

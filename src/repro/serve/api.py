@@ -66,6 +66,7 @@ from repro.errors import (
     JobStateError,
     QueueFullError,
     ServeError,
+    StoreError,
     UnknownJobError,
 )
 from repro.obs import EventLog, Tracer, prometheus_text
@@ -295,7 +296,7 @@ class ReproServer:
         try:
             explanation = ExplanationStore(
                 self.registry.directory).load(job.run_id)
-        except (KeyError, ValueError, OSError) as exc:
+        except (KeyError, OSError) as exc:
             raise UnknownJobError(
                 f"no stored explanation for job {job_id} "
                 f"(run {job.run_id}): {exc}") from exc
@@ -372,7 +373,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, exc)
         except JobStateError as exc:
             self._error(409, exc)
-        except ServeError as exc:
+        except (ServeError, StoreError) as exc:
+            # A StoreError is a damaged stored document: a spill file or
+            # a stored explanation.
             self._error(500, exc)
 
     # -- routes --------------------------------------------------------------

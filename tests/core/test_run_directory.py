@@ -10,8 +10,10 @@ raise typed errors, never tracebacks.
 """
 
 import contextlib
+import html
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -227,7 +229,49 @@ def saved(tmp_path_factory):
 
 def test_the_saved_report_carries_every_section(saved):
     report = load_run(saved).report
-    assert {"timing", "degradation", "metrics"} <= set(report)
+    assert {"degradation", "metrics"} <= set(report)
+    # A traced run's time is in its spans.jsonl, not in the report.
+    assert "timing" not in report
+    assert load_run(saved).spans
+
+
+def _show_phases(run_dir):
+    """(name, count, self seconds) of every phase ``repro show`` ranks."""
+    code, out = _cli("show", run_dir, "--top", 1000)
+    assert code == 0, out
+    lines = out.split("== time ==\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split() for line in lines.splitlines()[2:]]
+    return [(row[-1], row[0], row[1]) for row in rows]
+
+
+def _page_phases(run_dir):
+    """(name, count, self seconds) of every row of the run page's
+    per-phase timing table."""
+    text = (run_dir / "report.html").read_text(encoding="utf-8")
+    table = text.split("<summary>Per-phase self time", 1)[1]
+    table = table.split("</table>", 1)[0]
+    return [(html.unescape(name), count, self_s) for name, count, self_s
+            in re.findall(r"<tr><td>([^<]*)</td><td class=num>(\d+)</td>"
+                          r"<td class=num>([^<]*)</td>", table)]
+
+
+def test_show_and_the_run_page_rank_the_same_self_times(tmp_path):
+    run_dir = tmp_path / "run"
+    code, out = _cli("explore", "com.c51", "--save", run_dir,
+                     "--trace-jsonl", tmp_path / "spans.jsonl")
+    assert code == 0, out
+    phases = _show_phases(run_dir)
+    assert len(phases) > 3
+    assert "static.extract" in [name for name, _, _ in phases]
+    assert _page_phases(run_dir) == phases
+
+
+def test_a_report_with_an_old_timing_section_loads(damaged):
+    run_dir, report = damaged
+    old = dict(report, timing=[{"span": "explore", "count": 1,
+                                "total_s": 0.5, "p90_ms": 500.0}])
+    (run_dir / "report.json").write_text(json.dumps(old))
+    assert load_run(run_dir).report == old
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

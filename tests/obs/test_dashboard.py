@@ -103,18 +103,36 @@ def test_dashboard_without_event_log_degrades_gracefully(tmp_path):
     assert "explore --save" in html_text  # which always writes it
 
 
-def test_run_page_timing_table_formats_report_timing(tmp_path):
-    from repro.core.report import timing_to_dict
+def test_run_page_timing_table_formats_self_times(tmp_path):
     from repro.obs import Span
     from repro.obs.dashboard import RunData
 
-    spans = [Span("x", 1, 1, None, 0, 0.0, 0.5)]
-    report = {"package": "com.a", "timing": timing_to_dict(spans)}
+    spans = [Span("x", 1, 1, None, 0, 0.0, 0.5),
+             Span("y", 2, 1, 1, 1, 0.0, 0.125)]
+    html_text = render_dashboard(RunData(path=tmp_path,
+                                         report={"package": "com.a"},
+                                         spans=spans))
+    _assert_well_formed(html_text)
+    # Rows rank by p90 self time; x's self time excludes its child's.
+    assert ("<td>x</td><td class=num>1</td><td class=num>0.375</td>"
+            "<td class=num>375.00</td><td class=num>375.00</td>"
+            "<td class=num>375.00</td></tr><tr><td>y</td>") in html_text
+    assert "Per-phase self time (2 phases)" in html_text
+    assert "0.375 s</text>" in html_text  # the bar's label
+
+
+def test_a_report_timing_section_is_not_a_source(tmp_path):
+    """A report saved with a ``timing`` section still loads; the page
+    times a run from its spans only."""
+    from repro.obs.dashboard import RunData
+
+    report = {"package": "com.a", "timing": [
+        {"span": "x", "count": 1, "total_s": 0.5, "mean_ms": 500.0,
+         "p50_ms": 500.0, "p90_ms": 500.0, "p99_ms": 500.0,
+         "max_ms": 500.0}]}
     html_text = render_dashboard(RunData(path=tmp_path, report=report))
     _assert_well_formed(html_text)
-    assert ("<td>x</td><td class=num>1</td><td class=num>0.5000</td>"
-            "<td class=num>500.00</td>") in html_text
-    assert "Per-phase timing (1 spans)" in html_text
+    assert "Phase timing" not in html_text
 
 
 def test_fleet_dashboard_over_run_directories(tmp_path):

@@ -5,7 +5,7 @@ from repro.obs import (
     build_trees,
     collapsed_stacks,
     critical_path,
-    self_times,
+    phase_stats,
 )
 
 
@@ -41,12 +41,18 @@ def test_orphan_spans_are_promoted_to_roots():
     assert [r.span.name for r in roots] == ["child"]
 
 
-def test_self_times_subtract_children():
-    totals = self_times(_forest())
+def test_phase_stats_self_time_subtracts_children():
+    # A second trace, whose root is another "a" with no children.
+    spans = _forest() + [_span("a", 5, None, 20.0, 2.0, trace_id=2)]
+    stats = phase_stats(spans)
+    totals = {name: s["self_total_s"] for name, s in stats.items()}
     assert abs(totals["root"] - 3.0) < 1e-9   # 10 - (4 + 3)
-    assert abs(totals["a"] - 3.0) < 1e-9      # 4 - 1
+    assert abs(totals["a"] - 5.0) < 1e-9      # (4 - 1) + 2
     assert abs(totals["leaf"] - 1.0) < 1e-9
     assert abs(totals["b"] - 3.0) < 1e-9
+    assert stats["a"]["count"] == 2
+    # Self time telescopes: the totals sum to the roots' durations.
+    assert abs(sum(totals.values()) - 12.0) < 1e-9
 
 
 def test_critical_path_descends_slowest_children():

@@ -8,9 +8,10 @@ from repro.obs import (
     JsonlSink,
     Span,
     Tracer,
-    aggregate_spans,
+    phase_stats,
     read_spans,
 )
+from repro.obs.flame import ranked_phases
 
 
 def _trace_some(tracer):
@@ -88,18 +89,18 @@ def test_read_spans_skips_blank_lines(tmp_path):
     assert [s.name for s in read_spans(path)] == ["a"]
 
 
-def _span(name, duration, **attrs):
-    return Span(name=name, span_id=1, trace_id=1, parent_id=None,
-                depth=0, start=0.0, duration=duration, attributes=attrs)
-
-
-def test_aggregate_spans_groups_by_name():
-    spans = [_span("a", 0.2), _span("a", 0.4), _span("b", 0.1)]
-    stats = {s.name: s for s in aggregate_spans(spans)}
-    assert stats["a"].count == 2
-    assert abs(stats["a"].total - 0.6) < 1e-9
-    assert abs(stats["a"].mean - 0.3) < 1e-9
-    assert stats["a"].maximum == 0.4
-    assert stats["b"].count == 1
-    # Sorted by total descending.
-    assert [s.name for s in aggregate_spans(spans)] == ["a", "b"]
+def test_phase_stats_groups_by_name():
+    spans = [Span("a", 1, 1, None, 0, 0.0, 0.2),
+             Span("a", 2, 1, None, 0, 0.5, 0.4),
+             Span("b", 3, 1, None, 0, 1.0, 0.1)]
+    stats = phase_stats(spans)
+    assert stats["a"]["count"] == 2
+    assert abs(stats["a"]["self_total_s"] - 0.6) < 1e-9
+    assert stats["a"]["self_p50_ms"] == 200.0
+    assert stats["a"]["self_p90_ms"] == 400.0
+    assert stats["a"]["self_p99_ms"] == 400.0
+    assert stats["b"] == {"count": 1, "self_total_s": 0.1,
+                          "self_p50_ms": 100.0, "self_p90_ms": 100.0,
+                          "self_p99_ms": 100.0}
+    # Ranked by p90 self time, highest first.
+    assert [name for name, _ in ranked_phases(stats)] == ["a", "b"]

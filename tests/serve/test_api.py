@@ -86,6 +86,24 @@ def test_cancel_done_job_conflicts(client):
     assert excinfo.value.kind == "JobStateError"
 
 
+def test_a_damaged_spill_file_is_a_typed_500(server, client):
+    """A released job's logs come from its spill file; a damaged line
+    there answers a typed 500 naming it, and the service keeps going."""
+    job_id = client.submit([ALPHA], max_events=200)["job_id"]
+    assert client.wait(job_id, timeout_s=60.0)["state"] == "done"
+    spill = server.broker.spill_path(job_id)
+    assert wait_until(spill.exists)
+    lines = spill.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = lines[1][:len(lines[1]) // 2] + "\n"
+    spill.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ServeClientError) as excinfo:
+        client.logs(job_id)
+    assert excinfo.value.status == 500
+    assert excinfo.value.kind == "StoreError"
+    assert f"{job_id}.events.jsonl:2" in str(excinfo.value)
+    assert client.health()["ok"] is True
+
+
 def test_unreachable_service_reports_transport_failure():
     client = ServeClient("http://127.0.0.1:1", timeout_s=2.0)
     with pytest.raises(ServeClientError) as excinfo:
@@ -524,6 +542,21 @@ def test_job_explanation_is_served_once_terminal(server, client):
     with pytest.raises(ServeClientError) as excinfo:
         client.explanation("0" * 12)
     assert excinfo.value.status == 404
+
+
+def test_a_damaged_stored_explanation_is_a_typed_500(server, client):
+    from repro.obs import ExplanationStore
+
+    done = client.wait(client.submit([ALPHA], max_events=200)["job_id"],
+                       timeout_s=60.0)
+    store = ExplanationStore(server.registry.directory)
+    store.path_of(done["run_id"]).write_text('{"schema": 1, "apps": 7}',
+                                            encoding="utf-8")
+    with pytest.raises(ServeClientError) as excinfo:
+        client.explanation(done["job_id"])
+    assert excinfo.value.status == 500
+    assert excinfo.value.kind == "StoreError"
+    assert "coverage explanation" in str(excinfo.value)
 
 
 def test_terminal_state_is_published_after_its_run_record(server,
